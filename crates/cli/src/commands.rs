@@ -213,6 +213,11 @@ pub fn explore(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Res
             d.fold_carries, d.scratch_fallbacks, d.arena_hits, d.arena_misses, d.arena_evictions
         )?;
     }
+    writeln!(
+        err,
+        "scheduler: {} runs for {} (point, workload) lookups",
+        result.schedule.runs, result.schedule.lookups
+    )?;
     if let Some(msg) = &result.flush_failure {
         warn_flush_failure(msg, err)?;
     }

@@ -429,3 +429,56 @@ fn bad_workload_weights_are_usage_errors() {
         assert_eq!(e.exit_code, 2, "{spec}");
     }
 }
+
+#[test]
+fn scheduler_counts_go_to_stderr_and_leave_stdout_byte_identical() {
+    let model = [
+        "explore",
+        "--space",
+        "fast",
+        "--workload",
+        "crypt",
+        "--format",
+        "json",
+    ];
+    let (model_out, model_err) = run_ok(&model);
+    // The simulate run bypasses the schedule memo: one scheduler run
+    // per (point, workload) lookup, yet the same stdout bytes.
+    let simulate: Vec<&str> = model
+        .iter()
+        .copied()
+        .chain(["--cycles", "simulate"])
+        .collect();
+    let (simulate_out, simulate_err) = run_ok(&simulate);
+    assert_eq!(model_out, simulate_out);
+    assert!(!model_out.contains("scheduler"), "{model_out}");
+    // Crypt has no CMP or MUL op, so the fast space's MUL knob halves
+    // the distinct scheduler views.
+    assert!(
+        model_err.contains("scheduler: 12 runs for 24 (point, workload) lookups"),
+        "{model_err}"
+    );
+    assert!(
+        simulate_err.contains("scheduler: 24 runs for 24 (point, workload) lookups"),
+        "{simulate_err}"
+    );
+    // Serial and parallel sweeps agree on stdout and on the counts.
+    for format in ["table", "csv"] {
+        let base = [
+            "explore", "--space", "fast", "--suite", "all", "--format", format,
+        ];
+        let serial: Vec<&str> = base.iter().copied().chain(["--serial"]).collect();
+        let parallel: Vec<&str> = base.iter().copied().chain(["--parallel"]).collect();
+        let (serial_out, serial_err) = run_ok(&serial);
+        let (parallel_out, parallel_err) = run_ok(&parallel);
+        assert_eq!(serial_out, parallel_out, "{format}");
+        assert!(!serial_out.contains("scheduler:"), "{serial_out}");
+        let counts = |err: &str| {
+            err.lines()
+                .find(|l| l.starts_with("scheduler: "))
+                .map(str::to_string)
+        };
+        assert_eq!(counts(&serial_err), counts(&parallel_err), "{format}");
+        assert!(counts(&serial_err).is_some(), "{serial_err}");
+    }
+}

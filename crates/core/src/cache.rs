@@ -100,6 +100,12 @@ pub const CACHE_FORMAT_VERSION: u32 = 3;
 /// deliberately separate from [`CACHE_FORMAT_VERSION`]: the v3 file
 /// layout changed how entries are *stored*, not what they *mean*, so
 /// v2 entries keep their addresses and stay hittable after an upgrade.
+///
+/// The in-run schedule memo ([`crate::schedmemo::ScheduleMemo`]) has a
+/// version rule of its own: a scheduler change that reads a new
+/// `Architecture` field must extend [`tta_movec::SchedulerView`], or
+/// points that differ only in that field would share one memoised
+/// schedule (see `docs/PERF.md`, "Scheduler views").
 pub const CACHE_ADDRESS_VERSION: u32 = 2;
 
 /// File name of the cache inside the cache directory (versioned, so a
@@ -616,8 +622,13 @@ impl SweepCache {
             std::process::id(),
             FLUSH_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        fs::write(&tmp, body)?;
-        fs::rename(&tmp, &self.path)?;
+        // A failed write or rename removes its temp file: the cache stays
+        // dirty, so every later chunk retries, and each retry would
+        // otherwise strand another (larger) temp file in the directory.
+        if let Err(e) = fs::write(&tmp, body).and_then(|()| fs::rename(&tmp, &self.path)) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
         self.dirty.store(false, Ordering::Release);
         *disk_state = stat_sig(&self.path);
         Ok(())
@@ -922,11 +933,22 @@ mod tests {
         fs::create_dir_all(cache.path()).unwrap();
         cache.store_eval(1, EvalEntry::Infeasible { blocked: None });
         assert!(cache.flush().is_err(), "rename onto a directory fails");
+        // The cache stays dirty, so the next flush retries — and fails
+        // the same way.
+        cache.store_eval(2, EvalEntry::Infeasible { blocked: None });
+        assert!(cache.flush().is_err(), "the retry fails too");
         // The entries are still served from memory.
         assert_eq!(
             cache.lookup_eval(1),
             Some(EvalEntry::Infeasible { blocked: None })
         );
+        // Neither failed flush left its temp file behind.
+        let leftovers: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "leaked temp files: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -103,7 +103,6 @@ use std::sync::Arc;
 
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
-use tta_movec::schedule::Scheduler;
 use tta_workloads::{WeightedWorkload, Workload};
 
 use crate::backannotate::ComponentDb;
@@ -123,6 +122,7 @@ use crate::models::{
 use crate::norm::{select, Norm, Weights};
 use crate::parallel::{default_threads, par_map};
 use crate::pareto::{pareto_front, ParetoArchive};
+use crate::schedmemo::{ScheduleMemo, ScheduleStats};
 use crate::search::{
     Exhaustive, Observation, SearchCheckpoint, SearchState, SearchStrategy, WalkOrder,
 };
@@ -645,6 +645,11 @@ pub struct ExploreResult {
     /// a parallel sweep may count arena traffic differently from a
     /// serial one while producing identical objectives.
     pub delta: Option<DeltaStats>,
+    /// Schedule-memo counters ([`ScheduleStats`]): how many
+    /// `(point, workload)` cycle counts the sweep needed and how many
+    /// list-scheduler runs answered them. Observability only — no
+    /// rendered format carries them.
+    pub schedule: ScheduleStats,
     /// Whether the run stopped at a cancellation point
     /// ([`Exploration::cancel_token`]) before the strategy was done.
     /// Everything else on the result covers exactly what *was*
@@ -1286,7 +1291,9 @@ impl<'db> Exploration<'db> {
         let mut infeasible = 0usize;
         let lift = self.lift;
         let fidelity = self.fidelity;
-        let cycle_source = self.cycle_source;
+        // One schedule per distinct (workload, scheduler view) for the
+        // whole run; lives no longer than the sweep.
+        let schedules = ScheduleMemo::new(workloads, self.cycle_source);
         let cancel = self.cancel.take();
         let mut progress = self.progress.take();
         // A checkpointed trajectory replays its visited indices through
@@ -1353,11 +1360,13 @@ impl<'db> Exploration<'db> {
             }
             // A strategy may ask for its batches to be *evaluated* in
             // neighbour (Gray-walk) order: consecutive points then
-            // differ in one template knob, which maximises reuse in the
-            // delta evaluator's memo arena. The re-sort happens after
-            // budget truncation, so it changes when a point is
-            // evaluated, never whether — and per-point cache addresses
-            // are visit-order independent.
+            // differ in one template knob, which lets the carried folds
+            // advance one component per step and decides the order in
+            // which scheduler views repeat in the schedule memo. The
+            // re-sort happens after budget truncation, so it changes
+            // when a point is evaluated, never whether — and per-point
+            // cache addresses and memoised schedules are visit-order
+            // independent.
             if strategy.walk_order() == WalkOrder::Neighbour {
                 fresh.sort_by_key(|&i| space.neighbour_rank(i));
             }
@@ -1468,7 +1477,7 @@ impl<'db> Exploration<'db> {
                             weights,
                             axis_source(staged[k], &*area, &*timing),
                             db,
-                            cycle_source,
+                            &schedules,
                         ),
                         LiftMode::Full => {
                             match evaluate_point(
@@ -1477,7 +1486,7 @@ impl<'db> Exploration<'db> {
                                 weights,
                                 axis_source(staged[k], &*area, &*timing),
                                 db,
-                                cycle_source,
+                                &schedules,
                             ) {
                                 Ok(e) => {
                                     let total = match staged[k] {
@@ -1520,7 +1529,7 @@ impl<'db> Exploration<'db> {
                                         weights,
                                         axis_source(staged[k], &*area, &*timing),
                                         db,
-                                        cycle_source,
+                                        &schedules,
                                     );
                                     cache.store_eval(key, dehydrate(&e, None));
                                     e
@@ -1564,7 +1573,7 @@ impl<'db> Exploration<'db> {
                                         weights,
                                         axis_source(staged[k], &*area, &*timing),
                                         db,
-                                        cycle_source,
+                                        &schedules,
                                     ) {
                                         Err(why) => {
                                             cache.store_eval(key, dehydrate(&Err(why), None));
@@ -1750,6 +1759,7 @@ impl<'db> Exploration<'db> {
             fidelity,
             cache_status,
             delta,
+            schedule: schedules.stats(),
             cancelled: was_cancelled,
             checkpoint: was_cancelled.then(|| state.checkpoint()),
         })
@@ -1995,27 +2005,25 @@ fn axis_source<'a>(
 /// (the default annotated models return infinity for out-of-
 /// [`crate::backannotate::ComponentKey`]-domain geometries) or an
 /// unschedulable workload drops the point — the error records which.
+/// Cycle counts come from the run's [`ScheduleMemo`]: the modelled
+/// count of a `(workload, scheduler view)` pair is computed once per
+/// run, and a simulated count executes the point's own schedule (a
+/// program that cannot lower or run is as infeasible as one that cannot
+/// schedule).
 fn evaluate_point(
     arch: &Architecture,
     workloads: &[Workload],
     weights: &[f64],
     axes: AxisSource<'_>,
     db: &ComponentDb,
-    cycle_source: CycleSource,
+    schedules: &ScheduleMemo<'_>,
 ) -> PointOutcome {
     let mut workload_cycles = Vec::with_capacity(workloads.len());
     let mut spills = 0u32;
     for (i, w) in workloads.iter().enumerate() {
-        let schedule = Scheduler::new(arch).run(&w.dfg).map_err(|_| Some(i))?;
-        let trace_cycles = match cycle_source {
-            CycleSource::Model => schedule.cycles,
-            // Execute the lowered program and trust the machine, not
-            // the model. A program that cannot lower or run is as
-            // infeasible as one that cannot schedule.
-            CycleSource::Simulate => executed_cycles(arch, w, &schedule).ok_or(Some(i))?,
-        };
+        let (trace_cycles, workload_spills) = schedules.trace_cycles(arch, i).ok_or(Some(i))?;
         workload_cycles.push(w.application_cycles(trace_cycles));
-        spills += schedule.spills;
+        spills += workload_spills;
     }
     let cycles: u64 = workload_cycles.iter().sum();
     let weighted_cycles = weighted_sum(&workload_cycles, weights);
@@ -2044,25 +2052,6 @@ fn evaluate_point(
             (Objective::ExecTime, exec_time),
         ]),
     })
-}
-
-/// One workload's executed (simulated) trace cycle count on `arch`,
-/// or `None` when the lowered program cannot run there.
-fn executed_cycles(
-    arch: &Architecture,
-    w: &Workload,
-    schedule: &tta_movec::schedule::Schedule,
-) -> Option<u32> {
-    let program = tta_sim::lower(arch, &w.dfg, schedule, &w.inputs, &w.mem).ok()?;
-    let options = tta_sim::SimOptions {
-        allow_register_overflow: true,
-        ..Default::default()
-    };
-    let trace = tta_sim::Simulator::new(arch)
-        .options(options)
-        .run(&program)
-        .ok()?;
-    u32::try_from(trace.cycles).ok()
 }
 
 #[cfg(test)]

@@ -92,6 +92,7 @@ pub mod parallel;
 pub mod pareto;
 pub mod report;
 pub mod rfmem;
+pub mod schedmemo;
 pub mod search;
 pub mod testcost;
 pub mod testplan;
@@ -112,6 +113,7 @@ pub use models::{
 pub use norm::{Norm, Weights};
 pub use pareto::{pareto_front, ParetoArchive};
 pub use rfmem::{RfImplementationComparison, RfMemSpec};
+pub use schedmemo::{ScheduleMemo, ScheduleStats};
 pub use search::{
     Exhaustive, HillClimb, NeighbourExhaustive, RandomSample, SearchCheckpoint, SearchState,
     SearchStrategy,

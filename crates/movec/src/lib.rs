@@ -37,4 +37,4 @@ pub mod metrics;
 pub mod schedule;
 
 pub use ir::{Dfg, FuClass, Op, ValueId};
-pub use schedule::{Move, Schedule, ScheduleError, Scheduler};
+pub use schedule::{Move, Schedule, ScheduleError, Scheduler, SchedulerView};

@@ -223,6 +223,84 @@ impl<'a> Scheduler<'a> {
     }
 }
 
+/// The operation class a unit of `kind` executes; `None` for the PC,
+/// which the scheduler never consults.
+fn class_of(kind: FuKind) -> Option<FuClass> {
+    match kind {
+        FuKind::Alu => Some(FuClass::Alu),
+        FuKind::Cmp => Some(FuClass::Cmp),
+        FuKind::Mul => Some(FuClass::Mul),
+        FuKind::LdSt => Some(FuClass::LdSt),
+        FuKind::Immediate => Some(FuClass::Imm),
+        FuKind::Pc => None,
+    }
+}
+
+/// Slot of `class` in [`SchedulerView`]'s per-class unit counts.
+fn class_slot(class: FuClass) -> usize {
+    match class {
+        FuClass::Alu => 0,
+        FuClass::Mul => 1,
+        FuClass::Cmp => 2,
+        FuClass::LdSt => 3,
+        FuClass::Imm => 4,
+    }
+}
+
+/// Everything [`Scheduler::run`] can observe of a *valid* architecture
+/// when it schedules one DFG:
+///
+/// - the bus count;
+/// - the unit count of every FU class the DFG uses (units of one class
+///   are interchangeable, and a class no DFG node executes on is never
+///   consulted — crypt has no MUL or CMP op, so those counts drop out);
+/// - the ordered `(regs, nin, nout)` of every register file.
+///
+/// Names, port→bus attachments, the datapath width and the PC stay out.
+/// Two valid architectures with equal views therefore get the same
+/// `cycles`, `makespan` and `spills` for that DFG (the moves may bind
+/// differently numbered units). Validity is *not* part of the view —
+/// it depends on names and port buses — so a caller memoising schedules
+/// by view must still run [`Architecture::validate`] per architecture.
+///
+/// A scheduler change that reads a new `Architecture` field must add
+/// it here; the `schedule_view` differential test in `tta_core` is the
+/// guard.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SchedulerView {
+    buses: usize,
+    /// Units per FU class slot (see `class_slot`); `None` for classes
+    /// the DFG never uses.
+    fus: [Option<usize>; 5],
+    rfs: Vec<(usize, usize, usize)>,
+}
+
+impl SchedulerView {
+    /// The view [`Scheduler::run`] has of `arch` while scheduling `dfg`.
+    pub fn new(arch: &Architecture, dfg: &Dfg) -> Self {
+        let mut fus = [None; 5];
+        for node in dfg.nodes() {
+            if let Some(class) = node.op.fu_class() {
+                fus[class_slot(class)] = Some(0);
+            }
+        }
+        for fu in arch.fus() {
+            if let Some(n) = class_of(fu.kind).and_then(|c| fus[class_slot(c)].as_mut()) {
+                *n += 1;
+            }
+        }
+        SchedulerView {
+            buses: arch.bus_count(),
+            fus,
+            rfs: arch
+                .rfs()
+                .iter()
+                .map(|r| (r.regs, r.nin(), r.nout()))
+                .collect(),
+        }
+    }
+}
+
 struct FuState {
     kind: FuKind,
     last_trigger: Option<u32>,
@@ -256,17 +334,12 @@ impl<'a> State<'a> {
         let mut fu_of_class: HashMap<FuClass, Vec<usize>> = HashMap::new();
         let mut imm_units = Vec::new();
         for (i, fu) in arch.fus().iter().enumerate() {
-            let class = match fu.kind {
-                FuKind::Alu => FuClass::Alu,
-                FuKind::Cmp => FuClass::Cmp,
-                FuKind::Mul => FuClass::Mul,
-                FuKind::LdSt => FuClass::LdSt,
-                FuKind::Immediate => {
-                    imm_units.push(i);
-                    FuClass::Imm
-                }
-                FuKind::Pc => continue,
+            let Some(class) = class_of(fu.kind) else {
+                continue;
             };
+            if class == FuClass::Imm {
+                imm_units.push(i);
+            }
             fu_of_class.entry(class).or_default().push(i);
         }
         // Comparisons may fall back to the ALU when no CMP unit exists?
@@ -763,6 +836,65 @@ mod tests {
         assert!(ss.spills > 0);
         assert_eq!(sb.spills, 0);
         assert!(ss.cycles > sb.cycles);
+    }
+
+    #[test]
+    fn view_ignores_what_the_scheduler_cannot_observe() {
+        // The chain DFG runs on ALUs and immediates only.
+        let dfg = chain_dfg(6);
+        let base = Architecture::figure9();
+        let view = SchedulerView::new(&base, &dfg);
+        let mut renamed = base.clone();
+        renamed.name = "other".into();
+        renamed.width = 32;
+        renamed.fus[0].trigger_bus = tta_arch::BusId(1);
+        renamed.rfs[0].read_ports[0] = tta_arch::BusId(1);
+        let mut more_cmps = base.clone();
+        more_cmps.fus.push(more_cmps.fus[1].clone());
+        more_cmps.fus.last_mut().unwrap().name = "cmp1".into();
+        for arch in [renamed, more_cmps] {
+            assert_eq!(arch.validate(), Ok(()));
+            assert_eq!(SchedulerView::new(&arch, &dfg), view, "{}", arch.name);
+            let (a, b) = (
+                Scheduler::new(&base).run(&dfg).unwrap(),
+                Scheduler::new(&arch).run(&dfg).unwrap(),
+            );
+            assert_eq!(
+                (a.cycles, a.makespan, a.spills),
+                (b.cycles, b.makespan, b.spills)
+            );
+        }
+    }
+
+    #[test]
+    fn every_view_field_changes_the_view() {
+        let dfg = chain_dfg(6);
+        let base = Architecture::figure9();
+        let view = SchedulerView::new(&base, &dfg);
+        let mut variants: Vec<(&str, Architecture)> = Vec::new();
+        let mut a = base.clone();
+        a.buses += 1;
+        variants.push(("bus count", a));
+        let mut a = base.clone();
+        let mut alu = a.fus[0].clone();
+        alu.name = "alu1".into();
+        a.fus.push(alu);
+        variants.push(("used-class count", a));
+        let mut a = base.clone();
+        a.rfs[1].regs += 1;
+        variants.push(("rf regs", a));
+        let mut a = base.clone();
+        a.rfs[1].write_ports.push(tta_arch::BusId(0));
+        variants.push(("rf nin", a));
+        let mut a = base.clone();
+        a.rfs[1].read_ports.push(tta_arch::BusId(0));
+        variants.push(("rf nout", a));
+        let mut a = base.clone();
+        a.rfs.swap(0, 1);
+        variants.push(("rf order", a));
+        for (what, arch) in variants {
+            assert_ne!(SchedulerView::new(&arch, &dfg), view, "{what}");
+        }
     }
 
     #[test]

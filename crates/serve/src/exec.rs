@@ -21,7 +21,7 @@ use tta_core::explore::{
 use tta_core::models::{InterconnectModel, ScanTestCostModel};
 use tta_core::report::TextTable;
 use tta_core::search::SearchCheckpoint;
-use tta_core::{ComponentDb, DeltaStats};
+use tta_core::{ComponentDb, DeltaStats, ScheduleStats};
 use tta_workloads::{SuiteParams, SuiteRegistry, WeightedWorkload};
 
 use crate::json;
@@ -223,6 +223,8 @@ pub struct JobOutput {
     pub checkpoint: Option<SearchCheckpoint>,
     /// Delta-engine counters (live telemetry while running, final here).
     pub delta: Option<DeltaStats>,
+    /// Schedule-memo counters (stderr-only observability).
+    pub schedule: ScheduleStats,
     /// Per-job cache outcome, as a wire-stable label (`none`,
     /// `bypassed`, `flushed`, `flush-failed`).
     pub cache: &'static str,
@@ -369,6 +371,7 @@ impl PreparedJob {
             cancelled: result.cancelled,
             checkpoint: result.checkpoint.clone(),
             delta: result.delta,
+            schedule: result.schedule,
             cache: cache_label(&result.cache_status),
             flush_failure,
         }

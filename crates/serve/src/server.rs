@@ -490,25 +490,34 @@ fn run_job(
         state.jobs().remove(&id);
         return write_error(w, 503, "Service Unavailable", "daemon is shutting down");
     }
-    let mut out = ChunkedWriter::begin(w.try_clone()?, "application/x-ndjson")?;
     let mut line = json::object([("event", json::string("queued")), ("job", json::int(id))]);
     line.push('\n');
-    let mut client_gone = out.chunk(line.as_bytes()).is_err();
     // Drain events until the job reaches a terminal state. If the
-    // client hangs up mid-stream, cancel the job cooperatively but keep
-    // draining so the record still lands in a terminal state — the
-    // checkpoint stays resumable.
+    // client hangs up — mid-stream, or before the stream even started
+    // — cancel the job cooperatively but keep draining so the record
+    // still lands in a terminal state: the checkpoint stays resumable.
+    let mut out = w
+        .try_clone()
+        .and_then(|stream| ChunkedWriter::begin(stream, "application/x-ndjson"))
+        .and_then(|mut out| out.chunk(line.as_bytes()).map(|()| out))
+        .ok();
+    if out.is_none() {
+        cancel.cancel();
+    }
     while let Ok(event) = rx.recv() {
         let (line, terminal) = render_event(id, &event);
-        if !client_gone && out.chunk(line.as_bytes()).is_err() {
-            client_gone = true;
+        if out
+            .as_mut()
+            .is_some_and(|out| out.chunk(line.as_bytes()).is_err())
+        {
+            out = None;
             cancel.cancel();
         }
         if terminal {
             break;
         }
     }
-    if !client_gone {
+    if let Some(out) = out {
         let _ = out.finish();
     }
     Ok(())
