@@ -49,11 +49,15 @@ fn open_cache(common: &CommonOpts, err: &mut dyn Write) -> Result<Option<SweepCa
 /// byte-identical between cold and warm runs).
 fn cache_report(cache: &Option<SweepCache>, err: &mut dyn Write) -> Result<(), CliError> {
     if let Some(cache) = cache {
+        let compactions = cache.compactions();
         writeln!(
             err,
-            "cache: {} hits, {} misses -> {}",
+            "cache: {} hits, {} misses, {} checkpoints ({} KB), {compactions} compaction{} -> {}",
             cache.hits(),
             cache.misses(),
+            cache.checkpoints(),
+            cache.journal_bytes().div_ceil(1024),
+            if compactions == 1 { "" } else { "s" },
             cache.path().display()
         )?;
     }
@@ -1484,7 +1488,8 @@ pub fn cache_cmd(
         .map_err(|e| CliError::runtime(format!("cannot open cache dir {}: {e}", dir.display())))?;
     match action.as_str() {
         "stats" => {
-            let exists = cache.path().exists();
+            // An interrupted cold run may have left only a journal.
+            let exists = cache.path().exists() || cache.journal_path().exists();
             match common.format {
                 Format::Json => {
                     let doc = json::object([

@@ -482,3 +482,92 @@ fn scheduler_counts_go_to_stderr_and_leave_stdout_byte_identical() {
         assert!(counts(&serial_err).is_some(), "{serial_err}");
     }
 }
+
+#[test]
+fn journal_accounting_goes_to_stderr_and_leaves_stdout_byte_identical() {
+    let dir = tmpdir("journal-stderr");
+    // A multi-chunk sweep (160 points = 3 chunks of 64).
+    for format in ["json", "table", "csv"] {
+        let plain = [
+            "explore",
+            "--space",
+            "huge",
+            "--strategy",
+            "random",
+            "--budget",
+            "160",
+            "--seed",
+            "3",
+            "--format",
+            format,
+        ];
+        let cache_dir = dir.join(format);
+        let cached: Vec<&str> = plain
+            .iter()
+            .copied()
+            .chain(["--cache-dir", cache_dir.to_str().expect("utf-8 temp path")])
+            .collect();
+        let (plain_out, plain_err) = run_ok(&plain);
+        let (cached_out, cached_err) = run_ok(&cached);
+        assert_eq!(plain_out, cached_out, "{format}");
+        assert!(!plain_err.contains("cache:"), "{plain_err}");
+        assert!(!cached_out.contains("checkpoint"), "{cached_out}");
+        let line = cached_err
+            .lines()
+            .find(|l| l.starts_with("cache: "))
+            .unwrap_or_else(|| panic!("no cache line: {cached_err}"));
+        assert!(
+            line.contains(" 3 checkpoints (") && line.contains(" KB), 1 compaction -> "),
+            "{line}"
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cache_stats_and_clear_see_a_journal_left_by_an_interrupted_run() {
+    use tta_core::cache::{CACHE_FILE_NAME, JOURNAL_FILE_NAME};
+    let dir = tmpdir("journal-only");
+    let cache_dir = dir.to_str().expect("utf-8 temp path");
+    run_ok(&[
+        "explore",
+        "--space",
+        "tiny",
+        "--rounds",
+        "1",
+        "--cache-dir",
+        cache_dir,
+    ]);
+    // What a run killed before its end-of-run flush leaves behind: the
+    // checkpointed lines in a journal, no v3 file.
+    let text = fs::read_to_string(dir.join(CACHE_FILE_NAME)).expect("flushed");
+    let entries = text.lines().count() - 1;
+    let journal: String = text.lines().skip(1).map(|l| format!("{l}\n")).collect();
+    fs::write(dir.join(JOURNAL_FILE_NAME), journal).unwrap();
+    fs::remove_file(dir.join(CACHE_FILE_NAME)).unwrap();
+
+    let stats = |format: &str| {
+        run_ok(&[
+            "cache",
+            "stats",
+            "--cache-dir",
+            cache_dir,
+            "--format",
+            format,
+        ])
+        .0
+    };
+    let json = stats("json");
+    assert!(json.contains("\"exists\":true"), "{json}");
+    assert!(json.contains(&format!("\"entries\":{entries}")), "{json}");
+    let table = stats("table");
+    assert!(!table.contains("no file yet"), "{table}");
+
+    // Clearing removes the journal too, so nothing comes back.
+    run_ok(&["cache", "clear", "--cache-dir", cache_dir]);
+    assert!(!dir.join(JOURNAL_FILE_NAME).exists());
+    let json = stats("json");
+    assert!(json.contains("\"exists\":false"), "{json}");
+    assert!(json.contains("\"entries\":0"), "{json}");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -50,10 +50,39 @@
 //! are simply recomputed. A missing file, a wrong header, or any
 //! malformed line degrades to a clean re-evaluation — a corrupt cache
 //! can cost time, never correctness.
+//!
+//! ## The journal
+//!
+//! Rewriting the sorted file after every chunk of a sweep would make
+//! persistence O(N²) in the sweep size. A sweep therefore
+//! [checkpoints](SweepCache::checkpoint) each chunk by *appending* the
+//! entries stored since the previous checkpoint to
+//! `ttadse-cache.v3.journal` next to the v3 file: the same line
+//! grammar, sorted within each append, no header, one `write_all` per
+//! checkpoint. [`SweepCache::flush`] — once per run — compacts: it
+//! merges memory, the v3 file and the journal, writes the sorted union
+//! as the v3 file and removes the journal, so the final file is the
+//! same bytes a chunk-by-chunk rewrite would have produced.
+//!
+//! [`SweepCache::open`] replays a journal left by an interrupted run
+//! *after* the v3 file, so a killed sweep resumes from its last
+//! checkpointed chunk:
+//!
+//! * **Replay rule.** A journal line overrides a v3 line with the same
+//!   key, and a later journal line overrides an earlier one (a
+//!   full-lift run upgrading an `E` line with its inline `T` suffix
+//!   appends the upgraded line).
+//! * **Torn-tail rule.** A crash mid-append can leave a last line
+//!   without its `\n`; that line is dropped and every complete line
+//!   before it is kept.
+//! * Any other malformed journal line discards the whole journal but
+//!   keeps the v3 file — again time, never correctness.
+//!
 //! [`SweepCache::flush`] merges with whatever is on disk before an
 //! atomic rename, so concurrent sweeps sharing one directory union
 //! their work on a best-effort basis: the rename keeps the file valid
-//! at all times, but two *simultaneous* flushes race and the loser's
+//! at all times, and every flush folds in the journal other handles
+//! appended, but two *simultaneous* flushes race and the loser's
 //! newest entries may need re-evaluating later — again time, never
 //! correctness.
 //!
@@ -77,7 +106,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -115,6 +144,10 @@ pub const CACHE_FILE_NAME: &str = "ttadse-cache.v3";
 /// File name of the legacy v2 cache, read (never written) when no v3
 /// file exists so an upgraded binary resumes from pre-v3 sweeps.
 pub const LEGACY_CACHE_FILE_NAME: &str = "ttadse-cache.v2";
+
+/// File name of the append-only journal that sweeps checkpoint into
+/// between compactions (see the [module docs](self#the-journal)).
+pub const JOURNAL_FILE_NAME: &str = "ttadse-cache.v3.journal";
 
 const HEADER: &str = "ttadse-sweep-cache 3";
 
@@ -294,6 +327,18 @@ fn shard_of(key: u64) -> usize {
     (key & (SHARDS as u64 - 1)) as usize
 }
 
+/// One lock shard: its slice of the entry map, plus — for a persistent
+/// cache — the keys stored since the last checkpoint, so a checkpoint
+/// appends only what is new instead of re-rendering the whole map.
+#[derive(Debug, Default)]
+struct Shard {
+    map: HashMap<(Kind, u64), Entry>,
+    pending: Vec<(Kind, u64)>,
+}
+
+/// `(len, mtime)` quick-check signature of a file.
+type DiskSig = Option<(u64, std::time::SystemTime)>;
+
 /// A persistent, thread-safe evaluation cache (see the [module
 /// docs](self) for the design and the on-disk format).
 ///
@@ -308,13 +353,15 @@ fn shard_of(key: u64) -> usize {
 #[derive(Debug)]
 pub struct SweepCache {
     path: PathBuf,
-    shards: [Mutex<HashMap<(Kind, u64), Entry>>; SHARDS],
+    journal: PathBuf,
+    shards: [Mutex<Shard>; SHARDS],
     dirty: std::sync::atomic::AtomicBool,
-    /// `(len, mtime)` of the on-disk file as of the last load or flush —
-    /// an rsync-style quick check so chunked flushes skip re-parsing a
-    /// file nobody else has touched (re-reading a growing file every
-    /// chunk would make persistence O(N²) over a large sweep).
-    disk_state: Mutex<Option<(u64, std::time::SystemTime)>>,
+    /// `(len, mtime)` of the v3 file as of the last load or flush — an
+    /// rsync-style quick check so a flush skips re-parsing a file
+    /// nobody else has touched. The lock is also held across every
+    /// checkpoint and flush (always before any shard lock), so one
+    /// handle's journal appends and compactions never interleave.
+    disk_state: Mutex<DiskSig>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Counted *lookup operations* (lock acquisitions for reading), as
@@ -322,22 +369,35 @@ pub struct SweepCache {
     /// keys is 1 read but 64 hit/miss counts. Regression guard for the
     /// sweep loop's access pattern — see [`SweepCache::reads`].
     reads: AtomicU64,
+    checkpoints: AtomicU64,
+    journal_bytes: AtomicU64,
+    compactions: AtomicU64,
 }
 
 /// Quick-check signature of the file at `path`.
-fn stat_sig(path: &Path) -> Option<(u64, std::time::SystemTime)> {
+fn stat_sig(path: &Path) -> DiskSig {
     let meta = fs::metadata(path).ok()?;
     Some((meta.len(), meta.modified().ok()?))
 }
 
+/// Removes `path`, treating an already-missing file as success.
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
 impl SweepCache {
     /// Opens (creating the directory if needed) the cache under `dir`,
-    /// loading whatever valid entries the on-disk file holds. When no
-    /// v3 file exists, a legacy `ttadse-cache.v2` file is loaded
-    /// instead (entries keep their content addresses; the first flush
-    /// persists them in the v3 layout). A missing, corrupt or
-    /// version-mismatched file yields an empty cache — never an error;
-    /// only an unusable *directory* is reported.
+    /// loading whatever valid entries the on-disk file holds, then
+    /// replaying the journal an interrupted run may have left (see the
+    /// [module docs](self#the-journal) for the replay and torn-tail
+    /// rules). When no v3 file exists, a legacy `ttadse-cache.v2` file
+    /// is loaded instead (entries keep their content addresses; the
+    /// first flush persists them in the v3 layout). A missing, corrupt
+    /// or version-mismatched file yields an empty cache — never an
+    /// error; only an unusable *directory* is reported.
     ///
     /// # Errors
     ///
@@ -347,7 +407,8 @@ impl SweepCache {
         let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let path = dir.join(CACHE_FILE_NAME);
-        let (entries, disk_state) = match load_entries(&path, HEADER) {
+        let journal = dir.join(JOURNAL_FILE_NAME);
+        let (mut entries, disk_state) = match load_entries(&path, HEADER) {
             Some(entries) => (entries, stat_sig(&path)),
             None => match load_entries(&dir.join(LEGACY_CACHE_FILE_NAME), LEGACY_HEADER) {
                 // Upgrade path: the legacy entries live in memory only
@@ -357,34 +418,50 @@ impl SweepCache {
                 None => (HashMap::new(), None),
             },
         };
-        let mut shards: [HashMap<(Kind, u64), Entry>; SHARDS] =
-            std::array::from_fn(|_| HashMap::new());
+        // Journal lines win over file lines; a journal on disk also
+        // leaves the cache dirty, so the next flush compacts it away.
+        let replayed = load_journal(&journal);
+        let dirty = replayed.is_some();
+        entries.extend(replayed.into_iter().flatten());
+        let mut shards: [Shard; SHARDS] = std::array::from_fn(|_| Shard::default());
         for (k, v) in entries {
-            shards[shard_of(k.1)].insert(k, v);
+            shards[shard_of(k.1)].map.insert(k, v);
         }
-        Ok(SweepCache {
+        let mut cache = SweepCache::with_shards(path, journal, shards, disk_state);
+        *cache.dirty.get_mut() = dirty;
+        Ok(cache)
+    }
+
+    /// An in-memory cache that never touches disk ([`SweepCache::flush`]
+    /// and [`SweepCache::checkpoint`] are no-ops). Useful for tests and
+    /// for sharing work between repeated in-process runs.
+    pub fn in_memory() -> SweepCache {
+        SweepCache::with_shards(
+            PathBuf::new(),
+            PathBuf::new(),
+            std::array::from_fn(|_| Shard::default()),
+            None,
+        )
+    }
+
+    fn with_shards(
+        path: PathBuf,
+        journal: PathBuf,
+        shards: [Shard; SHARDS],
+        disk_state: DiskSig,
+    ) -> SweepCache {
+        SweepCache {
             path,
+            journal,
             shards: shards.map(Mutex::new),
             dirty: std::sync::atomic::AtomicBool::new(false),
             disk_state: Mutex::new(disk_state),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             reads: AtomicU64::new(0),
-        })
-    }
-
-    /// An in-memory cache that never touches disk ([`SweepCache::flush`]
-    /// is a no-op). Useful for tests and for sharing work between
-    /// repeated in-process runs.
-    pub fn in_memory() -> SweepCache {
-        SweepCache {
-            path: PathBuf::new(),
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            dirty: std::sync::atomic::AtomicBool::new(false),
-            disk_state: Mutex::new(None),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
+            checkpoints: AtomicU64::new(0),
+            journal_bytes: AtomicU64::new(0),
+            compactions: AtomicU64::new(0),
         }
     }
 
@@ -394,15 +471,27 @@ impl SweepCache {
     /// panic), so a poisoned guard's contents are safe to keep serving.
     /// Without this, one panicking job in a long-lived daemon would
     /// permanently wedge every later job on `PoisonError`.
-    fn shard(&self, i: usize) -> MutexGuard<'_, HashMap<(Kind, u64), Entry>> {
+    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
         self.shards[i]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Locks the shard owning `key`.
-    fn shard_for(&self, key: u64) -> MutexGuard<'_, HashMap<(Kind, u64), Entry>> {
+    fn shard_for(&self, key: u64) -> MutexGuard<'_, Shard> {
         self.shard(shard_of(key))
+    }
+
+    /// Locks the disk state (poison-tolerant, like the shards).
+    fn disk(&self) -> MutexGuard<'_, DiskSig> {
+        self.disk_state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether this cache persists to disk (not [`SweepCache::in_memory`]).
+    fn persistent(&self) -> bool {
+        !self.path.as_os_str().is_empty()
     }
 
     /// The on-disk file this cache persists to (empty for
@@ -411,11 +500,17 @@ impl SweepCache {
         &self.path
     }
 
+    /// The journal file checkpoints append to (empty for
+    /// [`SweepCache::in_memory`]).
+    pub fn journal_path(&self) -> &Path {
+        &self.journal
+    }
+
     /// Looks up a sweep evaluation. Hit/miss counters are updated, and
     /// the operation counts as one read.
     pub fn lookup_eval(&self, key: u64) -> Option<EvalEntry> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = match self.shard_for(key).get(&(Kind::Eval, key)) {
+        let found = match self.shard_for(key).map.get(&(Kind::Eval, key)) {
             Some(Entry::Eval(e)) => Some(e.clone()),
             _ => None,
         };
@@ -446,7 +541,7 @@ impl SweepCache {
             }
             let shard = self.shard(i);
             for &pos in positions {
-                if let Some(Entry::Eval(e)) = shard.get(&(Kind::Eval, keys[pos])) {
+                if let Some(Entry::Eval(e)) = shard.map.get(&(Kind::Eval, keys[pos])) {
                     hits += 1;
                     out[pos] = Some(e.clone());
                 }
@@ -464,7 +559,7 @@ impl SweepCache {
     /// lookup.
     pub fn contains_eval(&self, key: u64) -> bool {
         matches!(
-            self.shard_for(key).get(&(Kind::Eval, key)),
+            self.shard_for(key).map.get(&(Kind::Eval, key)),
             Some(Entry::Eval(_))
         )
     }
@@ -478,7 +573,7 @@ impl SweepCache {
     /// pass, where an entry missing its test field still needs its
     /// component keys annotated.
     pub fn contains_eval_with_test(&self, key: u64, test_fp: u64) -> bool {
-        match self.shard_for(key).get(&(Kind::Eval, key)) {
+        match self.shard_for(key).map.get(&(Kind::Eval, key)) {
             Some(Entry::Eval(EvalEntry::Infeasible { .. })) => true,
             Some(Entry::Eval(EvalEntry::Feasible {
                 test: Some((fp, _)),
@@ -493,23 +588,33 @@ impl SweepCache {
     /// [`SweepCache::contains_eval`].
     pub fn contains_test(&self, key: u64) -> bool {
         matches!(
-            self.shard_for(key).get(&(Kind::Test, key)),
+            self.shard_for(key).map.get(&(Kind::Test, key)),
             Some(Entry::Test(_))
         )
     }
 
-    /// Stores a sweep evaluation (in memory; [`SweepCache::flush`]
-    /// persists).
-    pub fn store_eval(&self, key: u64, entry: EvalEntry) {
-        self.shard_for(key)
-            .insert((Kind::Eval, key), Entry::Eval(entry));
+    /// Stores an entry in memory and, for a persistent cache, queues
+    /// its key for the next checkpoint.
+    fn store(&self, key: (Kind, u64), entry: Entry) {
+        let mut shard = self.shard_for(key.1);
+        shard.map.insert(key, entry);
+        if self.persistent() {
+            shard.pending.push(key);
+        }
+        drop(shard);
         self.dirty.store(true, Ordering::Release);
+    }
+
+    /// Stores a sweep evaluation (in memory; [`SweepCache::checkpoint`]
+    /// and [`SweepCache::flush`] persist).
+    pub fn store_eval(&self, key: u64, entry: EvalEntry) {
+        self.store((Kind::Eval, key), Entry::Eval(entry));
     }
 
     /// Looks up a lifted test-cost total (exact bit pattern). One read.
     pub fn lookup_test(&self, key: u64) -> Option<f64> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = match self.shard_for(key).get(&(Kind::Test, key)) {
+        let found = match self.shard_for(key).map.get(&(Kind::Test, key)) {
             Some(Entry::Test(bits)) => Some(f64::from_bits(*bits)),
             _ => None,
         };
@@ -519,9 +624,7 @@ impl SweepCache {
 
     /// Stores a lifted test-cost total.
     pub fn store_test(&self, key: u64, total: f64) {
-        self.shard_for(key)
-            .insert((Kind::Test, key), Entry::Test(total.to_bits()));
-        self.dirty.store(true, Ordering::Release);
+        self.store((Kind::Test, key), Entry::Test(total.to_bits()));
     }
 
     fn count(&self, hit: bool) {
@@ -554,11 +657,28 @@ impl SweepCache {
         self.reads.load(Ordering::Relaxed)
     }
 
+    /// Journal appends since the cache was opened (checkpoints that
+    /// found nothing new write nothing and are not counted).
+    pub fn checkpoints(&self) -> u64 {
+        self.checkpoints.load(Ordering::Relaxed)
+    }
+
+    /// Bytes appended to the journal since the cache was opened.
+    pub fn journal_bytes(&self) -> u64 {
+        self.journal_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Compactions (v3 file rewrites by [`SweepCache::flush`]) since the
+    /// cache was opened.
+    pub fn compactions(&self) -> u64 {
+        self.compactions.load(Ordering::Relaxed)
+    }
+
     /// Number of entries currently held (evaluations + test lifts).
     /// Shards are counted one at a time, so the total is a consistent
     /// snapshot only when no writer is concurrently storing.
     pub fn len(&self) -> usize {
-        (0..SHARDS).map(|i| self.shard(i).len()).sum()
+        (0..SHARDS).map(|i| self.shard(i).map.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -566,11 +686,62 @@ impl SweepCache {
         self.len() == 0
     }
 
+    /// Appends the entries stored since the last checkpoint (or flush)
+    /// to the journal, as sorted v3 lines in one `write_all` — O(new
+    /// entries), whatever the cache's size. The sweep engine calls this
+    /// once per chunk, so a killed run resumes from its last completed
+    /// chunk; [`SweepCache::flush`] later compacts the journal into the
+    /// v3 file.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying [`io::Error`] when the append fails. The
+    /// entries stay in memory, so the next flush still persists them;
+    /// only crash-resume granularity is lost. In-memory caches return
+    /// `Ok(())` without touching disk.
+    pub fn checkpoint(&self) -> io::Result<()> {
+        if !self.persistent() {
+            return Ok(());
+        }
+        let _disk = self.disk();
+        let mut fresh: Vec<((Kind, u64), Entry)> = Vec::new();
+        for i in 0..SHARDS {
+            let mut shard = self.shard(i);
+            let Shard { map, pending } = &mut *shard;
+            // A key stored twice since the last checkpoint is journaled
+            // once, with its current value.
+            pending.sort_unstable();
+            pending.dedup();
+            fresh.extend(pending.drain(..).map(|k| (k, map[&k].clone())));
+        }
+        if fresh.is_empty() {
+            return Ok(());
+        }
+        // Keys are distinct across shards, and ordering by (kind, key)
+        // is ordering by rendered line (fixed-width lowercase hex).
+        fresh.sort_unstable_by_key(|(k, _)| *k);
+        let mut body = String::with_capacity(fresh.len() * 64);
+        for (k, v) in &fresh {
+            render_line(&mut body, k, v);
+        }
+        fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&self.journal)?
+            .write_all(body.as_bytes())?;
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.journal_bytes
+            .fetch_add(body.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Persists the cache: merges the in-memory entries with whatever is
-    /// on disk (another process may have flushed meanwhile), then writes
-    /// the union atomically (a per-process temp file + rename), so an
-    /// interrupted or concurrent flush leaves a valid file intact.
-    /// A no-op when nothing was stored since the last flush, so warm
+    /// on disk (another process may have flushed or checkpointed
+    /// meanwhile), then writes the sorted union atomically (a
+    /// per-process temp file + rename), so an interrupted or concurrent
+    /// flush leaves a valid file intact, and finally removes the
+    /// journal its lines were merged from. A no-op when nothing was
+    /// stored since the last flush and no journal exists, so warm
     /// re-runs never rewrite the file.
     ///
     /// # Errors
@@ -578,40 +749,41 @@ impl SweepCache {
     /// Returns the underlying [`io::Error`] on write failure. In-memory
     /// caches return `Ok(())` without touching disk.
     pub fn flush(&self) -> io::Result<()> {
-        if self.path.as_os_str().is_empty() || !self.dirty.load(Ordering::Acquire) {
+        if !self.persistent() || (!self.dirty.load(Ordering::Acquire) && !self.journal.exists()) {
             return Ok(());
         }
+        let mut disk_state = self.disk();
         // All shard locks are taken in index order (every whole-cache
         // operation uses this order, so two concurrent flushes cannot
         // deadlock) and held for the duration: the flushed file is a
         // consistent snapshot even while other jobs keep storing.
-        let mut shards: Vec<MutexGuard<'_, HashMap<(Kind, u64), Entry>>> =
-            (0..SHARDS).map(|i| self.shard(i)).collect();
-        let mut disk_state = self
-            .disk_state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Merge from disk only when another writer has plausibly touched
-        // the file since we last read or wrote it.
-        if stat_sig(&self.path) != *disk_state {
-            if let Some(disk) = load_entries(&self.path, HEADER) {
-                for (k, v) in disk {
-                    shards[shard_of(k.1)].entry(k).or_insert(v);
-                }
-            }
+        let mut shards: Vec<MutexGuard<'_, Shard>> = (0..SHARDS).map(|i| self.shard(i)).collect();
+        // Merge the v3 file only when another writer has plausibly
+        // touched it since we last read or wrote it — but the journal
+        // always: another handle's appends leave the v3 quick check
+        // unchanged. First insert wins, so memory beats the journal
+        // (newest line first) and the journal beats the file.
+        let journal = load_journal(&self.journal).unwrap_or_default();
+        let file = if stat_sig(&self.path) == *disk_state {
+            None
+        } else {
+            load_entries(&self.path, HEADER)
+        };
+        for (k, v) in journal.into_iter().rev().chain(file.into_iter().flatten()) {
+            shards[shard_of(k.1)].map.entry(k).or_insert(v);
         }
-        let mut lines: Vec<String> = shards
+        let mut keys: Vec<(Kind, u64)> = shards
             .iter()
-            .flat_map(|shard| shard.iter().map(|(k, v)| render_line(k, v)))
+            .flat_map(|shard| shard.map.keys().copied())
             .collect();
-        // Deterministic file contents: sort lines, not hash order.
-        lines.sort_unstable();
-        let mut body = String::with_capacity(lines.len() * 48 + HEADER.len() + 1);
+        // Deterministic file contents: sorted by (kind, key), which is
+        // the rendered lines' byte order — not hash order.
+        keys.sort_unstable();
+        let mut body = String::with_capacity(keys.len() * 64 + HEADER.len() + 1);
         body.push_str(HEADER);
         body.push('\n');
-        for line in lines {
-            body.push_str(&line);
-            body.push('\n');
+        for k in &keys {
+            render_line(&mut body, k, &shards[shard_of(k.1)].map[k]);
         }
         // Unique temp name per flush: concurrent flushers (other
         // processes, or two instances in this one) must never interleave
@@ -623,34 +795,40 @@ impl SweepCache {
             FLUSH_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         // A failed write or rename removes its temp file: the cache stays
-        // dirty, so every later chunk retries, and each retry would
-        // otherwise strand another (larger) temp file in the directory.
+        // dirty (and the journal stays), so the next flush retries, and
+        // each retry would otherwise strand another temp file.
         if let Err(e) = fs::write(&tmp, body).and_then(|()| fs::rename(&tmp, &self.path)) {
             let _ = fs::remove_file(&tmp);
             return Err(e);
         }
+        for shard in &mut shards {
+            shard.pending.clear();
+        }
         self.dirty.store(false, Ordering::Release);
         *disk_state = stat_sig(&self.path);
-        Ok(())
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+        remove_if_present(&self.journal)
     }
 
-    /// Drops every entry, in memory and on disk.
+    /// Drops every entry, in memory and on disk (the v3 file and the
+    /// journal).
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`io::Error`] when the cache file exists
+    /// Returns the underlying [`io::Error`] when a cache file exists
     /// but cannot be removed.
     pub fn invalidate(&self) -> io::Result<()> {
+        let mut disk_state = self.disk();
         for i in 0..SHARDS {
-            self.shard(i).clear();
+            let mut shard = self.shard(i);
+            shard.map.clear();
+            shard.pending.clear();
         }
         self.dirty.store(false, Ordering::Release);
-        *self
-            .disk_state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = None;
-        if !self.path.as_os_str().is_empty() && self.path.exists() {
-            fs::remove_file(&self.path)?;
+        *disk_state = None;
+        if self.persistent() {
+            remove_if_present(&self.path)?;
+            remove_if_present(&self.journal)?;
         }
         Ok(())
     }
@@ -660,8 +838,8 @@ impl SweepCache {
 // Serialisation
 // ---------------------------------------------------------------------
 
-fn render_line(key: &(Kind, u64), entry: &Entry) -> String {
-    let mut s = String::new();
+/// Appends `entry`'s line, `\n`-terminated, to `s`.
+fn render_line(s: &mut String, key: &(Kind, u64), entry: &Entry) {
     match entry {
         Entry::Eval(EvalEntry::Infeasible { blocked }) => {
             let _ = write!(s, "E {:016x} I", key.1);
@@ -695,7 +873,7 @@ fn render_line(key: &(Kind, u64), entry: &Entry) -> String {
             let _ = write!(s, "T {:016x} {bits:016x}", key.1);
         }
     }
-    s
+    s.push('\n');
 }
 
 /// Parses the cache file at `path`, expecting `header` on its first
@@ -719,6 +897,25 @@ fn load_entries(path: &Path, header: &str) -> Option<HashMap<(Kind, u64), Entry>
         map.insert(key, entry);
     }
     Some(map)
+}
+
+/// Reads the journal at `path` in file order (later lines win when
+/// replayed). `None` when there is no journal; otherwise the entries of
+/// every complete line, with a torn last line (no trailing `\n`)
+/// dropped — or no entries at all when any complete line is malformed.
+fn load_journal(path: &Path) -> Option<Vec<((Kind, u64), Entry)>> {
+    let bytes = fs::read(path).ok()?;
+    let complete = match bytes.iter().rposition(|&b| b == b'\n') {
+        Some(end) => &bytes[..=end],
+        None => &[],
+    };
+    let entries = std::str::from_utf8(complete).ok().and_then(|text| {
+        text.lines()
+            .filter(|line| !line.is_empty())
+            .map(parse_line)
+            .collect()
+    });
+    Some(entries.unwrap_or_default())
 }
 
 fn parse_line(line: &str) -> Option<((Kind, u64), Entry)> {
@@ -996,6 +1193,154 @@ mod tests {
         b.flush().unwrap();
         let merged = SweepCache::open(&dir).unwrap();
         assert_eq!(merged.len(), 2);
+        // Both handles checkpoint into the one journal. `b` wrote the v3
+        // file last, so its quick check sees it untouched — its flush
+        // must still fold in `a`'s journal lines.
+        a.store_eval(3, EvalEntry::Infeasible { blocked: Some(0) });
+        b.store_eval(4, sample_feasible_with_test());
+        a.checkpoint().unwrap();
+        b.checkpoint().unwrap();
+        b.flush().unwrap();
+        assert!(!dir.join(JOURNAL_FILE_NAME).exists());
+        assert_eq!(SweepCache::open(&dir).unwrap().len(), 4);
+        a.flush().unwrap();
+        let merged = SweepCache::open(&dir).unwrap();
+        assert_eq!(merged.len(), 4);
+        assert_eq!(
+            merged.lookup_eval(3),
+            Some(EvalEntry::Infeasible { blocked: Some(0) })
+        );
+        assert_eq!(merged.lookup_eval(4), Some(sample_feasible_with_test()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_appends_only_new_entries_as_sorted_lines() {
+        let dir = tmpdir("checkpoint");
+        let cache = SweepCache::open(&dir).unwrap();
+        cache.store_eval(9, EvalEntry::Infeasible { blocked: None });
+        cache.store_eval(2, EvalEntry::Infeasible { blocked: Some(1) });
+        cache.store_eval(9, EvalEntry::Infeasible { blocked: Some(0) });
+        cache.checkpoint().unwrap();
+        // Nothing new: no append, no count.
+        cache.checkpoint().unwrap();
+        cache.store_test(1, 2.5);
+        cache.checkpoint().unwrap();
+        let journal = fs::read_to_string(cache.journal_path()).unwrap();
+        assert_eq!(
+            journal,
+            format!(
+                "E 0000000000000002 I 1\n\
+                 E 0000000000000009 I 0\n\
+                 T 0000000000000001 {:016x}\n",
+                2.5f64.to_bits()
+            )
+        );
+        assert_eq!(cache.checkpoints(), 2);
+        assert_eq!(cache.journal_bytes(), journal.len() as u64);
+        assert!(
+            !cache.path().exists(),
+            "a checkpoint never writes the v3 file"
+        );
+        // A reopened handle replays the journal.
+        let reopened = SweepCache::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 3);
+        assert_eq!(reopened.lookup_test(1), Some(2.5));
+        // The flush compacts: sorted v3 file, journal gone.
+        cache.flush().unwrap();
+        assert_eq!(cache.compactions(), 1);
+        assert!(!cache.journal_path().exists());
+        assert_eq!(
+            fs::read_to_string(cache.path()).unwrap(),
+            format!("{HEADER}\n{journal}")
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn in_memory_checkpoints_track_and_write_nothing() {
+        let cache = SweepCache::in_memory();
+        cache.store_eval(1, EvalEntry::Infeasible { blocked: None });
+        assert!(cache.shard_for(1).pending.is_empty());
+        cache.checkpoint().unwrap();
+        cache.flush().unwrap();
+        assert_eq!(cache.checkpoints(), 0);
+        assert_eq!(cache.compactions(), 0);
+        assert_eq!(cache.journal_path(), Path::new(""));
+    }
+
+    #[test]
+    fn journal_lines_win_over_file_lines_and_later_over_earlier() {
+        let dir = tmpdir("journal-wins");
+        fs::create_dir_all(&dir).unwrap();
+        let mut plain = String::new();
+        render_line(
+            &mut plain,
+            &(Kind::Eval, 0x2a),
+            &Entry::Eval(sample_feasible()),
+        );
+        let mut upgraded = String::new();
+        render_line(
+            &mut upgraded,
+            &(Kind::Eval, 0x2a),
+            &Entry::Eval(sample_feasible_with_test()),
+        );
+        // A full-lift run upgraded the v3 file's entry in the journal…
+        fs::write(dir.join(CACHE_FILE_NAME), format!("{HEADER}\n{plain}")).unwrap();
+        fs::write(dir.join(JOURNAL_FILE_NAME), &upgraded).unwrap();
+        let cache = SweepCache::open(&dir).unwrap();
+        assert!(cache.contains_eval_with_test(0x2a, 0xdead_beef));
+        // …and the compaction keeps the upgrade.
+        cache.flush().unwrap();
+        assert_eq!(
+            fs::read_to_string(cache.path()).unwrap(),
+            format!("{HEADER}\n{upgraded}")
+        );
+        // Within the journal, the later line wins.
+        fs::write(dir.join(JOURNAL_FILE_NAME), format!("{plain}{upgraded}")).unwrap();
+        fs::remove_file(dir.join(CACHE_FILE_NAME)).unwrap();
+        assert!(SweepCache::open(&dir)
+            .unwrap()
+            .contains_eval_with_test(0x2a, 0xdead_beef));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_replay_drops_a_torn_tail_and_distrusts_garbage() {
+        let dir = tmpdir("journal-torn");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join(CACHE_FILE_NAME),
+            format!("{HEADER}\nE 0000000000000001 I\n"),
+        )
+        .unwrap();
+        // Torn tail: the half-written last line is dropped, the complete
+        // line before it kept.
+        fs::write(
+            dir.join(JOURNAL_FILE_NAME),
+            "E 0000000000000002 I\nE 00000000000000",
+        )
+        .unwrap();
+        let cache = SweepCache::open(&dir).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert!(cache.contains_eval(2));
+        // A malformed complete line discards the journal, not the file.
+        fs::write(
+            dir.join(JOURNAL_FILE_NAME),
+            "E 0000000000000002 I\nE zzzz I\nE 0000000000000003 I\n",
+        )
+        .unwrap();
+        let cache = SweepCache::open(&dir).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert!(cache.contains_eval(1));
+        // Either way the journal leaves the cache dirty: the flush
+        // compacts it away.
+        cache.flush().unwrap();
+        assert!(!dir.join(JOURNAL_FILE_NAME).exists());
+        assert_eq!(
+            fs::read_to_string(cache.path()).unwrap(),
+            format!("{HEADER}\nE 0000000000000001 I\n")
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1027,6 +1372,22 @@ mod tests {
         cache.invalidate().unwrap();
         assert!(cache.is_empty());
         assert!(!cache.path().exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalidate_removes_the_journal_too() {
+        let dir = tmpdir("invalidate-journal");
+        let cache = SweepCache::open(&dir).unwrap();
+        cache.store_eval(1, EvalEntry::Infeasible { blocked: None });
+        cache.checkpoint().unwrap();
+        assert!(cache.journal_path().exists());
+        cache.invalidate().unwrap();
+        assert!(!cache.journal_path().exists());
+        // Nothing comes back on the next open, and nothing is pending.
+        assert!(SweepCache::open(&dir).unwrap().is_empty());
+        cache.checkpoint().unwrap();
+        assert!(!cache.journal_path().exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

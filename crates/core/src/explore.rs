@@ -472,12 +472,13 @@ pub enum CacheStatus {
     /// declined to fingerprint itself, so no entry could be
     /// content-addressed. Always safe — just no persistence.
     Bypassed,
-    /// The cache was consulted and every flush succeeded.
+    /// The cache was consulted and the end-of-run flush succeeded.
     Flushed,
-    /// At least one flush failed (the payload is the first error). The
+    /// The end-of-run flush failed (the payload is its error). The
     /// sweep results are complete and correct — evaluation never
-    /// depends on persistence — but some or all fresh entries were not
-    /// written back, so the next run will re-evaluate them.
+    /// depends on persistence — but fresh entries may not have been
+    /// compacted into the cache file, so the next run may re-evaluate
+    /// them.
     FlushFailed(String),
 }
 
@@ -845,12 +846,15 @@ pub struct Exploration<'db> {
 /// The engine materialises and evaluates batches in chunks of this many
 /// points: at most one chunk of built [`Architecture`]s is ever alive
 /// (even the exhaustive whole-space batch streams through bounded
-/// memory), and with a cache attached each chunk is persisted as it
-/// completes, so an interrupted paper-scale run resumes from the last
-/// completed chunk rather than from scratch. The chunk boundary is also
-/// the engine's cancellation and progress-reporting grain: a cancelled
-/// run ([`Exploration::cancel_token`]) stops at most this many points
-/// after the request.
+/// memory), and with a cache attached each chunk is checkpointed as it
+/// completes: its new entries are appended to the cache journal
+/// ([`SweepCache::checkpoint`]) instead of rewriting the whole file,
+/// which happens once per run. An interrupted paper-scale run therefore
+/// resumes from the last completed chunk rather than from scratch. The
+/// chunk boundary is also the engine's cancellation and
+/// progress-reporting grain: a cancelled run
+/// ([`Exploration::cancel_token`]) stops at most this many points after
+/// the request.
 pub const CACHE_FLUSH_CHUNK: usize = 64;
 
 impl<'db> Exploration<'db> {
@@ -1302,9 +1306,6 @@ impl<'db> Exploration<'db> {
         // archive are rebuilt exactly, and the strategy then continues
         // from round 0 with the replayed points already claimed.
         let mut replay: Option<Vec<usize>> = self.resume_from.take().map(|cp| cp.indices());
-        // First flush failure, if any — reported via CacheStatus, never
-        // allowed to abort the sweep.
-        let mut flush_error: Option<String> = None;
         let mut was_cancelled = false;
         // Points replayed from a checkpoint are budget-free: the
         // interrupted run already paid for them, and charging them again
@@ -1389,6 +1390,21 @@ impl<'db> Exploration<'db> {
                 }
                 let archs: Vec<Architecture> =
                     index_chunk.iter().map(|&i| space.point(i)).collect();
+                // Each point's content address, computed once per chunk
+                // (empty without a cache), and whether the cache can
+                // answer the point outright — a full lift also needs
+                // the entry's inline test total from the same model.
+                let keys: Vec<u64> = match &eval_cache {
+                    Some((_, base)) => archs.iter().map(|arch| point_key(*base, arch)).collect(),
+                    None => Vec::new(),
+                };
+                let answered = |k: usize| match &eval_cache {
+                    Some((cache, _)) => match lift {
+                        LiftMode::ParetoOnly => cache.contains_eval(keys[k]),
+                        LiftMode::Full => cache.contains_eval_with_test(keys[k], full_test_fp),
+                    },
+                    None => false,
+                };
 
                 // Stage 0: pre-warm the component database for every
                 // key this chunk can touch, so parallel workers never
@@ -1401,28 +1417,20 @@ impl<'db> Exploration<'db> {
                 // (and keys warmed by earlier chunks are filtered by
                 // `db.contains`).
                 if self.parallel && uses_db_defaults {
-                    let mut keys: Vec<_> = archs
+                    // A full lift reads the database for the test
+                    // axis too, so an entry missing its inline test
+                    // total still needs warm keys.
+                    let mut db_keys: Vec<_> = archs
                         .iter()
-                        .filter(|arch| match &eval_cache {
-                            // A full lift reads the database for the
-                            // test axis too, so an entry missing its
-                            // inline test total still needs warm keys.
-                            Some((cache, base)) => match lift {
-                                LiftMode::ParetoOnly => {
-                                    !cache.contains_eval(point_key(*base, arch))
-                                }
-                                LiftMode::Full => !cache
-                                    .contains_eval_with_test(point_key(*base, arch), full_test_fp),
-                            },
-                            None => true,
-                        })
-                        .filter_map(keys_of)
+                        .enumerate()
+                        .filter(|&(k, _)| !answered(k))
+                        .filter_map(|(_, arch)| keys_of(arch))
                         .flatten()
                         .collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    keys.retain(|&k| !db.contains(k));
-                    par_map(&keys, threads, |_, &key| {
+                    db_keys.sort_unstable();
+                    db_keys.dedup();
+                    db_keys.retain(|&k| !db.contains(k));
+                    par_map(&db_keys, threads, |_, &key| {
                         db.get(key);
                     });
                 }
@@ -1440,20 +1448,9 @@ impl<'db> Exploration<'db> {
                     Some((carry, eval)) => index_chunk
                         .iter()
                         .zip(&archs)
-                        .map(|(&index, arch)| {
-                            let cached = match &eval_cache {
-                                Some((cache, base)) => match lift {
-                                    LiftMode::ParetoOnly => {
-                                        cache.contains_eval(point_key(*base, arch))
-                                    }
-                                    LiftMode::Full => cache.contains_eval_with_test(
-                                        point_key(*base, arch),
-                                        full_test_fp,
-                                    ),
-                                },
-                                None => false,
-                            };
-                            if cached {
+                        .enumerate()
+                        .map(|(k, (&index, arch))| {
+                            if answered(k) {
                                 carry.reset();
                                 None
                             } else {
@@ -1466,7 +1463,7 @@ impl<'db> Exploration<'db> {
 
                 // Stage 1: evaluate the chunk on the full workload
                 // suite — answering from the cache where possible and
-                // persisting fresh results chunk by chunk, so an
+                // checkpointing fresh results chunk by chunk, so an
                 // interrupted run resumes from the last completed
                 // chunk.
                 let evaluations: Vec<PointOutcome> = match &eval_cache {
@@ -1499,7 +1496,7 @@ impl<'db> Exploration<'db> {
                             }
                         }
                     }),
-                    Some((cache, base)) => {
+                    Some((cache, _)) => {
                         // Struct-of-arrays chunk layout: `archs`, `keys`
                         // and `prefetched` are parallel columns indexed
                         // by the chunk position `k`. The cache is read
@@ -1507,8 +1504,6 @@ impl<'db> Exploration<'db> {
                         // whole batch) instead of once per point inside
                         // the hot loop; only stores stay per-point,
                         // since they happen on misses alone.
-                        let keys: Vec<u64> =
-                            archs.iter().map(|arch| point_key(*base, arch)).collect();
                         let prefetched = cache.lookup_eval_batch(&keys);
                         let out = par_map(&archs, threads, |k, arch| {
                             let key = keys[k];
@@ -1597,9 +1592,11 @@ impl<'db> Exploration<'db> {
                                 }
                             }
                         });
-                        if let Err(e) = cache.flush() {
-                            flush_error.get_or_insert_with(|| e.to_string());
-                        }
+                        // A failed append only coarsens crash-resume:
+                        // the entries stay in memory, and the
+                        // end-of-run flush reports whether they reached
+                        // disk.
+                        let _ = cache.checkpoint();
                         out
                     }
                 };
@@ -1716,11 +1713,6 @@ impl<'db> Exploration<'db> {
                 }
                 test.test_cost(arch, db).total
             });
-            if let Some((cache, _)) = &test_cache {
-                if let Err(e) = cache.flush() {
-                    flush_error.get_or_insert_with(|| e.to_string());
-                }
-            }
             for (&i, total) in pareto.iter().zip(costs) {
                 evaluated[i].objectives.push(Objective::TestCost, total);
             }
@@ -1728,16 +1720,18 @@ impl<'db> Exploration<'db> {
 
         let delta = delta_snapshot(&delta_eval, &carry);
 
+        // One compaction per run, after the lift stage and whether or
+        // not the run was cancelled: the journal the chunks were
+        // checkpointed into becomes the sorted v3 file.
         let caching_active =
             eval_cache.is_some() || (lift == LiftMode::ParetoOnly && test_cache.is_some());
-        let cache_status = if self.cache.is_none() {
-            CacheStatus::NotAttached
-        } else if !caching_active {
-            CacheStatus::Bypassed
-        } else if let Some(msg) = flush_error {
-            CacheStatus::FlushFailed(msg)
-        } else {
-            CacheStatus::Flushed
+        let cache_status = match self.cache {
+            None => CacheStatus::NotAttached,
+            Some(_) if !caching_active => CacheStatus::Bypassed,
+            Some(cache) => match cache.flush() {
+                Err(e) => CacheStatus::FlushFailed(e.to_string()),
+                Ok(()) => CacheStatus::Flushed,
+            },
         };
 
         Ok(ExploreResult {

@@ -1,7 +1,8 @@
 //! Integration tests of the persistent sweep cache: warm-cache runs are
 //! bit-identical to cold ones (property-tested over workload/parallelism
 //! variations), corrupt or version-mismatched cache files degrade to a
-//! clean re-evaluation, and unfingerprintable models opt out safely.
+//! clean re-evaluation, an interrupted sweep resumes from its journal,
+//! and unfingerprintable models opt out safely.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,9 +11,10 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
-use tta_core::cache::{SweepCache, CACHE_FILE_NAME};
-use tta_core::explore::{Exploration, ExploreResult};
+use tta_core::cache::{SweepCache, CACHE_FILE_NAME, JOURNAL_FILE_NAME};
+use tta_core::explore::{CancelToken, Exploration, ExploreResult};
 use tta_core::models::AreaModel;
+use tta_core::search::Exhaustive;
 use tta_core::ComponentDb;
 use tta_workloads::suite;
 
@@ -335,5 +337,140 @@ fn cross_space_points_share_entries() {
         n,
         "no tiny point should re-evaluate (its front may still lift fresh test entries)"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Copies every file of `from` into a fresh `to`: the directory a
+/// process killed at this instant would leave behind.
+fn snapshot_dir(from: &PathBuf, to: &PathBuf) {
+    let _ = fs::remove_dir_all(to);
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// A 256-point (four-chunk) huge-space neighbour walk.
+fn walk(cache: &SweepCache) -> Exploration<'_> {
+    Exploration::over(TemplateSpace::huge())
+        .workload(&suite::crypt(1))
+        .with_db(db())
+        .strategy(Exhaustive::neighbour())
+        .budget(256)
+        .cache(cache)
+}
+
+#[test]
+fn killed_walk_resumes_from_its_journal_to_the_cold_bytes() {
+    // The uninterrupted cold reference.
+    let cold_dir = tmpdir("journal-cold");
+    let cold_cache = SweepCache::open(&cold_dir).expect("temp dir is writable");
+    let cold = walk(&cold_cache).run();
+    assert!(cold_cache.checkpoints() >= 4, "one checkpoint per chunk");
+    assert_eq!(cold_cache.compactions(), 1, "one compaction per run");
+    assert!(!cold_cache.journal_path().exists());
+    let cold_bytes = fs::read(cold_cache.path()).expect("flushed");
+
+    // Cancelled after two chunks. The progress observer runs after each
+    // chunk's checkpoint, so its snapshot is what a kill at that
+    // instant leaves: a journal, and no v3 file yet.
+    let dir = tmpdir("journal-cancelled");
+    let killed = tmpdir("journal-killed");
+    let cache = SweepCache::open(&dir).expect("temp dir is writable");
+    let token = CancelToken::new();
+    let cancel = token.clone();
+    let (from, to) = (dir.clone(), killed.clone());
+    let mut chunks = 0;
+    let partial = walk(&cache)
+        .cancel_token(token)
+        .progress(move |_| {
+            chunks += 1;
+            if chunks == 2 {
+                snapshot_dir(&from, &to);
+                cancel.cancel();
+            }
+        })
+        .run();
+    assert!(partial.cancelled);
+    assert!(killed.join(JOURNAL_FILE_NAME).exists());
+    assert!(!killed.join(CACHE_FILE_NAME).exists());
+    // The cancelled run itself compacted on its way out.
+    assert!(!cache.journal_path().exists());
+    assert!(cache.path().exists());
+
+    // Reopening the killed directory replays the journal, and finishing
+    // the walk reproduces the cold run: same result bits, same file
+    // bytes, no journal left.
+    let reopened = SweepCache::open(&killed).expect("reopen");
+    assert!(!reopened.is_empty(), "the journal replays");
+    let resumed = walk(&reopened).run();
+    assert!(
+        reopened.hits() > cold_cache.hits(),
+        "the checkpointed chunks are answered from the journal"
+    );
+    assert_bit_identical(&cold, &resumed);
+    assert_eq!(fs::read(reopened.path()).expect("flushed"), cold_bytes);
+    assert!(!reopened.journal_path().exists());
+    for d in [&cold_dir, &dir, &killed] {
+        let _ = fs::remove_dir_all(d);
+    }
+}
+
+/// Runs a cold tiny sweep into `dir`, then turns its flushed v3 file
+/// into a bare journal (the lines of a run killed before its flush).
+/// Returns the result and the v3 file text.
+fn journal_only(dir: &PathBuf) -> (ExploreResult, String) {
+    let cache = SweepCache::open(dir).expect("temp dir is writable");
+    let cold = run_tiny(1, false, Some(&cache));
+    let text = fs::read_to_string(cache.path()).expect("flushed");
+    fs::remove_file(cache.path()).unwrap();
+    (cold, text)
+}
+
+#[test]
+fn truncated_journal_tail_loads_every_complete_line() {
+    let dir = tmpdir("journal-truncated");
+    let (cold, text) = journal_only(&dir);
+    let lines: Vec<&str> = text.lines().skip(1).collect();
+    let (last, complete) = lines.split_last().expect("entries");
+    let mut journal: String = complete.iter().map(|l| format!("{l}\n")).collect();
+    journal.push_str(&last[..last.len() / 2]);
+    fs::write(dir.join(JOURNAL_FILE_NAME), journal).unwrap();
+
+    let reopened = SweepCache::open(&dir).expect("reopen");
+    assert_eq!(reopened.len(), complete.len());
+    // Only the torn entry is recomputed; the flush restores the file.
+    let warm = run_tiny(1, false, Some(&reopened));
+    assert_bit_identical(&cold, &warm);
+    assert_eq!(reopened.misses(), 1);
+    assert_eq!(fs::read_to_string(reopened.path()).expect("flushed"), text);
+    assert!(!reopened.journal_path().exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn garbage_journal_degrades_to_the_v3_file_alone() {
+    let dir = tmpdir("journal-garbage");
+    let (cold, text) = journal_only(&dir);
+    fs::write(dir.join(CACHE_FILE_NAME), &text).unwrap();
+    let first = text.lines().nth(1).expect("an entry");
+    fs::write(
+        dir.join(JOURNAL_FILE_NAME),
+        format!("{first}\nE 0000000000000001 F bogus\n\u{0}\u{ff}garbage\n"),
+    )
+    .unwrap();
+
+    let reopened = SweepCache::open(&dir).expect("reopen");
+    assert_eq!(
+        reopened.len(),
+        text.lines().count() - 1,
+        "the v3 file alone"
+    );
+    let warm = run_tiny(1, false, Some(&reopened));
+    assert_bit_identical(&cold, &warm);
+    assert_eq!(reopened.misses(), 0);
+    assert_eq!(fs::read_to_string(reopened.path()).expect("flushed"), text);
+    assert!(!reopened.journal_path().exists());
     let _ = fs::remove_dir_all(&dir);
 }
