@@ -35,16 +35,12 @@ pub mod fault;
 pub mod faultsim;
 pub mod pattern;
 pub mod podem;
-pub mod scoap;
 pub mod tpg;
-pub mod transition;
 pub mod v5;
 pub mod view;
 
 pub use fault::{Fault, FaultSite, FaultUniverse};
 pub use faultsim::FaultSimulator;
 pub use pattern::{Pattern, TestSet};
-pub use scoap::Scoap;
 pub use tpg::{Atpg, AtpgConfig, AtpgResult};
-pub use transition::{grade_sequence, TransitionCoverage, TransitionFault};
 pub use view::CombView;

@@ -1,4 +1,4 @@
-//! Distils the scratch-vs-delta sweep comparison into the flat JSON
+//! Distils the sweep, fold and fidelity timings into the flat JSON
 //! committed as `BENCH_dse.json` (the committed perf trajectory; see
 //! `docs/PERF.md` for how to read it).
 //!
@@ -10,21 +10,20 @@
 //! cargo run --release -p tta-bench --bin bench_dse -- --date 2026-08-08 > BENCH_dse.json
 //! ```
 //!
-//! Both engines produce bit-identical results (asserted in
-//! `crates/core/tests/delta.rs`); only the wall-clock differs. Every
-//! sweep here is cold-cache by construction (no `SweepCache` attached)
-//! but shares one warmed `ComponentDb`, as a real campaign would.
+//! Every sweep here is cold-cache by construction (no `SweepCache`
+//! attached) but shares one warmed `ComponentDb`, as a real campaign
+//! would.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use tta_arch::template::TemplateSpace;
-use tta_core::explore::{EvalMode, Exploration};
+use tta_core::explore::Exploration;
 use tta_core::models::{
     AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel, InterconnectModel,
     TestCostModel, TimingModel,
 };
-use tta_core::{CarriedFolds, ComponentDb, DeltaEvaluator};
+use tta_core::ComponentDb;
 use tta_netlist::{elaborate, timing, IncrementalElaborator};
 use tta_workloads::suite;
 
@@ -32,17 +31,14 @@ struct SweepRow {
     space: &'static str,
     points: usize,
     front: usize,
-    scratch_s: f64,
-    delta_s: f64,
+    sweep_s: f64,
 }
 
 struct FoldRow {
     space: &'static str,
     points: usize,
     walked: usize,
-    scratch_s: f64,
-    delta_s: f64,
-    incremental_s: f64,
+    fold_s: f64,
 }
 
 struct FidelityRow {
@@ -90,22 +86,13 @@ fn time_fidelity_axis(
         black_box(area.area(arch, db) + clock.clock_period(arch, db));
     }
 
-    let best_of = |f: &mut dyn FnMut() -> f64| {
-        let mut best = f64::INFINITY;
-        for _ in 0..iters.max(1) {
-            let start = Instant::now();
-            black_box(f());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let table_s = best_of(&mut || {
+    let table_s = best_of(iters, &mut || {
         archs
             .iter()
             .map(|a| area.area(a, db) + clock.clock_period(a, db))
             .sum()
     });
-    let netlist_s = best_of(&mut || {
+    let netlist_s = best_of(iters, &mut || {
         archs
             .iter()
             .map(|a| {
@@ -114,7 +101,7 @@ fn time_fidelity_axis(
             })
             .sum()
     });
-    let incremental_s = best_of(&mut || {
+    let incremental_s = best_of(iters, &mut || {
         let mut inc = IncrementalElaborator::new();
         archs
             .iter()
@@ -134,16 +121,22 @@ fn time_fidelity_axis(
     }
 }
 
+/// Best-of-`iters` wall-clock of `f`.
+fn best_of(iters: usize, f: &mut dyn FnMut() -> f64) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..iters.max(1) {
+        let start = Instant::now();
+        black_box(f());
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// Times the three-axis cost fold alone — area, clock period, eq. (14)
 /// test total — over a budgeted Gray-walk prefix, with scheduling and
-/// architecture construction excluded equally for every engine:
-/// `scratch` re-derives each component record through the annotation
-/// database at every point, `delta` answers record lookups from the
-/// memo arena but still refolds every point, and `incremental` carries
-/// the previous point's folds and exchanges only the one changed
-/// component ([`CarriedFolds::advance`]). This isolates the per-point
-/// evaluation cost the carried-fold engine optimises; the full-sweep
-/// rows above stay scheduler-dominated by design.
+/// architecture construction excluded. Each axis is one fold under one
+/// database read lock per point; the full-sweep rows above stay
+/// scheduler-dominated by design.
 fn time_fold_axis(
     space: &'static str,
     template: TemplateSpace,
@@ -164,34 +157,7 @@ fn time_fold_axis(
     let ic = InterconnectModel::paper();
     let area = AnnotatedAreaModel::new(ic);
     let timing = AnnotatedTimingModel::new(ic);
-    let eval = DeltaEvaluator::new(ic);
-
-    // Untimed verification pass (it also warms the memo arena): the
-    // three engines must agree on exact bits before clocks compare.
-    let mut carry = CarriedFolds::new(ic);
-    for (rank, arch) in archs.iter().enumerate() {
-        let inc = carry.advance(arch, rank, &eval, db);
-        assert_eq!(inc.area.to_bits(), area.area(arch, db).to_bits());
-        assert_eq!(
-            inc.clock_period.to_bits(),
-            timing.clock_period(arch, db).to_bits()
-        );
-        assert_eq!(
-            inc.test_total.to_bits(),
-            Eq14TestCostModel.test_cost(arch, db).total.to_bits()
-        );
-    }
-
-    let best_of = |f: &mut dyn FnMut() -> f64| {
-        let mut best = f64::INFINITY;
-        for _ in 0..iters.max(1) {
-            let start = Instant::now();
-            black_box(f());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let scratch_s = best_of(&mut || {
+    let fold = || -> f64 {
         archs
             .iter()
             .map(|a| {
@@ -200,54 +166,29 @@ fn time_fold_axis(
                     + Eq14TestCostModel.test_cost(a, db).total
             })
             .sum()
-    });
-    let delta_s = best_of(&mut || {
-        archs
-            .iter()
-            .map(|a| eval.area(a, db) + eval.clock_period(a, db) + eval.test_cost(a, db).total)
-            .sum()
-    });
-    let incremental_s = best_of(&mut || {
-        let mut carry = CarriedFolds::new(ic);
-        archs
-            .iter()
-            .enumerate()
-            .map(|(rank, a)| {
-                let c = carry.advance(a, rank, &eval, db);
-                c.area + c.clock_period + c.test_total
-            })
-            .sum()
-    });
+    };
+    // One untimed pass annotates every component the walk reads.
+    black_box(fold());
     FoldRow {
         space,
         points: template.len(),
         walked,
-        scratch_s,
-        delta_s,
-        incremental_s,
+        fold_s: best_of(iters, &mut || fold()),
     }
 }
 
-/// Best-of-`iters` wall-clock for one cold sweep in `mode`.
-fn time_sweep(
-    space: &TemplateSpace,
-    db: &ComponentDb,
-    mode: EvalMode,
-    iters: usize,
-) -> (f64, usize) {
+/// Best-of-`iters` wall-clock for one cold sweep.
+fn time_sweep(space: &TemplateSpace, db: &ComponentDb, iters: usize) -> (f64, usize) {
     let workload = suite::crypt(1);
-    let mut best = f64::INFINITY;
     let mut front = 0;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
+    let best = best_of(iters, &mut || {
         let result = Exploration::over(space.clone())
             .workload(&workload)
             .with_db(db)
-            .eval_mode(mode)
             .run();
-        best = best.min(start.elapsed().as_secs_f64());
         front = result.pareto.len();
-    }
+        0.0
+    });
     (best, front)
 }
 
@@ -259,37 +200,30 @@ fn measure(
 ) -> SweepRow {
     eprintln!("sweeping {space} space ({} points)...", template.len());
     // One untimed pass so the lazily-annotated database is warm before
-    // either engine is measured (matters for --iters 1).
-    time_sweep(&template, db, EvalMode::Scratch, 1);
-    let (scratch_s, front) = time_sweep(&template, db, EvalMode::Scratch, iters);
-    let (delta_s, delta_front) = time_sweep(&template, db, EvalMode::Delta, iters);
-    assert_eq!(front, delta_front, "the engines must agree on the front");
+    // the sweep is measured (matters for --iters 1).
+    time_sweep(&template, db, 1);
+    let (sweep_s, front) = time_sweep(&template, db, iters);
     SweepRow {
         space,
         points: template.len(),
         front,
-        scratch_s,
-        delta_s,
+        sweep_s,
     }
 }
 
 /// The headline trajectory number: one cold paper-scale fig2-style
-/// sweep, annotation database and all, per engine. This is what the
-/// `< 1 s` CI soft-check guards.
-fn time_cold(mode: EvalMode, iters: usize) -> f64 {
+/// sweep, annotation database and all. This is what the `< 1 s` CI
+/// soft-check guards.
+fn time_cold(iters: usize) -> f64 {
     let workload = suite::crypt(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
+    best_of(iters, &mut || {
         let db = ComponentDb::new();
         Exploration::over(TemplateSpace::paper_default())
             .workload(&workload)
             .with_db(&db)
-            .eval_mode(mode)
             .run();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
+        0.0
+    })
 }
 
 fn main() {
@@ -328,8 +262,8 @@ fn main() {
     if keep("paper") {
         rows.push(measure("paper", TemplateSpace::paper_default(), &db, iters));
     }
-    // Fold-axis rows: per-point cost evaluation alone, scratch vs delta
-    // vs true incremental (carried folds). The huge row is the first
+    // Fold-axis rows: per-point cost evaluation alone. The huge row is
+    // the first
     // budgeted sweep of the 2^20-point hierarchical space — walking the
     // whole space is deliberately out of reach; a 4096-point Gray
     // prefix is what a budgeted campaign actually evaluates.
@@ -386,41 +320,27 @@ fn main() {
         "  \"command\": \"cargo run --release -p tta-bench --bin bench_dse -- --date {date}\","
     );
     println!(
-        "  \"note\": \"best-of-{iters} wall-clock per engine, release profile, single machine \
-         run, cold sweep cache, shared warmed ComponentDb. scratch re-derives every per-component \
-         cost from the annotation database at each point; delta memoizes them in the \
-         fingerprint-guarded arena (bit-identical results, asserted in tests and CI). At the \
-         paper's space sizes the ratio is ~1: per-point cost is scheduler-dominated and the \
-         ComponentDb already caches annotations behind its own lock, so swapping that lock for \
-         the arena's is in the noise. The historical speedup lives upstream (annotation-side \
-         ATPG batching took the cold paper sweep from tens of seconds to under one, the `cold` \
-         row below); delta earns its keep as the differential-tested memo layer with O(1) \
-         guarded invalidation, and these rows exist to catch either engine regressing. The \
-         fold_axis rows isolate per-point cost evaluation over a Gray-walk prefix — scratch \
-         refolds every component through the database, delta refolds through the memo arena, \
-         incremental carries the previous point's folds and exchanges the single changed \
-         component (CarriedFolds::advance; bit-identity asserted in an untimed pass) — the \
-         huge row is the budgeted 2^20-point hierarchical-space sweep where the carried fold \
-         pays off. The fidelity rows time the area+clock axes per point: table folds the \
+        "  \"note\": \"best-of-{iters} wall-clock, release profile, single machine run, cold \
+         sweep cache, shared warmed ComponentDb. The sweep rows are whole serial sweeps (crypt, \
+         one round) and are scheduler-dominated; the cold row rebuilds the annotation database \
+         (real ATPG + march runs) inside the timed region, as `ttadse fig2` pays it. The \
+         fold_axis rows isolate per-point cost evaluation (area + clock + eq. (14) total, one \
+         database read lock per fold) over a Gray-walk prefix; the huge row is the budgeted \
+         2^20-point hierarchical-space walk. All rows are regression guards: CI warns when a \
+         row exceeds 3x its committed value. The fidelity rows time the area+clock axes per point: table folds the \
          back-annotation constants, netlist elaborates every point to gates from scratch and \
          runs the loaded STA (what --fidelity netlist pays on a cold non-neighbour walk), \
          incremental drives the IncrementalElaborator along the Gray walk, rewinding to the \
          first differing segment (bit-identity to scratch asserted in an untimed pass). The \
          table fold being orders of magnitude cheaper is the fidelity trade, not a regression; \
-         the CI soft bar watches netlist_over_incremental like the fold rows' 3x bar.\","
+         the CI soft bar also watches netlist_over_incremental.\","
     );
     println!("  \"sweeps\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         println!(
-            "    {{ \"space\": \"{}\", \"points\": {}, \"front\": {}, \"scratch_s\": {:.4}, \
-             \"delta_s\": {:.4}, \"delta_over_scratch\": {:.3} }}{comma}",
-            r.space,
-            r.points,
-            r.front,
-            r.scratch_s,
-            r.delta_s,
-            r.delta_s / r.scratch_s
+            "    {{ \"space\": \"{}\", \"points\": {}, \"front\": {}, \"sweep_s\": {:.4} }}{comma}",
+            r.space, r.points, r.front, r.sweep_s
         );
     }
     println!("  ],");
@@ -428,15 +348,8 @@ fn main() {
     for (i, r) in fold_rows.iter().enumerate() {
         let comma = if i + 1 < fold_rows.len() { "," } else { "" };
         println!(
-            "    {{ \"space\": \"{}\", \"points\": {}, \"walked\": {}, \"scratch_s\": {:.6}, \
-             \"delta_s\": {:.6}, \"incremental_s\": {:.6}, \"scratch_over_incremental\": {:.1} }}{comma}",
-            r.space,
-            r.points,
-            r.walked,
-            r.scratch_s,
-            r.delta_s,
-            r.incremental_s,
-            r.scratch_s / r.incremental_s
+            "    {{ \"space\": \"{}\", \"points\": {}, \"walked\": {}, \"fold_s\": {:.6} }}{comma}",
+            r.space, r.points, r.walked, r.fold_s
         );
     }
     println!("  ],");
@@ -461,13 +374,9 @@ fn main() {
         // runs) is rebuilt inside the timed region, as `ttadse fig2`
         // pays it. This is the committed trajectory headline.
         eprintln!("cold paper sweeps (database rebuilt per run)...");
-        let cold_scratch = time_cold(EvalMode::Scratch, iters);
-        let cold_delta = time_cold(EvalMode::Delta, iters);
+        let cold = time_cold(iters);
         println!("  \"cold\": {{");
-        println!(
-            "    \"space\": \"paper\", \"includes_annotation\": true, \
-             \"scratch_s\": {cold_scratch:.3}, \"delta_s\": {cold_delta:.3}"
-        );
+        println!("    \"space\": \"paper\", \"includes_annotation\": true, \"sweep_s\": {cold:.3}");
         println!("  }}");
     } else {
         println!("  \"cold\": null");

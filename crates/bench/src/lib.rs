@@ -25,9 +25,7 @@ use tta_arch::vliw::VliwTemplate;
 use tta_arch::{Architecture, BusId, FuInstance, FuKind};
 use tta_core::backannotate::{ComponentDb, ComponentKey};
 use tta_core::cache::SweepCache;
-use tta_core::explore::{
-    CacheStatus, EvalMode, EvaluatedArch, Exploration, ExploreResult, LiftMode,
-};
+use tta_core::explore::{CacheStatus, EvaluatedArch, Exploration, ExploreResult, LiftMode};
 use tta_core::fullscan::FullScanDb;
 use tta_core::report::TextTable;
 use tta_core::testcost::{architecture_test_cost, ftfu_ratio};
@@ -93,7 +91,6 @@ pub struct Experiments<'c> {
     pub scale: Scale,
     db: ComponentDb,
     cache: Option<&'c SweepCache>,
-    eval_mode: EvalMode,
     result: Option<ExploreResult>,
     full_result: Option<ExploreResult>,
 }
@@ -105,7 +102,6 @@ impl Experiments<'static> {
             scale,
             db: ComponentDb::new(),
             cache: None,
-            eval_mode: EvalMode::default(),
             result: None,
             full_result: None,
         }
@@ -121,18 +117,9 @@ impl<'c> Experiments<'c> {
             scale,
             db: ComponentDb::new(),
             cache: Some(cache),
-            eval_mode: EvalMode::default(),
             result: None,
             full_result: None,
         }
-    }
-
-    /// Selects the evaluation engine (`--eval`): memoized delta by
-    /// default, or scratch as the reference oracle. Bit-identical
-    /// either way — CI `cmp`s the two.
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
     }
 
     fn run_exploration(&self, lift: LiftMode) -> ExploreResult {
@@ -141,7 +128,6 @@ impl<'c> Experiments<'c> {
             .workload(&workload)
             .with_db(&self.db)
             .lift(lift)
-            .eval_mode(self.eval_mode)
             .parallel(true);
         if let Some(cache) = self.cache {
             e = e.cache(cache);

@@ -101,16 +101,13 @@ fn scale_label(scale: Scale) -> &'static str {
 }
 
 /// Builds the figure experiment context, wired to the cache when one is
-/// configured. `--eval` is deliberately NOT echoed in any output
-/// format: CI `cmp`s a delta run against a scratch run to assert the
-/// memoized engine reproduces the oracle byte-identically.
+/// configured.
 fn experiments<'c>(common: &CommonOpts, cache: &'c Option<SweepCache>) -> Experiments<'c> {
     let scale = scale_of(common);
     match cache {
         Some(c) => Experiments::with_cache(scale, c),
         None => Experiments::new(scale),
     }
-    .eval_mode(common.eval)
 }
 
 // ---------------------------------------------------------------------
@@ -173,7 +170,6 @@ fn parse_explore(args: &[String]) -> Result<ExploreOpts, CliError> {
     }
     common.validate()?;
     spec.fast = common.fast;
-    spec.eval = common.eval;
     spec.format = common.format;
     spec.validate().map_err(flag_err)?;
     Ok(ExploreOpts {
@@ -207,16 +203,6 @@ pub fn explore(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Res
     )?;
     let result = job.run(cache.as_ref(), None, None, None);
     out.write_all(result.output.as_bytes())?;
-    if let Some(d) = &result.delta {
-        // Arena traffic is observability-only (counts vary with thread
-        // interleaving under --parallel), so it goes to stderr with the
-        // cache accounting rather than into the deterministic stdout.
-        writeln!(
-            err,
-            "delta engine: {} fold carries, {} scratch refolds; memo arena {} hits, {} misses, {} evictions",
-            d.fold_carries, d.scratch_fallbacks, d.arena_hits, d.arena_misses, d.arena_evictions
-        )?;
-    }
     writeln!(
         err,
         "scheduler: {} runs for {} (point, workload) lookups",

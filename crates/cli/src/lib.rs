@@ -107,8 +107,6 @@ COMMON FLAGS:
     --format FORMAT        table (default) | json | csv
     --cache-dir DIR        Persistent sweep cache; re-runs skip cached points
     --resume               Require --cache-dir; continue an interrupted sweep
-    --eval ENGINE          delta (default): memoized per-component evaluation;
-                           scratch: the reference oracle (identical results)
 
 EXPLORE FLAGS:
     --workload LIST        Comma-separated `name[:weight]` items; see
@@ -185,10 +183,7 @@ TABLE1 FLAGS:
     --figure9              Cost the paper's published architecture directly
 
 Cache accounting and progress go to stderr; stdout carries only the
-requested output, byte-identical across warm and cold cache runs. The
-one exception: the delta engine's fold-carry counters (JSON
-`search.delta`, table footer) report per-run incremental work, which a
-warm cache legitimately reduces.
+requested output, byte-identical across warm and cold cache runs.
 ";
 
 /// Dispatches a full argument list (without the binary name).
@@ -455,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn explore_scratch_output_is_byte_identical_to_delta() {
+    fn explore_neighbour_walk_output_matches_enumeration_order() {
         let base = [
             "explore",
             "--space",
@@ -465,44 +460,18 @@ mod tests {
             "--format",
             "json",
         ];
-        let (delta, _) = run_capture(&base).unwrap();
-        let mut scratch_args = base.to_vec();
-        scratch_args.extend(["--eval", "scratch"]);
-        let (scratch, _) = run_capture(&scratch_args).unwrap();
-        // The delta run echoes its fold-carry accounting, the scratch
-        // run has none and a Gray walk carries more than an enumeration
-        // walk — stats are the sanctioned engine-observability
-        // exception, so strip them (and the strategy name) before the
-        // byte comparison.
-        let strip = |s: &str| {
-            let s = s.replace("exhaustive-neighbour", "exhaustive");
-            match s.find(",\"delta\":{") {
-                None => s,
-                Some(start) => {
-                    let end = start + s[start..].find('}').expect("stats object closes") + 1;
-                    format!("{}{}", &s[..start], &s[end..])
-                }
-            }
-        };
-        assert!(
-            delta.contains("\"delta\":{\"fold_carries\":"),
-            "delta run must echo fold-carry stats: {delta}"
-        );
-        assert!(
-            !scratch.contains("\"delta\":"),
-            "scratch run must not echo stats: {scratch}"
-        );
-        assert_eq!(
-            strip(&delta),
-            strip(&scratch),
-            "--eval scratch must not change any byte beyond the stats object"
-        );
+        let (plain, _) = run_capture(&base).unwrap();
         // Gray-code visit order must not change the reported front or
-        // objective bytes either (JSON output is order-canonicalised by
-        // area, not visit order).
+        // objective bytes (JSON output is order-canonicalised by area,
+        // not visit order); only the strategy label differs.
         let mut gray_args = base.to_vec();
         gray_args.extend(["--strategy", "neighbour"]);
         let (gray, _) = run_capture(&gray_args).unwrap();
-        assert_eq!(strip(&gray), strip(&delta));
+        assert_eq!(gray.replace("exhaustive-neighbour", "exhaustive"), plain);
+        // There is one evaluation engine: the old `--eval` flag is an
+        // unknown flag now.
+        let mut eval_args = base.to_vec();
+        eval_args.extend(["--eval", "scratch"]);
+        assert_eq!(run_capture(&eval_args).unwrap_err().exit_code, 2);
     }
 }

@@ -7,8 +7,6 @@
 
 use std::path::PathBuf;
 
-use tta_core::explore::EvalMode;
-
 use crate::CliError;
 
 // The `--format` selector now lives with the job spec (the daemon
@@ -33,19 +31,6 @@ pub struct CommonOpts {
     /// `--cache-dir`); evaluation then picks up where the last
     /// interrupted run stopped.
     pub resume: bool,
-    /// `--eval`: per-point evaluation engine (memoized `delta` by
-    /// default, or `scratch` as the reference oracle).
-    pub eval: EvalMode,
-}
-
-fn parse_eval(s: &str) -> Result<EvalMode, CliError> {
-    match s {
-        "scratch" => Ok(EvalMode::Scratch),
-        "delta" => Ok(EvalMode::Delta),
-        other => Err(CliError::usage(format!(
-            "unknown --eval {other:?} (expected scratch or delta)"
-        ))),
-    }
 }
 
 /// A cursor over raw CLI arguments with flag/value helpers.
@@ -93,7 +78,6 @@ impl CommonOpts {
             "--format" => self.format = parse_format(&cursor.value_for("--format")?)?,
             "--cache-dir" => self.cache_dir = Some(PathBuf::from(cursor.value_for("--cache-dir")?)),
             "--resume" => self.resume = true,
-            "--eval" => self.eval = parse_eval(&cursor.value_for("--eval")?)?,
             _ => return Ok(false),
         }
         Ok(true)
@@ -135,8 +119,6 @@ mod tests {
             "--cache-dir",
             "/tmp/c",
             "--resume",
-            "--eval",
-            "scratch",
         ]);
         let mut cursor = ArgCursor::new(&args);
         let mut opts = CommonOpts::default();
@@ -149,14 +131,7 @@ mod tests {
             opts.cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/c"))
         );
-        assert_eq!(opts.eval, EvalMode::Scratch);
         assert!(opts.validate().is_ok());
-    }
-
-    #[test]
-    fn eval_defaults_to_delta_and_rejects_typos() {
-        assert_eq!(CommonOpts::default().eval, EvalMode::Delta);
-        assert!(parse_eval("detla").is_err());
     }
 
     #[test]
@@ -166,6 +141,20 @@ mod tests {
             ..CommonOpts::default()
         };
         assert!(opts.validate().is_err());
+    }
+
+    #[test]
+    fn flags_it_does_not_know_are_left_to_the_subcommand() {
+        // `--eval` named an evaluation engine; there is one engine now,
+        // so it is an unknown flag like any other.
+        let args = strs(&["--eval", "scratch"]);
+        let mut cursor = ArgCursor::new(&args);
+        let mut opts = CommonOpts::default();
+        let arg = cursor.next().unwrap();
+        assert!(!opts.consume(&arg, &mut cursor).unwrap());
+        let e = unknown_flag("explore", &arg);
+        assert_eq!(e.exit_code, 2);
+        assert!(e.message.contains("--eval"), "{}", e.message);
     }
 
     #[test]

@@ -571,3 +571,27 @@ fn cache_stats_and_clear_see_a_journal_left_by_an_interrupted_run() {
     assert!(json.contains("\"entries\":0"), "{json}");
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn explore_output_carries_no_engine_statistics() {
+    // One evaluation engine: no format reports engine counters, on
+    // stdout or stderr, in either visit order.
+    for strategy in ["exhaustive", "neighbour"] {
+        for format in ["json", "table", "csv"] {
+            let (out, err) = run_ok(&[
+                "explore",
+                "--space",
+                "tiny",
+                "--workload",
+                "crypt",
+                "--strategy",
+                strategy,
+                "--format",
+                format,
+            ]);
+            assert!(!out.is_empty());
+            assert!(!out.contains("delta"), "{strategy} {format}:\n{out}");
+            assert!(!err.contains("delta"), "{strategy} {format}:\n{err}");
+        }
+    }
+}

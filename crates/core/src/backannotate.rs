@@ -13,8 +13,10 @@
 //! pre-annotates a key set up front so the sweep itself runs over a
 //! read-mostly database.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, RwLock};
 
 use tta_arch::{FuKind, RfInstance};
 use tta_atpg::{Atpg, AtpgConfig};
@@ -136,22 +138,77 @@ pub struct ComponentRecord {
     pub nconn: usize,
 }
 
-/// Crate-internal abstraction over *where component records come from*:
-/// the database itself, or the delta evaluator's memo arena in front of
-/// it ([`crate::delta::DeltaEvaluator`]). The default cost models fold
-/// their sums through this trait, so the scratch and delta evaluation
-/// paths run the exact same float code — bit-identity between them holds
-/// by construction, not by careful reimplementation.
-pub(crate) trait RecordSource {
-    /// The record for `key`, computing or memoizing as the source sees
-    /// fit. Must return the same record a direct [`ComponentDb::get`]
-    /// would.
-    fn record(&self, key: ComponentKey) -> Arc<ComponentRecord>;
+/// FxHash-style multiply-rotate hasher for the record map. A fold looks
+/// up every component of a point, and SipHash's per-lookup setup would
+/// be most of that cost; the handful of small enum keys needs no more
+/// hash quality than this. The map is never iterated, so nothing
+/// observable depends on the hash.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
 }
 
-impl RecordSource for ComponentDb {
-    fn record(&self, key: ComponentKey) -> Arc<ComponentRecord> {
-        self.get(key)
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The annotated records, keyed by component.
+type RecordMap = HashMap<ComponentKey, Arc<ComponentRecord>, BuildHasherDefault<KeyHasher>>;
+
+/// Stand-in for a record a fold reads before it is annotated: the
+/// fold's value is discarded and the fold runs again once the key is
+/// annotated, so these numbers never reach a result.
+static COLD: ComponentRecord = ComponentRecord {
+    np: 0,
+    fault_coverage: 0.0,
+    adjusted_coverage: 0.0,
+    area: 0.0,
+    critical_path: 0.0,
+    ff_total: 0,
+    ff_infrastructure: 0,
+    gates: 0,
+    nconn: 0,
+};
+
+/// The annotated records as one fold sees them, under the database's
+/// read lock (see [`ComponentDb::fold`]). Records are read by
+/// reference; a key that is not annotated yet reads as a placeholder
+/// and is noted, so the database can annotate it and fold again.
+pub(crate) struct Records<'a> {
+    cache: &'a RecordMap,
+    cold: RefCell<Vec<ComponentKey>>,
+}
+
+impl<'a> Records<'a> {
+    /// The record for `key`.
+    pub(crate) fn get(&self, key: ComponentKey) -> &'a ComponentRecord {
+        match self.cache.get(&key) {
+            Some(record) => record,
+            None => {
+                self.cold.borrow_mut().push(key);
+                &COLD
+            }
+        }
     }
 }
 
@@ -168,12 +225,7 @@ impl RecordSource for ComponentDb {
 pub struct ComponentDb {
     atpg: Atpg,
     march: MarchAlgorithm,
-    cache: RwLock<HashMap<ComponentKey, Arc<ComponentRecord>>>,
-    /// Memoized [`ComponentDb::fingerprint`]: the engines are fixed at
-    /// construction, and the incremental engine validates the
-    /// fingerprint once per evaluated point — formatting the engine
-    /// configs on every check would dominate a carried fold.
-    fingerprint: OnceLock<u64>,
+    cache: RwLock<RecordMap>,
 }
 
 impl Default for ComponentDb {
@@ -191,8 +243,7 @@ impl ComponentDb {
         ComponentDb {
             atpg: Atpg::new(AtpgConfig::sweep()),
             march: MarchAlgorithm::march_cminus(),
-            cache: RwLock::new(HashMap::new()),
-            fingerprint: OnceLock::new(),
+            cache: RwLock::new(RecordMap::default()),
         }
     }
 
@@ -201,8 +252,7 @@ impl ComponentDb {
         ComponentDb {
             atpg: Atpg::new(atpg_config),
             march,
-            cache: RwLock::new(HashMap::new()),
-            fingerprint: OnceLock::new(),
+            cache: RwLock::new(RecordMap::default()),
         }
     }
 
@@ -218,13 +268,11 @@ impl ComponentDb {
     /// records themselves are excluded: they are a pure function of the
     /// engines and the key.
     pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            crate::cache::Fingerprint::new()
-                .str("component-db")
-                .str(&format!("{:?}", self.atpg))
-                .str(&format!("{:?}", self.march))
-                .finish()
-        })
+        crate::cache::Fingerprint::new()
+            .str("component-db")
+            .str(&format!("{:?}", self.atpg))
+            .str(&format!("{:?}", self.march))
+            .finish()
     }
 
     /// Fetches (computing and caching on first use) the record for `key`.
@@ -237,6 +285,31 @@ impl ComponentDb {
         let record = Arc::new(self.compute(key));
         let mut cache = self.cache.write().expect("db lock");
         Arc::clone(cache.entry(key).or_insert(record))
+    }
+
+    /// Runs `fold` over the annotated records under a single read lock:
+    /// one lock acquisition per fold, and no record is cloned. When the
+    /// fold read keys that are not annotated yet (a serial sweep
+    /// annotates lazily), those keys are annotated outside the lock and
+    /// the same fold runs again, so the value returned always comes from
+    /// real records.
+    pub(crate) fn fold<T>(&self, fold: impl Fn(&Records<'_>) -> T) -> T {
+        loop {
+            let cold = {
+                let cache = self.cache.read().expect("db lock");
+                let records = Records {
+                    cache: &cache,
+                    cold: RefCell::new(Vec::new()),
+                };
+                let value = fold(&records);
+                let cold = records.cold.into_inner();
+                if cold.is_empty() {
+                    return value;
+                }
+                cold
+            };
+            self.warm(cold);
+        }
     }
 
     /// Whether `key` has already been annotated.
@@ -337,5 +410,193 @@ mod tests {
         let rec = db.get(ComponentKey::SocketGroup(8, 2)).clone();
         assert!(rec.np < 64, "socket np = {}", rec.np);
         assert_eq!(rec.ff_total, 6);
+    }
+
+    /// The keys the fold tests read: cheap 4-bit logic and a small RF.
+    const KEYS: [ComponentKey; 3] = [
+        ComponentKey::Alu(4),
+        ComponentKey::Pc(4),
+        ComponentKey::Rf(4, 4, 1, 1),
+    ];
+
+    /// Sum of the areas of `KEYS`, counting how often the fold runs.
+    fn area_of_keys(db: &ComponentDb, runs: &std::cell::Cell<usize>) -> f64 {
+        db.fold(|records| {
+            runs.set(runs.get() + 1);
+            KEYS.iter().map(|&key| records.get(key).area).sum()
+        })
+    }
+
+    #[test]
+    fn fold_over_warm_records_runs_once_and_annotates_nothing() {
+        let db = ComponentDb::new();
+        db.warm(KEYS);
+        let runs = std::cell::Cell::new(0);
+        let area = area_of_keys(&db, &runs);
+        assert_eq!(runs.get(), 1, "a warm fold needs no second pass");
+        assert_eq!(db.len(), KEYS.len());
+        let expected: f64 = KEYS.iter().map(|&key| db.get(key).area).sum();
+        assert_eq!(area.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn fold_annotates_cold_keys_and_runs_once_more() {
+        let db = ComponentDb::new();
+        let runs = std::cell::Cell::new(0);
+        let area = area_of_keys(&db, &runs);
+        // Every cold key is noted in the first pass and annotated before
+        // the second — not one pass per key.
+        assert_eq!(runs.get(), 2);
+        assert!(KEYS.iter().all(|&key| db.contains(key)));
+        let expected: f64 = KEYS.iter().map(|&key| db.get(key).area).sum();
+        assert_eq!(area.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn fold_value_never_comes_from_the_placeholder() {
+        // A fold whose value is the placeholder's own figure (zero) on a
+        // cold key must still return the annotated figure.
+        let db = ComponentDb::new();
+        let np = db.fold(|records| records.get(ComponentKey::Rf(4, 4, 1, 1)).np);
+        assert_eq!(np, 40, "March C- on four registers is 10n");
+        let path = db.fold(|records| records.get(ComponentKey::Alu(4)).critical_path);
+        assert!(path > 0.0);
+    }
+
+    #[test]
+    fn fold_annotates_only_the_keys_it_read() {
+        let db = ComponentDb::new();
+        db.warm([ComponentKey::Alu(4)]);
+        // A fold that stops early never reads the later keys, so they
+        // stay cold.
+        let first = db.fold(|records| {
+            KEYS.iter()
+                .map(|&key| records.get(key))
+                .find(|record| record.area > 0.0)
+                .map(|record| record.area)
+        });
+        assert_eq!(first, Some(db.get(ComponentKey::Alu(4)).area));
+        assert_eq!(db.len(), 1);
+        assert!(!db.contains(ComponentKey::Pc(4)));
+    }
+
+    #[test]
+    fn concurrent_cold_folds_converge_on_one_value() {
+        let db = ComponentDb::new();
+        let areas: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let runs = std::cell::Cell::new(0);
+                        area_of_keys(&db, &runs).to_bits()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fold thread"))
+                .collect()
+        });
+        assert_eq!(areas[0], areas[1]);
+        assert_eq!(db.len(), KEYS.len(), "duplicate annotations converge");
+        let runs = std::cell::Cell::new(0);
+        assert_eq!(area_of_keys(&db, &runs).to_bits(), areas[0]);
+        assert_eq!(runs.get(), 1);
+    }
+
+    #[test]
+    fn fingerprint_is_a_function_of_the_engines_alone() {
+        let db = ComponentDb::new();
+        let before = db.fingerprint();
+        db.warm(KEYS);
+        assert_eq!(db.fingerprint(), before, "records are not fingerprinted");
+        assert_eq!(ComponentDb::new().fingerprint(), before);
+        let march_b = ComponentDb::with_engines(AtpgConfig::sweep(), MarchAlgorithm::march_b());
+        assert_ne!(march_b.fingerprint(), before);
+        let deep_atpg =
+            ComponentDb::with_engines(AtpgConfig::default(), MarchAlgorithm::march_cminus());
+        assert_ne!(deep_atpg.fingerprint(), before);
+    }
+
+    #[test]
+    fn rf_keys_reject_geometries_wider_than_their_fields() {
+        let rf = |regs, nin, nout| RfInstance {
+            name: "r".into(),
+            regs,
+            write_ports: vec![tta_arch::BusId(0); nin],
+            read_ports: vec![tta_arch::BusId(0); nout],
+        };
+        assert_eq!(
+            ComponentKey::for_rf(&rf(8, 1, 2), 16),
+            Some(ComponentKey::Rf(16, 8, 1, 2))
+        );
+        assert_eq!(ComponentKey::for_rf(&rf(70_000, 1, 2), 16), None);
+        assert_eq!(ComponentKey::for_rf(&rf(8, 256, 2), 16), None);
+        assert_eq!(ComponentKey::for_rf(&rf(8, 1, 300), 16), None);
+    }
+
+    #[test]
+    fn socket_group_keys_reject_more_ports_than_their_field() {
+        assert_eq!(
+            ComponentKey::socket_group(8, 255),
+            Some(ComponentKey::SocketGroup(8, 255))
+        );
+        assert_eq!(ComponentKey::socket_group(8, 256), None);
+    }
+
+    #[test]
+    fn fu_keys_carry_kind_and_width() {
+        let cases = [
+            (FuKind::Alu, ComponentKey::Alu(12)),
+            (FuKind::Cmp, ComponentKey::Cmp(12)),
+            (FuKind::Mul, ComponentKey::Mul(12)),
+            (FuKind::LdSt, ComponentKey::LdSt(12)),
+            (FuKind::Pc, ComponentKey::Pc(12)),
+            (FuKind::Immediate, ComponentKey::Imm(12)),
+        ];
+        for (kind, key) in cases {
+            assert_eq!(ComponentKey::for_fu(kind, 12), key);
+        }
+    }
+
+    #[test]
+    fn record_hasher_spreads_the_huge_space_keys() {
+        use std::hash::BuildHasher;
+        // Every key a huge-space sweep can read, at two widths: a
+        // degenerate hash would turn each fold lookup into a scan.
+        let mut keys = Vec::new();
+        for w in [8u16, 16] {
+            for kind in [
+                FuKind::Alu,
+                FuKind::Cmp,
+                FuKind::Mul,
+                FuKind::LdSt,
+                FuKind::Pc,
+            ] {
+                keys.push(ComponentKey::for_fu(kind, w));
+            }
+            keys.push(ComponentKey::Imm(w));
+            for ports in 1..=8 {
+                keys.push(ComponentKey::SocketGroup(w, ports));
+            }
+            for regs in [4u16, 8, 16, 32] {
+                for (nin, nout) in [(1u8, 1u8), (1, 2), (2, 2), (2, 3)] {
+                    keys.push(ComponentKey::Rf(w, regs, nin, nout));
+                }
+            }
+        }
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        let mut hashes: Vec<u64> = keys.iter().map(|key| build.hash_one(key)).collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), keys.len(), "two keys share a hash");
+    }
+
+    #[test]
+    fn display_names_follow_table1() {
+        assert_eq!(ComponentKey::Alu(8).display_name(), "ALU");
+        assert_eq!(ComponentKey::LdSt(8).display_name(), "LD/ST");
+        assert_eq!(ComponentKey::Rf(8, 12, 1, 2).display_name(), "RF12(1w/2r)");
+        assert_eq!(ComponentKey::SocketGroup(8, 3).display_name(), "SOCK3");
     }
 }

@@ -68,7 +68,7 @@
 //! assert!(e.area() > 0.0 && e.exec_time() > 0.0);
 //! assert_eq!(e.test_cost(), e.objectives.get(Objective::TestCost));
 //!
-//! // `point3d()` (which panicked off-front) became a total projection:
+//! // Any subset of the axes projects to a typed sub-vector:
 //! let p = e.objectives.project(&[Objective::Area, Objective::TestCost]);
 //! assert_eq!(p.unwrap().values().len(), 2);
 //! ```
@@ -109,10 +109,6 @@ use crate::backannotate::ComponentDb;
 use crate::cache::{
     arch_fingerprint, workload_fingerprint, EvalEntry, Fingerprint, SweepCache,
     CACHE_ADDRESS_VERSION,
-};
-use crate::delta::{
-    CarriedFolds, DeltaAreaModel, DeltaEvaluator, DeltaStats, DeltaTestCostModel, DeltaTimingModel,
-    PointCosts,
 };
 use crate::models::{
     keys_of, AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel,
@@ -276,15 +272,6 @@ impl EvaluatedArch {
     pub fn test_cost(&self) -> Option<f64> {
         self.objectives.get(Objective::TestCost)
     }
-
-    /// The 3-D coordinate (area, exec time, test cost), or `None` when
-    /// the test axis has not been lifted for this point.
-    #[deprecated(since = "0.1.0", note = "use `objectives` / `test_cost()` instead")]
-    pub fn point3d(&self) -> Option<Vec<f64>> {
-        self.objectives
-            .project(&[Objective::Area, Objective::ExecTime, Objective::TestCost])
-            .map(|v| v.values().to_vec())
-    }
 }
 
 /// When (and for which points) the test axis joins the objective
@@ -369,48 +356,6 @@ impl std::fmt::Display for CycleSource {
     }
 }
 
-/// How the *default* cost models evaluate a point.
-///
-/// [`EvalMode::Delta`] (the default) routes the three default models
-/// through one shared [`crate::delta::DeltaEvaluator`]: per-component
-/// records are memoized in a flat arena keyed by
-/// [`crate::ComponentKey`], so a point re-costs only the components the
-/// previous points have not already touched. Results are
-/// **bit-identical** to [`EvalMode::Scratch`] — same objectives, same
-/// front, same cache addresses (the delta wrappers fingerprint as the
-/// scratch models they stand in for) — because both modes run the same
-/// fold code over the same records; only the record-fetch path differs.
-///
-/// Custom models installed via [`Exploration::models`] and friends are
-/// never wrapped: the mode only governs the defaults, so a custom
-/// model's semantics (and its cache identity) are exactly what its
-/// author wrote in either mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EvalMode {
-    /// Every point evaluated from scratch against the [`ComponentDb`].
-    Scratch,
-    /// Per-component memoization through the delta evaluator (default).
-    #[default]
-    Delta,
-}
-
-impl EvalMode {
-    /// Short machine-readable label (`scratch` / `delta`), used by CLI
-    /// flags and structured output.
-    pub fn label(self) -> &'static str {
-        match self {
-            EvalMode::Scratch => "scratch",
-            EvalMode::Delta => "delta",
-        }
-    }
-}
-
-impl std::fmt::Display for EvalMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Where the area and clock axes of a point come from.
 ///
 /// The default, [`FidelityMode::Table`], is the paper's back-annotation
@@ -426,8 +371,7 @@ impl std::fmt::Display for EvalMode {
 /// socket fronts, bus fanout load, per-point wiring. They are slower per
 /// point; consecutive Gray-walk neighbours amortise this through
 /// incremental re-elaboration
-/// ([`tta_netlist::IncrementalElaborator`]), the netlist-level mirror of
-/// the table tier's `CarriedFolds`.
+/// ([`tta_netlist::IncrementalElaborator`]).
 ///
 /// The knob only fills *empty* area/timing model slots: custom models
 /// installed via [`Exploration::models`] and friends always win. The
@@ -537,9 +481,6 @@ pub struct SweepProgress {
     pub front: usize,
     /// Total number of points in the template space.
     pub space_len: usize,
-    /// Incremental-engine counters at this instant (`Some` under
-    /// [`EvalMode::Delta`]); see [`ExploreResult::delta`].
-    pub delta: Option<DeltaStats>,
 }
 
 /// Failure modes of [`Exploration::try_run`].
@@ -637,15 +578,6 @@ pub struct ExploreResult {
     /// Whether the attached persistent cache (if any) saved its
     /// entries; see [`CacheStatus`].
     pub cache_status: CacheStatus,
-    /// Incremental-engine counters ([`DeltaStats`]): `Some` exactly
-    /// when the sweep ran under [`EvalMode::Delta`]. Fold carries are
-    /// non-zero only for strategies that request the Gray-code
-    /// neighbour walk with all three default cost models in effect;
-    /// arena counters cover every memoized record fetch. The counters
-    /// are observability, never part of the bit-identity contract —
-    /// a parallel sweep may count arena traffic differently from a
-    /// serial one while producing identical objectives.
-    pub delta: Option<DeltaStats>,
     /// Schedule-memo counters ([`ScheduleStats`]): how many
     /// `(point, workload)` cycle counts the sweep needed and how many
     /// list-scheduler runs answered them. Observability only — no
@@ -836,7 +768,6 @@ pub struct Exploration<'db> {
     seed: Option<u64>,
     lift: LiftMode,
     cycle_source: CycleSource,
-    eval_mode: EvalMode,
     fidelity: FidelityMode,
     cancel: Option<CancelToken>,
     progress: Option<ProgressObserver<'db>>,
@@ -879,7 +810,6 @@ impl<'db> Exploration<'db> {
             seed: None,
             lift: LiftMode::default(),
             cycle_source: CycleSource::default(),
-            eval_mode: EvalMode::default(),
             fidelity: FidelityMode::default(),
             cancel: None,
             progress: None,
@@ -1011,15 +941,6 @@ impl<'db> Exploration<'db> {
         self
     }
 
-    /// Chooses how the *default* cost models evaluate a point (default
-    /// [`EvalMode::Delta`], the memoizing incremental path). Results
-    /// are bit-identical between the modes — this knob trades lock/hash
-    /// traffic, never output. See [`EvalMode`].
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.eval_mode = mode;
-        self
-    }
-
     /// Chooses where the area and clock axes come from (default
     /// [`FidelityMode::Table`], the back-annotated per-component fold,
     /// bit-identical to the engine without the knob).
@@ -1087,8 +1008,8 @@ impl<'db> Exploration<'db> {
     }
 
     /// Installs a progress observer, called after every evaluated chunk
-    /// with a [`SweepProgress`] snapshot (live front size, visit
-    /// counts, incremental-engine counters). Pure observability: the
+    /// with a [`SweepProgress`] snapshot (live front size and visit
+    /// counts). Pure observability: the
     /// callback cannot change any result bit — though it may share a
     /// [`CancelToken`] with the run and cancel it.
     pub fn progress(mut self, observer: impl FnMut(&SweepProgress) + 'db) -> Self {
@@ -1151,9 +1072,9 @@ impl<'db> Exploration<'db> {
         }
         // Netlist fidelity fills the *empty* area/timing slots with the
         // elaboration-backed models before anything inspects the slots:
-        // downstream, the slots simply hold custom models (carried folds
-        // disengage, the delta wrappers keep serving the test axis, and
-        // the cache addresses change through the model fingerprints).
+        // downstream, the slots simply hold custom models (the default
+        // test model keeps serving the test axis, and the cache
+        // addresses change through the model fingerprints).
         if self.fidelity == FidelityMode::Netlist {
             let eval = Arc::new(NetlistEvaluator::new());
             if self.area.is_none() {
@@ -1173,11 +1094,7 @@ impl<'db> Exploration<'db> {
         // pre-warm when at least one default (db-backed) model is in
         // effect.
         let uses_db_defaults = self.area.is_none() || self.timing.is_none() || self.test.is_none();
-        // The carried-fold fast path substitutes *all three* axes at
-        // once, so it engages only when every model slot is a default.
-        let all_defaults = self.area.is_none() && self.timing.is_none() && self.test.is_none();
-        let interconnect = self.interconnect;
-        let (area, timing, test, delta_eval) = self.resolve_models();
+        let (area, timing, test) = self.resolve_models();
         let owned_db;
         let db: &ComponentDb = match self.db {
             Some(db) => db,
@@ -1193,20 +1110,6 @@ impl<'db> Exploration<'db> {
         let strategy_salt = strategy.cache_salt();
         let budget = self.budget.unwrap_or(usize::MAX);
         let seed = self.seed.unwrap_or(0);
-        // True incremental evaluation: under the delta engine, default
-        // models and a strategy that asks for the Gray-code neighbour
-        // walk, a serial pre-pass advances per-point cost folds by
-        // retracting/applying only the one changed component — O(1)
-        // arithmetic per walk step instead of a full refold. Results
-        // are bit-identical to the scratch models (CarriedFolds'
-        // contract); everything else falls back to per-point folds.
-        let mut carry: Option<(CarriedFolds, Arc<DeltaEvaluator>)> = match &delta_eval {
-            Some(eval) if all_defaults && strategy.walk_order() == WalkOrder::Neighbour => {
-                Some((CarriedFolds::new(interconnect), Arc::clone(eval)))
-            }
-            _ => None,
-        };
-
         // Content-address bases for the persistent cache: everything
         // that determines a point's result except the point itself.
         // `None` (no cache attached, or an unfingerprintable model)
@@ -1224,13 +1127,14 @@ impl<'db> Exploration<'db> {
                 .u64(seed),
         };
         let test_fp = test.fingerprint();
+        let db_fp = db.fingerprint();
         let eval_cache = self.cache.and_then(|cache| {
             let base = Fingerprint::new()
                 .str("eval")
                 .u64(u64::from(CACHE_ADDRESS_VERSION))
                 .u64(area.fingerprint()?)
                 .u64(timing.fingerprint()?)
-                .u64(db.fingerprint())
+                .u64(db_fp)
                 .u64(self.workloads.len() as u64);
             // Weights ride along with each workload: a reweighted suite
             // changes the exec-time axis, so it must change the address.
@@ -1268,7 +1172,7 @@ impl<'db> Exploration<'db> {
                 .str("test")
                 .u64(u64::from(CACHE_ADDRESS_VERSION))
                 .u64(test_fp?)
-                .u64(db.fingerprint());
+                .u64(db_fp);
             Some((cache, salted(base).finish()))
         });
         let point_key = |base: u64, arch: &Architecture| {
@@ -1361,9 +1265,9 @@ impl<'db> Exploration<'db> {
             }
             // A strategy may ask for its batches to be *evaluated* in
             // neighbour (Gray-walk) order: consecutive points then
-            // differ in one template knob, which lets the carried folds
-            // advance one component per step and decides the order in
-            // which scheduler views repeat in the schedule memo. The
+            // differ in one template knob, which decides the order in
+            // which scheduler views repeat in the schedule memo (and
+            // lets netlist fidelity re-elaborate incrementally). The
             // re-sort happens after budget truncation, so it changes
             // when a point is evaluated, never whether — and per-point
             // cache addresses and memoised schedules are visit-order
@@ -1391,19 +1295,10 @@ impl<'db> Exploration<'db> {
                 let archs: Vec<Architecture> =
                     index_chunk.iter().map(|&i| space.point(i)).collect();
                 // Each point's content address, computed once per chunk
-                // (empty without a cache), and whether the cache can
-                // answer the point outright — a full lift also needs
-                // the entry's inline test total from the same model.
+                // (empty without a cache).
                 let keys: Vec<u64> = match &eval_cache {
                     Some((_, base)) => archs.iter().map(|arch| point_key(*base, arch)).collect(),
                     None => Vec::new(),
-                };
-                let answered = |k: usize| match &eval_cache {
-                    Some((cache, _)) => match lift {
-                        LiftMode::ParetoOnly => cache.contains_eval(keys[k]),
-                        LiftMode::Full => cache.contains_eval_with_test(keys[k], full_test_fp),
-                    },
-                    None => false,
                 };
 
                 // Stage 0: pre-warm the component database for every
@@ -1417,9 +1312,17 @@ impl<'db> Exploration<'db> {
                 // (and keys warmed by earlier chunks are filtered by
                 // `db.contains`).
                 if self.parallel && uses_db_defaults {
-                    // A full lift reads the database for the test
-                    // axis too, so an entry missing its inline test
-                    // total still needs warm keys.
+                    // Whether the cache answers a point outright — a
+                    // full lift reads the database for the test axis
+                    // too, so an entry missing its inline test total
+                    // still needs warm keys.
+                    let answered = |k: usize| match &eval_cache {
+                        Some((cache, _)) => match lift {
+                            LiftMode::ParetoOnly => cache.contains_eval(keys[k]),
+                            LiftMode::Full => cache.contains_eval_with_test(keys[k], full_test_fp),
+                        },
+                        None => false,
+                    };
                     let mut db_keys: Vec<_> = archs
                         .iter()
                         .enumerate()
@@ -1435,171 +1338,70 @@ impl<'db> Exploration<'db> {
                     });
                 }
 
-                // Stage ½ (serial): advance the carried folds across
-                // the chunk, one Gray-walk step per cache-missing
-                // point. The pre-pass is serial by construction (the
-                // carry is a running accumulator), but it only performs
-                // O(1) retract/apply arithmetic per step — the
-                // expensive work (scheduling) stays parallel below.
-                // Answered-from-cache points skip their walk step, so
-                // they reset the carry instead of advancing it.
-                let staged: Vec<Option<PointCosts>> = match carry.as_mut() {
-                    None => vec![None; archs.len()],
-                    Some((carry, eval)) => index_chunk
-                        .iter()
-                        .zip(&archs)
-                        .enumerate()
-                        .map(|(k, (&index, arch))| {
-                            if answered(k) {
-                                carry.reset();
-                                None
-                            } else {
-                                Some(carry.advance(arch, space.neighbour_rank(index), eval, db))
-                            }
-                        })
-                        .collect(),
-                };
-                let staged = &staged;
-
                 // Stage 1: evaluate the chunk on the full workload
-                // suite — answering from the cache where possible and
-                // checkpointing fresh results chunk by chunk, so an
-                // interrupted run resumes from the last completed
-                // chunk.
-                let evaluations: Vec<PointOutcome> = match &eval_cache {
-                    None => par_map(&archs, threads, |k, arch| match lift {
-                        LiftMode::ParetoOnly => evaluate_point(
-                            arch,
-                            workloads,
-                            weights,
-                            axis_source(staged[k], &*area, &*timing),
-                            db,
-                            &schedules,
-                        ),
-                        LiftMode::Full => {
-                            match evaluate_point(
-                                arch,
-                                workloads,
-                                weights,
-                                axis_source(staged[k], &*area, &*timing),
-                                db,
-                                &schedules,
-                            ) {
-                                Ok(e) => {
-                                    let total = match staged[k] {
-                                        Some(s) => s.test_total,
-                                        None => test.test_cost(arch, db).total,
-                                    };
-                                    finish_full(e, total)
-                                }
-                                Err(why) => Err(why),
-                            }
-                        }
-                    }),
-                    Some((cache, _)) => {
-                        // Struct-of-arrays chunk layout: `archs`, `keys`
-                        // and `prefetched` are parallel columns indexed
-                        // by the chunk position `k`. The cache is read
-                        // ONCE per chunk (one lock acquisition for the
-                        // whole batch) instead of once per point inside
-                        // the hot loop; only stores stay per-point,
-                        // since they happen on misses alone.
-                        let prefetched = cache.lookup_eval_batch(&keys);
-                        let out = par_map(&archs, threads, |k, arch| {
-                            let key = keys[k];
-                            // A cache entry inconsistent with this suite
-                            // (corrupt or hash-colliding) rehydrates to
-                            // None and is re-evaluated — a bad cache may
-                            // cost time, never correctness or a panic.
-                            match lift {
-                                LiftMode::ParetoOnly => {
-                                    if let Some(outcome) = prefetched[k].clone().and_then(|entry| {
-                                        rehydrate(arch, workloads.len(), weights, entry)
-                                    }) {
-                                        return outcome;
-                                    }
-                                    let e = evaluate_point(
-                                        arch,
-                                        workloads,
-                                        weights,
-                                        axis_source(staged[k], &*area, &*timing),
-                                        db,
-                                        &schedules,
-                                    );
-                                    cache.store_eval(key, dehydrate(&e, None));
-                                    e
-                                }
-                                LiftMode::Full => {
-                                    match prefetched[k].clone().and_then(|entry| {
-                                        rehydrate_full(
-                                            arch,
-                                            workloads.len(),
-                                            weights,
-                                            entry,
-                                            full_test_fp,
-                                        )
-                                    }) {
-                                        Some(FullRehydration::Done(outcome)) => return outcome,
-                                        // A v2 entry (or one written by
-                                        // another test model): the
-                                        // scheduling work is reused and
-                                        // only the test total recomputes;
-                                        // the upgraded entry is stored
-                                        // back.
-                                        Some(FullRehydration::NeedsTest(e)) => {
-                                            let total = match staged[k] {
-                                                Some(s) => s.test_total,
-                                                None => test.test_cost(arch, db).total,
-                                            };
-                                            cache.store_eval(
-                                                key,
-                                                dehydrate_feasible(
-                                                    &e,
-                                                    Some((full_test_fp, total.to_bits())),
-                                                ),
-                                            );
-                                            return finish_full(e, total);
-                                        }
-                                        None => {}
-                                    }
-                                    match evaluate_point(
-                                        arch,
-                                        workloads,
-                                        weights,
-                                        axis_source(staged[k], &*area, &*timing),
-                                        db,
-                                        &schedules,
-                                    ) {
-                                        Err(why) => {
-                                            cache.store_eval(key, dehydrate(&Err(why), None));
-                                            Err(why)
-                                        }
-                                        Ok(e) => {
-                                            let total = match staged[k] {
-                                                Some(s) => s.test_total,
-                                                None => test.test_cost(arch, db).total,
-                                            };
-                                            cache.store_eval(
-                                                key,
-                                                dehydrate_feasible(
-                                                    &e,
-                                                    Some((full_test_fp, total.to_bits())),
-                                                ),
-                                            );
-                                            finish_full(e, total)
-                                        }
-                                    }
-                                }
-                            }
-                        });
-                        // A failed append only coarsens crash-resume:
-                        // the entries stay in memory, and the
-                        // end-of-run flush reports whether they reached
-                        // disk.
-                        let _ = cache.checkpoint();
-                        out
-                    }
+                // suite — one pipeline per point: rehydrate from the
+                // cache or evaluate, add the test total under a full
+                // lift, and store what had to be computed. The cache is
+                // read ONCE per chunk (one lock acquisition for the
+                // whole batch); `archs`, `keys` and `prefetched` are
+                // parallel columns indexed by the chunk position `k`
+                // (the last two empty without a cache). Fresh results
+                // are checkpointed chunk by chunk, so an interrupted run
+                // resumes from the last completed chunk.
+                let prefetched = match &eval_cache {
+                    Some((cache, _)) => cache.lookup_eval_batch(&keys),
+                    None => Vec::new(),
                 };
+                let evaluations: Vec<PointOutcome> = par_map(&archs, threads, |k, arch| {
+                    let entry = prefetched.get(k).cloned().flatten();
+                    let inline_test = match &entry {
+                        Some(EvalEntry::Feasible { test, .. }) => *test,
+                        _ => None,
+                    };
+                    // 1. Rehydrate or evaluate. A cache entry
+                    // inconsistent with this suite (corrupt or
+                    // hash-colliding) rehydrates to None and is
+                    // re-evaluated — a bad cache may cost time, never
+                    // correctness or a panic.
+                    let rehydrated =
+                        entry.and_then(|entry| rehydrate(arch, workloads.len(), weights, entry));
+                    let mut dirty = rehydrated.is_none();
+                    let outcome = rehydrated.unwrap_or_else(|| {
+                        evaluate_point(arch, workloads, weights, &*area, &*timing, db, &schedules)
+                    });
+                    // 2. Under a full lift every feasible point carries
+                    // the test axis: the entry's inline total when it
+                    // came from this test model, a fresh fold otherwise
+                    // (a v2 or Pareto-only entry reuses its scheduling
+                    // work and is stored back upgraded).
+                    let total = match (lift, &outcome) {
+                        (LiftMode::Full, Ok(_)) => Some(match inline_test {
+                            Some((fp, bits)) if fp == full_test_fp && !dirty => {
+                                f64::from_bits(bits)
+                            }
+                            _ => {
+                                dirty = true;
+                                test.test_cost(arch, db).total
+                            }
+                        }),
+                        _ => None,
+                    };
+                    // 3. With a cache, store what this point computed.
+                    if let Some((cache, _)) = eval_cache.as_ref().filter(|_| dirty) {
+                        let test = total.map(|t| (full_test_fp, t.to_bits()));
+                        cache.store_eval(keys[k], dehydrate(&outcome, test));
+                    }
+                    match total {
+                        Some(total) => finish_full(outcome?, total),
+                        None => outcome,
+                    }
+                });
+                if let Some((cache, _)) = &eval_cache {
+                    // A failed append only coarsens crash-resume: the
+                    // entries stay in memory, and the end-of-run flush
+                    // reports whether they reached disk.
+                    let _ = cache.checkpoint();
+                }
 
                 // Stage 2, streaming: feasible results join the
                 // evaluated set and are offered to the archive
@@ -1646,7 +1448,6 @@ impl<'db> Exploration<'db> {
                         infeasible,
                         front: archive.len(),
                         space_len,
-                        delta: delta_snapshot(&delta_eval, &carry),
                     });
                 }
             }
@@ -1718,8 +1519,6 @@ impl<'db> Exploration<'db> {
             }
         }
 
-        let delta = delta_snapshot(&delta_eval, &carry);
-
         // One compaction per run, after the lift stage and whether or
         // not the run was cancelled: the journal the chunks were
         // checkpointed into becomes the sorted v3 file.
@@ -1752,7 +1551,6 @@ impl<'db> Exploration<'db> {
             lift,
             fidelity,
             cache_status,
-            delta,
             schedule: schedules.stats(),
             cancelled: was_cancelled,
             checkpoint: was_cancelled.then(|| state.checkpoint()),
@@ -1760,72 +1558,28 @@ impl<'db> Exploration<'db> {
     }
 
     /// Resolves the installed or default models (defaults parameterised
-    /// by the configured [`InterconnectModel`]). Under
-    /// [`EvalMode::Delta`] the default slots get the delta wrappers,
-    /// all sharing one memo arena for the run; custom models are never
-    /// wrapped (and unfingerprintable ones therefore never memoize).
+    /// by the configured [`InterconnectModel`]).
     fn resolve_models(&mut self) -> ResolvedModels {
         let ic = self.interconnect;
-        match self.eval_mode {
-            EvalMode::Scratch => (
-                self.area
-                    .take()
-                    .unwrap_or_else(|| Box::new(AnnotatedAreaModel::new(ic))),
-                self.timing
-                    .take()
-                    .unwrap_or_else(|| Box::new(AnnotatedTimingModel::new(ic))),
-                self.test
-                    .take()
-                    .unwrap_or_else(|| Box::new(Eq14TestCostModel)),
-                None,
-            ),
-            EvalMode::Delta => {
-                let eval = Arc::new(DeltaEvaluator::new(ic));
-                (
-                    self.area
-                        .take()
-                        .unwrap_or_else(|| Box::new(DeltaAreaModel::new(ic, Arc::clone(&eval)))),
-                    self.timing
-                        .take()
-                        .unwrap_or_else(|| Box::new(DeltaTimingModel::new(ic, Arc::clone(&eval)))),
-                    self.test
-                        .take()
-                        .unwrap_or_else(|| Box::new(DeltaTestCostModel::new(Arc::clone(&eval)))),
-                    Some(eval),
-                )
-            }
-        }
+        (
+            self.area
+                .take()
+                .unwrap_or_else(|| Box::new(AnnotatedAreaModel::new(ic))),
+            self.timing
+                .take()
+                .unwrap_or_else(|| Box::new(AnnotatedTimingModel::new(ic))),
+            self.test
+                .take()
+                .unwrap_or_else(|| Box::new(Eq14TestCostModel)),
+        )
     }
 }
 
-/// The incremental-engine counters at one instant of a run: `Some`
-/// exactly under [`EvalMode::Delta`]; carried-fold counts when the
-/// carry engaged, zeros otherwise. Shared by the per-chunk
-/// [`SweepProgress`] snapshots and the final [`ExploreResult::delta`].
-fn delta_snapshot(
-    delta_eval: &Option<Arc<DeltaEvaluator>>,
-    carry: &Option<(CarriedFolds, Arc<DeltaEvaluator>)>,
-) -> Option<DeltaStats> {
-    delta_eval.as_ref().map(|eval| {
-        let (fold_carries, scratch_fallbacks) = carry.as_ref().map_or((0, 0), |(c, _)| c.stats());
-        let (arena_hits, arena_misses, arena_evictions) = eval.arena_counters();
-        DeltaStats {
-            fold_carries,
-            scratch_fallbacks,
-            arena_hits,
-            arena_misses,
-            arena_evictions,
-        }
-    })
-}
-
-/// The three resolved model slots plus the shared memo arena (present
-/// only under [`EvalMode::Delta`] with default slots to wrap).
+/// The three resolved model slots.
 type ResolvedModels = (
     Box<dyn AreaModel>,
     Box<dyn TimingModel>,
     Box<dyn TestCostModel>,
-    Option<Arc<DeltaEvaluator>>,
 );
 
 /// One sweep evaluation: a feasible point, or why the point dropped
@@ -1894,41 +1648,6 @@ fn rehydrate(
     }
 }
 
-/// Outcome of rehydrating a cache entry for a [`LiftMode::Full`]
-/// sweep.
-enum FullRehydration {
-    /// The entry answered completely, test axis included.
-    Done(PointOutcome),
-    /// Feasible, but the inline test total is missing (a v2 or
-    /// Pareto-only entry) or was produced by a different test model:
-    /// the scheduling payload is reusable, the test total is not.
-    NeedsTest(EvaluatedArch),
-}
-
-/// Full-lift rehydration: like [`rehydrate`], but also resolves the
-/// inline test total when it matches the active model's fingerprint.
-fn rehydrate_full(
-    arch: &Architecture,
-    n_workloads: usize,
-    weights: &[f64],
-    entry: EvalEntry,
-    test_fp: u64,
-) -> Option<FullRehydration> {
-    let inline_test = match &entry {
-        EvalEntry::Feasible { test, .. } => *test,
-        EvalEntry::Infeasible { .. } => None,
-    };
-    Some(match rehydrate(arch, n_workloads, weights, entry)? {
-        Err(blocked) => FullRehydration::Done(Err(blocked)),
-        Ok(e) => match inline_test {
-            Some((fp, bits)) if fp == test_fp => {
-                FullRehydration::Done(finish_full(e, f64::from_bits(bits)))
-            }
-            _ => FullRehydration::NeedsTest(e),
-        },
-    })
-}
-
 /// Pushes the test axis onto a feasible 2-D evaluation, turning a
 /// non-finite total into an infeasible point (the same convention as
 /// the area/timing axes: an infinite coordinate would poison the norm
@@ -1943,53 +1662,23 @@ fn finish_full(mut e: EvaluatedArch, total: f64) -> PointOutcome {
     Ok(e)
 }
 
-/// The cache entry for a fresh evaluation; `test` carries the inline
-/// `(model fingerprint, total bits)` pair of a full-lift sweep.
+/// The cache entry for a fresh evaluation (2-D payload; the test axis,
+/// if already pushed, is *not* read from the objectives); `test`
+/// carries the inline `(model fingerprint, total bits)` pair of a
+/// full-lift sweep.
 fn dehydrate(e: &PointOutcome, test: Option<(u64, u64)>) -> EvalEntry {
     match e {
         Err(blocked) => EvalEntry::Infeasible {
             blocked: blocked.map(|w| w as u32),
         },
-        Ok(e) => dehydrate_feasible(e, test),
-    }
-}
-
-/// The cache entry for a feasible evaluation (2-D payload; the test
-/// axis, if already pushed, is *not* read from the objectives — the
-/// caller passes it explicitly as `test`).
-fn dehydrate_feasible(e: &EvaluatedArch, test: Option<(u64, u64)>) -> EvalEntry {
-    EvalEntry::Feasible {
-        cycles: e.cycles,
-        workload_cycles: e.workload_cycles.clone(),
-        spills: e.spills,
-        area_bits: e.area().to_bits(),
-        exec_bits: e.exec_time().to_bits(),
-        test,
-    }
-}
-
-/// Where a point's area and clock-period axes come from: the cost
-/// models (scratch or delta fold, both O(components) per point), or an
-/// already-advanced carried fold (the O(1) incremental path). The two
-/// sources are bit-identical by [`CarriedFolds`]' contract.
-#[derive(Clone, Copy)]
-enum AxisSource<'a> {
-    /// Fold the axes through the installed models.
-    Models(&'a dyn AreaModel, &'a dyn TimingModel),
-    /// Use the carried fold's pre-computed axes.
-    Carried(PointCosts),
-}
-
-/// Picks the axis source for one chunk position: the staged carried
-/// fold when the serial pre-pass produced one, the models otherwise.
-fn axis_source<'a>(
-    staged: Option<PointCosts>,
-    area: &'a dyn AreaModel,
-    timing: &'a dyn TimingModel,
-) -> AxisSource<'a> {
-    match staged {
-        Some(costs) => AxisSource::Carried(costs),
-        None => AxisSource::Models(area, timing),
+        Ok(e) => EvalEntry::Feasible {
+            cycles: e.cycles,
+            workload_cycles: e.workload_cycles.clone(),
+            spills: e.spills,
+            area_bits: e.area().to_bits(),
+            exec_bits: e.exec_time().to_bits(),
+            test,
+        },
     }
 }
 
@@ -2008,7 +1697,8 @@ fn evaluate_point(
     arch: &Architecture,
     workloads: &[Workload],
     weights: &[f64],
-    axes: AxisSource<'_>,
+    area_model: &dyn AreaModel,
+    timing_model: &dyn TimingModel,
     db: &ComponentDb,
     schedules: &ScheduleMemo<'_>,
 ) -> PointOutcome {
@@ -2021,13 +1711,8 @@ fn evaluate_point(
     }
     let cycles: u64 = workload_cycles.iter().sum();
     let weighted_cycles = weighted_sum(&workload_cycles, weights);
-    let (area, clock) = match axes {
-        AxisSource::Models(area_model, timing_model) => (
-            area_model.area(arch, db),
-            timing_model.clock_period(arch, db),
-        ),
-        AxisSource::Carried(costs) => (costs.area, costs.clock_period),
-    };
+    let area = area_model.area(arch, db);
+    let clock = timing_model.clock_period(arch, db);
     // Exec time must be finite too: a finite-but-extreme weight can
     // overflow the weighted aggregate, and an infinite axis would turn
     // the norm selection into NaN comparisons downstream.
@@ -2072,48 +1757,6 @@ mod tests {
             result.axes(),
             [Objective::Area, Objective::ExecTime, Objective::TestCost]
         );
-    }
-
-    #[test]
-    fn neighbour_walk_carries_folds_and_reports_stats() {
-        let w = suite::crypt(1);
-        let db = ComponentDb::new();
-        let walked = Exploration::over(TemplateSpace::fast_default())
-            .workload(&w)
-            .with_db(&db)
-            .strategy(crate::search::Exhaustive::neighbour())
-            .run();
-        let stats = walked.delta.as_ref().expect("delta engine reports stats");
-        // A full neighbour walk carries almost every step (fallbacks
-        // happen only at the walk start and out-of-model resets).
-        assert!(stats.fold_carries > 0, "{stats:?}");
-        assert_eq!(
-            stats.fold_carries + stats.scratch_fallbacks,
-            walked.search.evaluations as u64,
-            "every visited point advances the carry exactly once: {stats:?}"
-        );
-        // Enumeration order never requests the walk: stats exist, the
-        // carry never engages.
-        let plain = Exploration::over(TemplateSpace::fast_default())
-            .workload(&w)
-            .with_db(&db)
-            .run();
-        let plain_stats = plain.delta.as_ref().expect("delta is the default mode");
-        assert_eq!(plain_stats.fold_carries, 0, "{plain_stats:?}");
-        // Scratch mode has no delta engine at all.
-        let scratch = Exploration::over(TemplateSpace::fast_default())
-            .workload(&w)
-            .with_db(&db)
-            .strategy(crate::search::Exhaustive::neighbour())
-            .eval_mode(EvalMode::Scratch)
-            .run();
-        assert!(scratch.delta.is_none());
-        // And the three runs agree bit-for-bit.
-        for (a, b) in walked.evaluated.iter().zip(&scratch.evaluated) {
-            assert_eq!(a.architecture.name, b.architecture.name);
-            assert_eq!(a.objectives, b.objectives);
-        }
-        assert_eq!(walked.pareto, scratch.pareto);
     }
 
     #[test]
@@ -2383,6 +2026,58 @@ mod tests {
     }
 
     #[test]
+    fn full_lift_test_axis_is_the_test_models_fold() {
+        let db = ComponentDb::new();
+        let w = suite::crypt(1);
+        for parallel in [false, true] {
+            let full = Exploration::over(TemplateSpace::fast_default())
+                .workload(&w)
+                .with_db(&db)
+                .lift(LiftMode::Full)
+                .parallel(parallel)
+                .run();
+            for e in &full.evaluated {
+                let folded = Eq14TestCostModel.test_cost(&e.architecture, &db).total;
+                assert_eq!(
+                    e.test_cost().map(f64::to_bits),
+                    Some(folded.to_bits()),
+                    "{}",
+                    e.architecture.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn neighbour_walk_visits_every_point_once() {
+        let w = suite::crypt(1);
+        let db = ComponentDb::new();
+        let space = TemplateSpace::fast_default();
+        let walked = Exploration::over(space.clone())
+            .workload(&w)
+            .with_db(&db)
+            .strategy(crate::search::Exhaustive::neighbour())
+            .run();
+        assert_eq!(walked.search.evaluations, space.len());
+        let plain = Exploration::over(space).workload(&w).with_db(&db).run();
+        let names = |r: &ExploreResult| {
+            let mut v: Vec<String> = r
+                .evaluated
+                .iter()
+                .map(|e| e.architecture.name.clone())
+                .collect();
+            v.sort();
+            v
+        };
+        let walked_names = names(&walked);
+        let mut unique = walked_names.clone();
+        unique.dedup();
+        assert_eq!(walked_names, unique, "no point is evaluated twice");
+        assert_eq!(walked_names, names(&plain));
+        assert_eq!(walked.infeasible, plain.infeasible);
+    }
+
+    #[test]
     fn cache_status_distinguishes_missing_bypassed_and_flushed() {
         use crate::cache::SweepCache;
         let db = ComponentDb::new();
@@ -2594,13 +2289,6 @@ mod tests {
         assert_eq!(last.feasible, observed.evaluated.len());
         assert_eq!(last.infeasible, observed.infeasible);
         assert_eq!(last.space_len, TemplateSpace::huge().len());
-        // The result's stats are snapshotted after the lift stage, which
-        // keeps using the memo arena — so the last chunk's snapshot
-        // agrees on the fold counters and lower-bounds the arena ones.
-        let (snap, fin) = (last.delta.unwrap(), observed.delta.unwrap());
-        assert_eq!(snap.fold_carries, fin.fold_carries);
-        assert_eq!(snap.scratch_fallbacks, fin.scratch_fallbacks);
-        assert!(snap.arena_hits <= fin.arena_hits);
         // Observability only: the observer changes no result bit.
         assert_eq!(observed.pareto, plain.pareto);
         for (a, b) in observed.evaluated.iter().zip(&plain.evaluated) {

@@ -83,7 +83,6 @@ mod fidelity_guide {
 
 pub mod backannotate;
 pub mod cache;
-pub mod delta;
 pub mod explore;
 pub mod fullscan;
 pub mod models;
@@ -99,10 +98,9 @@ pub mod testplan;
 
 pub use backannotate::{ComponentDb, ComponentKey, ComponentRecord};
 pub use cache::SweepCache;
-pub use delta::{CarriedFolds, DeltaEvaluator, DeltaStats, PointCosts};
 pub use explore::{
-    CacheStatus, CancelToken, CycleSource, EvalMode, EvaluatedArch, Exploration, ExploreError,
-    ExploreResult, FidelityMode, LiftMode, Objective, ObjectiveVector, SearchInfo, SweepProgress,
+    CacheStatus, CancelToken, CycleSource, EvaluatedArch, Exploration, ExploreError, ExploreResult,
+    FidelityMode, LiftMode, Objective, ObjectiveVector, SearchInfo, SweepProgress,
     WorkloadBreakdown,
 };
 pub use models::{

@@ -22,7 +22,7 @@
 use tta_arch::{Architecture, FuKind, InstructionFormat};
 use tta_dft::testtime::multi_chain_scan_cycles;
 
-use crate::backannotate::{ComponentDb, ComponentKey, RecordSource};
+use crate::backannotate::{ComponentDb, ComponentKey};
 use crate::cache::Fingerprint;
 use crate::testcost::{
     architecture_test_cost, out_of_model, socket_state_bits, ArchTestCost, ComponentTestCost,
@@ -128,7 +128,7 @@ pub trait TestCostModel: Send + Sync {
 
 /// Width of `arch` as the `u16` the [`ComponentKey`] encoding uses, or
 /// `None` for out-of-model widths.
-pub(crate) fn key_width(arch: &Architecture) -> Option<u16> {
+fn key_width(arch: &Architecture) -> Option<u16> {
     u16::try_from(arch.width).ok()
 }
 
@@ -158,43 +158,35 @@ impl AreaModel for AnnotatedAreaModel {
     }
 
     fn area(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        annotated_area(arch, &self.interconnect, db)
-    }
-}
-
-/// The [`AnnotatedAreaModel`] fold over an arbitrary [`RecordSource`] —
-/// the one float code path shared by the scratch model above and the
-/// memoizing [`crate::delta::DeltaEvaluator`], so the two are
-/// bit-identical by construction.
-pub(crate) fn annotated_area(
-    arch: &Architecture,
-    interconnect: &InterconnectModel,
-    src: &dyn RecordSource,
-) -> f64 {
-    let Some(w) = key_width(arch) else {
-        return f64::INFINITY;
-    };
-    let mut area = 0.0;
-    for fu in arch.fus() {
-        area += src.record(ComponentKey::for_fu(fu.kind, w)).area;
-        let Some(sock) = ComponentKey::socket_group(w, fu.kind.input_ports()) else {
+        let Some(w) = key_width(arch) else {
             return f64::INFINITY;
         };
-        area += src.record(sock).area;
+        let interconnect = &self.interconnect;
+        db.fold(|records| {
+            let mut area = 0.0;
+            for fu in arch.fus() {
+                area += records.get(ComponentKey::for_fu(fu.kind, w)).area;
+                let Some(sock) = ComponentKey::socket_group(w, fu.kind.input_ports()) else {
+                    return f64::INFINITY;
+                };
+                area += records.get(sock).area;
+            }
+            for rf in arch.rfs() {
+                let (Some(key), Some(sock)) = (
+                    ComponentKey::for_rf(rf, w),
+                    ComponentKey::socket_group(w, rf.nin()),
+                ) else {
+                    return f64::INFINITY;
+                };
+                area += records.get(key).area;
+                area += records.get(sock).area;
+            }
+            let control = f64::from(InstructionFormat::of(arch).width())
+                * interconnect.control_area_per_instr_bit;
+            area + control
+                + arch.bus_count() as f64 * arch.width as f64 * interconnect.bus_area_per_bit
+        })
     }
-    for rf in arch.rfs() {
-        let (Some(key), Some(sock)) = (
-            ComponentKey::for_rf(rf, w),
-            ComponentKey::socket_group(w, rf.nin()),
-        ) else {
-            return f64::INFINITY;
-        };
-        area += src.record(key).area;
-        area += src.record(sock).area;
-    }
-    let control =
-        f64::from(InstructionFormat::of(arch).width()) * interconnect.control_area_per_instr_bit;
-    area + control + arch.bus_count() as f64 * arch.width as f64 * interconnect.bus_area_per_bit
 }
 
 /// The default timing model: slowest back-annotated component critical
@@ -223,32 +215,23 @@ impl TimingModel for AnnotatedTimingModel {
     }
 
     fn clock_period(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        annotated_clock_period(arch, &self.interconnect, db)
-    }
-}
-
-/// The [`AnnotatedTimingModel`] fold over an arbitrary [`RecordSource`]
-/// — shared with [`crate::delta::DeltaEvaluator`] like
-/// [`annotated_area`].
-pub(crate) fn annotated_clock_period(
-    arch: &Architecture,
-    interconnect: &InterconnectModel,
-    src: &dyn RecordSource,
-) -> f64 {
-    let Some(w) = key_width(arch) else {
-        return f64::INFINITY;
-    };
-    let mut worst: f64 = 0.0;
-    for fu in arch.fus() {
-        worst = worst.max(src.record(ComponentKey::for_fu(fu.kind, w)).critical_path);
-    }
-    for rf in arch.rfs() {
-        let Some(key) = ComponentKey::for_rf(rf, w) else {
+        let Some(w) = key_width(arch) else {
             return f64::INFINITY;
         };
-        worst = worst.max(src.record(key).critical_path);
+        db.fold(|records| {
+            let mut worst: f64 = 0.0;
+            for fu in arch.fus() {
+                worst = worst.max(records.get(ComponentKey::for_fu(fu.kind, w)).critical_path);
+            }
+            for rf in arch.rfs() {
+                let Some(key) = ComponentKey::for_rf(rf, w) else {
+                    return f64::INFINITY;
+                };
+                worst = worst.max(records.get(key).critical_path);
+            }
+            worst + arch.bus_count() as f64 * self.interconnect.bus_delay_penalty
+        })
     }
-    worst + arch.bus_count() as f64 * interconnect.bus_delay_penalty
 }
 
 /// The default test-cost model: the paper's eq. (14) total.
@@ -341,60 +324,62 @@ impl TestCostModel for ScanTestCostModel {
         let Some(w) = key_width(arch) else {
             return out_of_model();
         };
-        let mut components = Vec::new();
-        for fu in arch.fus() {
-            let n_inputs = fu.kind.input_ports();
-            let Some(sock_key) = ComponentKey::socket_group(w, n_inputs) else {
-                return out_of_model();
-            };
-            let rec = db.get(ComponentKey::for_fu(fu.kind, w));
-            let sock = db.get(sock_key);
-            let np = rec.np + sock.np;
-            let ffs = rec.ff_total + socket_state_bits(n_inputs);
-            let (nl, cycles) = self.scan_cycles(np, ffs);
-            components.push(ComponentTestCost {
-                name: fu.name.clone(),
-                np,
-                // Patterns arrive through the chain, not the buses.
-                cd: 0,
-                functional_cost: cycles,
-                socket_np: sock.np,
-                nl,
-                fts: 0.0,
-                fault_coverage: rec.adjusted_coverage,
-                excluded: matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate),
-            });
-        }
-        for rf in arch.rfs() {
-            let (Some(key), Some(sock_key)) = (
-                ComponentKey::for_rf(rf, w),
-                ComponentKey::socket_group(w, rf.nin()),
-            ) else {
-                return out_of_model();
-            };
-            let rec = db.get(key);
-            let sock = db.get(sock_key);
-            let np = rec.np + sock.np;
-            let ffs = rec.ff_total + socket_state_bits(rf.nin());
-            let (nl, cycles) = self.scan_cycles(np, ffs);
-            components.push(ComponentTestCost {
-                name: rf.name.clone(),
-                np,
-                cd: 0,
-                functional_cost: cycles,
-                socket_np: sock.np,
-                nl,
-                fts: 0.0,
-                fault_coverage: rec.adjusted_coverage,
-                excluded: false,
-            });
-        }
-        let total = components
-            .iter()
-            .filter(|c| !c.excluded)
-            .map(ComponentTestCost::our_approach_cycles)
-            .sum();
-        ArchTestCost { components, total }
+        db.fold(|records| {
+            let mut components = Vec::with_capacity(arch.fus().len() + arch.rfs().len());
+            for fu in arch.fus() {
+                let n_inputs = fu.kind.input_ports();
+                let Some(sock_key) = ComponentKey::socket_group(w, n_inputs) else {
+                    return out_of_model();
+                };
+                let rec = records.get(ComponentKey::for_fu(fu.kind, w));
+                let sock = records.get(sock_key);
+                let np = rec.np + sock.np;
+                let ffs = rec.ff_total + socket_state_bits(n_inputs);
+                let (nl, cycles) = self.scan_cycles(np, ffs);
+                components.push(ComponentTestCost {
+                    name: fu.name.clone(),
+                    np,
+                    // Patterns arrive through the chain, not the buses.
+                    cd: 0,
+                    functional_cost: cycles,
+                    socket_np: sock.np,
+                    nl,
+                    fts: 0.0,
+                    fault_coverage: rec.adjusted_coverage,
+                    excluded: matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate),
+                });
+            }
+            for rf in arch.rfs() {
+                let (Some(key), Some(sock_key)) = (
+                    ComponentKey::for_rf(rf, w),
+                    ComponentKey::socket_group(w, rf.nin()),
+                ) else {
+                    return out_of_model();
+                };
+                let rec = records.get(key);
+                let sock = records.get(sock_key);
+                let np = rec.np + sock.np;
+                let ffs = rec.ff_total + socket_state_bits(rf.nin());
+                let (nl, cycles) = self.scan_cycles(np, ffs);
+                components.push(ComponentTestCost {
+                    name: rf.name.clone(),
+                    np,
+                    cd: 0,
+                    functional_cost: cycles,
+                    socket_np: sock.np,
+                    nl,
+                    fts: 0.0,
+                    fault_coverage: rec.adjusted_coverage,
+                    excluded: false,
+                });
+            }
+            let total = components
+                .iter()
+                .filter(|c| !c.excluded)
+                .map(ComponentTestCost::our_approach_cycles)
+                .sum();
+            ArchTestCost { components, total }
+        })
     }
 }
 
@@ -858,5 +843,121 @@ mod tests {
                 assert_ne!(prints[i], prints[j], "models {i} and {j} collide");
             }
         }
+    }
+
+    /// Every figure of one point's folds, as bits: area, clock, and
+    /// both test models' totals and per-component cycle counts.
+    fn fold_bits(arch: &Architecture, db: &ComponentDb) -> Vec<u64> {
+        let mut bits = vec![
+            AnnotatedAreaModel::default().area(arch, db).to_bits(),
+            AnnotatedTimingModel::default()
+                .clock_period(arch, db)
+                .to_bits(),
+        ];
+        for cost in [
+            Eq14TestCostModel.test_cost(arch, db),
+            ScanTestCostModel::with_chains(2).test_cost(arch, db),
+        ] {
+            bits.push(cost.total.to_bits());
+            bits.extend(
+                cost.components
+                    .iter()
+                    .map(|c| c.our_approach_cycles().to_bits()),
+            );
+        }
+        bits
+    }
+
+    #[test]
+    fn folds_repeat_bit_for_bit_once_the_database_is_warm() {
+        // First pass: every fold meets cold keys and re-runs after
+        // annotating them. Second pass: every key is warm.
+        let db = ComponentDb::new();
+        let space = tta_arch::template::TemplateSpace::fast_default();
+        let archs = space.enumerate();
+        let cold: Vec<_> = archs.iter().map(|arch| fold_bits(arch, &db)).collect();
+        let annotated = db.len();
+        let warm: Vec<_> = archs.iter().map(|arch| fold_bits(arch, &db)).collect();
+        assert_eq!(cold, warm);
+        assert_eq!(db.len(), annotated, "the warm pass annotated nothing");
+    }
+
+    #[test]
+    fn default_model_fingerprints_are_stable_and_distinct() {
+        let prints = [
+            AnnotatedAreaModel::default().fingerprint(),
+            AnnotatedTimingModel::default().fingerprint(),
+            Eq14TestCostModel.fingerprint(),
+            ScanTestCostModel::new().fingerprint(),
+            ScanTestCostModel::with_chains(2).fingerprint(),
+        ];
+        assert!(prints.iter().all(Option::is_some));
+        for i in 0..prints.len() {
+            for j in i + 1..prints.len() {
+                assert_ne!(prints[i], prints[j], "models {i} and {j} collide");
+            }
+        }
+        // Equal constants, equal fingerprints: cache addresses do not
+        // depend on which instance a sweep was given.
+        assert_eq!(
+            AnnotatedAreaModel::new(InterconnectModel::paper()).fingerprint(),
+            prints[0]
+        );
+        assert_eq!(
+            AnnotatedTimingModel::new(InterconnectModel::paper()).fingerprint(),
+            prints[1]
+        );
+        assert_ne!(
+            AnnotatedAreaModel::new(InterconnectModel::free()).fingerprint(),
+            prints[0]
+        );
+    }
+
+    #[test]
+    fn widths_beyond_the_key_field_fold_to_infinity() {
+        let db = ComponentDb::new();
+        let wide = TemplateBuilder::new("w", 70_000, 2)
+            .fu(FuKind::Alu)
+            .fu(FuKind::Pc)
+            .rf(8, 1, 2)
+            .build();
+        assert!(!in_model(&wide));
+        assert!(AnnotatedAreaModel::default().area(&wide, &db).is_infinite());
+        assert!(AnnotatedTimingModel::default()
+            .clock_period(&wide, &db)
+            .is_infinite());
+        assert!(Eq14TestCostModel.test_cost(&wide, &db).total.is_infinite());
+        assert!(ScanTestCostModel::new()
+            .test_cost(&wide, &db)
+            .total
+            .is_infinite());
+        assert!(db.is_empty(), "an out-of-domain point annotates nothing");
+    }
+
+    #[test]
+    fn out_of_model_rf_ports_fold_to_infinity() {
+        // 300 write ports overflow the u8 port field of both the RF key
+        // and its socket-group key.
+        let db = ComponentDb::new();
+        let ported = TemplateBuilder::new("ports", 8, 2)
+            .fu(FuKind::Alu)
+            .fu(FuKind::Pc)
+            .rf(8, 300, 2)
+            .build();
+        assert!(keys_of(&ported).is_none());
+        assert!(AnnotatedAreaModel::default()
+            .area(&ported, &db)
+            .is_infinite());
+        assert!(AnnotatedTimingModel::default()
+            .clock_period(&ported, &db)
+            .is_infinite());
+        assert!(Eq14TestCostModel
+            .test_cost(&ported, &db)
+            .total
+            .is_infinite());
+        assert!(ScanTestCostModel::new()
+            .test_cost(&ported, &db)
+            .total
+            .is_infinite());
     }
 }

@@ -16,7 +16,8 @@
 //! * [`NeighbourExhaustive`] ([`Exhaustive::neighbour`]) — every point,
 //!   in the Gray-walk neighbour order
 //!   ([`TemplateSpace::neighbour_order`]): consecutive points differ in
-//!   one knob, maximising reuse in the delta evaluator's memo arena.
+//!   one knob, so the schedule memo and netlist fidelity's incremental
+//!   elaborator reuse the previous point's work.
 //!   Same point set and per-point cache keys as [`Exhaustive`].
 //! * [`RandomSample`] — a seeded uniform sample of at most `budget`
 //!   distinct points. Deterministic per seed.
@@ -371,8 +372,8 @@ impl SearchStrategy for NeighbourExhaustive {
         }
         // Budget-bounded like [`Exhaustive`]: a budgeted run proposes
         // exactly the first `remaining` steps of the Gray walk — a
-        // contiguous rank prefix, so the engine's carried folds take
-        // the O(1) path on every step after the first.
+        // contiguous rank prefix, so every step after the first changes
+        // one knob.
         ctx.space()
             .neighbour_order()
             .take(ctx.remaining())
@@ -760,7 +761,7 @@ mod tests {
             assert_eq!(distinct.len(), batch.len(), "{}", s.name());
         }
         // The budgeted Gray prefix is exactly ranks 0..budget, so the
-        // engine's carried folds see a contiguous walk.
+        // engine sees a contiguous walk.
         let prefix =
             Exhaustive::neighbour().next_batch(&ctx(&space, 0, 0, budget, &obs, &front, &seen));
         assert_eq!(

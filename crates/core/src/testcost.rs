@@ -21,7 +21,7 @@
 
 use tta_arch::{timing, Architecture, FuKind};
 
-use crate::backannotate::{ComponentDb, ComponentKey, RecordSource};
+use crate::backannotate::{ComponentDb, ComponentKey};
 
 /// Test cost of one datapath component (one Table 1 row).
 #[derive(Debug, Clone)]
@@ -138,72 +138,65 @@ pub(crate) fn out_of_model() -> ArchTestCost {
 /// geometry overflowing the [`ComponentKey`] fields) get an empty
 /// breakdown with an infinite total rather than a truncated-key cost.
 pub fn architecture_test_cost(arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
-    test_cost_from(arch, db)
-}
-
-/// The eq.-(14) fold over an arbitrary [`RecordSource`] — the one code
-/// path shared by [`architecture_test_cost`] and the memoizing
-/// [`crate::delta::DeltaEvaluator`], so scratch and delta test costs are
-/// bit-identical by construction.
-pub(crate) fn test_cost_from(arch: &Architecture, src: &dyn RecordSource) -> ArchTestCost {
     let Ok(w) = u16::try_from(arch.width) else {
         return out_of_model();
     };
-    let mut components = Vec::new();
+    db.fold(|records| {
+        let mut components = Vec::with_capacity(arch.fus().len() + arch.rfs().len());
+        for fu in arch.fus() {
+            let rec = records.get(ComponentKey::for_fu(fu.kind, w));
+            let n_inputs = fu.kind.input_ports();
+            let Some(sock_key) = ComponentKey::socket_group(w, n_inputs) else {
+                return out_of_model();
+            };
+            let sock = records.get(sock_key);
+            let cd = timing::transport_cycles(fu);
+            let nl = rec.ff_infrastructure + socket_state_bits(n_inputs);
+            let excluded = matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate);
+            components.push(ComponentTestCost {
+                name: fu.name.clone(),
+                np: rec.np,
+                cd,
+                functional_cost: rec.np as f64 * f64::from(cd),
+                socket_np: sock.np,
+                nl,
+                fts: fts(sock.np, nl),
+                fault_coverage: rec.adjusted_coverage,
+                excluded,
+            });
+        }
 
-    for fu in arch.fus() {
-        let rec = src.record(ComponentKey::for_fu(fu.kind, w)).clone();
-        let n_inputs = fu.kind.input_ports();
-        let Some(sock_key) = ComponentKey::socket_group(w, n_inputs) else {
-            return out_of_model();
-        };
-        let sock = src.record(sock_key).clone();
-        let cd = timing::transport_cycles(fu);
-        let nl = rec.ff_infrastructure + socket_state_bits(n_inputs);
-        let excluded = matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate);
-        components.push(ComponentTestCost {
-            name: fu.name.clone(),
-            np: rec.np,
-            cd,
-            functional_cost: rec.np as f64 * f64::from(cd),
-            socket_np: sock.np,
-            nl,
-            fts: fts(sock.np, nl),
-            fault_coverage: rec.adjusted_coverage,
-            excluded,
-        });
-    }
+        for rf in arch.rfs() {
+            let (Some(key), Some(sock_key)) = (
+                ComponentKey::for_rf(rf, w),
+                ComponentKey::socket_group(w, rf.nin()),
+            ) else {
+                return out_of_model();
+            };
+            let rec = records.get(key);
+            let sock = records.get(sock_key);
+            let cd = timing::rf_transport_cycles(rf.write_ports[0], rf.read_ports[0]);
+            let nl = rec.ff_infrastructure + socket_state_bits(rf.nin());
+            components.push(ComponentTestCost {
+                name: rf.name.clone(),
+                np: rec.np,
+                cd,
+                functional_cost: ftrf(rec.np, cd, rf.nin(), rf.nout(), arch.bus_count()),
+                socket_np: sock.np,
+                nl,
+                fts: fts(sock.np, nl),
+                fault_coverage: rec.adjusted_coverage,
+                excluded: false,
+            });
+        }
 
-    for rf in arch.rfs() {
-        let (Some(key), Some(sock_key)) = (
-            ComponentKey::for_rf(rf, w),
-            ComponentKey::socket_group(w, rf.nin()),
-        ) else {
-            return out_of_model();
-        };
-        let rec = src.record(key).clone();
-        let sock = src.record(sock_key).clone();
-        let cd = timing::rf_transport_cycles(rf.write_ports[0], rf.read_ports[0]);
-        let nl = rec.ff_infrastructure + socket_state_bits(rf.nin());
-        components.push(ComponentTestCost {
-            name: rf.name.clone(),
-            np: rec.np,
-            cd,
-            functional_cost: ftrf(rec.np, cd, rf.nin(), rf.nout(), arch.bus_count()),
-            socket_np: sock.np,
-            nl,
-            fts: fts(sock.np, nl),
-            fault_coverage: rec.adjusted_coverage,
-            excluded: false,
-        });
-    }
-
-    let total = components
-        .iter()
-        .filter(|c| !c.excluded)
-        .map(ComponentTestCost::our_approach_cycles)
-        .sum();
-    ArchTestCost { components, total }
+        let total = components
+            .iter()
+            .filter(|c| !c.excluded)
+            .map(ComponentTestCost::our_approach_cycles)
+            .sum();
+        ArchTestCost { components, total }
+    })
 }
 
 #[cfg(test)]

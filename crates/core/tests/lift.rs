@@ -9,15 +9,17 @@
 use std::collections::HashSet;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use tta_arch::template::TemplateSpace;
+use tta_arch::Architecture;
 use tta_core::cache::{SweepCache, CACHE_FILE_NAME, LEGACY_CACHE_FILE_NAME};
 use tta_core::explore::{CacheStatus, Exploration, ExploreResult, LiftMode, Objective};
 use tta_core::models::{Eq14TestCostModel, ScanTestCostModel, TestCostModel};
 use tta_core::pareto::pareto_front;
-use tta_core::ComponentDb;
+use tta_core::{ArchTestCost, ComponentDb};
 use tta_workloads::suite;
 
 fn db() -> &'static ComponentDb {
@@ -183,8 +185,15 @@ fn full_sweep_upgrades_v2_entries_by_recomputing_only_the_test_axis() {
     );
     assert_eq!(legacy.misses(), 0, "scheduling entries must all hit");
     assert_bit_identical(&cold, &upgraded);
-    // The upgrade is persisted: a third run needs no recomputation at
-    // all (pre-warm planning sees complete entries).
+    // The upgrade is persisted: every entry is stored back with its
+    // inline test total, so the flushed file is the cold run's again …
+    assert_eq!(
+        fs::read_to_string(dir.join(CACHE_FILE_NAME)).expect("flushed"),
+        v3,
+        "upgraded entries must be stored back"
+    );
+    // … and a third run needs no recomputation at all (pre-warm
+    // planning sees complete entries).
     let third_cache = SweepCache::open(&dir).expect("reopen again");
     let third = run(
         TemplateSpace::tiny(),
@@ -285,5 +294,123 @@ fn unflushable_cache_is_reported_not_swallowed() {
         None,
     );
     assert_bit_identical(&clean, &result);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The eq. (14) model under a fingerprint of its own, counting its
+/// calls in `calls`. Two instances with equal `fingerprint` stand for
+/// the same model.
+struct CountingEq14 {
+    calls: &'static AtomicUsize,
+    fingerprint: Option<u64>,
+}
+
+impl TestCostModel for CountingEq14 {
+    fn test_cost(&self, arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        Eq14TestCostModel.test_cost(arch, db)
+    }
+    fn fingerprint(&self) -> Option<u64> {
+        self.fingerprint
+    }
+}
+
+fn run_counting(
+    lift: LiftMode,
+    calls: &'static AtomicUsize,
+    fingerprint: Option<u64>,
+    cache: &SweepCache,
+) -> (ExploreResult, usize) {
+    let w = suite::crypt(1);
+    let before = calls.load(Ordering::Relaxed);
+    let result = Exploration::over(TemplateSpace::tiny())
+        .workload(&w)
+        .with_db(db())
+        .lift(lift)
+        .test_cost_model(CountingEq14 { calls, fingerprint })
+        .cache(cache)
+        .run();
+    (result, calls.load(Ordering::Relaxed) - before)
+}
+
+/// A warm full-lift run takes every point's test total from its cache
+/// entry: the test model is not called at all.
+#[test]
+fn full_lift_reuses_inline_test_totals_from_a_warm_cache() {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = tmpdir("inline-reuse");
+    let cache = SweepCache::open(&dir).expect("temp dir is writable");
+    let (cold, cold_calls) = run_counting(LiftMode::Full, &CALLS, Some(0x7e57), &cache);
+    assert_eq!(
+        cold_calls,
+        cold.evaluated.len(),
+        "one fold per feasible point"
+    );
+    let warm_cache = SweepCache::open(&dir).expect("reopen");
+    let (warm, warm_calls) = run_counting(LiftMode::Full, &CALLS, Some(0x7e57), &warm_cache);
+    assert_eq!(warm_calls, 0, "inline totals answer the test axis");
+    assert_eq!(warm_cache.misses(), 0);
+    assert_bit_identical(&cold, &warm);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An inline total stored by one test model is never served to
+/// another: the second model folds every point itself, and its cached
+/// entries replace the first model's.
+#[test]
+fn full_lift_refolds_inline_totals_of_another_test_model() {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = tmpdir("inline-other-model");
+    let cache = SweepCache::open(&dir).expect("temp dir is writable");
+    let (first, _) = run_counting(LiftMode::Full, &CALLS, Some(1), &cache);
+    let (second, second_calls) = run_counting(LiftMode::Full, &CALLS, Some(2), &cache);
+    assert_eq!(second_calls, second.evaluated.len());
+    assert_bit_identical(&first, &second);
+    let reopened = SweepCache::open(&dir).expect("reopen");
+    let (_, third_calls) = run_counting(LiftMode::Full, &CALLS, Some(2), &reopened);
+    assert_eq!(third_calls, 0, "the second model's totals were stored");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Entries a Pareto-only sweep wrote carry no test total: a full lift
+/// over them reuses their scheduling work, folds each point's test
+/// total once and stores the entry back, so the next full lift folds
+/// nothing.
+#[test]
+fn full_lift_upgrades_pareto_only_entries_once() {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = tmpdir("upgrade-pareto-only");
+    let cache = SweepCache::open(&dir).expect("temp dir is writable");
+    let (design, _) = run_counting(LiftMode::ParetoOnly, &CALLS, Some(3), &cache);
+    let misses = cache.misses();
+    let (full, full_calls) = run_counting(LiftMode::Full, &CALLS, Some(3), &cache);
+    assert_eq!(cache.misses(), misses, "scheduling entries all hit");
+    assert_eq!(full_calls, full.evaluated.len());
+    assert_eq!(full.evaluated.len(), design.evaluated.len());
+    let reopened = SweepCache::open(&dir).expect("reopen");
+    let (again, again_calls) = run_counting(LiftMode::Full, &CALLS, Some(3), &reopened);
+    assert_eq!(again_calls, 0, "upgraded entries were stored back");
+    assert_bit_identical(&full, &again);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A test model without a fingerprint cannot validate inline totals, so
+/// a full lift with it leaves the eval cache alone: no entry is written
+/// and every run folds every point.
+#[test]
+fn full_lift_with_an_unfingerprintable_test_model_bypasses_the_eval_cache() {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = tmpdir("inline-unfingerprinted");
+    let cache = SweepCache::open(&dir).expect("temp dir is writable");
+    let (first, first_calls) = run_counting(LiftMode::Full, &CALLS, None, &cache);
+    assert_eq!(first_calls, first.evaluated.len());
+    let text = fs::read_to_string(cache.path()).unwrap_or_default();
+    assert!(
+        !text.lines().any(|l| l.starts_with("E ")),
+        "no eval entries without a test fingerprint:\n{text}"
+    );
+    let (second, second_calls) = run_counting(LiftMode::Full, &CALLS, None, &cache);
+    assert_eq!(second_calls, first_calls);
+    assert_bit_identical(&first, &second);
     let _ = fs::remove_dir_all(&dir);
 }

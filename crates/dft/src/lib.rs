@@ -34,16 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod chains;
-pub mod interconnect;
 pub mod march;
 pub mod memory;
-pub mod misr;
 pub mod scan;
 pub mod testtime;
 
 pub use chains::ChainPlan;
-pub use interconnect::BusFault;
 pub use march::{MarchAlgorithm, MarchElement, MarchOp, MarchTest};
 pub use memory::{MemFault, MemFaultKind, MultiPortMemory};
-pub use misr::{Lfsr, Misr};
 pub use scan::{insert_scan, ScanDesign};

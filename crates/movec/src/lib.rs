@@ -33,7 +33,6 @@
 
 pub mod codegen;
 pub mod ir;
-pub mod metrics;
 pub mod schedule;
 
 pub use ir::{Dfg, FuClass, Op, ValueId};

@@ -26,8 +26,8 @@
 //!
 //! # Incremental re-elaboration
 //!
-//! [`IncrementalElaborator`] mirrors the sweep's `CarriedFolds` idea at
-//! the netlist level: consecutive Gray-walk neighbours share long
+//! [`IncrementalElaborator`] exploits the sweep's Gray-walk visit order:
+//! consecutive neighbours share long
 //! component prefixes, so the builder is rewound to the first differing
 //! segment and only the suffix (plus the always-last bus fabric) is
 //! re-emitted. The result is differentially guaranteed bit-identical to a

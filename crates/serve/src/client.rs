@@ -176,22 +176,10 @@ fn handle_event(line: &str, err: &mut dyn Write) -> std::io::Result<EventOutcome
                 .and_then(Json::as_u64)
                 .unwrap_or(0);
             let front = event.get("front").and_then(Json::as_u64).unwrap_or(0);
-            write!(
+            writeln!(
                 err,
                 "remote job {job}: visited {visited}/{space}, front {front}"
             )?;
-            if let Some(delta) = event.get("delta").filter(|d| !d.is_null()) {
-                let carries = delta
-                    .get("fold_carries")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                let refolds = delta
-                    .get("scratch_fallbacks")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
-                write!(err, " (delta: {carries} carries, {refolds} refolds)")?;
-            }
-            writeln!(err)?;
         }
         "done" => {
             let Some(output) = event.get("output").and_then(Json::as_str) else {
@@ -280,5 +268,50 @@ mod tests {
         assert!(server_addr("https://secure:443").is_err());
         assert!(server_addr("ftp://x:1").is_err());
         assert!(server_addr("http://portless").is_err());
+    }
+
+    #[test]
+    fn progress_events_print_one_plain_line() {
+        let mut err = Vec::new();
+        let line = r#"{"event":"progress","job":3,"round":1,"visited":64,"feasible":60,"infeasible":4,"front":2,"space_points":256}"#;
+        assert!(matches!(
+            handle_event(line, &mut err).unwrap(),
+            EventOutcome::Continue
+        ));
+        // Keys the client does not know (an older daemon's engine
+        // statistics, say) are ignored.
+        let older = line.replace("}", r#","delta":{"carries":63}}"#);
+        assert!(matches!(
+            handle_event(&older, &mut err).unwrap(),
+            EventOutcome::Continue
+        ));
+        assert_eq!(
+            String::from_utf8(err).unwrap(),
+            "remote job 3: visited 64/256, front 2\n".repeat(2)
+        );
+    }
+
+    #[test]
+    fn done_events_yield_the_summary_and_the_document() {
+        let mut err = Vec::new();
+        let line = r#"{"event":"done","job":5,"evaluations":24,"front":3,"cancelled":false,"cache":"flushed","flush_failure":null,"output":"doc\n"}"#;
+        match handle_event(line, &mut err).unwrap() {
+            EventOutcome::Done(summary, output) => {
+                assert_eq!(summary.job, 5);
+                assert_eq!(summary.evaluations, 24);
+                assert_eq!(summary.front, 3);
+                assert!(!summary.cancelled);
+                assert_eq!(summary.cache, "flushed");
+                assert_eq!(summary.flush_failure, None);
+                assert_eq!(output, "doc\n");
+            }
+            _ => panic!("a done event finishes the stream"),
+        }
+        assert!(err.is_empty(), "the summary is the caller's to print");
+        let headless = r#"{"event":"done","job":5}"#;
+        assert!(matches!(
+            handle_event(headless, &mut err).unwrap(),
+            EventOutcome::Failed(_)
+        ));
     }
 }

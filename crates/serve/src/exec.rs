@@ -21,7 +21,7 @@ use tta_core::explore::{
 use tta_core::models::{InterconnectModel, ScanTestCostModel};
 use tta_core::report::TextTable;
 use tta_core::search::SearchCheckpoint;
-use tta_core::{ComponentDb, DeltaStats, ScheduleStats};
+use tta_core::{ComponentDb, ScheduleStats};
 use tta_workloads::{SuiteParams, SuiteRegistry, WeightedWorkload};
 
 use crate::json;
@@ -221,8 +221,6 @@ pub struct JobOutput {
     pub cancelled: bool,
     /// The resume checkpoint of a cancelled job.
     pub checkpoint: Option<SearchCheckpoint>,
-    /// Delta-engine counters (live telemetry while running, final here).
-    pub delta: Option<DeltaStats>,
     /// Schedule-memo counters (stderr-only observability).
     pub schedule: ScheduleStats,
     /// Per-job cache outcome, as a wire-stable label (`none`,
@@ -313,17 +311,11 @@ impl PreparedJob {
             .with_db(&db)
             .interconnect(interconnect)
             .lift(spec.lift)
-            // `cycles` and `eval` are deliberately NOT echoed in any
-            // output format: CI `cmp`s a model run against a simulate
-            // run (and a delta run against a scratch run) to assert
-            // each engine reproduces its oracle byte-identically. The
-            // one sanctioned exception is the `search.delta` fold-carry
-            // object (and its table footer line), present only under
-            // the delta engine — those `cmp`s strip it first. Arena
-            // counters stay off stdout entirely: they depend on thread
-            // interleaving.
+            // `cycles` is deliberately NOT echoed in any output
+            // format: CI `cmp`s a model run against a simulate run to
+            // assert the scheduler model reproduces execution
+            // byte-identically.
             .cycle_source(spec.cycles)
-            .eval_mode(spec.eval)
             .fidelity(spec.fidelity)
             .parallel(spec.parallel);
         if spec.test_model == TestModel::Scan {
@@ -370,7 +362,6 @@ impl PreparedJob {
             front: result.pareto.len(),
             cancelled: result.cancelled,
             checkpoint: result.checkpoint.clone(),
-            delta: result.delta,
             schedule: result.schedule,
             cache: cache_label(&result.cache_status),
             flush_failure,
@@ -471,13 +462,6 @@ pub fn render_explore(
             if let Some(best) = best {
                 writeln!(out, "selected (equal-weight Euclid): {}", best.architecture)?;
             }
-            if let Some(d) = &result.delta {
-                writeln!(
-                    out,
-                    "delta engine: {} fold carries, {} scratch refolds",
-                    d.fold_carries, d.scratch_fallbacks
-                )?;
-            }
         }
         Format::Json => {
             let mut front = result.pareto_points();
@@ -488,8 +472,9 @@ pub fn render_explore(
                 ("lift", json::string(result.lift.label())),
                 ("fidelity", json::string(result.fidelity.label())),
                 ("test_model", json::string(test_model.label())),
-                ("search", {
-                    let mut fields = vec![
+                (
+                    "search",
+                    json::object([
                         ("strategy", json::string(&s.strategy)),
                         (
                             "budget",
@@ -499,22 +484,8 @@ pub fn render_explore(
                         ("seed", s.seed.map_or_else(|| "null".into(), json::int)),
                         ("space_points", json::int(s.space_len as u64)),
                         ("evaluations", json::int(s.evaluations as u64)),
-                    ];
-                    // Fold-carry accounting for the incremental engine —
-                    // deterministic per run (it is computed in a serial
-                    // pre-pass), absent under scratch eval. The
-                    // scratch-vs-delta byte-identity checks strip it.
-                    if let Some(d) = &result.delta {
-                        fields.push((
-                            "delta",
-                            json::object([
-                                ("fold_carries", json::int(d.fold_carries)),
-                                ("scratch_fallbacks", json::int(d.scratch_fallbacks)),
-                            ]),
-                        ));
-                    }
-                    json::object(fields)
-                }),
+                    ]),
+                ),
                 (
                     "workloads",
                     json::array(result.workload_breakdown().iter().map(|b| {

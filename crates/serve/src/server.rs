@@ -21,7 +21,7 @@
 //!
 //! `POST /run` answers `200` with `Transfer-Encoding: chunked` and one
 //! JSON event per line: `queued`, `started`, `progress` (one per
-//! evaluated chunk, carrying the live delta-engine counters), then
+//! evaluated chunk, carrying the live visit and front counts), then
 //! exactly one of `done` (with the fully rendered stdout document
 //! embedded as a JSON string) or `error`. Invalid specs never reach the
 //! queue — they answer `400` immediately. A client that disconnects
@@ -40,7 +40,6 @@ use std::time::Duration;
 use tta_core::cache::SweepCache;
 use tta_core::explore::{CancelToken, SweepProgress};
 use tta_core::search::SearchCheckpoint;
-use tta_core::DeltaStats;
 
 use crate::exec::{self, JobOutput, PreparedJob};
 use crate::http::{
@@ -540,7 +539,6 @@ fn render_event(id: u64, event: &Event) -> (String, bool) {
                 ("infeasible", json::int(p.infeasible as u64)),
                 ("front", json::int(p.front as u64)),
                 ("space_points", json::int(p.space_len as u64)),
-                ("delta", delta_json(p.delta.as_ref())),
             ]),
             false,
         ),
@@ -558,7 +556,6 @@ fn render_event(id: u64, event: &Event) -> (String, bool) {
                         .as_deref()
                         .map_or_else(|| "null".into(), json::string),
                 ),
-                ("delta", delta_json(out.delta.as_ref())),
                 ("output", json::string(&out.output)),
             ]),
             true,
@@ -576,20 +573,86 @@ fn render_event(id: u64, event: &Event) -> (String, bool) {
     (line, terminal)
 }
 
-/// Delta-engine counters as a JSON value (`null` under scratch eval).
-/// On the wire the arena counters are fair game — NDJSON events are
-/// telemetry, not the byte-stable stdout document.
-fn delta_json(delta: Option<&DeltaStats>) -> String {
-    delta.map_or_else(
-        || "null".into(),
-        |d| {
-            json::object([
-                ("fold_carries", json::int(d.fold_carries)),
-                ("scratch_fallbacks", json::int(d.scratch_fallbacks)),
-                ("arena_hits", json::int(d.arena_hits)),
-                ("arena_misses", json::int(d.arena_misses)),
-                ("arena_evictions", json::int(d.arena_evictions)),
-            ])
-        },
-    )
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jsonparse::Json;
+
+    /// The keys of one rendered event line, sorted.
+    fn keys(line: &str) -> Vec<String> {
+        match Json::parse(line.trim_end()).expect("event is JSON") {
+            Json::Obj(map) => map.into_keys().collect(),
+            other => panic!("event is not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn progress_events_carry_exactly_the_sweep_counters() {
+        let progress = SweepProgress {
+            round: 2,
+            visited: 128,
+            feasible: 120,
+            infeasible: 8,
+            front: 5,
+            space_len: 16_384,
+        };
+        let (line, terminal) = render_event(7, &Event::Progress(progress));
+        assert!(!terminal);
+        assert!(line.ends_with('\n') && line.matches('\n').count() == 1);
+        assert_eq!(
+            keys(&line),
+            [
+                "event",
+                "feasible",
+                "front",
+                "infeasible",
+                "job",
+                "round",
+                "space_points",
+                "visited"
+            ]
+        );
+        let event = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(event.get("visited").and_then(Json::as_u64), Some(128));
+        assert_eq!(
+            event.get("space_points").and_then(Json::as_u64),
+            Some(16_384)
+        );
+    }
+
+    #[test]
+    fn done_events_carry_the_document_and_no_engine_statistics() {
+        let out = JobOutput {
+            output: "{\"front\":[]}\n".into(),
+            evaluations: 24,
+            front: 3,
+            cancelled: false,
+            checkpoint: None,
+            schedule: Default::default(),
+            cache: "flushed",
+            flush_failure: None,
+        };
+        let (line, terminal) = render_event(9, &Event::Finished(Box::new(out)));
+        assert!(terminal);
+        assert_eq!(
+            keys(&line),
+            [
+                "cache",
+                "cancelled",
+                "evaluations",
+                "event",
+                "flush_failure",
+                "front",
+                "job",
+                "output"
+            ]
+        );
+        let event = Json::parse(line.trim_end()).unwrap();
+        assert_eq!(
+            event.get("output").and_then(Json::as_str),
+            Some("{\"front\":[]}\n"),
+            "the document travels verbatim"
+        );
+        assert_eq!(event.get("flush_failure"), Some(&Json::Null));
+    }
 }

@@ -8,7 +8,7 @@
 //! rejected so a typoed knob fails loudly instead of silently sweeping
 //! with defaults — the same philosophy as the CLI's flag parser.
 
-use tta_core::explore::{CycleSource, EvalMode, FidelityMode, LiftMode};
+use tta_core::explore::{CycleSource, FidelityMode, LiftMode};
 
 use crate::json;
 use crate::jsonparse::Json;
@@ -166,28 +166,6 @@ fn cycles_label(c: CycleSource) -> &'static str {
     }
 }
 
-/// Parses an eval-engine name (`delta`/`scratch`).
-///
-/// # Errors
-///
-/// A usage message naming the accepted values.
-pub fn eval_parse(s: &str) -> Result<EvalMode, String> {
-    match s {
-        "delta" => Ok(EvalMode::Delta),
-        "scratch" => Ok(EvalMode::Scratch),
-        other => Err(format!(
-            "unknown eval engine {other:?} (expected delta or scratch)"
-        )),
-    }
-}
-
-fn eval_label(e: EvalMode) -> &'static str {
-    match e {
-        EvalMode::Delta => "delta",
-        EvalMode::Scratch => "scratch",
-    }
-}
-
 /// Parses a fidelity name (`table`/`netlist`).
 ///
 /// # Errors
@@ -231,8 +209,6 @@ pub struct JobSpec {
     pub test_model: TestModel,
     /// Cycle-count source (`--cycles`).
     pub cycles: CycleSource,
-    /// Evaluation engine (`--eval`).
-    pub eval: EvalMode,
     /// Area/clock axis source (`--fidelity`): back-annotated component
     /// tables, or per-point gate-level netlist elaboration.
     pub fidelity: FidelityMode,
@@ -271,7 +247,6 @@ impl Default for JobSpec {
             lift: LiftMode::default(),
             test_model: TestModel::default(),
             cycles: CycleSource::default(),
-            eval: EvalMode::default(),
             fidelity: FidelityMode::default(),
             format: Format::default(),
             parallel: true,
@@ -317,7 +292,6 @@ impl JobSpec {
             ("lift", json::string(self.lift.label())),
             ("test_model", json::string(self.test_model.label())),
             ("cycles", json::string(cycles_label(self.cycles))),
-            ("eval", json::string(eval_label(self.eval))),
             ("fidelity", json::string(self.fidelity.label())),
             ("format", json::string(self.format.label())),
             ("parallel", json::boolean(self.parallel)),
@@ -354,7 +328,6 @@ impl JobSpec {
             "lift",
             "test_model",
             "cycles",
-            "eval",
             "fidelity",
             "format",
             "parallel",
@@ -414,7 +387,6 @@ impl JobSpec {
                 .map_or(Ok(defaults.test_model), |s| TestModel::parse(&s))?,
             cycles: field_opt_string(&doc, "cycles")?
                 .map_or(Ok(defaults.cycles), |s| cycles_parse(&s))?,
-            eval: field_opt_string(&doc, "eval")?.map_or(Ok(defaults.eval), |s| eval_parse(&s))?,
             fidelity: field_opt_string(&doc, "fidelity")?
                 .map_or(Ok(defaults.fidelity), |s| fidelity_parse(&s))?,
             format: field_opt_string(&doc, "format")?
@@ -521,7 +493,6 @@ mod tests {
             lift: LiftMode::Full,
             test_model: TestModel::Scan,
             cycles: CycleSource::Simulate,
-            eval: EvalMode::Scratch,
             fidelity: FidelityMode::Netlist,
             format: Format::Csv,
             parallel: false,
@@ -551,6 +522,11 @@ mod tests {
         assert!(JobSpec::from_json("{\"strategy\":\"dfs\"}").is_err());
         assert!(JobSpec::from_json("{\"fidelity\":\"rtl\"}").is_err());
         assert!(JobSpec::from_json("{\"fault\":\"segfault\"}").is_err());
+        // There is one evaluation engine: a spec naming one is refused
+        // like any other unknown field.
+        assert!(JobSpec::from_json("{\"eval\":\"scratch\"}")
+            .unwrap_err()
+            .contains("unknown job spec field \"eval\""));
         assert!(JobSpec::from_json("[1,2]").is_err());
         assert!(JobSpec::from_json("not json at all").is_err());
     }

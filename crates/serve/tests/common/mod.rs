@@ -54,25 +54,6 @@ pub fn local_output(spec: &JobSpec) -> String {
         .output
 }
 
-/// Removes the sanctioned `"delta":{...}` object from a JSON document
-/// and the `delta engine:` footer from a table one. These counters
-/// report per-run incremental work, which a warm cache legitimately
-/// shrinks — the one stdout field exempt from byte identity (CI strips
-/// it with `sed` before its own `cmp`).
-pub fn strip_delta(s: &str) -> String {
-    let s = match s.find(",\"delta\":{") {
-        None => s.to_string(),
-        Some(start) => {
-            let end = start + s[start..].find('}').expect("delta object closes") + 1;
-            format!("{}{}", &s[..start], &s[end..])
-        }
-    };
-    s.lines()
-        .filter(|line| !line.starts_with("delta engine:"))
-        .map(|line| format!("{line}\n"))
-        .collect()
-}
-
 /// Minimal raw GET helper (the thin client only POSTs).
 pub fn http_get(addr: &str, path: &str) -> tta_serve::jsonparse::Json {
     use std::io::{BufReader, Read, Write};

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{http_get, local_output, start, strip_delta, tiny_spec};
+use common::{http_get, local_output, start, tiny_spec};
 use tta_core::cache::SweepCache;
 use tta_serve::client::{control, run_remote};
 use tta_serve::jsonparse::Json;
@@ -70,8 +70,7 @@ fn remote_output_is_byte_identical_to_local_across_specs() {
     ];
     for spec in &specs {
         // A fresh daemon per spec: its first job runs against a cold
-        // cache, so even the delta fold-carry counters (the one
-        // warm-cache-sensitive field) must match the local run exactly.
+        // cache.
         let daemon = start(2, SweepCache::in_memory());
         let want = local_output(spec);
         let (got, stderr, summary) = remote(&daemon.addr, spec);
@@ -90,22 +89,15 @@ fn remote_output_is_byte_identical_to_local_across_specs() {
 }
 
 #[test]
-fn warm_daemon_cache_changes_no_byte_beyond_the_sanctioned_delta_stats() {
+fn warm_daemon_cache_changes_no_byte() {
     // One daemon, the same job three times: later runs hit the warm
-    // cache, which legitimately shrinks the `search.delta` fold-carry
-    // object (the repo's one sanctioned stdout observability field —
-    // CI strips it with sed before its cmp). Everything else must be
-    // byte-identical.
+    // cache, and every byte must still equal the local run.
     let spec = tiny_spec();
-    let want = strip_delta(&local_output(&spec));
+    let want = local_output(&spec);
     let daemon = start(1, SweepCache::in_memory());
     for round in 0..3 {
         let (got, _, summary) = remote(&daemon.addr, &spec);
-        assert_eq!(
-            strip_delta(&got),
-            want,
-            "round {round} drifted beyond the delta stats"
-        );
+        assert_eq!(got, want, "round {round} drifted");
         assert_eq!(summary.cache, "flushed");
     }
     daemon.stop().expect("clean shutdown");
@@ -115,17 +107,16 @@ fn warm_daemon_cache_changes_no_byte_beyond_the_sanctioned_delta_stats() {
 fn concurrent_clients_all_get_identical_bytes() {
     // Two distinct specs, four clients each, all in flight at once on
     // a two-worker daemon sharing one warm cache. Every client must
-    // read exactly the local document for its spec (modulo the
-    // sanctioned warm-cache delta stats) — concurrency and cache
-    // sharing may never leak between jobs.
+    // read exactly the local document for its spec — concurrency and
+    // cache sharing may never leak between jobs.
     let spec_a = tiny_spec();
     let spec_b = JobSpec {
         strategy: Strategy::Neighbour,
         lift: tta_core::explore::LiftMode::Full,
         ..tiny_spec()
     };
-    let want_a = strip_delta(&local_output(&spec_a));
-    let want_b = strip_delta(&local_output(&spec_b));
+    let want_a = local_output(&spec_a);
+    let want_b = local_output(&spec_b);
     let daemon = start(2, SweepCache::in_memory());
     let addr = daemon.addr.clone();
     std::thread::scope(|scope| {
@@ -139,7 +130,7 @@ fn concurrent_clients_all_get_identical_bytes() {
             };
             handles.push(scope.spawn(move || {
                 let (got, _, summary) = remote(addr, spec);
-                assert_eq!(strip_delta(&got), *want, "client {i} saw different bytes");
+                assert_eq!(got, *want, "client {i} saw different bytes");
                 summary.job
             }));
         }

@@ -1,8 +1,8 @@
 //! Concurrency stress: randomized mixes of overlapping jobs, all in
 //! flight at once against one shared warm-cache daemon. Every job's
 //! stdout document must be bit-identical to its own serial, cacheless
-//! run (modulo the sanctioned `search.delta` counters) — concurrency,
-//! queue scheduling, and cache sharing may never leak between jobs —
+//! run — concurrency, queue scheduling, and cache sharing may never
+//! leak between jobs —
 //! and every job must report its [`CacheStatus`] outcome.
 //!
 //! [`CacheStatus`]: tta_core::explore::CacheStatus
@@ -11,7 +11,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{local_output, start, strip_delta, tiny_spec};
+use common::{local_output, start, tiny_spec};
 use tta_core::cache::SweepCache;
 use tta_serve::client::run_remote;
 use tta_serve::spec::{Format, JobSpec, Strategy};
@@ -55,10 +55,7 @@ proptest! {
             .map(|&(choice, seed, budget)| spec_of(choice, seed, budget))
             .collect();
         // The oracle: each spec run serially, in-process, cacheless.
-        let wants: Vec<String> = specs
-            .iter()
-            .map(|s| strip_delta(&local_output(s)))
-            .collect();
+        let wants: Vec<String> = specs.iter().map(local_output).collect();
         // The system under stress: every spec at once, three workers,
         // one shared cache the overlapping spaces keep warming.
         let daemon = start(3, SweepCache::in_memory());
@@ -74,7 +71,7 @@ proptest! {
                         let (mut out, mut err) = (Vec::new(), Vec::new());
                         let summary = run_remote(addr, spec, &mut out, &mut err)
                             .expect("remote run succeeds under load");
-                        let got = strip_delta(&String::from_utf8(out).expect("utf-8"));
+                        let got = String::from_utf8(out).expect("utf-8");
                         assert_eq!(
                             got, **want,
                             "client {i} ({spec:?}) drifted from its serial run"
@@ -105,7 +102,7 @@ proptest! {
         // state at admission time differs per round, bytes may not.
         let (choice, seed, budget) = knobs;
         let spec = spec_of(choice, seed, budget);
-        let want = strip_delta(&local_output(&spec));
+        let want = local_output(&spec);
         let daemon = start(2, SweepCache::in_memory());
         let addr = daemon.addr.clone();
         for _round in 0..2 {
@@ -115,7 +112,7 @@ proptest! {
                     scope.spawn(move || {
                         let (mut out, mut err) = (Vec::new(), Vec::new());
                         run_remote(addr, spec, &mut out, &mut err).expect("remote run");
-                        let got = strip_delta(&String::from_utf8(out).expect("utf-8"));
+                        let got = String::from_utf8(out).expect("utf-8");
                         assert_eq!(&got, want, "warm rounds must not drift");
                     });
                 }

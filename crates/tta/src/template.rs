@@ -218,8 +218,8 @@ impl TemplateSpace {
     /// hierarchical knobs (interconnect clustering, per-FU pipelining
     /// depth, RF banking). Exactly `2^20 = 1_048_576` points — far too
     /// large to sweep exhaustively, which is the point: this is the
-    /// space where budgeted strategies and the incremental (carried
-    /// fold) evaluator earn their keep.
+    /// space where budgeted strategies, the schedule memo and the Gray
+    /// neighbour walk earn their keep.
     pub fn huge() -> Self {
         let mut rf_sets = Vec::new();
         for regs in [4usize, 8, 16, 32] {
@@ -399,7 +399,8 @@ impl TemplateSpace {
     /// [`TemplateSpace::knob_radices`]. Consecutive ranks differ in
     /// exactly one knob digit, and that digit moves by exactly ±1 — so a
     /// sweep in this order changes one architectural parameter per step,
-    /// which is what makes incremental (delta) evaluation profitable.
+    /// which is what makes incremental evaluation (re-elaborating one
+    /// component, re-using the previous scheduler view) profitable.
     ///
     /// The walk is a permutation of `0..len()`: every point is visited
     /// exactly once ([`TemplateSpace::neighbour_rank`] is the inverse).
