@@ -1,20 +1,23 @@
 //! Experiment harnesses regenerating every table and figure of the
-//! paper's evaluation.
+//! paper's evaluation. The `ttadse` CLI renders each one as a
+//! subcommand.
 //!
 //! | Artefact | Function | CLI |
 //! |---|---|---|
-//! | Figure 2 (2-D Pareto, Crypt) | [`fig2`] | `cargo run -p tta-bench --bin fig2_pareto` |
-//! | Figure 6 (port sharing cost) | [`fig6`] | `--bin fig6_port_sharing` |
-//! | Figure 7 (VLIW extension) | [`fig7`] | `--bin fig7_vliw` |
-//! | Figure 8 (3-D Pareto) | [`fig8`] | `--bin fig8_pareto3d` |
-//! | Figure 9 (norm selection) | [`fig9`] | `--bin fig9_selection` |
-//! | Table 1 (full scan vs ours) | [`table1`] | `--bin table1_comparison` |
+//! | Figure 2 (2-D Pareto, Crypt) | [`fig2`] | `ttadse fig2` |
+//! | Figure 6 (port sharing cost) | [`fig6`] | `ttadse fig6` |
+//! | Figure 7 (VLIW extension) | [`fig7`] | `ttadse fig7` |
+//! | Figure 8 (3-D Pareto) | [`fig8`] | `ttadse fig8` |
+//! | Figure 9 (norm selection) | [`fig9`] | `ttadse fig9` |
+//! | Table 1 (full scan vs ours) | [`table1`] | `ttadse table1` |
 //!
 //! Each harness has two sizes: `Scale::Paper` (16-bit datapath, the full
-//! 144-point space, 16 crypt rounds) and `Scale::Fast` (8-bit reduced
-//! space for tests and CI smoke runs). Absolute numbers differ from the
-//! paper (different cell library, netlists and ATPG); EXPERIMENTS.md
-//! records the paper-vs-measured comparison and the preserved shape.
+//! 144-point space, 16 crypt rounds; the CLI default) and `Scale::Fast`
+//! (8-bit reduced space for tests and CI smoke runs; `--fast`). Absolute
+//! numbers differ from the paper (different cell library, netlists and
+//! ATPG); the tests assert the paper's relations instead — Pareto
+//! shapes, projection properties, the port-sharing inequality and the
+//! full-scan vs functional totals.
 
 #![warn(missing_docs)]
 

@@ -9,14 +9,15 @@
 //! (march tests for register-file storage), and caches the record — so a
 //! whole design-space sweep pays for each distinct component once. The
 //! cache is interior-mutable (`RwLock` over `Arc`ed records), so a shared
-//! `&ComponentDb` serves many sweep threads concurrently; [`ComponentDb::warm`]
-//! pre-annotates a key set up front so the sweep itself runs over a
-//! read-mostly database.
+//! `&ComponentDb` serves many sweep threads concurrently, and each key is
+//! annotated exactly once however many threads ask for it at the same
+//! time (see [`ComponentDb::warm`]).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use tta_arch::{FuKind, RfInstance};
 use tta_atpg::{Atpg, AtpgConfig};
@@ -219,13 +220,39 @@ impl<'a> Records<'a> {
 ///
 /// The cache is interior-mutable: [`ComponentDb::get`] takes `&self`, so
 /// a single database can be shared (by reference) across sweep threads.
-/// Annotation is deterministic per key — concurrent first accesses to
-/// the same key duplicate work but converge on identical records.
+/// Concurrent first accesses never duplicate work: the first asker
+/// claims a key and annotates it, and every other asker waits for that
+/// record (after annotating whatever unclaimed keys it needs itself).
 #[derive(Debug)]
 pub struct ComponentDb {
     atpg: Atpg,
     march: MarchAlgorithm,
     cache: RwLock<RecordMap>,
+    // Keys some thread is annotating right now; `annotated` wakes the
+    // threads waiting for one of them.
+    claimed: Mutex<HashSet<ComponentKey>>,
+    annotated: Condvar,
+    // Annotations computed so far (one per key, barring a panic).
+    annotations: AtomicUsize,
+}
+
+/// Releases a key claim when its annotation ends — also when the
+/// annotation panics, so a waiter claims the key again instead of
+/// waiting forever.
+struct Claim<'a> {
+    db: &'a ComponentDb,
+    key: ComponentKey,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.db
+            .claimed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        self.db.annotated.notify_all();
+    }
 }
 
 impl Default for ComponentDb {
@@ -240,11 +267,7 @@ impl ComponentDb {
     /// the paper's components, an order of magnitude faster to annotate)
     /// and March C−.
     pub fn new() -> Self {
-        ComponentDb {
-            atpg: Atpg::new(AtpgConfig::sweep()),
-            march: MarchAlgorithm::march_cminus(),
-            cache: RwLock::new(RecordMap::default()),
-        }
+        Self::with_engines(AtpgConfig::sweep(), MarchAlgorithm::march_cminus())
     }
 
     /// Database with custom engines (ablation benches).
@@ -253,6 +276,9 @@ impl ComponentDb {
             atpg: Atpg::new(atpg_config),
             march,
             cache: RwLock::new(RecordMap::default()),
+            claimed: Mutex::new(HashSet::new()),
+            annotated: Condvar::new(),
+            annotations: AtomicUsize::new(0),
         }
     }
 
@@ -280,11 +306,9 @@ impl ComponentDb {
         if let Some(rec) = self.cache.read().expect("db lock").get(&key) {
             return Arc::clone(rec);
         }
-        // Compute outside the lock: annotation can take seconds and other
-        // keys must stay readable meanwhile.
-        let record = Arc::new(self.compute(key));
-        let mut cache = self.cache.write().expect("db lock");
-        Arc::clone(cache.entry(key).or_insert(record))
+        self.warm([key]);
+        let cache = self.cache.read().expect("db lock");
+        Arc::clone(cache.get(&key).expect("warm annotates every key"))
     }
 
     /// Runs `fold` over the annotated records under a single read lock:
@@ -317,13 +341,74 @@ impl ComponentDb {
         self.cache.read().expect("db lock").contains_key(&key)
     }
 
-    /// Annotates every key in `keys` that is not cached yet (serially).
-    /// [`crate::explore::Exploration`] warms in parallel by sharing the
-    /// database across threads that each call [`ComponentDb::get`].
+    /// Annotates every key in `keys` that is not cached yet, and returns
+    /// once all of them are. Each key is annotated exactly once across
+    /// threads: a key another thread is annotating is skipped, so this
+    /// thread moves on to keys nobody has claimed, and only at the end
+    /// waits for the skipped ones.
     pub fn warm(&self, keys: impl IntoIterator<Item = ComponentKey>) {
+        let mut skipped = Vec::new();
         for key in keys {
-            self.get(key);
+            match self.claim(key) {
+                Some(claim) => self.annotate(claim),
+                None => skipped.push(key),
+            }
         }
+        for key in skipped {
+            // Still cold once its claim is released means the annotating
+            // thread panicked: the key is claimed again, here or
+            // elsewhere.
+            while !self.contains(key) {
+                match self.claim(key) {
+                    Some(claim) => self.annotate(claim),
+                    None => self.wait_for(key),
+                }
+            }
+        }
+    }
+
+    /// Blocks while another thread holds the claim on `key`.
+    fn wait_for(&self, key: ComponentKey) {
+        let mut claimed = self.claimed.lock().unwrap_or_else(PoisonError::into_inner);
+        while claimed.contains(&key) {
+            claimed = self
+                .annotated
+                .wait(claimed)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Claims `key` for annotation; `None` when it is cached already or
+    /// another thread holds the claim. The cache is checked under the
+    /// claim lock, and an annotation is cached before its claim is
+    /// released, so a key is never claimed twice.
+    fn claim(&self, key: ComponentKey) -> Option<Claim<'_>> {
+        if self.contains(key) {
+            return None;
+        }
+        let mut claimed = self.claimed.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.contains(key) || !claimed.insert(key) {
+            return None;
+        }
+        Some(Claim { db: self, key })
+    }
+
+    /// Annotates a claimed key outside every lock (annotation can take
+    /// seconds, and other keys must stay readable meanwhile), caches the
+    /// record, then releases the claim.
+    fn annotate(&self, claim: Claim<'_>) {
+        let record = Arc::new(self.compute(claim.key));
+        self.annotations.fetch_add(1, Ordering::Relaxed);
+        self.cache
+            .write()
+            .expect("db lock")
+            .insert(claim.key, record);
+    }
+
+    /// Annotations computed so far.
+    #[cfg(test)]
+    pub(crate) fn annotations(&self) -> usize {
+        self.annotations.load(Ordering::Relaxed)
     }
 
     /// Number of distinct components annotated so far.
@@ -498,10 +583,89 @@ mod tests {
                 .collect()
         });
         assert_eq!(areas[0], areas[1]);
-        assert_eq!(db.len(), KEYS.len(), "duplicate annotations converge");
+        assert_eq!(db.len(), KEYS.len());
         let runs = std::cell::Cell::new(0);
         assert_eq!(area_of_keys(&db, &runs).to_bits(), areas[0]);
         assert_eq!(runs.get(), 1);
+    }
+
+    /// A record's figures as exact bits, for identity comparisons.
+    fn record_bits(r: &ComponentRecord) -> [u64; 9] {
+        [
+            r.np as u64,
+            r.fault_coverage.to_bits(),
+            r.adjusted_coverage.to_bits(),
+            r.area.to_bits(),
+            r.critical_path.to_bits(),
+            r.ff_total as u64,
+            r.ff_infrastructure as u64,
+            r.gates as u64,
+            r.nconn as u64,
+        ]
+    }
+
+    #[test]
+    fn concurrent_askers_annotate_each_key_exactly_once() {
+        let keys = [
+            ComponentKey::Alu(4),
+            ComponentKey::Cmp(4),
+            ComponentKey::Pc(4),
+            ComponentKey::Imm(4),
+            ComponentKey::LdSt(4),
+            ComponentKey::SocketGroup(4, 2),
+            ComponentKey::Rf(4, 4, 1, 1),
+        ];
+        let db = ComponentDb::new();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (db, start) = (&db, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Half the threads walk the keys backwards, so
+                    // askers meet on keys another thread has claimed.
+                    let mut order = keys.to_vec();
+                    if t % 2 == 1 {
+                        order.reverse();
+                    }
+                    if t < 2 {
+                        db.warm(order);
+                    } else {
+                        let area: f64 =
+                            db.fold(|records| order.iter().map(|&k| records.get(k).area).sum());
+                        assert!(area > 0.0);
+                    }
+                });
+            }
+        });
+        assert_eq!(db.annotations(), keys.len(), "a key was annotated twice");
+        assert_eq!(db.len(), keys.len());
+        let serial = ComponentDb::new();
+        for key in keys {
+            assert_eq!(
+                record_bits(&db.get(key)),
+                record_bits(&serial.get(key)),
+                "{key:?}"
+            );
+        }
+        assert_eq!(db.annotations(), keys.len(), "a cached key was annotated");
+    }
+
+    #[test]
+    fn an_abandoned_claim_lets_the_next_asker_annotate() {
+        let db = ComponentDb::new();
+        let key = ComponentKey::Alu(4);
+        let claim = db.claim(key).expect("a cold key is claimable");
+        assert!(db.claim(key).is_none(), "a claimed key is claimed once");
+        // A claim dropped without caching a record (as when its
+        // annotation panics)…
+        drop(claim);
+        assert!(!db.contains(key));
+        // …so the next asker claims and annotates the key itself.
+        db.warm([key]);
+        assert!(db.contains(key));
+        assert_eq!(db.annotations(), 1);
+        assert!(db.claim(key).is_none(), "a cached key is never claimed");
     }
 
     #[test]

@@ -553,39 +553,8 @@ impl SweepCache {
         out
     }
 
-    /// Whether an evaluation for `key` is present, *without* touching
-    /// the hit/miss counters — for planning passes (e.g. deciding which
-    /// component keys still need pre-warming) that precede the counted
-    /// lookup.
-    pub fn contains_eval(&self, key: u64) -> bool {
-        matches!(
-            self.shard_for(key).map.get(&(Kind::Eval, key)),
-            Some(Entry::Eval(_))
-        )
-    }
-
-    /// Whether `key` holds an evaluation that a *full-lift* sweep
-    /// ([`crate::explore::LiftMode::Full`]) can answer without touching
-    /// the component database: an infeasible entry, or a feasible one
-    /// whose inline test total was produced by the test model with
-    /// fingerprint `test_fp`. Counter-free, like
-    /// [`SweepCache::contains_eval`] — used by the pre-warm planning
-    /// pass, where an entry missing its test field still needs its
-    /// component keys annotated.
-    pub fn contains_eval_with_test(&self, key: u64, test_fp: u64) -> bool {
-        match self.shard_for(key).map.get(&(Kind::Eval, key)) {
-            Some(Entry::Eval(EvalEntry::Infeasible { .. })) => true,
-            Some(Entry::Eval(EvalEntry::Feasible {
-                test: Some((fp, _)),
-                ..
-            })) => *fp == test_fp,
-            _ => false,
-        }
-    }
-
     /// Whether a test-cost lift for `key` is present, *without* touching
-    /// the hit/miss counters — the lift-stage mirror of
-    /// [`SweepCache::contains_eval`].
+    /// the hit/miss counters (unlike [`SweepCache::lookup_test`]).
     pub fn contains_test(&self, key: u64) -> bool {
         matches!(
             self.shard_for(key).map.get(&(Kind::Test, key)),
@@ -594,9 +563,15 @@ impl SweepCache {
     }
 
     /// Stores an entry in memory and, for a persistent cache, queues
-    /// its key for the next checkpoint.
+    /// its key for the next checkpoint. Storing the entry a key already
+    /// holds changes nothing and journals nothing (a parallel sweep
+    /// stores a point a worker evaluated before an earlier chunk's merge
+    /// stored the same content address).
     fn store(&self, key: (Kind, u64), entry: Entry) {
         let mut shard = self.shard_for(key.1);
+        if shard.map.get(&key) == Some(&entry) {
+            return;
+        }
         shard.map.insert(key, entry);
         if self.persistent() {
             shard.pending.push(key);
@@ -1016,6 +991,26 @@ mod tests {
         }
     }
 
+    /// The evaluation stored under `key`, read the way the sweep reads
+    /// it (one batched lookup).
+    fn eval_at(cache: &SweepCache, key: u64) -> Option<EvalEntry> {
+        cache.lookup_eval_batch(&[key]).pop().flatten()
+    }
+
+    /// Whether a full-lift sweep with test model `test_fp` can answer
+    /// `key` from the cache alone: an infeasible entry, or a feasible
+    /// one carrying that model's inline test total.
+    fn answers_full_lift(cache: &SweepCache, key: u64, test_fp: u64) -> bool {
+        match eval_at(cache, key) {
+            Some(EvalEntry::Infeasible { .. }) => true,
+            Some(EvalEntry::Feasible {
+                test: Some((fp, _)),
+                ..
+            }) => fp == test_fp,
+            _ => false,
+        }
+    }
+
     #[test]
     fn roundtrips_through_disk() {
         let dir = tmpdir("roundtrip");
@@ -1053,11 +1048,11 @@ mod tests {
         assert_eq!(reloaded.lookup_eval(2), Some(sample_feasible()));
         // A full-lift sweep can answer entry 1 only with the matching
         // model, entry 3 always (nothing to lift), entry 2 never.
-        assert!(reloaded.contains_eval_with_test(1, 0xdead_beef));
-        assert!(!reloaded.contains_eval_with_test(1, 0xbad));
-        assert!(!reloaded.contains_eval_with_test(2, 0xdead_beef));
-        assert!(reloaded.contains_eval_with_test(3, 0xdead_beef));
-        assert!(!reloaded.contains_eval_with_test(4, 0xdead_beef));
+        assert!(answers_full_lift(&reloaded, 1, 0xdead_beef));
+        assert!(!answers_full_lift(&reloaded, 1, 0xbad));
+        assert!(!answers_full_lift(&reloaded, 2, 0xdead_beef));
+        assert!(answers_full_lift(&reloaded, 3, 0xdead_beef));
+        assert!(!answers_full_lift(&reloaded, 4, 0xdead_beef));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1085,7 +1080,7 @@ mod tests {
         assert_eq!(cache.lookup_eval(0x2a), Some(sample_feasible()));
         assert_eq!(cache.lookup_test(0x2a), Some(99.75));
         // The upgraded entries have no inline test field yet.
-        assert!(!cache.contains_eval_with_test(0x2a, 7));
+        assert!(!answers_full_lift(&cache, 0x2a, 7));
         // A store + flush persists everything in the v3 layout; the v2
         // file is left for older binaries.
         cache.store_eval(0x2c, sample_feasible_with_test());
@@ -1258,6 +1253,27 @@ mod tests {
     }
 
     #[test]
+    fn storing_the_held_entry_again_journals_nothing() {
+        let dir = tmpdir("restore-same");
+        let cache = SweepCache::open(&dir).unwrap();
+        cache.store_eval(7, sample_feasible());
+        cache.checkpoint().unwrap();
+        let journal = fs::read_to_string(cache.journal_path()).unwrap();
+        // The same entry again is no change: nothing pending, no append.
+        cache.store_eval(7, sample_feasible());
+        assert!(cache.shard_for(7).pending.is_empty());
+        cache.checkpoint().unwrap();
+        assert_eq!(cache.checkpoints(), 1);
+        assert_eq!(fs::read_to_string(cache.journal_path()).unwrap(), journal);
+        // A different entry under the key is a change.
+        cache.store_eval(7, sample_feasible_with_test());
+        cache.checkpoint().unwrap();
+        assert_eq!(cache.checkpoints(), 2);
+        assert_eq!(eval_at(&cache, 7), Some(sample_feasible_with_test()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn in_memory_checkpoints_track_and_write_nothing() {
         let cache = SweepCache::in_memory();
         cache.store_eval(1, EvalEntry::Infeasible { blocked: None });
@@ -1289,7 +1305,7 @@ mod tests {
         fs::write(dir.join(CACHE_FILE_NAME), format!("{HEADER}\n{plain}")).unwrap();
         fs::write(dir.join(JOURNAL_FILE_NAME), &upgraded).unwrap();
         let cache = SweepCache::open(&dir).unwrap();
-        assert!(cache.contains_eval_with_test(0x2a, 0xdead_beef));
+        assert!(answers_full_lift(&cache, 0x2a, 0xdead_beef));
         // …and the compaction keeps the upgrade.
         cache.flush().unwrap();
         assert_eq!(
@@ -1299,9 +1315,11 @@ mod tests {
         // Within the journal, the later line wins.
         fs::write(dir.join(JOURNAL_FILE_NAME), format!("{plain}{upgraded}")).unwrap();
         fs::remove_file(dir.join(CACHE_FILE_NAME)).unwrap();
-        assert!(SweepCache::open(&dir)
-            .unwrap()
-            .contains_eval_with_test(0x2a, 0xdead_beef));
+        assert!(answers_full_lift(
+            &SweepCache::open(&dir).unwrap(),
+            0x2a,
+            0xdead_beef
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1323,7 +1341,7 @@ mod tests {
         .unwrap();
         let cache = SweepCache::open(&dir).unwrap();
         assert_eq!(cache.len(), 2);
-        assert!(cache.contains_eval(2));
+        assert!(eval_at(&cache, 2).is_some());
         // A malformed complete line discards the journal, not the file.
         fs::write(
             dir.join(JOURNAL_FILE_NAME),
@@ -1332,7 +1350,7 @@ mod tests {
         .unwrap();
         let cache = SweepCache::open(&dir).unwrap();
         assert_eq!(cache.len(), 1);
-        assert!(cache.contains_eval(1));
+        assert!(eval_at(&cache, 1).is_some());
         // Either way the journal leaves the cache dirty: the flush
         // compacts it away.
         cache.flush().unwrap();

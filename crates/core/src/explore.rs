@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Cost axes are pluggable via the [`crate::models`] traits; the sweep
-//! runs serially or in parallel over a pre-warmed, read-mostly
+//! runs serially or on a pool of worker threads sharing one
 //! [`ComponentDb`], and parallel runs are bit-identical to serial ones.
 //! Attach a [`SweepCache`] ([`Exploration::cache`]) and re-runs skip
 //! every already-evaluated point, bit-identically.
@@ -98,8 +98,8 @@
 //! assert!(wider > area);
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
@@ -111,9 +111,8 @@ use crate::cache::{
     CACHE_ADDRESS_VERSION,
 };
 use crate::models::{
-    keys_of, AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel,
-    InterconnectModel, NetlistAreaModel, NetlistEvaluator, NetlistTimingModel, TestCostModel,
-    TimingModel,
+    AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel, InterconnectModel,
+    NetlistAreaModel, NetlistEvaluator, NetlistTimingModel, TestCostModel, TimingModel,
 };
 use crate::norm::{select, Norm, Weights};
 use crate::parallel::{default_threads, par_map};
@@ -742,8 +741,8 @@ impl ExploreResult {
 /// Composable exploration pipeline over a template space.
 ///
 /// Configure the space, workload suite and cost models, then [`run`]
-/// the staged flow: (pre-warm) → sweep → Pareto-reduce → lift test cost
-/// → done. See the [module docs](self) for an example.
+/// the staged flow: sweep → Pareto-reduce → lift test cost → done. See
+/// the [module docs](self) for an example.
 ///
 /// [`run`]: Exploration::run
 pub struct Exploration<'db> {
@@ -775,16 +774,17 @@ pub struct Exploration<'db> {
 }
 
 /// The engine materialises and evaluates batches in chunks of this many
-/// points: at most one chunk of built [`Architecture`]s is ever alive
-/// (even the exhaustive whole-space batch streams through bounded
-/// memory), and with a cache attached each chunk is checkpointed as it
-/// completes: its new entries are appended to the cache journal
+/// points: a worker builds one chunk of [`Architecture`]s at a time, so
+/// about one chunk per worker is alive at once (even the exhaustive
+/// whole-space batch streams through bounded memory). Chunks are merged
+/// into the run in order, and with a cache attached each merged chunk
+/// is checkpointed: its new entries are appended to the cache journal
 /// ([`SweepCache::checkpoint`]) instead of rewriting the whole file,
 /// which happens once per run. An interrupted paper-scale run therefore
 /// resumes from the last completed chunk rather than from scratch. The
 /// chunk boundary is also the engine's cancellation and
 /// progress-reporting grain: a cancelled run
-/// ([`Exploration::cancel_token`]) stops at most this many points after
+/// ([`Exploration::cancel_token`]) merges at most one more chunk after
 /// the request.
 pub const CACHE_FLUSH_CHUNK: usize = 64;
 
@@ -952,8 +952,9 @@ impl<'db> Exploration<'db> {
         self
     }
 
-    /// Evaluates the sweep (and the pre-warm and lift stages) on worker
-    /// threads. Results are bit-identical to the serial sweep.
+    /// Evaluates the sweep (and the lift stage) on worker threads.
+    /// Results, cache files and progress events are bit-identical to
+    /// the serial sweep.
     pub fn parallel(mut self, on: bool) -> Self {
         self.parallel = on;
         self
@@ -1038,9 +1039,8 @@ impl<'db> Exploration<'db> {
         self.threads.unwrap_or_else(default_threads)
     }
 
-    /// Runs the staged flow: strategy-driven sweep (with per-batch
-    /// pre-warm) → streaming Pareto front → test-cost lifting of the
-    /// front.
+    /// Runs the staged flow: strategy-driven sweep → streaming Pareto
+    /// front → test-cost lifting of the front.
     ///
     /// # Panics
     ///
@@ -1090,10 +1090,6 @@ impl<'db> Exploration<'db> {
                 )));
             }
         }
-        // Custom models may never read the annotation database; only
-        // pre-warm when at least one default (db-backed) model is in
-        // effect.
-        let uses_db_defaults = self.area.is_none() || self.timing.is_none() || self.test.is_none();
         let (area, timing, test) = self.resolve_models();
         let owned_db;
         let db: &ComponentDb = match self.db {
@@ -1175,35 +1171,44 @@ impl<'db> Exploration<'db> {
                 .u64(db_fp);
             Some((cache, salted(base).finish()))
         });
-        let point_key = |base: u64, arch: &Architecture| {
-            Fingerprint::new()
-                .u64(base)
-                .u64(arch_fingerprint(arch))
-                .finish()
-        };
 
-        // Stages 0–2, batched: the strategy proposes point indices, the
+        // Stages 1–2, batched: the strategy proposes point indices, the
         // engine lazily builds and evaluates them, and every feasible
         // result streams into an incrementally maintained Pareto
         // archive that guides the next proposal round. No stage ever
         // materialises the space.
         let space = &self.space;
         let space_len = space.len();
-        let workloads = &self.workloads;
-        let weights = &self.weights;
-        let mut evaluated: Vec<EvaluatedArch> = Vec::new();
-        let mut blocked: Vec<usize> = vec![0; workloads.len()];
-        let mut eval_space_index: Vec<usize> = Vec::new();
-        let mut state = SearchState::new();
-        let mut archive = ParetoArchive::new();
-        let mut infeasible = 0usize;
         let lift = self.lift;
         let fidelity = self.fidelity;
         // One schedule per distinct (workload, scheduler view) for the
         // whole run; lives no longer than the sweep.
-        let schedules = ScheduleMemo::new(workloads, self.cycle_source);
+        let schedules = ScheduleMemo::new(&self.workloads, self.cycle_source);
+        let evaluator = ChunkEvaluator {
+            space,
+            workloads: &self.workloads,
+            weights: &self.weights,
+            area: &*area,
+            timing: &*timing,
+            test: &*test,
+            db,
+            schedules: &schedules,
+            cache: eval_cache,
+            lift,
+            full_test_fp,
+        };
         let cancel = self.cancel.take();
-        let mut progress = self.progress.take();
+        let mut run = SweepRun {
+            evaluated: Vec::new(),
+            eval_space_index: Vec::new(),
+            blocked: vec![0; self.workloads.len()],
+            infeasible: 0,
+            state: SearchState::new(),
+            archive: ParetoArchive::new(),
+            cache: eval_cache.map(|(cache, _)| cache),
+            progress: self.progress.take(),
+            space_len,
+        };
         // A checkpointed trajectory replays its visited indices through
         // the normal pipeline before the strategy plans anything: with a
         // warm cache the replay is pure hits, the observation log and
@@ -1217,19 +1222,20 @@ impl<'db> Exploration<'db> {
         // than the uninterrupted run it must match bit-for-bit.
         let mut replayed = 0usize;
 
-        'search: loop {
+        loop {
             if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 was_cancelled = true;
                 break;
             }
-            let remaining = budget.saturating_sub(state.visited().saturating_sub(replayed));
+            let remaining = budget.saturating_sub(run.state.visited().saturating_sub(replayed));
             if remaining == 0 {
                 break;
             }
-            let front_spaces: Vec<usize> = archive
+            let front_spaces: Vec<usize> = run
+                .archive
                 .ids()
                 .iter()
-                .map(|&id| eval_space_index[id])
+                .map(|&id| run.eval_space_index[id])
                 .collect();
             let replaying = replay.is_some();
             let batch = match replay.take() {
@@ -1238,14 +1244,14 @@ impl<'db> Exploration<'db> {
                 // round 0 exactly as in an uninterrupted run.
                 Some(batch) => batch,
                 None => {
-                    let ctx = state.context(space, seed, remaining, &front_spaces);
+                    let ctx = run.state.context(space, seed, remaining, &front_spaces);
                     strategy.next_batch(&ctx)
                 }
             };
             // Keep only in-range, never-seen proposals, within budget.
             let mut fresh: Vec<usize> = Vec::new();
             for i in batch {
-                if i < space_len && state.claim(i) {
+                if i < space_len && run.state.claim(i) {
                     fresh.push(i);
                     if fresh.len() == remaining {
                         break;
@@ -1276,183 +1282,22 @@ impl<'db> Exploration<'db> {
                 fresh.sort_by_key(|&i| space.neighbour_rank(i));
             }
             if !replaying {
-                state.begin_round();
+                run.state.begin_round();
             }
-            // Materialise at most one chunk of architectures at a time
-            // (indices are cheap, built points are not), so even the
-            // exhaustive strategy's whole-space batch streams through
-            // bounded memory instead of re-creating the old
-            // `enumerate()` vector.
-            for index_chunk in fresh.chunks(CACHE_FLUSH_CHUNK) {
-                // The cooperative cancellation point: a cancel request
-                // lands between chunks, so a cancelled run stops at
-                // most one chunk after the request — never after the
-                // whole in-flight batch.
-                if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    was_cancelled = true;
-                    break 'search;
-                }
-                let archs: Vec<Architecture> =
-                    index_chunk.iter().map(|&i| space.point(i)).collect();
-                // Each point's content address, computed once per chunk
-                // (empty without a cache).
-                let keys: Vec<u64> = match &eval_cache {
-                    Some((_, base)) => archs.iter().map(|arch| point_key(*base, arch)).collect(),
-                    None => Vec::new(),
-                };
-
-                // Stage 0: pre-warm the component database for every
-                // key this chunk can touch, so parallel workers never
-                // duplicate an annotation. A serial sweep annotates
-                // lazily instead — it only ever pays for keys that
-                // feasible points actually read — and a fully-custom
-                // model stack may never read the database at all.
-                // Cached points never read the database either, so
-                // only cache-missing architectures contribute keys
-                // (and keys warmed by earlier chunks are filtered by
-                // `db.contains`).
-                if self.parallel && uses_db_defaults {
-                    // Whether the cache answers a point outright — a
-                    // full lift reads the database for the test axis
-                    // too, so an entry missing its inline test total
-                    // still needs warm keys.
-                    let answered = |k: usize| match &eval_cache {
-                        Some((cache, _)) => match lift {
-                            LiftMode::ParetoOnly => cache.contains_eval(keys[k]),
-                            LiftMode::Full => cache.contains_eval_with_test(keys[k], full_test_fp),
-                        },
-                        None => false,
-                    };
-                    let mut db_keys: Vec<_> = archs
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| !answered(k))
-                        .filter_map(|(_, arch)| keys_of(arch))
-                        .flatten()
-                        .collect();
-                    db_keys.sort_unstable();
-                    db_keys.dedup();
-                    db_keys.retain(|&k| !db.contains(k));
-                    par_map(&db_keys, threads, |_, &key| {
-                        db.get(key);
-                    });
-                }
-
-                // Stage 1: evaluate the chunk on the full workload
-                // suite — one pipeline per point: rehydrate from the
-                // cache or evaluate, add the test total under a full
-                // lift, and store what had to be computed. The cache is
-                // read ONCE per chunk (one lock acquisition for the
-                // whole batch); `archs`, `keys` and `prefetched` are
-                // parallel columns indexed by the chunk position `k`
-                // (the last two empty without a cache). Fresh results
-                // are checkpointed chunk by chunk, so an interrupted run
-                // resumes from the last completed chunk.
-                let prefetched = match &eval_cache {
-                    Some((cache, _)) => cache.lookup_eval_batch(&keys),
-                    None => Vec::new(),
-                };
-                let evaluations: Vec<PointOutcome> = par_map(&archs, threads, |k, arch| {
-                    let entry = prefetched.get(k).cloned().flatten();
-                    let inline_test = match &entry {
-                        Some(EvalEntry::Feasible { test, .. }) => *test,
-                        _ => None,
-                    };
-                    // 1. Rehydrate or evaluate. A cache entry
-                    // inconsistent with this suite (corrupt or
-                    // hash-colliding) rehydrates to None and is
-                    // re-evaluated — a bad cache may cost time, never
-                    // correctness or a panic.
-                    let rehydrated =
-                        entry.and_then(|entry| rehydrate(arch, workloads.len(), weights, entry));
-                    let mut dirty = rehydrated.is_none();
-                    let outcome = rehydrated.unwrap_or_else(|| {
-                        evaluate_point(arch, workloads, weights, &*area, &*timing, db, &schedules)
-                    });
-                    // 2. Under a full lift every feasible point carries
-                    // the test axis: the entry's inline total when it
-                    // came from this test model, a fresh fold otherwise
-                    // (a v2 or Pareto-only entry reuses its scheduling
-                    // work and is stored back upgraded).
-                    let total = match (lift, &outcome) {
-                        (LiftMode::Full, Ok(_)) => Some(match inline_test {
-                            Some((fp, bits)) if fp == full_test_fp && !dirty => {
-                                f64::from_bits(bits)
-                            }
-                            _ => {
-                                dirty = true;
-                                test.test_cost(arch, db).total
-                            }
-                        }),
-                        _ => None,
-                    };
-                    // 3. With a cache, store what this point computed.
-                    if let Some((cache, _)) = eval_cache.as_ref().filter(|_| dirty) {
-                        let test = total.map(|t| (full_test_fp, t.to_bits()));
-                        cache.store_eval(keys[k], dehydrate(&outcome, test));
-                    }
-                    match total {
-                        Some(total) => finish_full(outcome?, total),
-                        None => outcome,
-                    }
-                });
-                if let Some((cache, _)) = &eval_cache {
-                    // A failed append only coarsens crash-resume: the
-                    // entries stay in memory, and the end-of-run flush
-                    // reports whether they reached disk.
-                    let _ = cache.checkpoint();
-                }
-
-                // Stage 2, streaming: feasible results join the
-                // evaluated set and are offered to the archive
-                // (insert-time dominance check — no full-set re-scan);
-                // every outcome becomes an observation the strategy
-                // can steer by.
-                for (k, e) in evaluations.into_iter().enumerate() {
-                    let index = index_chunk[k];
-                    match e {
-                        Ok(e) => {
-                            let id = evaluated.len();
-                            // ParetoOnly points carry [area, time], Full
-                            // points [area, time, test] — the archive
-                            // streams whichever front the mode defines.
-                            archive.try_insert(id, e.objectives.values());
-                            state.record(Observation {
-                                index,
-                                objectives: Some((e.area(), e.exec_time())),
-                            });
-                            eval_space_index.push(index);
-                            evaluated.push(e);
-                        }
-                        Err(why) => {
-                            infeasible += 1;
-                            if let Some(w) = why {
-                                blocked[w] += 1;
-                            }
-                            state.record(Observation {
-                                index,
-                                objectives: None,
-                            });
-                        }
-                    }
-                }
-
-                // Per-chunk progress: live telemetry for streaming
-                // clients. Observability only — the snapshot is built
-                // from state the chunk already produced.
-                if let Some(observer) = progress.as_mut() {
-                    observer(&SweepProgress {
-                        round: state.round(),
-                        visited: state.observations().len(),
-                        feasible: evaluated.len(),
-                        infeasible,
-                        front: archive.len(),
-                        space_len,
-                    });
-                }
+            if !run.sweep_batch(&evaluator, &fresh, threads, cancel.as_ref()) {
+                was_cancelled = true;
+                break;
             }
-            state.finish_round();
+            run.state.finish_round();
         }
+        let SweepRun {
+            mut evaluated,
+            blocked,
+            infeasible,
+            state,
+            archive,
+            ..
+        } = run;
 
         // The streaming archive *is* the mode's Pareto front — the 2-D
         // (area, time) front of Figure 2 under ParetoOnly, the true 3-D
@@ -1478,29 +1323,6 @@ impl<'db> Exploration<'db> {
         // testing". A Full sweep already carries the axis on every
         // point, so the stage disappears.
         if lift == LiftMode::ParetoOnly {
-            // Pre-warm first (parallel, db-backed test model): when the
-            // sweep was answered from the cache, stage 0 warmed nothing,
-            // but an uncached lift still reads the database — without
-            // this, parallel lift workers would each recompute shared
-            // ATPG records.
-            if self.parallel && uses_db_defaults {
-                let mut keys: Vec<_> = pareto
-                    .iter()
-                    .map(|&i| &evaluated[i].architecture)
-                    .filter(|arch| match &test_cache {
-                        Some((cache, base)) => !cache.contains_test(point_key(*base, arch)),
-                        None => true,
-                    })
-                    .filter_map(keys_of)
-                    .flatten()
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                keys.retain(|&k| !db.contains(k));
-                par_map(&keys, threads, |_, &key| {
-                    db.get(key);
-                });
-            }
             let costs = par_map(&pareto, threads, |_, &i| {
                 let arch = &evaluated[i].architecture;
                 if let Some((cache, base)) = &test_cache {
@@ -1586,6 +1408,269 @@ type ResolvedModels = (
 /// (`Err(Some(i))` = suite member `i` failed to schedule first,
 /// `Err(None)` = the cost models returned a non-finite value).
 type PointOutcome = Result<EvaluatedArch, Option<usize>>;
+
+/// A point's sweep-cache content address under `base`.
+fn point_key(base: u64, arch: &Architecture) -> u64 {
+    Fingerprint::new()
+        .u64(base)
+        .u64(arch_fingerprint(arch))
+        .finish()
+}
+
+/// Everything a sweep worker reads to evaluate a chunk. All of it is
+/// shared: the database, the schedule memo and the cache synchronise
+/// internally, so any number of workers evaluate chunks at once.
+struct ChunkEvaluator<'a> {
+    space: &'a TemplateSpace,
+    workloads: &'a [Workload],
+    weights: &'a [f64],
+    area: &'a dyn AreaModel,
+    timing: &'a dyn TimingModel,
+    test: &'a dyn TestCostModel,
+    db: &'a ComponentDb,
+    schedules: &'a ScheduleMemo<'a>,
+    // The eval cache and its content-address base; `None` bypasses it.
+    cache: Option<(&'a SweepCache, u64)>,
+    lift: LiftMode,
+    full_test_fp: u64,
+}
+
+/// One evaluated chunk waiting for its merge: an outcome per point and
+/// the cache entries the chunk computed, both in point order.
+struct EvaluatedChunk {
+    outcomes: Vec<PointOutcome>,
+    stores: Vec<(u64, EvalEntry)>,
+}
+
+impl ChunkEvaluator<'_> {
+    /// Builds and evaluates the points `indices`: one pipeline per
+    /// point — rehydrate from the cache or evaluate, add the test total
+    /// under a full lift, and note what had to be computed. The cache is
+    /// read ONCE per chunk (one lock acquisition for the whole batch)
+    /// and never written here: the merge stores the chunk's entries in
+    /// sweep order.
+    fn evaluate(&self, indices: &[usize]) -> EvaluatedChunk {
+        let archs: Vec<Architecture> = indices.iter().map(|&i| self.space.point(i)).collect();
+        // Each point's content address (empty without a cache), and the
+        // entries the cache holds for them.
+        let (keys, mut prefetched) = match self.cache {
+            Some((cache, base)) => {
+                let keys: Vec<u64> = archs.iter().map(|arch| point_key(base, arch)).collect();
+                let prefetched = cache.lookup_eval_batch(&keys);
+                (keys, prefetched)
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        let mut stores = Vec::new();
+        let outcomes = archs
+            .iter()
+            .enumerate()
+            .map(|(k, arch)| {
+                let entry = prefetched.get_mut(k).and_then(Option::take);
+                let inline_test = match &entry {
+                    Some(EvalEntry::Feasible { test, .. }) => *test,
+                    _ => None,
+                };
+                // 1. Rehydrate or evaluate. A cache entry inconsistent
+                // with this suite (corrupt or hash-colliding) rehydrates
+                // to None and is re-evaluated — a bad cache may cost
+                // time, never correctness or a panic.
+                let rehydrated = entry
+                    .and_then(|entry| rehydrate(arch, self.workloads.len(), self.weights, entry));
+                let mut dirty = rehydrated.is_none();
+                let outcome = rehydrated.unwrap_or_else(|| {
+                    evaluate_point(
+                        arch,
+                        self.workloads,
+                        self.weights,
+                        self.area,
+                        self.timing,
+                        self.db,
+                        self.schedules,
+                    )
+                });
+                // 2. Under a full lift every feasible point carries the
+                // test axis: the entry's inline total when it came from
+                // this test model, a fresh fold otherwise (a v2 or
+                // Pareto-only entry reuses its scheduling work and is
+                // stored back upgraded).
+                let total = match (self.lift, &outcome) {
+                    (LiftMode::Full, Ok(_)) => Some(match inline_test {
+                        Some((fp, bits)) if fp == self.full_test_fp && !dirty => {
+                            f64::from_bits(bits)
+                        }
+                        _ => {
+                            dirty = true;
+                            self.test.test_cost(arch, self.db).total
+                        }
+                    }),
+                    _ => None,
+                };
+                // 3. With a cache, note what this point computed.
+                if dirty && self.cache.is_some() {
+                    let test = total.map(|t| (self.full_test_fp, t.to_bits()));
+                    stores.push((keys[k], dehydrate(&outcome, test)));
+                }
+                match total {
+                    Some(total) => finish_full(outcome?, total),
+                    None => outcome,
+                }
+            })
+            .collect();
+        EvaluatedChunk { outcomes, stores }
+    }
+}
+
+/// The coordinator's side of a sweep: the state the in-order merge
+/// updates, chunk by chunk, exactly as a serial sweep would.
+struct SweepRun<'a> {
+    evaluated: Vec<EvaluatedArch>,
+    // The space index of each `evaluated` point.
+    eval_space_index: Vec<usize>,
+    blocked: Vec<usize>,
+    infeasible: usize,
+    state: SearchState,
+    archive: ParetoArchive,
+    cache: Option<&'a SweepCache>,
+    progress: Option<ProgressObserver<'a>>,
+    space_len: usize,
+}
+
+impl SweepRun<'_> {
+    /// Evaluates one planned batch in [`CACHE_FLUSH_CHUNK`]-point chunks
+    /// and merges the chunks in order. Returns `false` when `cancel`
+    /// stopped the batch.
+    ///
+    /// With `threads > 1` the batch gets one scoped pool: each worker
+    /// claims the next chunk rank from a shared counter and evaluates
+    /// the whole chunk, while this thread merges finished chunks
+    /// strictly in rank order. The front, the cache journal, the
+    /// progress events and the cancellation boundary therefore match
+    /// the serial sweep's exactly; only the evaluation runs ahead.
+    fn sweep_batch(
+        &mut self,
+        evaluator: &ChunkEvaluator<'_>,
+        fresh: &[usize],
+        threads: usize,
+        cancel: Option<&CancelToken>,
+    ) -> bool {
+        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+        let chunks: Vec<&[usize]> = fresh.chunks(CACHE_FLUSH_CHUNK).collect();
+        let threads = threads.min(chunks.len());
+        if threads <= 1 {
+            for indices in chunks {
+                // The cooperative cancellation point: a cancel request
+                // lands between chunks, so a cancelled run stops at
+                // most one chunk after the request — never after the
+                // whole in-flight batch.
+                if cancelled() {
+                    return false;
+                }
+                self.merge(indices, evaluator.evaluate(indices));
+            }
+            return true;
+        }
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let (done, finished) = mpsc::channel::<(usize, EvaluatedChunk)>();
+            for _ in 0..threads {
+                let done = done.clone();
+                let (next, chunks) = (&next, &chunks);
+                scope.spawn(move || loop {
+                    if cancelled() {
+                        break;
+                    }
+                    let rank = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(indices) = chunks.get(rank) else {
+                        break;
+                    };
+                    // A closed channel means the merge stopped.
+                    if done.send((rank, evaluator.evaluate(indices))).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(done);
+            // Chunks finish out of order; each waits here until every
+            // lower rank is merged.
+            let mut waiting: Vec<Option<EvaluatedChunk>> = chunks.iter().map(|_| None).collect();
+            let mut merged = 0;
+            for (rank, chunk) in finished {
+                waiting[rank] = Some(chunk);
+                while let Some(chunk) = waiting.get_mut(merged).and_then(Option::take) {
+                    // The same cancellation point as the serial loop.
+                    if cancelled() {
+                        return false;
+                    }
+                    self.merge(chunks[merged], chunk);
+                    merged += 1;
+                }
+            }
+            // Every chunk arrives unless a worker saw the cancellation
+            // (a panicking worker re-raises when the scope joins).
+            merged == chunks.len() || !cancelled()
+        })
+    }
+
+    /// Merges one evaluated chunk of the points `indices` into the run:
+    /// stores and checkpoints its cache entries, then streams its
+    /// outcomes into the front and the strategy's observations, then
+    /// reports progress.
+    fn merge(&mut self, indices: &[usize], chunk: EvaluatedChunk) {
+        if let Some(cache) = self.cache {
+            for (key, entry) in chunk.stores {
+                cache.store_eval(key, entry);
+            }
+            // A failed append only coarsens crash-resume: the entries
+            // stay in memory, and the end-of-run flush reports whether
+            // they reached disk.
+            let _ = cache.checkpoint();
+        }
+        // Feasible results join the evaluated set and are offered to the
+        // archive (insert-time dominance check — no full-set re-scan);
+        // every outcome becomes an observation the strategy can steer by.
+        for (&index, outcome) in indices.iter().zip(chunk.outcomes) {
+            match outcome {
+                Ok(e) => {
+                    let id = self.evaluated.len();
+                    // ParetoOnly points carry [area, time], Full points
+                    // [area, time, test] — the archive streams whichever
+                    // front the mode defines.
+                    self.archive.try_insert(id, e.objectives.values());
+                    self.state.record(Observation {
+                        index,
+                        objectives: Some((e.area(), e.exec_time())),
+                    });
+                    self.eval_space_index.push(index);
+                    self.evaluated.push(e);
+                }
+                Err(why) => {
+                    self.infeasible += 1;
+                    if let Some(w) = why {
+                        self.blocked[w] += 1;
+                    }
+                    self.state.record(Observation {
+                        index,
+                        objectives: None,
+                    });
+                }
+            }
+        }
+        // Per-chunk progress: live telemetry for streaming clients.
+        // Observability only — the snapshot is built from state the
+        // chunk already produced.
+        if let Some(observer) = self.progress.as_mut() {
+            observer(&SweepProgress {
+                round: self.state.round(),
+                visited: self.state.observations().len(),
+                feasible: self.evaluated.len(),
+                infeasible: self.infeasible,
+                front: self.archive.len(),
+                space_len: self.space_len,
+            });
+        }
+    }
+}
 
 /// Weight-scaled aggregate cycles. Each term `wᵢ·cᵢ` and every partial
 /// sum is an exact integer below 2⁵³ when all weights are 1, so the
@@ -2243,57 +2328,135 @@ mod tests {
         // Regression (PR 9): the batch loop used to have no cancellation
         // check between chunks — cancelling a huge-space job only took
         // effect after the entire in-flight batch. Cancel from the first
-        // progress callback; the run must stop before a second chunk.
-        let token = CancelToken::new();
-        let cancel = token.clone();
-        let result = Exploration::over(TemplateSpace::huge())
-            .workload(&suite::crypt(1))
-            .strategy(crate::search::Exhaustive::neighbour())
-            .cancel_token(token)
-            .progress(move |_| cancel.cancel())
-            .run();
-        assert!(result.cancelled);
-        assert!(result.search.evaluations >= 1);
-        assert!(
-            result.search.evaluations <= CACHE_FLUSH_CHUNK,
-            "cancelled after the first chunk must stop before the second: {}",
-            result.search.evaluations
+        // progress callback; the run must stop before a second chunk,
+        // on the inline path and on the worker pool alike.
+        let w = suite::crypt(1);
+        let db = ComponentDb::new();
+        let mut checkpoints = Vec::new();
+        for threads in [1, 2] {
+            let token = CancelToken::new();
+            let cancel = token.clone();
+            let result = Exploration::over(TemplateSpace::huge())
+                .workload(&w)
+                .with_db(&db)
+                .strategy(crate::search::Exhaustive::neighbour())
+                .parallel(true)
+                .threads(threads)
+                .cancel_token(token)
+                .progress(move |_| cancel.cancel())
+                .run();
+            assert!(result.cancelled);
+            assert!(result.search.evaluations >= 1);
+            assert!(
+                result.search.evaluations <= CACHE_FLUSH_CHUNK,
+                "cancelled after the first chunk must stop before the second \
+                 ({threads} threads): {}",
+                result.search.evaluations
+            );
+            let cp = result.checkpoint.expect("checkpoint");
+            assert_eq!(cp.observations.len(), result.search.evaluations);
+            checkpoints.push(cp.indices());
+        }
+        assert_eq!(
+            checkpoints[0], checkpoints[1],
+            "the pool stops at the serial boundary"
         );
-        let cp = result.checkpoint.expect("checkpoint");
-        assert_eq!(cp.observations.len(), result.search.evaluations);
     }
 
     #[test]
     fn progress_streams_every_chunk_without_changing_results() {
         let w = suite::crypt(1);
         let db = ComponentDb::new();
-        let spec = || {
+        let spec = |threads| {
             Exploration::over(TemplateSpace::huge())
                 .workload(&w)
                 .with_db(&db)
                 .strategy(crate::search::Exhaustive::neighbour())
                 .budget(160)
+                .parallel(true)
+                .threads(threads)
         };
-        let plain = spec().run();
-        let snaps: Arc<std::sync::Mutex<Vec<SweepProgress>>> = Arc::default();
-        let sink = Arc::clone(&snaps);
-        let observed = spec()
-            .progress(move |p| sink.lock().unwrap().push(p.clone()))
-            .run();
-        let snaps = snaps.lock().unwrap();
-        // One snapshot per chunk, monotone, ending at the final tally.
-        assert_eq!(snaps.len(), 160usize.div_ceil(CACHE_FLUSH_CHUNK));
-        assert!(snaps.windows(2).all(|w| w[0].visited < w[1].visited));
-        let last = snaps.last().unwrap();
-        assert_eq!(last.visited, observed.search.evaluations);
-        assert_eq!(last.feasible, observed.evaluated.len());
-        assert_eq!(last.infeasible, observed.infeasible);
-        assert_eq!(last.space_len, TemplateSpace::huge().len());
-        // Observability only: the observer changes no result bit.
-        assert_eq!(observed.pareto, plain.pareto);
-        for (a, b) in observed.evaluated.iter().zip(&plain.evaluated) {
-            assert_eq!(a.objectives, b.objectives);
+        let plain = spec(1).run();
+        let mut streams = Vec::new();
+        for threads in [1, 2] {
+            let snaps: Arc<std::sync::Mutex<Vec<SweepProgress>>> = Arc::default();
+            let sink = Arc::clone(&snaps);
+            let observed = spec(threads)
+                .progress(move |p| sink.lock().unwrap().push(p.clone()))
+                .run();
+            let snaps = snaps.lock().unwrap().clone();
+            // One snapshot per chunk, monotone, ending at the final tally.
+            assert_eq!(snaps.len(), 160usize.div_ceil(CACHE_FLUSH_CHUNK));
+            assert!(snaps.windows(2).all(|w| w[0].visited < w[1].visited));
+            let last = snaps.last().unwrap();
+            assert_eq!(last.visited, observed.search.evaluations);
+            assert_eq!(last.feasible, observed.evaluated.len());
+            assert_eq!(last.infeasible, observed.infeasible);
+            assert_eq!(last.space_len, TemplateSpace::huge().len());
+            // Observability only: the observer changes no result bit.
+            assert_eq!(observed.pareto, plain.pareto);
+            assert_eq!(observed.evaluated.len(), plain.evaluated.len());
+            for (a, b) in observed.evaluated.iter().zip(&plain.evaluated) {
+                assert_eq!(a.objectives, b.objectives);
+            }
+            streams.push(snaps);
         }
+        assert_eq!(streams[0], streams[1], "the pool streams the serial events");
+    }
+
+    #[test]
+    fn cancelled_pool_run_journals_exactly_the_serial_chunks() {
+        use crate::cache::SweepCache;
+        let w = suite::crypt(1);
+        let db = ComponentDb::new();
+        // (journal at the first progress event, flushed v3 file) per
+        // thread count. The budget leaves the pool's second worker
+        // chunks to run ahead of the merge; none of them may reach the
+        // journal.
+        let runs: Vec<(Vec<u8>, Vec<u8>)> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                let dir = std::env::temp_dir().join(format!(
+                    "ttadse-explore-pool-journal-{threads}-{}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let cache = SweepCache::open(&dir).expect("cache dir");
+                let journal = cache.journal_path().to_path_buf();
+                let seen: Arc<std::sync::Mutex<Option<Vec<u8>>>> = Arc::default();
+                let sink = Arc::clone(&seen);
+                let token = CancelToken::new();
+                let cancel = token.clone();
+                let result = Exploration::over(TemplateSpace::huge())
+                    .workload(&w)
+                    .with_db(&db)
+                    .strategy(crate::search::Exhaustive::neighbour())
+                    .budget(8 * CACHE_FLUSH_CHUNK)
+                    .cache(&cache)
+                    .parallel(true)
+                    .threads(threads)
+                    .cancel_token(token)
+                    .progress(move |_| {
+                        let mut seen = sink.lock().unwrap();
+                        if seen.is_none() {
+                            *seen = Some(std::fs::read(&journal).expect("journal"));
+                        }
+                        cancel.cancel();
+                    })
+                    .run();
+                assert!(result.cancelled);
+                assert_eq!(result.search.evaluations, CACHE_FLUSH_CHUNK);
+                assert_eq!(result.cache_status, CacheStatus::Flushed);
+                assert!(!cache.journal_path().exists(), "the flush compacts");
+                let file = std::fs::read(cache.path()).expect("v3 file");
+                let _ = std::fs::remove_dir_all(&dir);
+                let journal = seen.lock().unwrap().take().expect("a progress event");
+                (journal, file)
+            })
+            .collect();
+        assert!(!runs[0].0.is_empty());
+        assert_eq!(runs[0].0, runs[1].0, "journal after the first chunk");
+        assert_eq!(runs[0].1, runs[1].1, "flushed v3 file");
     }
 
     #[test]

@@ -410,17 +410,18 @@ pub fn in_model(arch: &Architecture) -> bool {
 /// [`tta_netlist::IncrementalElaborator`], so Gray-walk neighbours reuse
 /// the common component prefix) and its area / loaded-critical-path
 /// figures are memoized in a bounded map keyed by the architecture's
-/// structural fingerprint. The evaluator is `Sync` — a parallel sweep
-/// serialises elaborations behind a mutex, which keeps the incremental
-/// builder sound; results are order-independent because incremental
+/// structural fingerprint. The evaluator is `Sync`: each call checks an
+/// elaborator out of a small free list, so parallel workers elaborate
+/// at the same time. Results are order-independent because incremental
 /// elaboration is bit-identical to from-scratch elaboration.
 pub struct NetlistEvaluator {
-    inner: std::sync::Mutex<NetlistEvalInner>,
+    memo: std::sync::Mutex<NetlistMemo>,
+    // Elaborators no call is using; one per concurrent caller at most.
+    idle: std::sync::Mutex<Vec<tta_netlist::IncrementalElaborator>>,
 }
 
-struct NetlistEvalInner {
-    elab: tta_netlist::IncrementalElaborator,
-    memo: std::collections::HashMap<u64, NetlistFigures>,
+struct NetlistMemo {
+    figures: std::collections::HashMap<u64, NetlistFigures>,
     order: std::collections::VecDeque<u64>,
     elaborations: u64,
     memo_hits: u64,
@@ -448,48 +449,64 @@ impl NetlistEvaluator {
     /// Creates an evaluator with an empty memo.
     pub fn new() -> Self {
         NetlistEvaluator {
-            inner: std::sync::Mutex::new(NetlistEvalInner {
-                elab: tta_netlist::IncrementalElaborator::new(),
-                memo: std::collections::HashMap::new(),
+            memo: std::sync::Mutex::new(NetlistMemo {
+                figures: std::collections::HashMap::new(),
                 order: std::collections::VecDeque::new(),
                 elaborations: 0,
                 memo_hits: 0,
             }),
+            idle: std::sync::Mutex::new(Vec::new()),
         }
     }
 
     /// Per-point figures for `arch`, elaborating at most once per
-    /// structurally distinct architecture. `None` when the architecture
-    /// is invalid (the models map that to infeasibility).
+    /// structurally distinct architecture (unless two threads ask for
+    /// the same one at once). `None` when the architecture is invalid
+    /// (the models map that to infeasibility).
     pub fn figures(&self, arch: &Architecture) -> Option<NetlistFigures> {
         let key = crate::cache::arch_fingerprint(arch);
-        let mut guard = self.inner.lock().expect("netlist evaluator poisoned");
-        let inner = &mut *guard;
-        if let Some(&f) = inner.memo.get(&key) {
-            inner.memo_hits += 1;
-            return Some(f);
-        }
-        let nl = inner.elab.advance(arch).ok()?;
-        inner.elaborations += 1;
-        let figures = NetlistFigures {
-            cell_area: nl.area(),
-            critical_path: tta_netlist::timing::min_clock_period(&nl),
-        };
-        if inner.order.len() >= NETLIST_MEMO_CAP {
-            if let Some(old) = inner.order.pop_front() {
-                inner.memo.remove(&old);
+        {
+            let mut memo = self.memo.lock().expect("netlist evaluator poisoned");
+            if let Some(&f) = memo.figures.get(&key) {
+                memo.memo_hits += 1;
+                return Some(f);
             }
         }
-        inner.memo.insert(key, figures);
-        inner.order.push_back(key);
+        // An idle elaborator, or a fresh one when every one is busy.
+        let mut elab = self
+            .idle
+            .lock()
+            .expect("netlist evaluator poisoned")
+            .pop()
+            .unwrap_or_default();
+        let figures = elab.advance(arch).ok().map(|nl| NetlistFigures {
+            cell_area: nl.area(),
+            critical_path: tta_netlist::timing::min_clock_period(&nl),
+        });
+        self.idle
+            .lock()
+            .expect("netlist evaluator poisoned")
+            .push(elab);
+        let figures = figures?;
+        let mut memo = self.memo.lock().expect("netlist evaluator poisoned");
+        memo.elaborations += 1;
+        if !memo.figures.contains_key(&key) {
+            if memo.order.len() >= NETLIST_MEMO_CAP {
+                if let Some(old) = memo.order.pop_front() {
+                    memo.figures.remove(&old);
+                }
+            }
+            memo.figures.insert(key, figures);
+            memo.order.push_back(key);
+        }
         Some(figures)
     }
 
     /// `(elaborations, memo hits)` so far — observability for tests and
     /// benchmarks, never part of any result.
     pub fn counters(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("netlist evaluator poisoned");
-        (inner.elaborations, inner.memo_hits)
+        let memo = self.memo.lock().expect("netlist evaluator poisoned");
+        (memo.elaborations, memo.memo_hits)
     }
 }
 
@@ -770,6 +787,43 @@ mod tests {
         assert!(AnnotatedTimingModel::default()
             .clock_period(&arch, &db)
             .is_infinite());
+    }
+
+    #[test]
+    fn concurrent_netlist_callers_agree_with_one_serial_caller() {
+        let space = tta_arch::template::TemplateSpace::fast_default();
+        let archs: Vec<Architecture> = (0..space.len()).map(|i| space.point(i)).collect();
+        let serial = NetlistEvaluator::new();
+        let want: Vec<_> = archs.iter().map(|a| serial.figures(a)).collect();
+        let shared = NetlistEvaluator::new();
+        let start = std::sync::Barrier::new(2);
+        let got: Vec<Vec<_>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    let (shared, start, archs) = (&shared, &start, &archs);
+                    scope.spawn(move || {
+                        start.wait();
+                        // Interleaved points, so each elaborator keeps
+                        // jumping between the two callers' walks.
+                        archs
+                            .iter()
+                            .skip(t)
+                            .step_by(2)
+                            .map(|a| shared.figures(a))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("netlist caller"))
+                .collect()
+        });
+        for (k, figures) in want.iter().enumerate() {
+            assert_eq!(&got[k % 2][k / 2], figures, "point {k}");
+        }
+        assert!(shared.idle.lock().unwrap().len() <= 2, "one per caller");
+        assert_eq!(shared.counters().0, archs.len() as u64);
     }
 
     #[test]

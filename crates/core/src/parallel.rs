@@ -1,11 +1,13 @@
 //! Minimal order-preserving parallel map over scoped threads.
 //!
-//! The sweep wants rayon-style `par_iter().map().collect()` semantics,
-//! but the build container has no registry access, so this implements the
-//! one shape the pipeline needs on `std::thread::scope`: a work-stealing
-//! index counter with results merged back into input order. Output is
-//! therefore *bit-identical* to the serial map regardless of thread
-//! count or scheduling.
+//! The workspace builds without registry dependencies, so this
+//! implements the one rayon shape the engine still needs — `par_iter().map().collect()`
+//! — on `std::thread::scope`: workers take the next item from a shared
+//! index counter, and results are merged back into input order. Output
+//! is therefore *bit-identical* to the serial map regardless of thread
+//! count or scheduling. The sweep itself runs on its own per-batch
+//! worker pool (see [`crate::explore::CACHE_FLUSH_CHUNK`]); only the
+//! Pareto-front lift maps its points through here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

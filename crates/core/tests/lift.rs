@@ -192,8 +192,8 @@ fn full_sweep_upgrades_v2_entries_by_recomputing_only_the_test_axis() {
         v3,
         "upgraded entries must be stored back"
     );
-    // … and a third run needs no recomputation at all (pre-warm
-    // planning sees complete entries).
+    // … and a third run needs no recomputation at all (every entry
+    // now carries its inline test total).
     let third_cache = SweepCache::open(&dir).expect("reopen again");
     let third = run(
         TemplateSpace::tiny(),

@@ -646,14 +646,14 @@ fn custom_models_are_consulted_once_per_point_serial_and_parallel() {
 }
 
 /// A serial sweep that annotates a cold database lazily, point by point,
-/// agrees bit for bit with a parallel sweep that pre-warms its own cold
-/// database chunk by chunk — over the hierarchical space, under a full
-/// lift, in both visit orders.
+/// agrees bit for bit with a parallel sweep whose workers annotate their
+/// own cold database concurrently — over the hierarchical space, under a
+/// full lift, in both visit orders.
 #[test]
-fn lazily_annotated_serial_sweep_equals_a_prewarmed_parallel_one() {
+fn lazily_annotated_serial_sweep_equals_a_concurrently_annotated_parallel_one() {
     let w = suite::checksum32();
     for neighbour in [false, true] {
-        let (lazy, prewarmed) = (cheap_db(), cheap_db());
+        let (lazy, concurrent) = (cheap_db(), cheap_db());
         let run = |db: &ComponentDb, parallel: bool| {
             let e = Exploration::over(hier_space())
                 .workload(&w)
@@ -668,9 +668,9 @@ fn lazily_annotated_serial_sweep_equals_a_prewarmed_parallel_one() {
             }
         };
         let serial = run(&lazy, false);
-        let parallel = run(&prewarmed, true);
+        let parallel = run(&concurrent, true);
         assert_bit_identical(&serial, &parallel);
-        assert_eq!(lazy.len(), prewarmed.len(), "both annotated the same keys");
+        assert_eq!(lazy.len(), concurrent.len(), "both annotated the same keys");
     }
 }
 

@@ -237,11 +237,14 @@ impl Architecture {
         self.rfs.iter().map(|r| r.regs).sum()
     }
 
-    /// Checks structural invariants.
+    /// Checks structural invariants. Allocation-free: the sweep
+    /// validates every point it schedules.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ArchitectureError`] found.
+    /// Returns the first [`ArchitectureError`] found. Units are checked
+    /// FUs first, then RFs, each in declaration order; a duplicate name
+    /// is reported on its second occurrence.
     pub fn validate(&self) -> Result<(), ArchitectureError> {
         if self.buses == 0 {
             return Err(ArchitectureError::NoBuses);
@@ -249,19 +252,27 @@ impl Architecture {
         if self.rfs.is_empty() {
             return Err(ArchitectureError::NoRegisterFile);
         }
-        let mut names = std::collections::HashSet::new();
-        for f in &self.fus {
-            if !names.insert(f.name.as_str()) {
+        // An architecture has a handful of units, so scanning the names
+        // declared before each one beats hashing them.
+        let fu_named =
+            |name: &str, before: usize| self.fus[..before].iter().any(|f| f.name == name);
+        for (i, f) in self.fus.iter().enumerate() {
+            if fu_named(&f.name, i) {
                 return Err(ArchitectureError::DuplicateName(f.name.clone()));
             }
-            for b in f.port_buses() {
+            // (O, T, R) ports; immediates have no O.
+            let skip = usize::from(f.kind == FuKind::Immediate);
+            for b in [f.operand_bus, f.trigger_bus, f.result_bus]
+                .iter()
+                .skip(skip)
+            {
                 if usize::from(b.0) >= self.buses {
                     return Err(ArchitectureError::DanglingBus(f.name.clone()));
                 }
             }
         }
-        for r in &self.rfs {
-            if !names.insert(r.name.as_str()) {
+        for (i, r) in self.rfs.iter().enumerate() {
+            if fu_named(&r.name, self.fus.len()) || self.rfs[..i].iter().any(|q| q.name == r.name) {
                 return Err(ArchitectureError::DuplicateName(r.name.clone()));
             }
             if r.regs == 0 || r.write_ports.is_empty() || r.read_ports.is_empty() {
@@ -378,6 +389,103 @@ mod tests {
             a.validate(),
             Err(ArchitectureError::DuplicateName(_))
         ));
+    }
+
+    #[test]
+    fn validation_rejects_no_buses_before_anything_else() {
+        let mut a = Architecture::figure9();
+        a.buses = 0;
+        a.rfs.clear();
+        assert_eq!(a.validate(), Err(ArchitectureError::NoBuses));
+    }
+
+    #[test]
+    fn validation_rejects_a_missing_register_file() {
+        let mut a = Architecture::figure9();
+        a.rfs.clear();
+        assert_eq!(a.validate(), Err(ArchitectureError::NoRegisterFile));
+    }
+
+    #[test]
+    fn validation_rejects_degenerate_register_files() {
+        for degrade in [
+            |r: &mut RfInstance| r.regs = 0,
+            |r: &mut RfInstance| r.write_ports.clear(),
+            |r: &mut RfInstance| r.read_ports.clear(),
+        ] {
+            let mut a = Architecture::figure9();
+            degrade(&mut a.rfs[1]);
+            let name = a.rfs[1].name.clone();
+            assert_eq!(a.validate(), Err(ArchitectureError::DegenerateRf(name)));
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_register_file_on_a_dangling_bus() {
+        let mut a = Architecture::figure9();
+        a.rfs[0].read_ports[1] = BusId(2);
+        let name = a.rfs[0].name.clone();
+        assert_eq!(a.validate(), Err(ArchitectureError::DanglingBus(name)));
+    }
+
+    #[test]
+    fn an_immediate_units_unused_operand_bus_is_not_checked() {
+        let mut a = Architecture::figure9();
+        let imm = a.fus.iter_mut().find(|f| f.kind == FuKind::Immediate);
+        imm.expect("figure9 has an immediate unit").operand_bus = BusId(9);
+        assert_eq!(a.validate(), Ok(()));
+    }
+
+    #[test]
+    fn duplicate_names_are_reported_on_their_second_occurrence() {
+        // FU vs FU: the later unit's name, before its dangling bus.
+        let mut a = Architecture::figure9();
+        a.fus[2].name = a.fus[0].name.clone();
+        a.fus[2].trigger_bus = BusId(9);
+        assert_eq!(
+            a.validate(),
+            Err(ArchitectureError::DuplicateName(a.fus[0].name.clone()))
+        );
+        // RF vs FU: the RF carries the name, after every FU passed.
+        let mut a = Architecture::figure9();
+        a.rfs[1].name = a.fus[3].name.clone();
+        assert_eq!(
+            a.validate(),
+            Err(ArchitectureError::DuplicateName(a.fus[3].name.clone()))
+        );
+        // RF vs RF, ahead of the second RF's degenerate geometry.
+        let mut a = Architecture::figure9();
+        a.rfs[1].name = a.rfs[0].name.clone();
+        a.rfs[1].regs = 0;
+        assert_eq!(
+            a.validate(),
+            Err(ArchitectureError::DuplicateName(a.rfs[0].name.clone()))
+        );
+        // An FU dangling before the duplicate RF is reported first.
+        let mut a = Architecture::figure9();
+        a.fus[4].result_bus = BusId(7);
+        a.rfs[1].name = a.rfs[0].name.clone();
+        assert_eq!(
+            a.validate(),
+            Err(ArchitectureError::DanglingBus(a.fus[4].name.clone()))
+        );
+    }
+
+    #[test]
+    fn validation_rejects_two_load_store_units() {
+        let mut a = Architecture::figure9();
+        let mut extra = a
+            .fus
+            .iter()
+            .find(|f| f.kind == FuKind::LdSt)
+            .unwrap()
+            .clone();
+        extra.name = "ldst1".into();
+        a.fus.push(extra);
+        assert_eq!(
+            a.validate(),
+            Err(ArchitectureError::SingletonViolation(FuKind::LdSt, 2))
+        );
     }
 
     #[test]
