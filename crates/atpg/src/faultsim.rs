@@ -1,18 +1,43 @@
 //! Parallel-pattern single-fault-propagation fault simulation.
 //!
-//! For every fault, the simulator re-evaluates only the cone of logic the
-//! fault effect actually reaches (event-driven, in topological order),
-//! comparing 64 patterns at once against the fault-free reference.
+//! Faults are simulated 64 patterns at a time against the fault-free
+//! reference, and the work is split at *stems*: a stem is an observe
+//! point or a net without exactly one gate reader. Every other net
+//! feeds a single gate pin, so a fault effect travels from its site
+//! along one fanout-free path to the first stem below it, and the
+//! difference it makes there is found by evaluating the path's gates
+//! over the good values ([`FaultSimulator::detect_mask`]). Whether a
+//! difference at a stem reaches an observe point is a property of the
+//! stem and the batch alone: the stem's *observability mask*, found by
+//! flipping the stem in all 64 slots and propagating the change
+//! event-driven, in topological order, through the cone it reaches.
+//! Each stem's mask is simulated at most once per batch and kept on the
+//! batch's [`GoodValues`], so every fault behind the same stem shares
+//! it. The detection mask is the stem difference ANDed with that mask,
+//! slot by slot exactly what re-simulating the whole faulty cone gives:
+//! slots are independent, and past the stem the faulty circuit is the
+//! good one with the stem flipped wherever the difference is set.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use tta_netlist::netlist::Fanout;
-use tta_netlist::{GateId, Netlist, Simulator};
+use tta_netlist::{GateId, NetId, Netlist, Simulator};
 
 use crate::fault::{Fault, FaultSite};
 use crate::pattern::{Pattern, PatternBatch};
 use crate::view::CombView;
+
+/// The fault-free values of one pattern batch, plus the observability
+/// masks of the stems simulated against them so far. The masks belong
+/// to these values, so a batch's memo can never answer for another.
+#[derive(Debug, Clone)]
+pub struct GoodValues {
+    values: Vec<u64>,
+    active_mask: u64,
+    /// Per-net observability mask of the stems simulated so far.
+    stem_obs: Vec<Option<u64>>,
+}
 
 /// Fault simulator bound to one netlist + test-access view.
 #[derive(Debug)]
@@ -20,16 +45,19 @@ pub struct FaultSimulator {
     nl: Netlist,
     view: CombView,
     fanout: Fanout,
+    /// Per net: its only reader pin, or `None` for a stem.
+    single_reader: Vec<Option<(GateId, u8)>>,
     /// Topological position of every gate (for ordered event processing).
     topo_pos: Vec<u32>,
     sim: Simulator,
     /// Per-net flag: is this net a view observe point?
     observed: Vec<bool>,
-    // --- scratch (reused across faults) ---
+    // --- scratch (reused across stems) ---
     faulty: Vec<u64>,
     touched: Vec<u32>,
     touched_flag: Vec<bool>,
     queued: Vec<bool>,
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
 }
 
 impl FaultSimulator {
@@ -45,7 +73,6 @@ impl FaultSimulator {
         for (pos, gid) in nl.topo_order().iter().enumerate() {
             topo_pos[gid.index()] = pos as u32;
         }
-        let fanout = nl.fanout_table();
         let sim = Simulator::new(&nl);
         let nets = nl.net_count();
         let gates = nl.gate_count();
@@ -53,10 +80,21 @@ impl FaultSimulator {
         for net in view.observes() {
             observed[net.index()] = true;
         }
+        let fanout = nl.fanout_table();
+        let single_reader = fanout
+            .gate_pins
+            .iter()
+            .zip(&observed)
+            .map(|(pins, &obs)| match pins[..] {
+                [reader] if !obs => Some(reader),
+                _ => None,
+            })
+            .collect();
         FaultSimulator {
             nl,
             view,
             fanout,
+            single_reader,
             topo_pos,
             sim,
             observed,
@@ -64,6 +102,7 @@ impl FaultSimulator {
             touched: Vec::with_capacity(64),
             touched_flag: vec![false; nets],
             queued: vec![false; gates],
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -77,112 +116,122 @@ impl FaultSimulator {
         &self.view
     }
 
-    /// Simulates the fault-free circuit for a packed batch, returning the
-    /// value word of every net.
-    pub fn good_values(&self, batch: &PatternBatch) -> Vec<u64> {
+    /// Simulates the fault-free circuit for a packed batch: the value
+    /// word of every net, with an empty stem memo.
+    pub fn good_values(&self, batch: &PatternBatch) -> GoodValues {
         let (pi, state) = self.view.split_assignment(&batch.words);
-        self.sim.eval(&self.nl, pi, state)
+        let values = self.sim.eval(&self.nl, pi, state);
+        GoodValues {
+            stem_obs: vec![None; values.len()],
+            values,
+            active_mask: batch.active_mask,
+        }
     }
 
     /// Returns the mask of batch patterns that detect `fault`, given the
-    /// fault-free `good` net values of the same batch.
-    pub fn detect_mask(&mut self, good: &[u64], batch: &PatternBatch, fault: Fault) -> u64 {
-        // Seed the event queue with the fault injection site.
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        debug_assert!(self.touched.is_empty());
-        let mut detected = 0u64;
-
-        let schedule_readers = |net: tta_netlist::NetId,
-                                heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-                                queued: &mut [bool],
-                                topo_pos: &[u32],
-                                fanout: &Fanout| {
-            for (gid, _pin) in &fanout.gate_pins[net.index()] {
-                if !queued[gid.index()] {
-                    queued[gid.index()] = true;
-                    heap.push(Reverse((topo_pos[gid.index()], gid.index() as u32)));
-                }
+    /// batch's fault-free values `good` (whose stem memo it extends).
+    pub fn detect_mask(&mut self, good: &mut GoodValues, fault: Fault) -> u64 {
+        let values = &good.values;
+        let forced = if fault.stuck { u64::MAX } else { 0 };
+        // The difference the fault makes on the net it first corrupts.
+        let (mut net, mut diff) = match fault.site {
+            FaultSite::Net(net) => (net, values[net.index()] ^ forced),
+            FaultSite::GatePin(gid, pin) => {
+                let inp = self.nl.gate(gid).inputs()[pin as usize];
+                self.through_gate(values, gid, pin, values[inp.index()] ^ forced)
             }
         };
-
-        match fault.site {
-            FaultSite::Net(net) => {
-                let forced = if fault.stuck { u64::MAX } else { 0 };
-                let diff = good[net.index()] ^ forced;
-                if diff & batch.active_mask == 0 {
-                    return 0;
-                }
-                self.faulty[net.index()] = forced;
-                self.touched.push(net.index() as u32);
-                self.touched_flag[net.index()] = true;
-                detected |= self.observe_diff(good, net);
-                schedule_readers(
-                    net,
-                    &mut heap,
-                    &mut self.queued,
-                    &self.topo_pos,
-                    &self.fanout,
-                );
+        // Walk the fanout-free path to its stem: each net on it feeds one
+        // pin of one gate, whose other inputs the fault cannot reach.
+        loop {
+            diff &= good.active_mask;
+            if diff == 0 {
+                return 0;
             }
-            FaultSite::GatePin(gid, pin) => {
-                // Only the faulted gate sees the stuck pin.
-                let out = self.eval_gate_faulty(good, gid, Some((pin, fault.stuck)));
-                let onet = self.nl.gate(gid).output();
-                if (out ^ good[onet.index()]) & batch.active_mask == 0 {
-                    return 0;
-                }
-                self.faulty[onet.index()] = out;
-                self.touched.push(onet.index() as u32);
-                self.touched_flag[onet.index()] = true;
-                detected |= self.observe_diff(good, onet);
-                schedule_readers(
-                    onet,
-                    &mut heap,
-                    &mut self.queued,
-                    &self.topo_pos,
-                    &self.fanout,
-                );
-            }
+            let Some((gid, pin)) = self.single_reader[net.index()] else {
+                break;
+            };
+            (net, diff) = self.through_gate(values, gid, pin, diff);
         }
+        let observable = match good.stem_obs[net.index()] {
+            Some(mask) => mask,
+            None => {
+                let mask = self.stem_observability(&good.values, net);
+                good.stem_obs[net.index()] = Some(mask);
+                mask
+            }
+        };
+        diff & observable
+    }
 
-        // Event-driven propagation in topological order.
-        while let Some(Reverse((_pos, gidx))) = heap.pop() {
+    /// Gate `gid`'s output net, and the difference at it when input
+    /// `pin` differs from its good value by `diff` and every other input
+    /// holds its good value.
+    fn through_gate(&self, values: &[u64], gid: GateId, pin: u8, diff: u64) -> (NetId, u64) {
+        let gate = self.nl.gate(gid);
+        let mut ins = [0u64; 3];
+        for (k, inp) in gate.inputs().iter().enumerate() {
+            ins[k] = values[inp.index()];
+        }
+        ins[pin as usize] ^= diff;
+        let out = gate.output();
+        let faulty = gate.kind().eval(&ins[..gate.inputs().len()]);
+        (out, faulty ^ values[out.index()])
+    }
+
+    /// The slots in which flipping `stem` changes some observe point:
+    /// the flip is propagated event-driven, in topological order, through
+    /// the part of the stem's cone it actually reaches.
+    fn stem_observability(&mut self, good: &[u64], stem: NetId) -> u64 {
+        debug_assert!(self.touched.is_empty() && self.heap.is_empty());
+        let mut observable = self.change(good, stem, !good[stem.index()]);
+        while let Some(Reverse((_pos, gidx))) = self.heap.pop() {
             self.queued[gidx as usize] = false;
-            let gid = GateId::from_index(gidx as usize);
-            let out = self.eval_gate_faulty(good, gid, None);
-            let onet = self.nl.gate(gid).output();
-            let prev = self.current_value(good, onet);
-            if out == prev {
-                continue;
+            let gate = self.nl.gate(GateId::from_index(gidx as usize));
+            let mut ins = [0u64; 3];
+            for (k, net) in gate.inputs().iter().enumerate() {
+                ins[k] = self.current_value(good, *net);
             }
-            if !self.touched_flag[onet.index()] {
-                self.touched.push(onet.index() as u32);
-                self.touched_flag[onet.index()] = true;
+            let out = gate.kind().eval(&ins[..gate.inputs().len()]);
+            let onet = gate.output();
+            if out != self.current_value(good, onet) {
+                observable |= self.change(good, onet, out);
             }
-            self.faulty[onet.index()] = out;
-            detected |= self.observe_diff(good, onet);
-            schedule_readers(
-                onet,
-                &mut heap,
-                &mut self.queued,
-                &self.topo_pos,
-                &self.fanout,
-            );
         }
-
-        // Restore scratch for the next fault.
+        // Restore scratch for the next stem.
         for &t in &self.touched {
             self.touched_flag[t as usize] = false;
         }
         self.touched.clear();
+        observable
+    }
 
-        detected & batch.active_mask
+    /// Gives `net` the faulty value `value` and queues its readers;
+    /// returns the difference it makes if `net` is observed.
+    fn change(&mut self, good: &[u64], net: NetId, value: u64) -> u64 {
+        if !self.touched_flag[net.index()] {
+            self.touched.push(net.index() as u32);
+            self.touched_flag[net.index()] = true;
+        }
+        self.faulty[net.index()] = value;
+        for (gid, _pin) in &self.fanout.gate_pins[net.index()] {
+            if !self.queued[gid.index()] {
+                self.queued[gid.index()] = true;
+                self.heap
+                    .push(Reverse((self.topo_pos[gid.index()], gid.index() as u32)));
+            }
+        }
+        if self.observed[net.index()] {
+            good[net.index()] ^ value
+        } else {
+            0
+        }
     }
 
     /// Value of `net` in the faulty circuit: the touched override if any,
     /// otherwise the good value.
     #[inline]
-    fn current_value(&self, good: &[u64], net: tta_netlist::NetId) -> u64 {
+    fn current_value(&self, good: &[u64], net: NetId) -> u64 {
         if self.touched_flag[net.index()] {
             self.faulty[net.index()]
         } else {
@@ -190,42 +239,13 @@ impl FaultSimulator {
         }
     }
 
-    /// Evaluates one gate against the faulty circuit, with an optional
-    /// stuck pin override.
-    fn eval_gate_faulty(&self, good: &[u64], gid: GateId, pin_override: Option<(u8, bool)>) -> u64 {
-        let gate = self.nl.gate(gid);
-        let mut ins = [0u64; 3];
-        for (k, net) in gate.inputs().iter().enumerate() {
-            ins[k] = self.current_value(good, *net);
-        }
-        if let Some((pin, stuck)) = pin_override {
-            ins[pin as usize] = if stuck { u64::MAX } else { 0 };
-        }
-        gate.kind().eval(&ins[..gate.inputs().len()])
-    }
-
-    /// Detection contribution of a changed net: differs at an observe
-    /// point.
-    fn observe_diff(&self, good: &[u64], net: tta_netlist::NetId) -> u64 {
-        if self.is_observed(net) {
-            good[net.index()] ^ self.faulty[net.index()]
-        } else {
-            0
-        }
-    }
-
-    #[inline]
-    fn is_observed(&self, net: tta_netlist::NetId) -> bool {
-        self.observed[net.index()]
-    }
-
     /// Runs the batch against `faults`, returning a detection mask per
     /// fault (bit `k` ⇔ pattern `k` detects it).
     pub fn run_batch(&mut self, batch: &PatternBatch, faults: &[Fault]) -> Vec<u64> {
-        let good = self.good_values(batch);
+        let mut good = self.good_values(batch);
         faults
             .iter()
-            .map(|f| self.detect_mask(&good, batch, *f))
+            .map(|f| self.detect_mask(&mut good, *f))
             .collect()
     }
 
@@ -249,10 +269,10 @@ impl FaultSimulator {
             }
             let refs: Vec<&Pattern> = chunk.iter().collect();
             let batch = PatternBatch::pack(&self.view, &refs);
-            let good = self.good_values(&batch);
+            let mut good = self.good_values(&batch);
             let mut first_detector_hit = vec![false; chunk.len()];
             remaining.retain(|&fi| {
-                let mask = self.detect_mask(&good, &batch, faults[fi]);
+                let mask = self.detect_mask(&mut good, faults[fi]);
                 if mask != 0 {
                     detected[fi] = true;
                     first_detector_hit[mask.trailing_zeros() as usize] = true;
@@ -293,8 +313,8 @@ mod tests {
         let p11 = Pattern::new(vec![true, true]);
         let p10 = Pattern::new(vec![true, false]);
         let batch = PatternBatch::pack(fs.view(), &[&p11, &p10]);
-        let good = fs.good_values(&batch);
-        let mask = fs.detect_mask(&good, &batch, Fault::sa0(ynet));
+        let mut good = fs.good_values(&batch);
+        let mask = fs.detect_mask(&mut good, Fault::sa0(ynet));
         assert_eq!(mask, 0b01, "only pattern 11 detects y/sa0");
     }
 
@@ -306,13 +326,13 @@ mod tests {
         // a=0, b=1: good y=0, faulty (a stuck 1) y=1.
         let p = Pattern::new(vec![false, true]);
         let batch = PatternBatch::pack(fs.view(), &[&p]);
-        let good = fs.good_values(&batch);
-        assert_eq!(fs.detect_mask(&good, &batch, Fault::sa1(a)), 1);
+        let mut good = fs.good_values(&batch);
+        assert_eq!(fs.detect_mask(&mut good, Fault::sa1(a)), 1);
         // a=0, b=0 does not detect.
         let p0 = Pattern::new(vec![false, false]);
         let batch0 = PatternBatch::pack(fs.view(), &[&p0]);
-        let good0 = fs.good_values(&batch0);
-        assert_eq!(fs.detect_mask(&good0, &batch0, Fault::sa1(a)), 0);
+        let mut good0 = fs.good_values(&batch0);
+        assert_eq!(fs.detect_mask(&mut good0, Fault::sa1(a)), 0);
     }
 
     #[test]
@@ -342,13 +362,13 @@ mod tests {
         // unchanged.
         let p = Pattern::new(vec![false, true, false]);
         let batch = PatternBatch::pack(fs.view(), &[&p]);
-        let good = fs.good_values(&batch);
-        assert_eq!(fs.detect_mask(&good, &batch, fault), 1);
+        let mut good = fs.good_values(&batch);
+        assert_eq!(fs.detect_mask(&mut good, fault), 1);
         // Stem fault on `a` sa1 flips y0 too — also detected, but through
         // a different cone; just confirm it is detected.
         let astem = fs.netlist().find_net("a").unwrap();
-        let good = fs.good_values(&batch);
-        assert_eq!(fs.detect_mask(&good, &batch, Fault::sa1(astem)), 1);
+        let mut good = fs.good_values(&batch);
+        assert_eq!(fs.detect_mask(&mut good, Fault::sa1(astem)), 1);
     }
 
     #[test]
@@ -383,7 +403,7 @@ mod tests {
         let mut fs = FaultSimulator::new(nl);
         let p = Pattern::new(vec![true, true, false]); // a, b, r.q
         let batch = PatternBatch::pack(fs.view(), &[&p]);
-        let good = fs.good_values(&batch);
-        assert_eq!(fs.detect_mask(&good, &batch, Fault::sa0(xnet)), 1);
+        let mut good = fs.good_values(&batch);
+        assert_eq!(fs.detect_mask(&mut good, Fault::sa0(xnet)), 1);
     }
 }

@@ -7,6 +7,15 @@
 //! with fault dropping, a 5-valued PODEM deterministic generator, a
 //! random-pattern bootstrap phase, and reverse-order static compaction.
 //!
+//! Both engines avoid re-simulating what a step cannot have changed.
+//! PODEM keeps its implied values and D-frontier across one fault's
+//! decisions and re-evaluates only the fanout cones of the inputs a
+//! decision or backtrack changed ([`podem`]). The fault simulator walks
+//! each fault effect to its fanout-free-region stem and reuses the
+//! stem's observability mask, simulated once per stem per batch
+//! ([`faultsim`]). Both give exactly the test sets and verdicts of full
+//! re-simulation.
+//!
 //! Components are hybrid-pipelined (Figure 3 of the paper): their operand,
 //! trigger and result registers are directly controllable/observable over
 //! the move buses, so ATPG runs on the *full-scan view* of the netlist —
@@ -40,7 +49,7 @@ pub mod v5;
 pub mod view;
 
 pub use fault::{Fault, FaultSite, FaultUniverse};
-pub use faultsim::FaultSimulator;
+pub use faultsim::{FaultSimulator, GoodValues};
 pub use pattern::{Pattern, TestSet};
 pub use tpg::{Atpg, AtpgConfig, AtpgResult};
 pub use view::CombView;

@@ -1,13 +1,23 @@
 //! PODEM (Path-Oriented DEcision Making) deterministic test generation.
 //!
-//! Classic implementation over the 5-valued D-calculus: implication by
-//! forward simulation, objective selection (activate, then propagate via
-//! the D-frontier), backtrace to an unassigned input, and chronological
+//! Classic implementation over the 5-valued D-calculus: event-driven
+//! implication, objective selection (activate, then propagate via the
+//! D-frontier), backtrace to an unassigned input, and chronological
 //! backtracking with a configurable limit.
 //!
-//! Two standard accelerations keep hard faults cheap without changing
+//! Three standard accelerations keep hard faults cheap without changing
 //! any Test/Untestable verdict:
 //!
+//! * **Incremental implication** — each fault is seeded by one full
+//!   forward pass ([`Podem::imply`]); after that the net values and the
+//!   D-frontier are kept across the fault's decisions. A decision or a
+//!   backtrack re-evaluates only the fanout cones of the inputs whose
+//!   assignment changed, through a topologically ordered queue that
+//!   stops wherever a gate's output does not change. The frontier is
+//!   then put back in topological order, which is the order a full pass
+//!   collects it in, so the stable nearest-to-observe sort — and with it
+//!   every objective, backtrace, backtrack count, X-fill draw and cube —
+//!   is the same as re-implying from scratch after every decision.
 //! * **X-path pruning** — when the D-frontier is alive but no path of
 //!   X-valued nets connects any frontier gate to an observe point, the
 //!   fault effect can never reach an output under the current partial
@@ -16,9 +26,12 @@
 //!   Pruned subtrees contain no tests, so the first test found — and
 //!   therefore the generated cube — is identical to the unpruned search;
 //!   only faults that previously hit the backtrack limit can now resolve.
-//! * **Scratch reuse** — the per-net value array, frontier list and
-//!   X-path visit marks live on the engine and are reused across
+//! * **Scratch reuse** — the per-net values, frontier list, event queue
+//!   and X-path visit marks live on the engine and are reused across
 //!   decisions and faults; the inner loop performs no heap allocation.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use tta_netlist::netlist::NetDriver;
 use tta_netlist::{GateId, GateKind, NetId, Netlist};
@@ -50,14 +63,27 @@ pub struct Podem<'a> {
     depth: Vec<u32>,
     /// Per-net minimum distance to an observe point (usize::MAX if none).
     obs_dist: Vec<u32>,
-    /// Per-net reader gates (for the X-path forward reachability walk).
+    /// Per-net reader gates (implication events and the X-path walk).
     readers: Vec<Vec<GateId>>,
     /// Per-net observe-point flag of the view.
     is_observe: Vec<bool>,
+    /// Topological position of every gate (the implication queue's key
+    /// and the frontier's order).
+    topo_pos: Vec<u32>,
     backtrack_limit: u32,
-    // ---- scratch, reused across decisions and faults ----
+    // ---- implication state of the current fault ----
     values: Vec<V5>,
+    /// The D-frontier, in topological order after every implication.
     frontier: Vec<GateId>,
+    /// Per-gate membership flag of `frontier`.
+    in_frontier: Vec<bool>,
+    /// The assignment `values` currently implies.
+    applied: Vec<V3>,
+    /// Observe nets currently carrying D or D̄.
+    observed_effects: usize,
+    // ---- scratch, reused across decisions and faults ----
+    queue: BinaryHeap<Reverse<u32>>,
+    queued: Vec<bool>,
     xpath_mark: Vec<u64>,
     xpath_epoch: u64,
     xpath_stack: Vec<NetId>,
@@ -104,6 +130,10 @@ impl<'a> Podem<'a> {
                 }
             }
         }
+        let mut topo_pos = vec![0u32; nl.gate_count()];
+        for (pos, gid) in nl.topo_order().iter().enumerate() {
+            topo_pos[gid.index()] = pos as u32;
+        }
         Podem {
             nl,
             view,
@@ -112,9 +142,15 @@ impl<'a> Podem<'a> {
             obs_dist,
             readers,
             is_observe,
+            topo_pos,
             backtrack_limit,
             values: vec![V5::X; nl.net_count()],
             frontier: Vec::new(),
+            in_frontier: vec![false; nl.gate_count()],
+            applied: Vec::new(),
+            observed_effects: 0,
+            queue: BinaryHeap::new(),
+            queued: vec![false; nl.gate_count()],
             xpath_mark: vec![0; nl.net_count()],
             xpath_epoch: 0,
             xpath_stack: Vec::new(),
@@ -123,14 +159,30 @@ impl<'a> Podem<'a> {
 
     /// Attempts to generate a test for `fault`.
     pub fn generate(&mut self, fault: Fault) -> PodemOutcome {
+        self.generate_observed(fault, |_, _, _| {})
+    }
+
+    /// [`Podem::generate`], calling `observe(assignment, values,
+    /// frontier)` after every implication: the partial input assignment,
+    /// the per-net values it implies and the D-frontier in topological
+    /// order. The first call follows the full [`Podem::imply`] seed;
+    /// every later one follows an incremental update, so a caller can
+    /// check the kept state against a fresh [`Podem::imply`] of the same
+    /// assignment.
+    pub fn generate_observed(
+        &mut self,
+        fault: Fault,
+        mut observe: impl FnMut(&[V3], &[V5], &[GateId]),
+    ) -> PodemOutcome {
         let mut assignment: Vec<V3> = vec![V3::X; self.view.inputs().len()];
         // Decision stack: (input index, second value tried?).
         let mut stack: Vec<(usize, bool)> = Vec::new();
         let mut backtracks = 0u32;
 
+        self.imply(&assignment, fault);
         loop {
-            self.imply(&assignment, fault);
-            if self.detected() {
+            observe(&assignment, &self.values, &self.frontier);
+            if self.observed_effects > 0 {
                 return PodemOutcome::Test(assignment);
             }
             let objective = self.objective(fault);
@@ -162,12 +214,16 @@ impl<'a> Podem<'a> {
                     }
                 }
             }
+            self.update(&assignment, fault);
         }
     }
 
     /// Forward 5-valued implication of the current assignment with the
-    /// fault injected. Fills (and returns a view of) the engine's per-net
-    /// value scratch.
+    /// fault injected: one full pass over every gate. Fills (and returns
+    /// a view of) the engine's per-net values and collects the
+    /// D-frontier in topological order. [`Podem::generate`] seeds each
+    /// fault with this pass and updates incrementally from there; it is
+    /// also the reference the incremental state is tested against.
     ///
     /// Values are kept in the *classic* five-valued domain
     /// {0, 1, X, D, D̄}: a line whose good or faulty half is unknown is
@@ -177,7 +233,12 @@ impl<'a> Podem<'a> {
     /// the search complete.
     pub fn imply(&mut self, assignment: &[V3], fault: Fault) -> &[V5] {
         self.values.fill(V5::X);
+        for &gid in &self.frontier {
+            self.in_frontier[gid.index()] = false;
+        }
         self.frontier.clear();
+        self.applied.clear();
+        self.applied.extend_from_slice(assignment);
         // Sources.
         for (i, net) in self.nl.nets().iter().enumerate() {
             let v = match net.driver() {
@@ -201,41 +262,125 @@ impl<'a> Podem<'a> {
         // input, output not fully determined) falls out of the same pass:
         // every input's final value is known by the time its reader is
         // evaluated, so the check here matches a post-hoc scan exactly.
-        let mut ins = [V5::X; 3];
         for &gid in self.nl.topo_order() {
-            let gate = self.nl.gate(gid);
-            for (k, inp) in gate.inputs().iter().enumerate() {
-                ins[k] = self.values[inp.index()];
-            }
-            // A stuck pin corrupts only this gate's view of the input.
-            if let FaultSite::GatePin(fg, pin) = fault.site {
-                if fg == gid {
-                    let orig = ins[pin as usize];
-                    ins[pin as usize] = canon(V5 {
-                        good: orig.good,
-                        faulty: V3::from_bool(fault.stuck),
-                    });
-                }
-            }
-            let n_ins = gate.inputs().len();
-            let out = V5::eval_gate(gate.kind(), &ins[..n_ins]);
-            let out = inject(gate.output(), out, fault);
-            self.values[gate.output().index()] = out;
-            if !(out.good.is_binary() && out.faulty.is_binary())
-                && ins[..n_ins].iter().any(|v| v.is_fault_effect())
-            {
+            let (out, on_frontier) = self.eval_gate(gid, fault);
+            self.values[self.nl.gate(gid).output().index()] = out;
+            if on_frontier {
+                self.in_frontier[gid.index()] = true;
                 self.frontier.push(gid);
             }
         }
+        self.observed_effects = self
+            .values
+            .iter()
+            .zip(&self.is_observe)
+            .filter(|(v, obs)| **obs && v.is_fault_effect())
+            .count();
         &self.values
     }
 
-    /// Has the fault effect reached an observe point?
-    fn detected(&self) -> bool {
-        self.view
-            .observes()
-            .iter()
-            .any(|net| self.values[net.index()].is_fault_effect())
+    /// The D-frontier of the last [`Podem::imply`], in topological
+    /// order (a [`Podem::generate`] run leaves it in search order).
+    pub fn frontier(&self) -> &[GateId] {
+        &self.frontier
+    }
+
+    /// Brings the implied state from `applied` to `assignment`: only the
+    /// fanout cones of the inputs that changed are re-evaluated, in
+    /// topological order, and a gate whose output keeps its value stops
+    /// the event there. Each gate is evaluated at most once (its inputs
+    /// are final when it is popped), so afterwards every net holds the
+    /// value a full [`Podem::imply`] would give it.
+    fn update(&mut self, assignment: &[V3], fault: Fault) {
+        for (idx, &a) in assignment.iter().enumerate() {
+            if self.applied[idx] == a {
+                continue;
+            }
+            self.applied[idx] = a;
+            let net = self.view.inputs()[idx];
+            // Only the last view input mapped to a net drives it (as in
+            // `imply`'s source pass).
+            if self.input_of_net[net.index()] == idx {
+                self.set(net, inject(net, V5 { good: a, faulty: a }, fault));
+            }
+        }
+        let mut dropped = false;
+        while let Some(Reverse(pos)) = self.queue.pop() {
+            let gid = self.nl.topo_order()[pos as usize];
+            self.queued[gid.index()] = false;
+            let (out, on_frontier) = self.eval_gate(gid, fault);
+            if on_frontier != self.in_frontier[gid.index()] {
+                self.in_frontier[gid.index()] = on_frontier;
+                if on_frontier {
+                    self.frontier.push(gid);
+                } else {
+                    dropped = true;
+                }
+            }
+            self.set(self.nl.gate(gid).output(), out);
+        }
+        if dropped {
+            let in_frontier = &self.in_frontier;
+            self.frontier.retain(|g| in_frontier[g.index()]);
+        }
+        // `objective` reorders the frontier by distance to an observe
+        // point; restore the topological order a full pass produces.
+        let topo_pos = &self.topo_pos;
+        self.frontier.sort_unstable_by_key(|g| topo_pos[g.index()]);
+    }
+
+    /// Gives `net` the value `v`; when that is a change, keeps the
+    /// observe-point count current and queues the net's readers.
+    fn set(&mut self, net: NetId, v: V5) {
+        let old = std::mem::replace(&mut self.values[net.index()], v);
+        if old == v {
+            return;
+        }
+        if self.is_observe[net.index()] {
+            if old.is_fault_effect() {
+                self.observed_effects -= 1;
+            }
+            if v.is_fault_effect() {
+                self.observed_effects += 1;
+            }
+        }
+        for &gid in &self.readers[net.index()] {
+            if !self.queued[gid.index()] {
+                self.queued[gid.index()] = true;
+                self.queue.push(Reverse(self.topo_pos[gid.index()]));
+            }
+        }
+    }
+
+    /// Evaluates `gid` on the current net values with the fault
+    /// injected: its output value, and whether the gate belongs to the
+    /// D-frontier (a fault effect on an input, output not fully
+    /// determined).
+    fn eval_gate(&self, gid: GateId, fault: Fault) -> (V5, bool) {
+        let gate = self.nl.gate(gid);
+        let mut ins = [V5::X; 3];
+        for (k, inp) in gate.inputs().iter().enumerate() {
+            ins[k] = self.values[inp.index()];
+        }
+        // A stuck pin corrupts only this gate's view of the input.
+        if let FaultSite::GatePin(fg, pin) = fault.site {
+            if fg == gid {
+                let orig = ins[pin as usize];
+                ins[pin as usize] = canon(V5 {
+                    good: orig.good,
+                    faulty: V3::from_bool(fault.stuck),
+                });
+            }
+        }
+        let n_ins = gate.inputs().len();
+        let out = inject(
+            gate.output(),
+            V5::eval_gate(gate.kind(), &ins[..n_ins]),
+            fault,
+        );
+        let on_frontier = !(out.good.is_binary() && out.faulty.is_binary())
+            && ins[..n_ins].iter().any(|v| v.is_fault_effect());
+        (out, on_frontier)
     }
 
     /// Picks the next objective `(net, value)`, or `None` on a conflict.
@@ -528,8 +673,8 @@ mod tests {
         let mut fs = FaultSimulator::new(nl);
         let p = Pattern::new(bits);
         let batch = PatternBatch::pack(fs.view(), &[&p]);
-        let good = fs.good_values(&batch);
-        assert_eq!(fs.detect_mask(&good, &batch, fault), 1, "{fault}");
+        let mut good = fs.good_values(&batch);
+        assert_eq!(fs.detect_mask(&mut good, fault), 1, "{fault}");
     }
 
     #[test]

@@ -195,11 +195,11 @@ impl Atpg {
             generated += count;
             let refs: Vec<&Pattern> = patterns.iter().collect();
             let batch = PatternBatch::pack(fs.view(), &refs);
-            let good = fs.good_values(&batch);
+            let mut good = fs.good_values(&batch);
             let mut keep_mask = 0u64;
             let mut newly_detected = Vec::new();
             for &fi in &remaining {
-                let mask = fs.detect_mask(&good, &batch, faults[fi]);
+                let mask = fs.detect_mask(&mut good, faults[fi]);
                 if mask != 0 {
                     keep_mask |= 1 << mask.trailing_zeros();
                     newly_detected.push(fi);
@@ -241,10 +241,10 @@ impl Atpg {
                     // Fault-sim the new pattern against everything still
                     // remaining (fault dropping).
                     let batch = PatternBatch::pack(fs.view(), &[&pattern]);
-                    let good = fs.good_values(&batch);
+                    let mut good = fs.good_values(&batch);
                     let mut hit_target = false;
                     for &fj in &remaining {
-                        if fs.detect_mask(&good, &batch, faults[fj]) != 0 {
+                        if fs.detect_mask(&mut good, faults[fj]) != 0 {
                             status[fj] = FaultStatus::Detected;
                             hit_target |= fj == fi;
                         }
@@ -309,9 +309,9 @@ fn compact_reverse(fs: &mut FaultSimulator, test_set: &TestSet, faults: &[Fault]
     for (chunk_idx, chunk) in patterns.chunks(64).enumerate() {
         let refs: Vec<&Pattern> = chunk.iter().collect();
         let batch = PatternBatch::pack(fs.view(), &refs);
-        let good = fs.good_values(&batch);
+        let mut good = fs.good_values(&batch);
         for (fi, fault) in faults.iter().enumerate() {
-            let mask = fs.detect_mask(&good, &batch, *fault);
+            let mask = fs.detect_mask(&mut good, *fault);
             if mask != 0 {
                 let hi = 63 - mask.leading_zeros() as usize;
                 let idx = chunk_idx * 64 + hi;

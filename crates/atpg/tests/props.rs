@@ -1,15 +1,16 @@
 //! Property-based tests of the test-generation stack on *random*
 //! combinational circuits: PODEM's verdicts are always confirmed by
-//! independent fault simulation, and fault simulation itself agrees with
-//! brute-force faulty-circuit resimulation.
+//! independent fault simulation, fault simulation itself agrees with
+//! brute-force faulty-circuit resimulation, and PODEM's incrementally
+//! kept implication state always equals a fresh full implication.
 
 use proptest::prelude::*;
-use tta_atpg::fault::{Fault, FaultUniverse};
+use tta_atpg::fault::{Fault, FaultSite, FaultUniverse};
 use tta_atpg::pattern::{Pattern, PatternBatch};
 use tta_atpg::podem::{Podem, PodemOutcome};
 use tta_atpg::v5::V3;
 use tta_atpg::{CombView, FaultSimulator};
-use tta_netlist::{GateKind, NetId, Netlist, NetlistBuilder, Simulator};
+use tta_netlist::{components, GateKind, NetId, Netlist, NetlistBuilder, Simulator};
 
 /// Deterministically builds a random DAG circuit from a seed.
 fn random_circuit(seed: u64, n_inputs: usize, n_gates: usize) -> Netlist {
@@ -61,37 +62,96 @@ fn random_circuit(seed: u64, n_inputs: usize, n_gates: usize) -> Netlist {
     b.finish()
 }
 
-/// Brute force: full resimulation with the fault forced on its net.
-fn brute_force_detects(nl: &Netlist, fault: Fault, pattern: &Pattern) -> bool {
+/// Brute force: the whole circuit re-simulated with `fault` forced, all
+/// 64 slots of `words` at once. Returns the slots in which some observe
+/// point differs from the fault-free circuit.
+fn brute_force_mask(nl: &Netlist, fault: Fault, words: &[u64]) -> u64 {
     let sim = Simulator::new(nl);
     let view = CombView::full_scan(nl);
-    let words: Vec<u64> = pattern.bits().iter().map(|&b| u64::from(b)).collect();
-    let (pi, state) = view.split_assignment(&words);
+    let (pi, state) = view.split_assignment(words);
     let good = sim.eval(nl, pi, state);
-    // Faulty circuit: rebuild evaluation manually with the stuck net.
-    // (Only stem faults are brute-forced; pin faults are covered by the
-    // simulator's own unit tests.)
-    let tta_atpg::fault::FaultSite::Net(fnet) = fault.site else {
-        return false;
-    };
+    let forced = if fault.stuck { u64::MAX } else { 0 };
     let mut faulty = good.clone();
-    faulty[fnet.index()] = if fault.stuck { u64::MAX } else { 0 };
-    // Re-evaluate topologically with the forced net pinned.
+    if let FaultSite::Net(fnet) = fault.site {
+        faulty[fnet.index()] = forced;
+    }
     let mut ins = [0u64; 3];
     for &gid in nl.topo_order() {
         let g = nl.gate(gid);
         for (k, inp) in g.inputs().iter().enumerate() {
             ins[k] = faulty[inp.index()];
         }
+        // A stuck pin corrupts only its own gate's view of the net.
+        if let FaultSite::GatePin(fg, pin) = fault.site {
+            if fg == gid {
+                ins[pin as usize] = forced;
+            }
+        }
         let out = g.kind().eval(&ins[..g.inputs().len()]);
-        let onet = g.output();
-        if onet != fnet {
-            faulty[onet.index()] = out;
+        if fault.site != FaultSite::Net(g.output()) {
+            faulty[g.output().index()] = out;
         }
     }
     view.observes()
         .iter()
-        .any(|o| (good[o.index()] ^ faulty[o.index()]) & 1 == 1)
+        .fold(0, |mask, o| mask | (good[o.index()] ^ faulty[o.index()]))
+}
+
+/// `count` seeded pseudo-random patterns over `n` inputs.
+fn seeded_patterns(seed: u64, n: usize, count: usize) -> Vec<Pattern> {
+    let mut lcg = seed | 1;
+    (0..count)
+        .map(|_| {
+            Pattern::new(
+                (0..n)
+                    .map(|_| {
+                        lcg = lcg
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        lcg >> 63 == 1
+                    })
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// Runs PODEM on every `stride`-th fault of `nl` and checks, after every
+/// implication, that the incrementally kept values and D-frontier equal
+/// a fresh full `imply` of the same assignment. Returns the first
+/// mismatch, described.
+fn incremental_mismatch(nl: &Netlist, stride: usize, limit: u32) -> Option<String> {
+    let view = CombView::full_scan(nl);
+    let universe = FaultUniverse::enumerate(nl);
+    let mut podem = Podem::new(nl, &view, limit);
+    let mut reference = Podem::new(nl, &view, limit);
+    let mut mismatch = None;
+    let mut checked = 0usize;
+    for fault in universe.faults().iter().step_by(stride) {
+        podem.generate_observed(*fault, |assignment, values, frontier| {
+            checked += 1;
+            if mismatch.is_some() {
+                return;
+            }
+            if reference.imply(assignment, *fault) != values {
+                mismatch = Some(format!("{fault}: values differ after step {checked}"));
+            } else if reference.frontier() != frontier {
+                mismatch = Some(format!("{fault}: frontier differs after step {checked}"));
+            }
+        });
+    }
+    assert!(checked > 0, "no implication was observed");
+    mismatch
+}
+
+#[test]
+fn incremental_podem_state_matches_fresh_implication_on_components() {
+    for component in [components::alu(8), components::cmp(8), components::mul(8)] {
+        let name = component.netlist.name().to_string();
+        if let Some(m) = incremental_mismatch(&component.netlist, 3, 128) {
+            panic!("{name}: {m}");
+        }
+    }
 }
 
 proptest! {
@@ -102,20 +162,27 @@ proptest! {
         let nl = random_circuit(seed, 5, 20);
         let universe = FaultUniverse::enumerate(&nl);
         let mut fs = FaultSimulator::new(nl.clone());
-        // One deterministic pattern from pat_seed.
         let n = fs.view().inputs().len();
-        let bits: Vec<bool> = (0..n).map(|i| (pat_seed >> (i % 60)) & 1 == 1).collect();
-        let pattern = Pattern::new(bits);
-        let batch = PatternBatch::pack(fs.view(), &[&pattern]);
-        let good = fs.good_values(&batch);
-        for fault in universe.faults().iter().take(40) {
-            if !matches!(fault.site, tta_atpg::fault::FaultSite::Net(_)) {
-                continue;
+        // A full batch, then a partial one whose idle slots must stay
+        // clear. Stem and pin faults alike, sharing one batch's memo.
+        for count in [64, 1 + (pat_seed % 64) as usize] {
+            let patterns = seeded_patterns(pat_seed, n, count);
+            let refs: Vec<&Pattern> = patterns.iter().collect();
+            let batch = PatternBatch::pack(fs.view(), &refs);
+            let mut good = fs.good_values(&batch);
+            for fault in universe.faults() {
+                let fast = fs.detect_mask(&mut good, *fault);
+                let brute = brute_force_mask(&nl, *fault, &batch.words) & batch.active_mask;
+                prop_assert_eq!(fast, brute, "fault {} seed {} count {}", fault, seed, count);
             }
-            let fast = fs.detect_mask(&good, &batch, *fault) & 1 == 1;
-            let brute = brute_force_detects(&nl, *fault, &pattern);
-            prop_assert_eq!(fast, brute, "fault {} seed {}", fault, seed);
         }
+    }
+
+    #[test]
+    fn incremental_podem_state_matches_fresh_implication(seed in 0u64..10_000) {
+        let nl = random_circuit(seed, 6, 24);
+        let mismatch = incremental_mismatch(&nl, 1, 2_000);
+        prop_assert!(mismatch.is_none(), "seed {}: {:?}", seed, mismatch);
     }
 
     #[test]
@@ -131,9 +198,9 @@ proptest! {
                     let bits: Vec<bool> = cube.iter().map(|v| *v == V3::One).collect();
                     let p = Pattern::new(bits);
                     let batch = PatternBatch::pack(fs.view(), &[&p]);
-                    let good = fs.good_values(&batch);
+                    let mut good = fs.good_values(&batch);
                     prop_assert!(
-                        fs.detect_mask(&good, &batch, *fault) & 1 == 1,
+                        fs.detect_mask(&mut good, *fault) & 1 == 1,
                         "PODEM cube fails for {} on seed {}", fault, seed
                     );
                 }
@@ -164,11 +231,11 @@ proptest! {
             .collect();
         let refs: Vec<&Pattern> = patterns.iter().collect();
         let batch = PatternBatch::pack(&view, &refs);
-        let good = fs.good_values(&batch);
+        let mut good = fs.good_values(&batch);
         for fault in universe.faults().iter().take(20) {
             if podem.generate(*fault) == PodemOutcome::Untestable {
                 prop_assert_eq!(
-                    fs.detect_mask(&good, &batch, *fault), 0,
+                    fs.detect_mask(&mut good, *fault), 0,
                     "redundant fault {} detected!", fault
                 );
             }

@@ -227,10 +227,13 @@ pub fn run(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<
 
 /// Entry point shared by the `ttadse` binary and the legacy aliases:
 /// runs `args`, reporting errors on stderr with the right exit code.
+///
+/// Stderr is passed unlocked: a command runs for as long as a sweep or
+/// a daemon does, and holding the process-wide stderr lock for all of
+/// it would hang the first `eprintln!` from any other thread.
 pub fn main_with_args(args: Vec<String>) -> std::process::ExitCode {
     let stdout = std::io::stdout();
-    let stderr = std::io::stderr();
-    let result = run(&args, &mut stdout.lock(), &mut stderr.lock());
+    let result = run(&args, &mut stdout.lock(), &mut std::io::stderr());
     match result {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(e) => {

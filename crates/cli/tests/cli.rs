@@ -595,3 +595,49 @@ fn explore_output_carries_no_engine_statistics() {
         }
     }
 }
+
+/// A running command must not hold the process-wide stderr lock: sweep
+/// workers and library code may write diagnostics to
+/// `std::io::stderr()` from other threads, and a held lock turns the
+/// first such write into a hang. The daemon is the command that runs
+/// until told to stop, so the write happens while it surely runs; a
+/// blocked write fails the test after a timeout instead of hanging it.
+#[test]
+fn other_threads_can_write_stderr_while_a_command_runs() {
+    use std::io::Write as _;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::{Duration, Instant};
+
+    let port = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free local port")
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let args = ["serve", "--addr", &addr, "--workers", "1"].map(String::from);
+    let daemon = thread::spawn(move || ttadse_cli::main_with_args(args.to_vec()));
+    // The listener is bound before the daemon serves: once a connect
+    // succeeds, the command is running.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while TcpStream::connect(&addr).is_err() {
+        assert!(Instant::now() < deadline, "ttadse serve never came up");
+        thread::sleep(Duration::from_millis(10));
+    }
+    let (tx, rx) = mpsc::channel();
+    let writer = thread::spawn(move || {
+        let _ = writeln!(std::io::stderr(), "a diagnostic from another thread");
+        let _ = tx.send(());
+    });
+    let wrote = rx.recv_timeout(Duration::from_secs(10));
+    tta_serve::client::control(&format!("http://{addr}"), "/shutdown").expect("shutdown");
+    let code = daemon.join().expect("the serve command returns");
+    writer
+        .join()
+        .expect("the writer finishes once stderr is free");
+    assert!(
+        wrote.is_ok(),
+        "a stderr write from another thread blocked while the command ran"
+    );
+    assert_eq!(code, std::process::ExitCode::SUCCESS);
+}

@@ -327,13 +327,175 @@ fn shard_of(key: u64) -> usize {
     (key & (SHARDS as u64 - 1)) as usize
 }
 
-/// One lock shard: its slice of the entry map, plus — for a persistent
+/// One lock shard: its slice of the entries, plus — for a persistent
 /// cache — the keys stored since the last checkpoint, so a checkpoint
-/// appends only what is new instead of re-rendering the whole map.
+/// appends only what is new instead of re-rendering the whole shard.
+///
+/// Entries are packed: `index` maps each key to the offset of its row in
+/// one `rows` arena of `u64` words (see [`encode`] for the row layout).
+/// A long-lived daemon holds hundreds of thousands of entries, and a
+/// map of owned [`Entry`] values costs a ~96-byte bucket plus a heap
+/// `Vec` per feasible entry; an index bucket is 24 bytes and a typical
+/// row 6 words.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<(Kind, u64), Entry>,
+    index: HashMap<(Kind, u64), u32>,
+    rows: Vec<u64>,
+    /// Arena words no index entry points at: rows replaced by a row of
+    /// another length. Compacted away once they outweigh the live rows.
+    dead: usize,
     pending: Vec<(Kind, u64)>,
+}
+
+impl Shard {
+    /// The packed row of `key`.
+    fn row(&self, key: &(Kind, u64)) -> Option<&[u64]> {
+        let start = *self.index.get(key)? as usize;
+        Some(&self.rows[start..start + row_len(&self.rows[start..])])
+    }
+
+    /// The entry under `key`, unpacked.
+    fn get(&self, key: &(Kind, u64)) -> Option<Entry> {
+        self.row(key).map(decode)
+    }
+
+    /// The sweep evaluation under `key`.
+    fn get_eval(&self, key: u64) -> Option<EvalEntry> {
+        match self.get(&(Kind::Eval, key))? {
+            Entry::Eval(e) => Some(e),
+            Entry::Test(_) => None,
+        }
+    }
+
+    /// Stores `entry` under `key`; `false` when the key already held
+    /// exactly this entry. The row is packed at the arena's end first:
+    /// a new key keeps it there, a same-length replacement is copied
+    /// over the old row, and a row of another length is re-pointed to,
+    /// leaving the old words dead.
+    fn insert(&mut self, key: (Kind, u64), entry: &Entry) -> bool {
+        let start = self.rows.len();
+        encode(entry, &mut self.rows);
+        let len = self.rows.len() - start;
+        let Some(&old) = self.index.get(&key) else {
+            self.index.insert(key, row_offset(start));
+            return true;
+        };
+        let old = old as usize;
+        let old_len = row_len(&self.rows[old..]);
+        if old_len == len {
+            let changed = self.rows[old..old + len] != self.rows[start..];
+            self.rows.copy_within(start.., old);
+            self.rows.truncate(start);
+            return changed;
+        }
+        self.index.insert(key, row_offset(start));
+        self.dead += old_len;
+        if self.dead > self.rows.len() / 2 {
+            self.compact();
+        }
+        true
+    }
+
+    /// Rewrites the arena with the live rows only.
+    fn compact(&mut self) {
+        let mut rows = Vec::with_capacity(self.rows.len() - self.dead);
+        for start in self.index.values_mut() {
+            let old = *start as usize;
+            *start = row_offset(rows.len());
+            rows.extend_from_slice(&self.rows[old..old + row_len(&self.rows[old..])]);
+        }
+        self.rows = rows;
+        self.dead = 0;
+    }
+
+    fn clear(&mut self) {
+        *self = Shard::default();
+    }
+}
+
+/// An arena offset as stored in a shard index.
+fn row_offset(start: usize) -> u32 {
+    u32::try_from(start).expect("a cache shard holds at most 2^32 words")
+}
+
+// Row layout. The first word of a row is its header: the tag in bits
+// 0–1, the inline-test flag in bit 2, and a `u32` payload in bits 32–63
+// (the blocked workload, or the spill count). A feasible row continues
+// with the workload count, cycles, area bits, exec bits, the optional
+// (model fingerprint, test bits) pair and the per-workload cycles; a
+// test row with its total's bits.
+const TAG_INFEASIBLE: u64 = 0;
+const TAG_BLOCKED: u64 = 1;
+const TAG_FEASIBLE: u64 = 2;
+const TAG_TEST: u64 = 3;
+const HAS_TEST: u64 = 1 << 2;
+
+/// Appends `entry`'s packed row to `out`.
+fn encode(entry: &Entry, out: &mut Vec<u64>) {
+    match entry {
+        Entry::Eval(EvalEntry::Infeasible { blocked: None }) => out.push(TAG_INFEASIBLE),
+        Entry::Eval(EvalEntry::Infeasible { blocked: Some(w) }) => {
+            out.push(TAG_BLOCKED | u64::from(*w) << 32);
+        }
+        Entry::Eval(EvalEntry::Feasible {
+            cycles,
+            workload_cycles,
+            spills,
+            area_bits,
+            exec_bits,
+            test,
+        }) => {
+            let flag = if test.is_some() { HAS_TEST } else { 0 };
+            out.extend([
+                TAG_FEASIBLE | flag | u64::from(*spills) << 32,
+                workload_cycles.len() as u64,
+                *cycles,
+                *area_bits,
+                *exec_bits,
+            ]);
+            if let Some((fp, bits)) = test {
+                out.extend([*fp, *bits]);
+            }
+            out.extend_from_slice(workload_cycles);
+        }
+        Entry::Test(bits) => out.extend([TAG_TEST, *bits]),
+    }
+}
+
+/// Length in words of the row starting at `row[0]`.
+fn row_len(row: &[u64]) -> usize {
+    match row[0] & 3 {
+        TAG_INFEASIBLE | TAG_BLOCKED => 1,
+        TAG_FEASIBLE => 5 + 2 * usize::from(row[0] & HAS_TEST != 0) + row[1] as usize,
+        _ => 2,
+    }
+}
+
+/// Unpacks a row written by [`encode`].
+fn decode(row: &[u64]) -> Entry {
+    let payload = (row[0] >> 32) as u32;
+    match row[0] & 3 {
+        TAG_INFEASIBLE => Entry::Eval(EvalEntry::Infeasible { blocked: None }),
+        TAG_BLOCKED => Entry::Eval(EvalEntry::Infeasible {
+            blocked: Some(payload),
+        }),
+        TAG_FEASIBLE => {
+            let (test, cycles_at) = if row[0] & HAS_TEST != 0 {
+                (Some((row[5], row[6])), 7)
+            } else {
+                (None, 5)
+            };
+            Entry::Eval(EvalEntry::Feasible {
+                cycles: row[2],
+                workload_cycles: row[cycles_at..].to_vec(),
+                spills: payload,
+                area_bits: row[3],
+                exec_bits: row[4],
+                test,
+            })
+        }
+        _ => Entry::Test(row[1]),
+    }
 }
 
 /// `(len, mtime)` quick-check signature of a file.
@@ -425,7 +587,7 @@ impl SweepCache {
         entries.extend(replayed.into_iter().flatten());
         let mut shards: [Shard; SHARDS] = std::array::from_fn(|_| Shard::default());
         for (k, v) in entries {
-            shards[shard_of(k.1)].map.insert(k, v);
+            shards[shard_of(k.1)].insert(k, &v);
         }
         let mut cache = SweepCache::with_shards(path, journal, shards, disk_state);
         *cache.dirty.get_mut() = dirty;
@@ -510,10 +672,7 @@ impl SweepCache {
     /// the operation counts as one read.
     pub fn lookup_eval(&self, key: u64) -> Option<EvalEntry> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = match self.shard_for(key).map.get(&(Kind::Eval, key)) {
-            Some(Entry::Eval(e)) => Some(e.clone()),
-            _ => None,
-        };
+        let found = self.shard_for(key).get_eval(key);
         self.count(found.is_some());
         found
     }
@@ -541,10 +700,8 @@ impl SweepCache {
             }
             let shard = self.shard(i);
             for &pos in positions {
-                if let Some(Entry::Eval(e)) = shard.map.get(&(Kind::Eval, keys[pos])) {
-                    hits += 1;
-                    out[pos] = Some(e.clone());
-                }
+                out[pos] = shard.get_eval(keys[pos]);
+                hits += u64::from(out[pos].is_some());
             }
         }
         self.hits.fetch_add(hits, Ordering::Relaxed);
@@ -556,10 +713,7 @@ impl SweepCache {
     /// Whether a test-cost lift for `key` is present, *without* touching
     /// the hit/miss counters (unlike [`SweepCache::lookup_test`]).
     pub fn contains_test(&self, key: u64) -> bool {
-        matches!(
-            self.shard_for(key).map.get(&(Kind::Test, key)),
-            Some(Entry::Test(_))
-        )
+        self.shard_for(key).index.contains_key(&(Kind::Test, key))
     }
 
     /// Stores an entry in memory and, for a persistent cache, queues
@@ -569,10 +723,9 @@ impl SweepCache {
     /// stored the same content address).
     fn store(&self, key: (Kind, u64), entry: Entry) {
         let mut shard = self.shard_for(key.1);
-        if shard.map.get(&key) == Some(&entry) {
+        if !shard.insert(key, &entry) {
             return;
         }
-        shard.map.insert(key, entry);
         if self.persistent() {
             shard.pending.push(key);
         }
@@ -589,8 +742,8 @@ impl SweepCache {
     /// Looks up a lifted test-cost total (exact bit pattern). One read.
     pub fn lookup_test(&self, key: u64) -> Option<f64> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = match self.shard_for(key).map.get(&(Kind::Test, key)) {
-            Some(Entry::Test(bits)) => Some(f64::from_bits(*bits)),
+        let found = match self.shard_for(key).get(&(Kind::Test, key)) {
+            Some(Entry::Test(bits)) => Some(f64::from_bits(bits)),
             _ => None,
         };
         self.count(found.is_some());
@@ -653,7 +806,7 @@ impl SweepCache {
     /// Shards are counted one at a time, so the total is a consistent
     /// snapshot only when no writer is concurrently storing.
     pub fn len(&self) -> usize {
-        (0..SHARDS).map(|i| self.shard(i).map.len()).sum()
+        (0..SHARDS).map(|i| self.shard(i).index.len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -682,12 +835,15 @@ impl SweepCache {
         let mut fresh: Vec<((Kind, u64), Entry)> = Vec::new();
         for i in 0..SHARDS {
             let mut shard = self.shard(i);
-            let Shard { map, pending } = &mut *shard;
+            let mut pending = std::mem::take(&mut shard.pending);
             // A key stored twice since the last checkpoint is journaled
             // once, with its current value.
             pending.sort_unstable();
             pending.dedup();
-            fresh.extend(pending.drain(..).map(|k| (k, map[&k].clone())));
+            fresh.extend(pending.into_iter().map(|k| {
+                let entry = shard.get(&k).expect("a pending key is held");
+                (k, entry)
+            }));
         }
         if fresh.is_empty() {
             return Ok(());
@@ -745,11 +901,14 @@ impl SweepCache {
             load_entries(&self.path, HEADER)
         };
         for (k, v) in journal.into_iter().rev().chain(file.into_iter().flatten()) {
-            shards[shard_of(k.1)].map.entry(k).or_insert(v);
+            let shard = &mut shards[shard_of(k.1)];
+            if !shard.index.contains_key(&k) {
+                shard.insert(k, &v);
+            }
         }
         let mut keys: Vec<(Kind, u64)> = shards
             .iter()
-            .flat_map(|shard| shard.map.keys().copied())
+            .flat_map(|shard| shard.index.keys().copied())
             .collect();
         // Deterministic file contents: sorted by (kind, key), which is
         // the rendered lines' byte order — not hash order.
@@ -758,7 +917,8 @@ impl SweepCache {
         body.push_str(HEADER);
         body.push('\n');
         for k in &keys {
-            render_line(&mut body, k, &shards[shard_of(k.1)].map[k]);
+            let entry = shards[shard_of(k.1)].get(k).expect("a listed key is held");
+            render_line(&mut body, k, &entry);
         }
         // Unique temp name per flush: concurrent flushers (other
         // processes, or two instances in this one) must never interleave
@@ -795,9 +955,7 @@ impl SweepCache {
     pub fn invalidate(&self) -> io::Result<()> {
         let mut disk_state = self.disk();
         for i in 0..SHARDS {
-            let mut shard = self.shard(i);
-            shard.map.clear();
-            shard.pending.clear();
+            self.shard(i).clear();
         }
         self.dirty.store(false, Ordering::Release);
         *disk_state = None;

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
-use tta_core::cache::{SweepCache, CACHE_FILE_NAME, JOURNAL_FILE_NAME};
+use tta_core::cache::{EvalEntry, SweepCache, CACHE_FILE_NAME, JOURNAL_FILE_NAME};
 use tta_core::explore::{CancelToken, Exploration, ExploreResult};
 use tta_core::models::AreaModel;
 use tta_core::search::Exhaustive;
@@ -472,5 +472,76 @@ fn garbage_journal_degrades_to_the_v3_file_alone() {
     assert_eq!(reopened.misses(), 0);
     assert_eq!(fs::read_to_string(reopened.path()).expect("flushed"), text);
     assert!(!reopened.journal_path().exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every shape an evaluation entry takes, each a distinct packed-row
+/// layout: infeasible with and without a blocked workload, feasible with
+/// zero, one and many workloads, with and without the inline test pair,
+/// and the widest spill count.
+fn every_eval_shape() -> Vec<EvalEntry> {
+    let feasible =
+        |workloads: Vec<u64>, spills: u32, test: Option<(u64, u64)>| EvalEntry::Feasible {
+            cycles: workloads.len() as u64 * 1000 + 7,
+            workload_cycles: workloads,
+            spills,
+            area_bits: 1234.5f64.to_bits(),
+            exec_bits: f64::MAX.to_bits(),
+            test,
+        };
+    let many: Vec<u64> = (0..37).map(|i| u64::MAX - i).collect();
+    vec![
+        EvalEntry::Infeasible { blocked: None },
+        EvalEntry::Infeasible { blocked: Some(0) },
+        EvalEntry::Infeasible {
+            blocked: Some(u32::MAX),
+        },
+        feasible(vec![], 0, None),
+        feasible(vec![42], 3, None),
+        feasible(many.clone(), 9, None),
+        feasible(vec![], 1, Some((0xfeed, 0.5f64.to_bits()))),
+        feasible(vec![42], 0, Some((u64::MAX, u64::MAX))),
+        feasible(many, u32::MAX, Some((0, 0))),
+        feasible(vec![5, 6], u32::MAX, None),
+    ]
+}
+
+#[test]
+fn packed_rows_round_trip_every_entry_shape() {
+    let dir = tmpdir("packed-rows");
+    let cache = SweepCache::open(&dir).unwrap();
+    let shapes = every_eval_shape();
+    // Keys 16 apart share a shard, so each shard's arena holds rows of
+    // every length back to back.
+    for (i, entry) in shapes.iter().enumerate() {
+        cache.store_eval(i as u64 * 16, entry.clone());
+        cache.store_test(i as u64 * 16, i as f64 - 0.25);
+    }
+    cache.store_test(u64::MAX, f64::NEG_INFINITY);
+    let check = |cache: &SweepCache, shapes: &[EvalEntry]| {
+        let keys: Vec<u64> = (0..shapes.len() as u64).map(|i| i * 16).collect();
+        let found = cache.lookup_eval_batch(&keys);
+        for (i, entry) in shapes.iter().enumerate() {
+            assert_eq!(found[i].as_ref(), Some(entry), "entry {i}");
+            assert_eq!(cache.lookup_test(i as u64 * 16), Some(i as f64 - 0.25));
+        }
+        assert_eq!(cache.lookup_test(u64::MAX), Some(f64::NEG_INFINITY));
+        assert_eq!(cache.len(), 2 * shapes.len() + 1);
+    };
+    check(&cache, &shapes);
+    // Overwrite every entry with the next shape — rows of another length
+    // mostly, some of the same — and then back, several times over:
+    // replaced rows must never leak into their neighbours.
+    let mut rotated = shapes.clone();
+    for _ in 0..3 * shapes.len() {
+        rotated.rotate_left(1);
+        for (i, entry) in rotated.iter().enumerate() {
+            cache.store_eval(i as u64 * 16, entry.clone());
+        }
+        check(&cache, &rotated);
+    }
+    // And through disk: the v3 file and a reopened cache agree.
+    cache.flush().unwrap();
+    check(&SweepCache::open(&dir).unwrap(), &rotated);
     let _ = fs::remove_dir_all(&dir);
 }
