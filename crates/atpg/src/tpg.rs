@@ -50,15 +50,6 @@ impl Default for AtpgConfig {
 }
 
 impl AtpgConfig {
-    /// A configuration with the random phase disabled (deterministic-only
-    /// generation; used by the ablation benches).
-    pub fn deterministic_only() -> Self {
-        AtpgConfig {
-            max_random_patterns: 0,
-            ..AtpgConfig::default()
-        }
-    }
-
     /// The throughput profile used for design-space sweeps: a tighter
     /// abort limit for the handful of pathological reconvergent faults.
     /// On the paper's components this produces the *same* test sets as
@@ -368,7 +359,11 @@ mod tests {
     #[test]
     fn deterministic_only_still_covers() {
         let alu = components::alu(4);
-        let result = Atpg::new(AtpgConfig::deterministic_only()).run(&alu.netlist);
+        let result = Atpg::new(AtpgConfig {
+            max_random_patterns: 0,
+            ..AtpgConfig::default()
+        })
+        .run(&alu.netlist);
         assert!(result.adjusted_coverage() > 0.999);
         assert_eq!(result.random_phase_patterns, 0);
     }

@@ -1,9 +1,9 @@
-//! Distils the sweep, fold and fidelity timings into the flat JSON
-//! committed as `BENCH_dse.json` (the committed perf trajectory; see
-//! `docs/PERF.md` for how to read it).
+//! Distils the sweep, fold, fidelity and simulator timings into the
+//! flat JSON committed as `BENCH_dse.json` (the committed perf
+//! trajectory; see `docs/PERF.md` for how to read it).
 //!
-//! A plain binary rather than a criterion bench so CI can run it and
-//! soft-check wall-clock against the committed numbers:
+//! The repository's one bench harness: a plain binary, so CI can run it
+//! and soft-check wall-clock against the committed numbers:
 //!
 //! ```text
 //! cargo run --release -p tta-bench --bin bench_dse -- --space fast
@@ -18,13 +18,15 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use tta_arch::template::TemplateSpace;
-use tta_core::explore::Exploration;
+use tta_core::explore::{CycleSource, Exploration, ExploreResult};
 use tta_core::models::{
     AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel, InterconnectModel,
     TestCostModel, TimingModel,
 };
 use tta_core::ComponentDb;
+use tta_movec::schedule::Scheduler;
 use tta_netlist::{elaborate, timing, IncrementalElaborator};
+use tta_sim::{lower, SimOptions, Simulator};
 use tta_workloads::suite;
 
 struct SweepRow {
@@ -48,6 +50,84 @@ struct FidelityRow {
     table_s: f64,
     netlist_s: f64,
     incremental_s: f64,
+}
+
+/// Simulator runs per timed kernel batch: a kernel executes in tens to
+/// hundreds of microseconds, too short to time one run at a time.
+const SIM_RUNS: u32 = 100;
+
+/// Times the cycle-accurate simulator and renders the `sim` object:
+/// every kernel of the `all` suite executed on the maximal fast-space
+/// point (mean wall-clock per run, best of `iters` batches), and the
+/// fast-space crypt sweep with its exec-time axis fed by the analytic
+/// model vs by the simulator. An untimed pass first asserts the two
+/// sweeps' results are equal.
+fn time_sim(db: &ComponentDb, iters: usize) -> String {
+    eprintln!("simulator kernels and model-vs-simulate fast sweep...");
+    let space = TemplateSpace::fast_default();
+    let arch = space.point(space.len() - 1);
+    let options = SimOptions {
+        allow_register_overflow: true,
+        ..Default::default()
+    };
+    let members = suite::SuiteRegistry::standard()
+        .instantiate("all", &suite::SuiteParams::fast())
+        .expect("the standard registry has an `all` suite");
+    let mut kernels = Vec::new();
+    for w in members.into_iter().map(|m| m.workload) {
+        let schedule = Scheduler::new(&arch)
+            .run(&w.dfg)
+            .expect("the maximal point schedules every kernel");
+        let program = lower(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).expect("schedules lower");
+        let run = || {
+            let result = Simulator::new(&arch).options(options).run(&program);
+            result.expect("lowered programs execute").cycles
+        };
+        let cycles = run();
+        let batch_s = best_of(iters, &mut || (0..SIM_RUNS).map(|_| run() as f64).sum());
+        let mean_us = batch_s / f64::from(SIM_RUNS) * 1e6;
+        kernels.push(format!(
+            "      {{ \"name\": \"{}\", \"cycles_per_run\": {cycles}, \"mean_us\": {mean_us:.2}, \
+             \"cycles_per_sec\": {:.0} }}",
+            w.name,
+            cycles as f64 / mean_us * 1e6
+        ));
+    }
+
+    let crypt = suite::crypt(1);
+    let sweep = |source| {
+        Exploration::over(space.clone())
+            .workload(&crypt)
+            .with_db(db)
+            .cycle_source(source)
+            .run()
+    };
+    // Every point, the front and the blame, without the run's own
+    // counters (`Debug` prints each float's exact value).
+    let answer = |r: ExploreResult| format!("{:?} {:?} {:?}", r.evaluated, r.pareto, r.blocked);
+    assert_eq!(
+        answer(sweep(CycleSource::Model)),
+        answer(sweep(CycleSource::Simulate)),
+        "simulated cycles must reproduce the analytic model"
+    );
+    let time_sweep = |source| {
+        best_of(iters, &mut || {
+            black_box(sweep(source));
+            0.0
+        })
+    };
+    let (model_s, simulate_s) = (
+        time_sweep(CycleSource::Model),
+        time_sweep(CycleSource::Simulate),
+    );
+    format!(
+        "{{\n    \"kernels\": [\n{}\n    ],\n    \"sweep\": {{ \"space\": \"fast\", \
+         \"workload\": \"{}\", \"model_s\": {model_s:.6}, \"simulate_s\": {simulate_s:.6}, \
+         \"simulate_over_model\": {:.2} }}\n  }}",
+        kernels.join(",\n"),
+        crypt.name,
+        simulate_s / model_s
+    )
 }
 
 /// Times the area+clock axes per point under the two fidelities: the
@@ -309,6 +389,8 @@ fn main() {
             iters,
         ));
     }
+    // Simulator rows: fast space only, like the fidelity rows.
+    let sim = keep("fast").then(|| time_sim(&db, iters));
     if rows.is_empty() && fold_rows.is_empty() && fidelity_rows.is_empty() {
         eprintln!("--space matched nothing (expected fast, paper or huge)");
         std::process::exit(2);
@@ -334,7 +416,10 @@ fn main() {
          incremental drives the IncrementalElaborator along the Gray walk, rewinding to the \
          first differing segment (bit-identity to scratch asserted in an untimed pass). The \
          table fold being orders of magnitude cheaper is the fidelity trade, not a regression; \
-         the CI soft bar also watches netlist_over_incremental.\","
+         the CI soft bar also watches netlist_over_incremental. The sim rows execute every \
+         kernel's lowered program on the maximal fast-space point (mean of 100 runs, best \
+         batch) and time the fast-space crypt sweep with the exec-time axis from the analytic \
+         model vs the simulator (equal results asserted in an untimed pass).\","
     );
     println!("  \"sweeps\": [");
     for (i, r) in rows.iter().enumerate() {
@@ -370,6 +455,7 @@ fn main() {
         );
     }
     println!("  ],");
+    println!("  \"sim\": {},", sim.as_deref().unwrap_or("null"));
     if keep("paper") {
         // Cold end-to-end: the annotation database (real ATPG + march
         // runs) is rebuilt inside the timed region, as `ttadse fig2`

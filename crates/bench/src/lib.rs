@@ -76,15 +76,6 @@ impl Scale {
             Scale::Fast => suite::SuiteParams::fast(),
         }
     }
-
-    /// Parses `--fast` from CLI arguments (default: paper scale).
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--fast") {
-            Scale::Fast
-        } else {
-            Scale::Paper
-        }
-    }
 }
 
 /// Shared experiment context (annotation database + crypt workload +
@@ -899,6 +890,48 @@ mod tests {
         let fig = fig6(&mut exp);
         assert!(fig.shared.1 > fig.dedicated.1, "ftf1 < ftf2 required");
         assert!(fig.ratio_form.1 > fig.ratio_form.0);
+    }
+
+    /// The `sim` rows of `BENCH_dse.json` time every `all`-suite kernel
+    /// on the maximal fast-space point; their cycle counts are
+    /// deterministic and must not drift from the committed ones.
+    #[test]
+    fn sim_kernels_execute_in_their_committed_cycle_counts() {
+        use tta_movec::schedule::Scheduler;
+        use tta_sim::{lower, SimOptions, Simulator};
+
+        let space = TemplateSpace::fast_default();
+        let arch = space.point(space.len() - 1);
+        let options = SimOptions {
+            allow_register_overflow: true,
+            ..Default::default()
+        };
+        let members = suite::SuiteRegistry::standard()
+            .instantiate("all", &suite::SuiteParams::fast())
+            .unwrap();
+        let cycles: Vec<(String, u64)> = members
+            .into_iter()
+            .map(|m| {
+                let w = m.workload;
+                let schedule = Scheduler::new(&arch).run(&w.dfg).unwrap();
+                let program = lower(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).unwrap();
+                let run = Simulator::new(&arch).options(options).run(&program);
+                (w.name, run.unwrap().cycles)
+            })
+            .collect();
+        let expected = [
+            ("crypt[1r]", 461),
+            ("fir16", 71),
+            ("bitcount", 37),
+            ("checksum32", 170),
+            ("dct8", 682),
+            ("gcd12", 386),
+            ("fft[8p]", 284),
+            ("viterbi[4s]", 260),
+        ];
+        let expected: Vec<(String, u64)> =
+            expected.iter().map(|&(n, c)| (n.to_string(), c)).collect();
+        assert_eq!(cycles, expected);
     }
 
     #[test]

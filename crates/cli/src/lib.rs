@@ -16,8 +16,8 @@
 //! document, byte-identical for identical results) or `csv`; progress
 //! and cache accounting go to stderr, so stdout is always scriptable.
 //!
-//! The six historical `fig*`/`table1_comparison` binaries still exist
-//! as aliases for the corresponding subcommands (see `src/bin/`).
+//! Each figure and table of the paper is a subcommand of this one
+//! binary.
 
 #![warn(missing_docs)]
 
@@ -225,8 +225,8 @@ pub fn run(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<
     }
 }
 
-/// Entry point shared by the `ttadse` binary and the legacy aliases:
-/// runs `args`, reporting errors on stderr with the right exit code.
+/// Entry point of the `ttadse` binary: runs `args`, reporting errors
+/// on stderr with the right exit code.
 ///
 /// Stderr is passed unlocked: a command runs for as long as a sweep or
 /// a daemon does, and holding the process-wide stderr lock for all of
@@ -243,21 +243,6 @@ pub fn main_with_args(args: Vec<String>) -> std::process::ExitCode {
             std::process::ExitCode::from(e.exit_code)
         }
     }
-}
-
-/// Entry point for the legacy single-figure binaries: maps the old flag
-/// dialect (`--csv`, bare `--fast`) onto the subcommand `cmd` and runs
-/// it.
-pub fn legacy_figure_main(cmd: &str) -> std::process::ExitCode {
-    let mut args = vec![cmd.to_string()];
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            // The pre-CLI binaries spelled machine-readable output --csv.
-            "--csv" => args.extend(["--format".to_string(), "csv".to_string()]),
-            _ => args.push(arg),
-        }
-    }
-    main_with_args(args)
 }
 
 #[cfg(test)]

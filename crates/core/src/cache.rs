@@ -43,13 +43,12 @@
 //! new in v3: a full-lift sweep
 //! ([`crate::explore::LiftMode::Full`]) stores every point's test
 //! total inline, tagged with the test-cost model's fingerprint so a
-//! different model recomputes instead of trusting a stale total. A
-//! legacy `ttadse-cache.v2` file (same line grammar minus the suffix)
-//! is still loaded when no v3 file exists — its evaluations hit under
-//! unchanged content addresses, and the missing per-point test fields
-//! are simply recomputed. A missing file, a wrong header, or any
-//! malformed line degrades to a clean re-evaluation — a corrupt cache
-//! can cost time, never correctness.
+//! different model recomputes instead of trusting a stale total. Only
+//! the v3 file is read: a directory holding nothing but an older
+//! `ttadse-cache.v2` opens empty and runs cold once (the old file is
+//! left untouched). A missing file, a wrong header, or any malformed
+//! line degrades to a clean re-evaluation — a corrupt cache can cost
+//! time, never correctness.
 //!
 //! ## The journal
 //!
@@ -115,8 +114,8 @@ use tta_arch::Architecture;
 use tta_workloads::Workload;
 
 /// On-disk *file layout* version: the header number and line grammar.
-/// v3 added the optional inline test field on feasible `E` lines; v2
-/// files (the previous layout) are still loaded when no v3 file exists.
+/// v3 added the optional inline test field on feasible `E` lines. Files
+/// of any other layout are never read.
 pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// *Content-address* version, folded into every entry's key. Bump it
@@ -126,9 +125,9 @@ pub const CACHE_FORMAT_VERSION: u32 = 3;
 /// component netlist generators, the ATPG/march engines, or the cost
 /// formulas. The content address covers a point's inputs, not the code
 /// that evaluates it; this constant is the version of that code. It is
-/// deliberately separate from [`CACHE_FORMAT_VERSION`]: the v3 file
-/// layout changed how entries are *stored*, not what they *mean*, so
-/// v2 entries keep their addresses and stay hittable after an upgrade.
+/// deliberately separate from [`CACHE_FORMAT_VERSION`]: a layout change
+/// alters how entries are *stored*, not what they *mean*, so it leaves
+/// every content address as it was.
 ///
 /// The in-run schedule memo ([`crate::schedmemo::ScheduleMemo`]) has a
 /// version rule of its own: a scheduler change that reads a new
@@ -141,17 +140,11 @@ pub const CACHE_ADDRESS_VERSION: u32 = 2;
 /// future format lives alongside instead of tripping over this one).
 pub const CACHE_FILE_NAME: &str = "ttadse-cache.v3";
 
-/// File name of the legacy v2 cache, read (never written) when no v3
-/// file exists so an upgraded binary resumes from pre-v3 sweeps.
-pub const LEGACY_CACHE_FILE_NAME: &str = "ttadse-cache.v2";
-
 /// File name of the append-only journal that sweeps checkpoint into
 /// between compactions (see the [module docs](self#the-journal)).
 pub const JOURNAL_FILE_NAME: &str = "ttadse-cache.v3.journal";
 
 const HEADER: &str = "ttadse-sweep-cache 3";
-
-const LEGACY_HEADER: &str = "ttadse-sweep-cache 2";
 
 // ---------------------------------------------------------------------
 // Content addressing
@@ -288,10 +281,10 @@ pub enum EvalEntry {
         /// Inline test total from a full-lift sweep
         /// ([`crate::explore::LiftMode::Full`]): the test-cost model's
         /// fingerprint plus `f64::to_bits` of the total. `None` for
-        /// entries written by Pareto-only sweeps (or upgraded from a v2
-        /// file), where the lift stage keys its totals separately as
-        /// `T` lines. The fingerprint tag means a run with a different
-        /// test model recomputes instead of trusting a stale total.
+        /// entries written by Pareto-only sweeps, where the lift stage
+        /// keys its totals separately as `T` lines. The fingerprint tag
+        /// means a run with a different test model recomputes instead
+        /// of trusting a stale total.
         test: Option<(u64, u64)>,
     },
 }
@@ -555,11 +548,9 @@ impl SweepCache {
     /// loading whatever valid entries the on-disk file holds, then
     /// replaying the journal an interrupted run may have left (see the
     /// [module docs](self#the-journal) for the replay and torn-tail
-    /// rules). When no v3 file exists, a legacy `ttadse-cache.v2` file
-    /// is loaded instead (entries keep their content addresses; the
-    /// first flush persists them in the v3 layout). A missing, corrupt
-    /// or version-mismatched file yields an empty cache — never an
-    /// error; only an unusable *directory* is reported.
+    /// rules). A missing, corrupt or version-mismatched file yields an
+    /// empty cache — never an error; only an unusable *directory* is
+    /// reported.
     ///
     /// # Errors
     ///
@@ -570,15 +561,9 @@ impl SweepCache {
         fs::create_dir_all(dir)?;
         let path = dir.join(CACHE_FILE_NAME);
         let journal = dir.join(JOURNAL_FILE_NAME);
-        let (mut entries, disk_state) = match load_entries(&path, HEADER) {
+        let (mut entries, disk_state) = match load_entries(&path) {
             Some(entries) => (entries, stat_sig(&path)),
-            None => match load_entries(&dir.join(LEGACY_CACHE_FILE_NAME), LEGACY_HEADER) {
-                // Upgrade path: the legacy entries live in memory only
-                // until something is stored and flushed; the v2 file is
-                // left untouched for any older binary still around.
-                Some(entries) => (entries, None),
-                None => (HashMap::new(), None),
-            },
+            None => (HashMap::new(), None),
         };
         // Journal lines win over file lines; a journal on disk also
         // leaves the cache dirty, so the next flush compacts it away.
@@ -755,6 +740,17 @@ impl SweepCache {
         self.store((Kind::Test, key), Entry::Test(total.to_bits()));
     }
 
+    /// Recounts `n` lookups that found an entry as misses: the sweep
+    /// calls it for entries it found but could not trust and had to
+    /// re-evaluate, so [`SweepCache::misses`] counts every point that
+    /// needed a fresh evaluation.
+    pub(crate) fn count_rejected(&self, n: u64) {
+        if n > 0 {
+            self.hits.fetch_sub(n, Ordering::Relaxed);
+            self.misses.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     fn count(&self, hit: bool) {
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -898,7 +894,7 @@ impl SweepCache {
         let file = if stat_sig(&self.path) == *disk_state {
             None
         } else {
-            load_entries(&self.path, HEADER)
+            load_entries(&self.path)
         };
         for (k, v) in journal.into_iter().rev().chain(file.into_iter().flatten()) {
             let shard = &mut shards[shard_of(k.1)];
@@ -1009,16 +1005,13 @@ fn render_line(s: &mut String, key: &(Kind, u64), entry: &Entry) {
     s.push('\n');
 }
 
-/// Parses the cache file at `path`, expecting `header` on its first
-/// line (the v3 header, or the legacy v2 one on the upgrade path — the
-/// line grammar below is a superset of v2's, so one parser serves
-/// both). Returns `None` (≙ empty cache) for a missing file, a bad
-/// header, or *any* malformed line — a cache that cannot be trusted in
-/// full is not trusted at all.
-fn load_entries(path: &Path, header: &str) -> Option<HashMap<(Kind, u64), Entry>> {
+/// Parses the v3 cache file at `path`. Returns `None` (≙ empty cache)
+/// for a missing file, a bad header, or *any* malformed line — a cache
+/// that cannot be trusted in full is not trusted at all.
+fn load_entries(path: &Path) -> Option<HashMap<(Kind, u64), Entry>> {
     let text = fs::read_to_string(path).ok()?;
     let mut lines = text.lines();
-    if lines.next() != Some(header) {
+    if lines.next() != Some(HEADER) {
         return None;
     }
     let mut map = HashMap::new();
@@ -1215,51 +1208,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v2_file_loads_when_no_v3_exists() {
-        let dir = tmpdir("legacy");
+    fn a_v2_file_is_never_read_with_or_without_a_v3_one() {
+        let dir = tmpdir("v2-never-read");
         fs::create_dir_all(&dir).unwrap();
-        // A v2 file as the previous release wrote it: v2 header, no
-        // inline test suffix, standalone T lines for lifted fronts.
-        fs::write(
-            dir.join(LEGACY_CACHE_FILE_NAME),
-            format!(
-                "{LEGACY_HEADER}\n\
-                 E 000000000000002a F 1234 3 {:016x} {:016x} 1000 234\n\
-                 E 000000000000002b I 1\n\
-                 T 000000000000002a {:016x}\n",
-                4000.5f64.to_bits(),
-                77.25f64.to_bits(),
-                99.75f64.to_bits(),
-            ),
-        )
-        .unwrap();
+        let v2_path = dir.join("ttadse-cache.v2");
+        let v2 = "ttadse-sweep-cache 2\nE 0000000000000001 I\n";
+        fs::write(&v2_path, v2).unwrap();
+        // Alone, the v2 file opens as an empty cache.
         let cache = SweepCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.lookup_eval(0x2a), Some(sample_feasible()));
-        assert_eq!(cache.lookup_test(0x2a), Some(99.75));
-        // The upgraded entries have no inline test field yet.
-        assert!(!answers_full_lift(&cache, 0x2a, 7));
-        // A store + flush persists everything in the v3 layout; the v2
-        // file is left for older binaries.
-        cache.store_eval(0x2c, sample_feasible_with_test());
-        cache.flush().unwrap();
-        assert!(dir.join(CACHE_FILE_NAME).exists());
-        assert!(dir.join(LEGACY_CACHE_FILE_NAME).exists());
-        let reloaded = SweepCache::open(&dir).unwrap();
-        assert_eq!(reloaded.len(), 4);
-        assert_eq!(reloaded.lookup_eval(0x2a), Some(sample_feasible()));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn v3_file_wins_over_a_legacy_one() {
-        let dir = tmpdir("v3-wins");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(LEGACY_CACHE_FILE_NAME),
-            format!("{LEGACY_HEADER}\nE 0000000000000001 I\n"),
-        )
-        .unwrap();
+        assert!(cache.is_empty());
+        assert_eq!(eval_at(&cache, 1), None);
+        // Beside a v3 file, only the v3 entries load.
         fs::write(
             dir.join(CACHE_FILE_NAME),
             format!("{HEADER}\nE 0000000000000002 I\n"),
@@ -1267,9 +1226,57 @@ mod tests {
         .unwrap();
         let cache = SweepCache::open(&dir).unwrap();
         assert_eq!(cache.len(), 1);
+        assert_eq!(eval_at(&cache, 1), None);
         assert_eq!(
-            cache.lookup_eval(2),
+            eval_at(&cache, 2),
             Some(EvalEntry::Infeasible { blocked: None })
+        );
+        // A flush rewrites the v3 file only.
+        cache.store_eval(3, EvalEntry::Infeasible { blocked: Some(0) });
+        cache.flush().unwrap();
+        assert_eq!(
+            fs::read_to_string(cache.path()).unwrap(),
+            format!("{HEADER}\nE 0000000000000002 I\nE 0000000000000003 I 0\n")
+        );
+        assert_eq!(fs::read_to_string(&v2_path).unwrap(), v2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hand_written_file_loads_every_line_kind() {
+        let dir = tmpdir("hand-written");
+        fs::create_dir_all(&dir).unwrap();
+        // The documented grammar, written by hand rather than by
+        // `render_line`: a feasible entry without the inline test
+        // suffix, an infeasible one blaming a workload, a standalone T
+        // line.
+        let text = format!(
+            "{HEADER}\n\
+             E 000000000000002a F 1234 3 {:016x} {:016x} 1000 234\n\
+             E 000000000000002b I 1\n\
+             T 000000000000002a {:016x}\n",
+            4000.5f64.to_bits(),
+            77.25f64.to_bits(),
+            99.75f64.to_bits(),
+        );
+        fs::write(dir.join(CACHE_FILE_NAME), &text).unwrap();
+        let cache = SweepCache::open(&dir).unwrap();
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.lookup_eval(0x2a), Some(sample_feasible()));
+        assert_eq!(
+            cache.lookup_eval(0x2b),
+            Some(EvalEntry::Infeasible { blocked: Some(1) })
+        );
+        assert_eq!(cache.lookup_test(0x2a), Some(99.75));
+        // Without the suffix, the entry cannot answer a full lift.
+        assert!(!answers_full_lift(&cache, 0x2a, 7));
+        // A flush renders every loaded line back byte for byte.
+        cache.store_eval(0x2c, EvalEntry::Infeasible { blocked: None });
+        cache.flush().unwrap();
+        let (head, tests) = text.split_at(text.find("\nT ").unwrap() + 1);
+        assert_eq!(
+            fs::read_to_string(cache.path()).unwrap(),
+            format!("{head}E 000000000000002c I\n{tests}")
         );
         let _ = fs::remove_dir_all(&dir);
     }

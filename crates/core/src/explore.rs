@@ -1156,8 +1156,7 @@ impl<'db> Exploration<'db> {
         // unfingerprintable test model therefore bypasses the eval
         // cache entirely in that mode (the totals could not be
         // validated). The eval content address itself is deliberately
-        // unchanged, so both lift modes (and pre-v3 sweeps) share their
-        // scheduling work.
+        // unchanged, so both lift modes share their scheduling work.
         let eval_cache = match self.lift {
             LiftMode::ParetoOnly => eval_cache,
             LiftMode::Full => eval_cache.filter(|_| test_fp.is_some()),
@@ -1462,6 +1461,7 @@ impl ChunkEvaluator<'_> {
             None => (Vec::new(), Vec::new()),
         };
         let mut stores = Vec::new();
+        let mut rejected = 0;
         let outcomes = archs
             .iter()
             .enumerate()
@@ -1475,8 +1475,10 @@ impl ChunkEvaluator<'_> {
                 // with this suite (corrupt or hash-colliding) rehydrates
                 // to None and is re-evaluated — a bad cache may cost
                 // time, never correctness or a panic.
+                let found = entry.is_some();
                 let rehydrated = entry
                     .and_then(|entry| rehydrate(arch, self.workloads.len(), self.weights, entry));
+                rejected += u64::from(found && rehydrated.is_none());
                 let mut dirty = rehydrated.is_none();
                 let outcome = rehydrated.unwrap_or_else(|| {
                     evaluate_point(
@@ -1491,9 +1493,9 @@ impl ChunkEvaluator<'_> {
                 });
                 // 2. Under a full lift every feasible point carries the
                 // test axis: the entry's inline total when it came from
-                // this test model, a fresh fold otherwise (a v2 or
-                // Pareto-only entry reuses its scheduling work and is
-                // stored back upgraded).
+                // this test model, a fresh fold otherwise (a Pareto-only
+                // entry reuses its scheduling work and is stored back
+                // upgraded).
                 let total = match (self.lift, &outcome) {
                     (LiftMode::Full, Ok(_)) => Some(match inline_test {
                         Some((fp, bits)) if fp == self.full_test_fp && !dirty => {
@@ -1517,6 +1519,9 @@ impl ChunkEvaluator<'_> {
                 }
             })
             .collect();
+        if let Some((cache, _)) = self.cache {
+            cache.count_rejected(rejected);
+        }
         EvaluatedChunk { outcomes, stores }
     }
 }
@@ -1688,9 +1693,12 @@ fn weighted_sum(workload_cycles: &[u64], weights: &[f64]) -> f64 {
 /// the exact bit patterns the original evaluation produced (the
 /// weighted aggregate is deterministically recomputed from the cached
 /// per-workload cycles), so a warm sweep is bit-identical to a cold
-/// one. Entries inconsistent with a suite of `n_workloads` members (a
-/// corrupt cache file, or a content-address collision) return `None`,
-/// which sends the point back to a fresh evaluation.
+/// one. Entries `evaluate_point` could not have produced for a suite
+/// of `n_workloads` members (a corrupt or hand-edited cache line, or a
+/// content-address collision) return `None`, which sends the point back
+/// to a fresh evaluation: a wrong workload count or `blocked` index,
+/// `cycles` other than the (non-overflowing) sum of the workload cycles,
+/// or a non-finite area or exec time.
 fn rehydrate(
     arch: &Architecture,
     n_workloads: usize,
@@ -1714,7 +1722,15 @@ fn rehydrate(
             exec_bits,
             test: _,
         } => {
-            if workload_cycles.len() != n_workloads {
+            let sum = workload_cycles
+                .iter()
+                .try_fold(0u64, |acc, &c| acc.checked_add(c));
+            let (area, exec) = (f64::from_bits(area_bits), f64::from_bits(exec_bits));
+            if workload_cycles.len() != n_workloads
+                || sum != Some(cycles)
+                || !area.is_finite()
+                || !exec.is_finite()
+            {
                 return None;
             }
             let weighted_cycles = weighted_sum(&workload_cycles, weights);
@@ -1725,8 +1741,8 @@ fn rehydrate(
                 spills,
                 weighted_cycles,
                 objectives: ObjectiveVector::new([
-                    (Objective::Area, f64::from_bits(area_bits)),
-                    (Objective::ExecTime, f64::from_bits(exec_bits)),
+                    (Objective::Area, area),
+                    (Objective::ExecTime, exec),
                 ]),
             }))
         }
@@ -1823,6 +1839,84 @@ mod tests {
     use super::*;
     use tta_arch::FuKind;
     use tta_workloads::suite;
+
+    /// A feasible cache row for a two-workload suite, consistent with
+    /// what `evaluate_point` writes.
+    fn feasible_row(workload_cycles: Vec<u64>, cycles: u64, area: f64, exec: f64) -> EvalEntry {
+        EvalEntry::Feasible {
+            cycles,
+            workload_cycles,
+            spills: 2,
+            area_bits: area.to_bits(),
+            exec_bits: exec.to_bits(),
+            test: None,
+        }
+    }
+
+    #[test]
+    fn rehydrate_keeps_a_consistent_row_bit_exact() {
+        let arch = TemplateSpace::fast_default().point(0);
+        let row = feasible_row(vec![300, 45], 345, 4000.5, 77.25);
+        let Some(Ok(e)) = rehydrate(&arch, 2, &[0.25, 0.75], row) else {
+            panic!("a consistent row must rehydrate");
+        };
+        assert_eq!(e.architecture.name, arch.name);
+        assert_eq!(
+            (e.cycles, e.workload_cycles.as_slice(), e.spills),
+            (345, &[300, 45][..], 2)
+        );
+        assert_eq!(
+            e.weighted_cycles.to_bits(),
+            weighted_sum(&[300, 45], &[0.25, 0.75]).to_bits()
+        );
+        assert_eq!(
+            e.objectives.get(Objective::Area).map(f64::to_bits),
+            Some(4000.5f64.to_bits())
+        );
+        assert_eq!(
+            e.objectives.get(Objective::ExecTime).map(f64::to_bits),
+            Some(77.25f64.to_bits())
+        );
+    }
+
+    #[test]
+    fn rehydrate_rejects_an_overflowing_cycle_sum() {
+        let arch = TemplateSpace::fast_default().point(0);
+        // The wrapping sum of the workload cycles is 4 == `cycles`; only
+        // a checked sum sees that no evaluation could have written it.
+        let row = feasible_row(vec![u64::MAX, 5], 4, 4000.5, 77.25);
+        assert!(rehydrate(&arch, 2, &[0.5, 0.5], row).is_none());
+        let row = feasible_row(vec![300, 45], 346, 4000.5, 77.25);
+        assert!(rehydrate(&arch, 2, &[0.5, 0.5], row).is_none());
+    }
+
+    #[test]
+    fn rehydrate_rejects_non_finite_area_or_exec_time() {
+        let arch = TemplateSpace::fast_default().point(0);
+        for (area, exec) in [
+            (f64::NAN, 77.25),
+            (f64::INFINITY, 77.25),
+            (4000.5, f64::NAN),
+            (4000.5, f64::NEG_INFINITY),
+        ] {
+            let row = feasible_row(vec![300, 45], 345, area, exec);
+            assert!(
+                rehydrate(&arch, 2, &[0.5, 0.5], row).is_none(),
+                "area {area}, exec {exec}"
+            );
+        }
+    }
+
+    #[test]
+    fn rehydrate_rejects_rows_shaped_for_another_suite() {
+        let arch = TemplateSpace::fast_default().point(0);
+        let row = feasible_row(vec![345], 345, 4000.5, 77.25);
+        assert!(rehydrate(&arch, 2, &[0.5, 0.5], row).is_none());
+        let blamed = |blocked| rehydrate(&arch, 2, &[0.5, 0.5], EvalEntry::Infeasible { blocked });
+        assert!(matches!(blamed(Some(1)), Some(Err(Some(1)))));
+        assert!(matches!(blamed(None), Some(Err(None))));
+        assert!(blamed(Some(2)).is_none());
+    }
 
     #[test]
     fn fast_exploration_produces_a_front() {

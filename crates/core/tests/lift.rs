@@ -1,21 +1,22 @@
 //! Lift-mode contracts: `LiftMode::ParetoOnly` (the default) is
 //! bit-identical to the pre-lift-mode engine — objectives, front
-//! indices and cache entries, including entries written by the previous
-//! release's v2 cache files — while `LiftMode::Full` maintains a true
-//! 3-D front that is a superset of the lifted 2-D one. Plus the
-//! cache-flush failure path: a sweep that cannot persist reports it
-//! through `CacheStatus` instead of silently claiming success.
+//! indices and cache entries — while `LiftMode::Full` maintains a true
+//! 3-D front that is a superset of the lifted 2-D one. Plus the cache
+//! paths around a sweep: a flush failure is reported through
+//! `CacheStatus` instead of silently claiming success, a cache row the
+//! engine could not have written is re-evaluated instead of trusted,
+//! and a directory holding only a retired v2 cache file runs cold.
 
 use std::collections::HashSet;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
-use tta_core::cache::{SweepCache, CACHE_FILE_NAME, LEGACY_CACHE_FILE_NAME};
+use tta_core::cache::SweepCache;
 use tta_core::explore::{CacheStatus, Exploration, ExploreResult, LiftMode, Objective};
 use tta_core::models::{Eq14TestCostModel, ScanTestCostModel, TestCostModel};
 use tta_core::pareto::pareto_front;
@@ -55,12 +56,29 @@ fn run(
     e.run()
 }
 
+/// A serial Pareto-only eq. (14) sweep of the tiny space.
+fn run_tiny(cache: Option<&SweepCache>) -> ExploreResult {
+    run(
+        TemplateSpace::tiny(),
+        LiftMode::ParetoOnly,
+        false,
+        false,
+        cache,
+    )
+}
+
 fn assert_bit_identical(a: &ExploreResult, b: &ExploreResult) {
     assert_eq!(a.evaluated.len(), b.evaluated.len());
     assert_eq!(a.infeasible, b.infeasible);
     assert_eq!(a.pareto, b.pareto);
     for (x, y) in a.evaluated.iter().zip(&b.evaluated) {
         assert_eq!(x.architecture.name, y.architecture.name);
+        assert_eq!(
+            x.cycles, y.cycles,
+            "cycles differ for {}",
+            x.architecture.name
+        );
+        assert_eq!(x.workload_cycles, y.workload_cycles);
         assert_eq!(x.objectives.axes(), y.objectives.axes());
         let xb: Vec<u64> = x.objectives.values().iter().map(|v| v.to_bits()).collect();
         let yb: Vec<u64> = y.objectives.values().iter().map(|v| v.to_bits()).collect();
@@ -103,106 +121,71 @@ fn pareto_only_is_bit_identical_to_the_reference_pipeline() {
     }
 }
 
-/// A cache file in the previous release's v2 dialect (v2 name, v2
-/// header, no inline test fields) answers a ParetoOnly sweep with zero
-/// misses and bit-identical results: the content addresses survived
-/// the v3 format bump.
+/// A directory holding only a cache file of the retired v2 layout opens
+/// empty: the sweep over it runs cold, bit-identical to the first cold
+/// sweep, and its flush writes the cold run's `ttadse-cache.v3` beside
+/// the v2 file, which stays byte-for-byte as it was.
 #[test]
-fn pre_v3_cache_files_hit_bit_identically() {
-    let dir = tmpdir("v2-upgrade");
-    let cache = SweepCache::open(&dir).expect("temp dir is writable");
-    let cold = run(
-        TemplateSpace::tiny(),
-        LiftMode::ParetoOnly,
-        false,
-        false,
-        Some(&cache),
-    );
-    assert_eq!(cold.cache_status, CacheStatus::Flushed);
-
-    // Downgrade the flushed v3 file to the v2 dialect the previous
-    // release wrote. ParetoOnly entries carry no inline test fields, so
-    // only the header differs.
-    let v3 = fs::read_to_string(dir.join(CACHE_FILE_NAME)).expect("flushed");
-    assert!(
-        !v3.contains(" T "),
-        "ParetoOnly entries must match the v2 line grammar:\n{v3}"
-    );
+fn a_v2_only_cache_directory_runs_cold_and_is_left_alone() {
+    let dir = tmpdir("v2-only");
+    let cold_cache = SweepCache::open(&dir).expect("temp dir is writable");
+    let cold = run_tiny(Some(&cold_cache));
+    let v3 = fs::read_to_string(cold_cache.path()).expect("flushed");
+    // The same entries under the v2 header and file name, as the
+    // previous layout wrote them.
     let v2 = v3.replace("ttadse-sweep-cache 3", "ttadse-sweep-cache 2");
-    fs::write(dir.join(LEGACY_CACHE_FILE_NAME), v2).unwrap();
-    fs::remove_file(dir.join(CACHE_FILE_NAME)).unwrap();
+    let v2_path = dir.join("ttadse-cache.v2");
+    fs::write(&v2_path, &v2).unwrap();
+    fs::remove_file(cold_cache.path()).unwrap();
 
-    let legacy = SweepCache::open(&dir).expect("reopen");
-    assert!(!legacy.is_empty(), "the v2 file must load");
-    let warm = run(
-        TemplateSpace::tiny(),
-        LiftMode::ParetoOnly,
-        false,
-        false,
-        Some(&legacy),
-    );
-    assert_eq!(legacy.misses(), 0, "every v2 entry must hit");
-    assert_bit_identical(&cold, &warm);
+    let cache = SweepCache::open(&dir).expect("reopen");
+    assert!(cache.is_empty(), "a v2 file is never read");
+    let again = run_tiny(Some(&cache));
+    assert_eq!(cache.hits(), 0);
+    assert_eq!(cache.misses(), cold_cache.misses());
+    assert_bit_identical(&cold, &again);
+    assert_eq!(again.cache_status, CacheStatus::Flushed);
+    assert_eq!(fs::read_to_string(cache.path()).expect("flushed"), v3);
+    assert_eq!(fs::read_to_string(&v2_path).unwrap(), v2);
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A v2-dialect cache under a *full* sweep: the scheduling payload is
-/// reused (no eval re-evaluation) and only the missing per-point test
-/// totals recompute; results are bit-identical to a cold full sweep.
+/// Cache rows that parse but that the engine could not have written —
+/// `cycles` other than the sum of the workload cycles, a NaN area — are
+/// re-evaluated instead of printed: the warm run is bit-identical to
+/// the cold one, counts exactly those two rows as misses, and stores
+/// the cold run's rows back.
 #[test]
-fn full_sweep_upgrades_v2_entries_by_recomputing_only_the_test_axis() {
-    let dir = tmpdir("v2-full");
+fn inconsistent_cached_rows_are_reevaluated() {
+    let dir = tmpdir("inconsistent-rows");
     let cache = SweepCache::open(&dir).expect("temp dir is writable");
-    let cold = run(
-        TemplateSpace::tiny(),
-        LiftMode::Full,
-        false,
-        false,
-        Some(&cache),
-    );
-    // Downgrade: strip the inline test pairs and the v3 header.
-    let v3 = fs::read_to_string(dir.join(CACHE_FILE_NAME)).expect("flushed");
-    let v2: String = v3
-        .replace("ttadse-sweep-cache 3", "ttadse-sweep-cache 2")
+    let cold = run_tiny(Some(&cache));
+    let text = fs::read_to_string(cache.path()).expect("flushed");
+    // `E <key> F <cycles> <spills> <area-bits> <exec-bits> <wl-cycles>...`
+    let mut feasible = 0;
+    let corrupted: String = text
         .lines()
-        .map(|l| match l.find(" T ") {
-            Some(i) if l.starts_with("E ") => &l[..i],
-            _ => l,
+        .map(|line| {
+            let mut fields: Vec<String> = line.split(' ').map(String::from).collect();
+            if line.starts_with("E ") && fields[2] == "F" {
+                feasible += 1;
+                match feasible {
+                    1 => fields[3] = (fields[3].parse::<u64>().unwrap() + 1).to_string(),
+                    2 => fields[5] = format!("{:016x}", f64::NAN.to_bits()),
+                    _ => {}
+                }
+            }
+            fields.join(" ") + "\n"
         })
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    fs::write(dir.join(LEGACY_CACHE_FILE_NAME), v2).unwrap();
-    fs::remove_file(dir.join(CACHE_FILE_NAME)).unwrap();
+        .collect();
+    assert!(feasible >= 2, "two feasible rows to corrupt:\n{text}");
+    fs::write(cache.path(), corrupted).unwrap();
 
-    let legacy = SweepCache::open(&dir).expect("reopen");
-    let upgraded = run(
-        TemplateSpace::tiny(),
-        LiftMode::Full,
-        false,
-        false,
-        Some(&legacy),
-    );
-    assert_eq!(legacy.misses(), 0, "scheduling entries must all hit");
-    assert_bit_identical(&cold, &upgraded);
-    // The upgrade is persisted: every entry is stored back with its
-    // inline test total, so the flushed file is the cold run's again …
-    assert_eq!(
-        fs::read_to_string(dir.join(CACHE_FILE_NAME)).expect("flushed"),
-        v3,
-        "upgraded entries must be stored back"
-    );
-    // … and a third run needs no recomputation at all (every entry
-    // now carries its inline test total).
-    let third_cache = SweepCache::open(&dir).expect("reopen again");
-    let third = run(
-        TemplateSpace::tiny(),
-        LiftMode::Full,
-        false,
-        true,
-        Some(&third_cache),
-    );
-    assert_bit_identical(&cold, &third);
+    let reopened = SweepCache::open(&dir).expect("reopen");
+    let warm = run_tiny(Some(&reopened));
+    assert_bit_identical(&cold, &warm);
+    assert_eq!(reopened.misses(), 2, "exactly the two bad rows re-evaluate");
+    assert_eq!(fs::read_to_string(cache.path()).expect("flushed"), text);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -274,25 +257,13 @@ fn unflushable_cache_is_reported_not_swallowed() {
     // rename fails even when running as root (chmod would not).
     fs::create_dir_all(cache.path()).unwrap();
 
-    let result = run(
-        TemplateSpace::tiny(),
-        LiftMode::ParetoOnly,
-        false,
-        false,
-        Some(&cache),
-    );
+    let result = run_tiny(Some(&cache));
     match &result.cache_status {
         CacheStatus::FlushFailed(msg) => assert!(!msg.is_empty()),
         other => panic!("expected FlushFailed, got {other:?}"),
     }
     // The sweep itself lost nothing.
-    let clean = run(
-        TemplateSpace::tiny(),
-        LiftMode::ParetoOnly,
-        false,
-        false,
-        None,
-    );
+    let clean = run_tiny(None);
     assert_bit_identical(&clean, &result);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -391,7 +362,20 @@ fn full_lift_upgrades_pareto_only_entries_once() {
     let (again, again_calls) = run_counting(LiftMode::Full, &CALLS, Some(3), &reopened);
     assert_eq!(again_calls, 0, "upgraded entries were stored back");
     assert_bit_identical(&full, &again);
+    // Stored back as the very lines a cold full lift writes.
+    let cold_dir = tmpdir("upgrade-pareto-only-cold");
+    let cold_cache = SweepCache::open(&cold_dir).expect("temp dir is writable");
+    run_counting(LiftMode::Full, &CALLS, Some(3), &cold_cache);
+    let eval_lines = |path: &Path| -> Vec<String> {
+        let text = fs::read_to_string(path).expect("flushed");
+        text.lines()
+            .filter(|line| line.starts_with("E "))
+            .map(String::from)
+            .collect()
+    };
+    assert_eq!(eval_lines(reopened.path()), eval_lines(cold_cache.path()));
     let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&cold_dir);
 }
 
 /// A test model without a fingerprint cannot validate inline totals, so
