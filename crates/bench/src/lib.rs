@@ -30,6 +30,7 @@ use tta_core::backannotate::{ComponentDb, ComponentKey};
 use tta_core::cache::SweepCache;
 use tta_core::explore::{CacheStatus, EvaluatedArch, Exploration, ExploreResult, LiftMode};
 use tta_core::fullscan::FullScanDb;
+use tta_core::parallel::default_threads;
 use tta_core::report::TextTable;
 use tta_core::testcost::{architecture_test_cost, ftfu_ratio};
 use tta_core::{Norm, Weights};
@@ -122,7 +123,7 @@ impl<'c> Experiments<'c> {
             .workload(&workload)
             .with_db(&self.db)
             .lift(lift)
-            .parallel(true);
+            .threads(default_threads());
         if let Some(cache) = self.cache {
             e = e.cache(cache);
         }
@@ -775,7 +776,7 @@ pub fn compare_suites(
         let mut e = Exploration::over(space.clone())
             .suite(&members)
             .with_db(&db)
-            .parallel(true);
+            .threads(default_threads());
         if let Some(cache) = cache {
             e = e.cache(cache);
         }
@@ -967,7 +968,7 @@ mod tests {
             .suite(&members)
             .with_db(&db)
             .lift(LiftMode::Full)
-            .parallel(true)
+            .threads(default_threads())
             .run();
         let design: HashSet<usize> = full.design_front().into_iter().collect();
         // The 3-D front is a superset of the design front…

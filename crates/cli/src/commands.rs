@@ -26,23 +26,16 @@ use crate::CliError;
 // Shared plumbing
 // ---------------------------------------------------------------------
 
-/// Opens the persistent cache named by `--cache-dir`, if any, and
-/// reports resume state on stderr.
-fn open_cache(common: &CommonOpts, err: &mut dyn Write) -> Result<Option<SweepCache>, CliError> {
+/// Opens the persistent cache named by `--cache-dir`, if any. A run
+/// over a cache an interrupted run left behind resumes it: the entries
+/// that run stored answer as hits.
+fn open_cache(common: &CommonOpts) -> Result<Option<SweepCache>, CliError> {
     let Some(dir) = &common.cache_dir else {
         return Ok(None);
     };
-    let cache = SweepCache::open(dir)
-        .map_err(|e| CliError::runtime(format!("cannot open cache dir {}: {e}", dir.display())))?;
-    if common.resume {
-        writeln!(
-            err,
-            "resuming: {} cached entries under {}",
-            cache.len(),
-            dir.display()
-        )?;
-    }
-    Ok(Some(cache))
+    SweepCache::open(dir)
+        .map(Some)
+        .map_err(|e| CliError::runtime(format!("cannot open cache dir {}: {e}", dir.display())))
 }
 
 /// Prints hit/miss accounting on stderr (never stdout — stdout must be
@@ -139,8 +132,8 @@ fn parse_explore(args: &[String]) -> Result<ExploreOpts, CliError> {
                 .extend(cursor.value_for("--workload")?.split(',').map(String::from)),
             "--suite" => spec.suite = Some(cursor.value_for("--suite")?),
             "--rounds" => spec.rounds = Some(cursor.parse_for("--rounds")?),
-            "--parallel" => spec.parallel = true,
-            "--serial" => spec.parallel = false,
+            "--parallel" => spec.threads = None,
+            "--serial" => spec.threads = Some(1),
             "--threads" => spec.threads = Some(cursor.parse_for("--threads")?),
             "--strategy" => {
                 spec.strategy =
@@ -168,7 +161,6 @@ fn parse_explore(args: &[String]) -> Result<ExploreOpts, CliError> {
             other => return Err(unknown_flag("explore", other)),
         }
     }
-    common.validate()?;
     spec.fast = common.fast;
     spec.format = common.format;
     spec.validate().map_err(flag_err)?;
@@ -194,14 +186,14 @@ pub fn explore(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Res
         return explore_remote(url, &o, out, err);
     }
     let job = exec::prepare(&o.spec).map_err(flag_err)?;
-    let cache = open_cache(&o.common, err)?;
+    let cache = open_cache(&o.common)?;
     writeln!(
         err,
         "exploring {} template points x {} workload(s)...",
         job.space_points(),
         job.workload_count()
     )?;
-    let result = job.run(cache.as_ref(), None, None, None);
+    let result = job.run(cache.as_ref(), None, None);
     out.write_all(result.output.as_bytes())?;
     writeln!(
         err,
@@ -222,9 +214,9 @@ fn explore_remote(
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
-    if o.common.cache_dir.is_some() || o.common.resume {
+    if o.common.cache_dir.is_some() {
         return Err(CliError::usage(
-            "--cache-dir/--resume are local options; with --remote the daemon owns the warm cache",
+            "--cache-dir is a local option; with --remote the daemon owns the warm cache",
         ));
     }
     let summary = run_remote(url, &o.spec, out, err).map_err(CliError::runtime)?;
@@ -305,7 +297,6 @@ fn parse_common_only(cmd: &'static str, args: &[String]) -> Result<CommonOpts, C
             return Err(unknown_flag(cmd, &arg));
         }
     }
-    common.validate()?;
     Ok(common)
 }
 
@@ -314,7 +305,7 @@ pub fn fig2_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
     let common = parse_common_only("fig2", args)?;
     let scale = scale_of(&common);
     writeln!(err, "running Figure 2 at {} scale...", scale_label(scale))?;
-    let cache = open_cache(&common, err)?;
+    let cache = open_cache(&common)?;
     let mut exp = experiments(&common, &cache);
     let fig = fig2(&mut exp);
     match common.format {
@@ -361,7 +352,7 @@ pub fn fig2_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
 /// `ttadse fig6`: identical FUs, different test cost.
 pub fn fig6_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
     let common = parse_common_only("fig6", args)?;
-    let cache = open_cache(&common, err)?;
+    let cache = open_cache(&common)?;
     let mut exp = experiments(&common, &cache);
     let fig = fig6(&mut exp);
     match common.format {
@@ -409,7 +400,7 @@ pub fn fig6_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
 /// zero traffic) so one flag set works across every subcommand.
 pub fn fig7_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
     let common = parse_common_only("fig7", args)?;
-    let cache = open_cache(&common, err)?;
+    let cache = open_cache(&common)?;
     let fig = fig7();
     match common.format {
         Format::Table => writeln!(out, "{fig}")?,
@@ -456,10 +447,9 @@ pub fn fig8_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
             other => return Err(unknown_flag("fig8", other)),
         }
     }
-    common.validate()?;
     let scale = scale_of(&common);
     writeln!(err, "running Figure 8 at {} scale...", scale_label(scale))?;
-    let cache = open_cache(&common, err)?;
+    let cache = open_cache(&common)?;
     let mut exp = experiments(&common, &cache);
     if full {
         return fig8_full_render(&mut exp, &common, out, err, &cache);
@@ -552,7 +542,7 @@ pub fn fig9_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
     let common = parse_common_only("fig9", args)?;
     let scale = scale_of(&common);
     writeln!(err, "running Figure 9 at {} scale...", scale_label(scale))?;
-    let cache = open_cache(&common, err)?;
+    let cache = open_cache(&common)?;
     let mut exp = experiments(&common, &cache);
     let fig = fig9(&mut exp);
     match common.format {
@@ -604,9 +594,8 @@ pub fn table1_cmd(
             other => return Err(unknown_flag("table1", other)),
         }
     }
-    common.validate()?;
     let scale = scale_of(&common);
-    let cache = open_cache(&common, err)?;
+    let cache = open_cache(&common)?;
     let mut exp = experiments(&common, &cache);
     let table = if figure9 {
         table1_for(&mut exp, tta_arch::Architecture::figure9())
@@ -769,7 +758,6 @@ pub fn sim_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Res
             other => return Err(unknown_flag("sim", other)),
         }
     }
-    common.validate()?;
     match (workload, program) {
         (Some(name), None) => sim_workload(&name, arch_choice, trace_flag, &common, out, err),
         (None, Some(path)) => sim_program(&path, arch_choice, trace_flag, &common, out, err),
@@ -1010,7 +998,6 @@ pub fn workloads_cmd(
             other => return Err(unknown_flag("workloads", other)),
         }
     }
-    common.validate()?;
     let registry = SuiteRegistry::standard();
     match action.as_deref().unwrap_or("list") {
         "list" => {
@@ -1123,7 +1110,7 @@ fn workloads_compare(
         .split(',')
         .map(String::from)
         .collect();
-    let cache = open_cache(common, err)?;
+    let cache = open_cache(common)?;
     writeln!(
         err,
         "comparing {} suite(s) at {} scale...",
@@ -1297,7 +1284,6 @@ pub fn netlist_cmd(
             other => return Err(unknown_flag("netlist", other)),
         }
     }
-    common.validate()?;
     let space = match &space_name {
         Some(name) => netlist_space(name)?,
         None => scale_of(&common).space(),
@@ -1465,7 +1451,6 @@ pub fn cache_cmd(
             other => return Err(unknown_flag("cache", other)),
         }
     }
-    common.validate()?;
     let action = action.unwrap_or_else(|| "stats".into());
     let Some(dir) = &common.cache_dir else {
         return Err(CliError::usage("ttadse cache needs --cache-dir"));
@@ -1517,4 +1502,21 @@ pub fn cache_cmd(
         _ => unreachable!("action is validated above"),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_last_worker_count_flag_wins() {
+        let threads = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parse_explore(&args).unwrap().spec.threads
+        };
+        assert_eq!(threads(&[]), None);
+        assert_eq!(threads(&["--threads", "4", "--serial"]), Some(1));
+        assert_eq!(threads(&["--serial", "--threads", "4"]), Some(4));
+        assert_eq!(threads(&["--threads", "4", "--parallel"]), None);
+    }
 }

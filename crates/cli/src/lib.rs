@@ -105,8 +105,8 @@ SUBCOMMANDS:
 COMMON FLAGS:
     --fast                 Reduced 8-bit space (default: the paper's 16-bit)
     --format FORMAT        table (default) | json | csv
-    --cache-dir DIR        Persistent sweep cache; re-runs skip cached points
-    --resume               Require --cache-dir; continue an interrupted sweep
+    --cache-dir DIR        Persistent sweep cache; re-runs skip cached points,
+                           so re-running an interrupted sweep resumes it
 
 EXPLORE FLAGS:
     --workload LIST        Comma-separated `name[:weight]` items; see
@@ -128,8 +128,10 @@ EXPLORE FLAGS:
     --cycles SOURCE        model (default): the scheduler's analytic cycle
                            count; simulate: execute every scheduled point on
                            the simulator (identical results, slower)
-    --parallel / --serial  Sweep on worker threads (default) or one
-    --threads N            Pin the worker count
+    --parallel             Sweep on every available core (default)
+    --serial               Sweep on one thread (same as --threads 1)
+    --threads N            Pin the worker count (the last of --parallel,
+                           --serial and --threads wins)
     --bus-area X           Interconnect model: bus area per bit [GE]
     --bus-delay X          Interconnect model: clock penalty per bus
     --control-area X       Interconnect model: area per instruction bit [GE]
@@ -279,13 +281,6 @@ mod tests {
     fn unknown_flag_is_usage_error() {
         let e = run_capture(&["fig2", "--fastest"]).unwrap_err();
         assert_eq!(e.exit_code, 2);
-    }
-
-    #[test]
-    fn resume_without_cache_dir_is_rejected() {
-        let e = run_capture(&["fig2", "--fast", "--resume"]).unwrap_err();
-        assert_eq!(e.exit_code, 2);
-        assert!(e.message.contains("--cache-dir"));
     }
 
     #[test]

@@ -27,10 +27,6 @@ pub struct CommonOpts {
     pub format: Format,
     /// `--cache-dir`: persistent sweep cache location.
     pub cache_dir: Option<PathBuf>,
-    /// `--resume`: insist on the persistent cache (errors without
-    /// `--cache-dir`); evaluation then picks up where the last
-    /// interrupted run stopped.
-    pub resume: bool,
 }
 
 /// A cursor over raw CLI arguments with flag/value helpers.
@@ -77,21 +73,9 @@ impl CommonOpts {
             "--paper" => self.fast = false,
             "--format" => self.format = parse_format(&cursor.value_for("--format")?)?,
             "--cache-dir" => self.cache_dir = Some(PathBuf::from(cursor.value_for("--cache-dir")?)),
-            "--resume" => self.resume = true,
             _ => return Ok(false),
         }
         Ok(true)
-    }
-
-    /// Validates cross-flag constraints (today: `--resume` needs
-    /// `--cache-dir`).
-    pub fn validate(&self) -> Result<(), CliError> {
-        if self.resume && self.cache_dir.is_none() {
-            return Err(CliError::usage(
-                "--resume needs --cache-dir (there is nothing to resume from without one)",
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -112,14 +96,7 @@ mod tests {
 
     #[test]
     fn parses_common_flags() {
-        let args = strs(&[
-            "--fast",
-            "--format",
-            "json",
-            "--cache-dir",
-            "/tmp/c",
-            "--resume",
-        ]);
+        let args = strs(&["--fast", "--format", "json", "--cache-dir", "/tmp/c"]);
         let mut cursor = ArgCursor::new(&args);
         let mut opts = CommonOpts::default();
         while let Some(arg) = cursor.next() {
@@ -131,16 +108,6 @@ mod tests {
             opts.cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/c"))
         );
-        assert!(opts.validate().is_ok());
-    }
-
-    #[test]
-    fn resume_requires_cache_dir() {
-        let opts = CommonOpts {
-            resume: true,
-            ..CommonOpts::default()
-        };
-        assert!(opts.validate().is_err());
     }
 
     #[test]

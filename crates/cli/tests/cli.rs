@@ -43,13 +43,19 @@ fn warm_cache_json_is_byte_identical_and_all_hits() {
     assert!(cold_out.starts_with('{'), "one JSON document: {cold_out}");
     assert!(cold_err.contains("misses"), "{cold_err}");
 
-    // Second run: resumable, every point a hit, stdout byte-identical.
-    let mut resumed: Vec<&str> = explore.to_vec();
-    resumed.push("--resume");
-    let (warm_out, warm_err) = run_ok(&resumed);
+    // Second run over the same cache: every point a hit, stdout
+    // byte-identical. This re-run is also how an interrupted sweep
+    // resumes, so `--resume` is an unknown flag.
+    let (warm_out, warm_err) = run_ok(&explore);
     assert_eq!(cold_out, warm_out, "stdout must be byte-identical");
-    assert!(warm_err.contains("resuming:"), "{warm_err}");
     assert!(warm_err.contains("0 misses"), "{warm_err}");
+    let args: Vec<String> = explore
+        .iter()
+        .chain(&["--resume"])
+        .map(|s| s.to_string())
+        .collect();
+    let e = run(&args, &mut Vec::new(), &mut Vec::new()).unwrap_err();
+    assert_eq!(e.exit_code, 2, "{}", e.message);
 
     // The cache subcommand sees the same file…
     let (stats, _) = run_ok(&[

@@ -7,11 +7,12 @@
 //! ```no_run
 //! use tta_arch::template::TemplateSpace;
 //! use tta_core::explore::Exploration;
+//! use tta_core::parallel::default_threads;
 //! use tta_workloads::suite;
 //!
 //! let result = Exploration::over(TemplateSpace::fast_default())
 //!     .workload(&suite::crypt(1))
-//!     .parallel(true)
+//!     .threads(default_threads())
 //!     .run();
 //! let best = result.select_equal_weights();
 //! println!("selected: {}", best.architecture);
@@ -41,8 +42,8 @@
 //! `Explorer::new(ExploreConfig::fast()).run(&w)` became the builder
 //! chain, `ExploreConfig::paper()/fast()` became
 //! [`TemplateSpace::paper_default`]/[`TemplateSpace::fast_default`],
-//! the serial-only sweep grew [`Exploration::parallel`] (bit-identical;
-//! [`Exploration::threads`] pins workers), and results moved from bare
+//! the serial-only sweep grew [`Exploration::threads`] (bit-identical
+//! at any worker count), and results moved from bare
 //! `(area, exec_time, Option<test_cost>)` fields to accessors plus a
 //! typed [`ObjectiveVector`]:
 //!
@@ -54,8 +55,7 @@
 //! let w = suite::crypt(1);
 //! let result = Exploration::over(TemplateSpace::tiny())
 //!     .workload(&w)
-//!     .parallel(true) // bit-identical to the serial sweep
-//!     .threads(2)
+//!     .threads(2) // bit-identical to the serial sweep
 //!     .run();
 //!
 //! // `result.pareto2d` / `pareto2d_points()` / `pareto3d_points()`
@@ -115,12 +115,10 @@ use crate::models::{
     NetlistAreaModel, NetlistEvaluator, NetlistTimingModel, TestCostModel, TimingModel,
 };
 use crate::norm::{select, Norm, Weights};
-use crate::parallel::{default_threads, par_map};
+use crate::parallel::par_map;
 use crate::pareto::{pareto_front, ParetoArchive};
 use crate::schedmemo::{ScheduleMemo, ScheduleStats};
-use crate::search::{
-    Exhaustive, Observation, SearchCheckpoint, SearchState, SearchStrategy, WalkOrder,
-};
+use crate::search::{Exhaustive, Observation, SearchState, SearchStrategy, WalkOrder};
 
 // ---------------------------------------------------------------------
 // Objectives
@@ -433,9 +431,10 @@ pub enum CacheStatus {
 /// evaluation chunks, or before the next strategy round — rather than
 /// running its in-flight batch to completion. A cancelled run still
 /// returns a complete, internally consistent [`ExploreResult`] over
-/// whatever it evaluated, with [`ExploreResult::cancelled`] set and a
-/// [`SearchCheckpoint`] a later run can resume from
-/// ([`Exploration::resume_search`]).
+/// whatever it evaluated, with [`ExploreResult::cancelled`] set. To
+/// resume, run the same exploration again over the same
+/// [`SweepCache`]: the chunks the cancelled run merged answer as hits,
+/// and the result is bit-identical to an uninterrupted run.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -587,12 +586,6 @@ pub struct ExploreResult {
     /// Everything else on the result covers exactly what *was*
     /// evaluated; renderers treat a cancelled result like any other.
     pub cancelled: bool,
-    /// A resumable trajectory snapshot — `Some` exactly when the run
-    /// was cancelled. Feed it to [`Exploration::resume_search`] to
-    /// continue: with a warm cache the visited prefix replays without
-    /// re-scheduling, and stateless strategies finish bit-identically
-    /// to an uninterrupted run.
-    pub checkpoint: Option<SearchCheckpoint>,
 }
 
 /// Per-workload slice of an exploration — one row of
@@ -759,8 +752,7 @@ pub struct Exploration<'db> {
     interconnect: InterconnectModel,
     db: Option<&'db ComponentDb>,
     cache: Option<&'db SweepCache>,
-    parallel: bool,
-    threads: Option<usize>,
+    threads: usize,
     // None = the default Exhaustive strategy, resolved at run().
     strategy: Option<Box<dyn SearchStrategy>>,
     budget: Option<usize>,
@@ -770,7 +762,6 @@ pub struct Exploration<'db> {
     fidelity: FidelityMode,
     cancel: Option<CancelToken>,
     progress: Option<ProgressObserver<'db>>,
-    resume_from: Option<SearchCheckpoint>,
 }
 
 /// The engine materialises and evaluates batches in chunks of this many
@@ -803,8 +794,7 @@ impl<'db> Exploration<'db> {
             interconnect: InterconnectModel::paper(),
             db: None,
             cache: None,
-            parallel: false,
-            threads: None,
+            threads: 1,
             strategy: None,
             budget: None,
             seed: None,
@@ -813,7 +803,6 @@ impl<'db> Exploration<'db> {
             fidelity: FidelityMode::default(),
             cancel: None,
             progress: None,
-            resume_from: None,
         }
     }
 
@@ -952,18 +941,13 @@ impl<'db> Exploration<'db> {
         self
     }
 
-    /// Evaluates the sweep (and the lift stage) on worker threads.
-    /// Results, cache files and progress events are bit-identical to
-    /// the serial sweep.
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
-    /// Worker-thread count for [`Exploration::parallel`] (defaults to
-    /// the machine's available parallelism).
+    /// Evaluates the sweep (and the lift stage) on `n` worker threads
+    /// (default 1, a serial sweep; `0` counts as 1). Results, cache
+    /// files and progress events are bit-identical at every count;
+    /// [`crate::parallel::default_threads`] is the machine's available
+    /// parallelism.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
+        self.threads = n.max(1);
         self
     }
 
@@ -1001,8 +985,7 @@ impl<'db> Exploration<'db> {
     /// cancelling it stops the sweep at the next chunk boundary — at
     /// most [`CACHE_FLUSH_CHUNK`] points late — instead of running the
     /// in-flight batch to completion. The cancelled run still returns a
-    /// consistent partial [`ExploreResult`] carrying a
-    /// [`SearchCheckpoint`].
+    /// consistent partial [`ExploreResult`].
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -1016,27 +999,6 @@ impl<'db> Exploration<'db> {
     pub fn progress(mut self, observer: impl FnMut(&SweepProgress) + 'db) -> Self {
         self.progress = Some(Box::new(observer));
         self
-    }
-
-    /// Re-seeds the run from a cancelled run's
-    /// [`ExploreResult::checkpoint`]. The checkpointed indices replay
-    /// through the normal evaluation pipeline *before* the strategy
-    /// plans anything — with a warm [`SweepCache`] the replay is pure
-    /// cache hits — and the strategy then continues with those points
-    /// already seen. For the stateless strategies (exhaustive,
-    /// neighbour, random) the resumed result is bit-identical to an
-    /// uninterrupted run; see [`SearchCheckpoint`] for the `HillClimb`
-    /// caveat.
-    pub fn resume_search(mut self, checkpoint: SearchCheckpoint) -> Self {
-        self.resume_from = Some(checkpoint);
-        self
-    }
-
-    fn thread_count(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
-        self.threads.unwrap_or_else(default_threads)
     }
 
     /// Runs the staged flow: strategy-driven sweep → streaming Pareto
@@ -1099,7 +1061,7 @@ impl<'db> Exploration<'db> {
                 &owned_db
             }
         };
-        let threads = self.thread_count();
+        let threads = self.threads;
         let mut strategy: Box<dyn SearchStrategy> =
             self.strategy.take().unwrap_or_else(|| Box::new(Exhaustive));
         let strategy_name = strategy.name();
@@ -1208,25 +1170,14 @@ impl<'db> Exploration<'db> {
             progress: self.progress.take(),
             space_len,
         };
-        // A checkpointed trajectory replays its visited indices through
-        // the normal pipeline before the strategy plans anything: with a
-        // warm cache the replay is pure hits, the observation log and
-        // archive are rebuilt exactly, and the strategy then continues
-        // from round 0 with the replayed points already claimed.
-        let mut replay: Option<Vec<usize>> = self.resume_from.take().map(|cp| cp.indices());
         let mut was_cancelled = false;
-        // Points replayed from a checkpoint are budget-free: the
-        // interrupted run already paid for them, and charging them again
-        // would make a resumed budgeted sweep propose fewer fresh points
-        // than the uninterrupted run it must match bit-for-bit.
-        let mut replayed = 0usize;
 
         loop {
             if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 was_cancelled = true;
                 break;
             }
-            let remaining = budget.saturating_sub(run.state.visited().saturating_sub(replayed));
+            let remaining = budget.saturating_sub(run.state.visited());
             if remaining == 0 {
                 break;
             }
@@ -1236,17 +1187,8 @@ impl<'db> Exploration<'db> {
                 .iter()
                 .map(|&id| run.eval_space_index[id])
                 .collect();
-            let replaying = replay.is_some();
-            let batch = match replay.take() {
-                // The replay batch bypasses the strategy and spends no
-                // round: once it is evaluated, the strategy plans from
-                // round 0 exactly as in an uninterrupted run.
-                Some(batch) => batch,
-                None => {
-                    let ctx = run.state.context(space, seed, remaining, &front_spaces);
-                    strategy.next_batch(&ctx)
-                }
-            };
+            let ctx = run.state.context(space, seed, remaining, &front_spaces);
+            let batch = strategy.next_batch(&ctx);
             // Keep only in-range, never-seen proposals, within budget.
             let mut fresh: Vec<usize> = Vec::new();
             for i in batch {
@@ -1257,15 +1199,7 @@ impl<'db> Exploration<'db> {
                     }
                 }
             }
-            if replaying {
-                replayed += fresh.len();
-            }
             if fresh.is_empty() {
-                if replaying {
-                    // An empty (or fully filtered) replay must not end
-                    // the search — the strategy has not planned yet.
-                    continue;
-                }
                 break;
             }
             // A strategy may ask for its batches to be *evaluated* in
@@ -1280,14 +1214,11 @@ impl<'db> Exploration<'db> {
             if strategy.walk_order() == WalkOrder::Neighbour {
                 fresh.sort_by_key(|&i| space.neighbour_rank(i));
             }
-            if !replaying {
-                run.state.begin_round();
-            }
+            run.state.begin_round();
             if !run.sweep_batch(&evaluator, &fresh, threads, cancel.as_ref()) {
                 was_cancelled = true;
                 break;
             }
-            run.state.finish_round();
         }
         let SweepRun {
             mut evaluated,
@@ -1374,7 +1305,6 @@ impl<'db> Exploration<'db> {
             cache_status,
             schedule: schedules.stats(),
             cancelled: was_cancelled,
-            checkpoint: was_cancelled.then(|| state.checkpoint()),
         })
     }
 
@@ -1945,12 +1875,11 @@ mod tests {
         let serial = Exploration::over(TemplateSpace::fast_default())
             .workload(&w)
             .with_db(&db)
-            .parallel(false)
             .run();
         let parallel = Exploration::over(TemplateSpace::fast_default())
             .workload(&w)
             .with_db(&db)
-            .parallel(true)
+            .threads(2)
             .run();
         assert_eq!(serial.evaluated.len(), parallel.evaluated.len());
         for (a, b) in serial.evaluated.iter().zip(&parallel.evaluated) {
@@ -2208,12 +2137,12 @@ mod tests {
     fn full_lift_test_axis_is_the_test_models_fold() {
         let db = ComponentDb::new();
         let w = suite::crypt(1);
-        for parallel in [false, true] {
+        for threads in [1, 2] {
             let full = Exploration::over(TemplateSpace::fast_default())
                 .workload(&w)
                 .with_db(&db)
                 .lift(LiftMode::Full)
-                .parallel(parallel)
+                .threads(threads)
                 .run();
             for e in &full.evaluated {
                 let folded = Eq14TestCostModel.test_cost(&e.architecture, &db).total;
@@ -2411,10 +2340,6 @@ mod tests {
         assert!(result.cancelled);
         assert_eq!(result.search.evaluations, 0);
         assert!(result.evaluated.is_empty());
-        let cp = result
-            .checkpoint
-            .expect("cancelled runs carry a checkpoint");
-        assert!(cp.observations.is_empty());
     }
 
     #[test]
@@ -2426,7 +2351,7 @@ mod tests {
         // on the inline path and on the worker pool alike.
         let w = suite::crypt(1);
         let db = ComponentDb::new();
-        let mut checkpoints = Vec::new();
+        let mut stops = Vec::new();
         for threads in [1, 2] {
             let token = CancelToken::new();
             let cancel = token.clone();
@@ -2434,7 +2359,6 @@ mod tests {
                 .workload(&w)
                 .with_db(&db)
                 .strategy(crate::search::Exhaustive::neighbour())
-                .parallel(true)
                 .threads(threads)
                 .cancel_token(token)
                 .progress(move |_| cancel.cancel())
@@ -2447,14 +2371,14 @@ mod tests {
                  ({threads} threads): {}",
                 result.search.evaluations
             );
-            let cp = result.checkpoint.expect("checkpoint");
-            assert_eq!(cp.observations.len(), result.search.evaluations);
-            checkpoints.push(cp.indices());
+            let names: Vec<String> = result
+                .evaluated
+                .iter()
+                .map(|e| e.architecture.name.clone())
+                .collect();
+            stops.push((result.search.evaluations, result.infeasible, names));
         }
-        assert_eq!(
-            checkpoints[0], checkpoints[1],
-            "the pool stops at the serial boundary"
-        );
+        assert_eq!(stops[0], stops[1], "the pool stops at the serial boundary");
     }
 
     #[test]
@@ -2467,7 +2391,6 @@ mod tests {
                 .with_db(&db)
                 .strategy(crate::search::Exhaustive::neighbour())
                 .budget(160)
-                .parallel(true)
                 .threads(threads)
         };
         let plain = spec(1).run();
@@ -2527,7 +2450,6 @@ mod tests {
                     .strategy(crate::search::Exhaustive::neighbour())
                     .budget(8 * CACHE_FLUSH_CHUNK)
                     .cache(&cache)
-                    .parallel(true)
                     .threads(threads)
                     .cancel_token(token)
                     .progress(move |_| {
@@ -2556,46 +2478,58 @@ mod tests {
     #[test]
     fn resumed_run_matches_uninterrupted_bit_for_bit() {
         use crate::cache::SweepCache;
+        use crate::search::{HillClimb, RandomSample};
+        // Resume is a re-run over the same cache: the chunks a cancelled
+        // run merged answer as hits, and every strategy — the seeded
+        // ones included — retraces the uninterrupted trajectory.
         let w = suite::crypt(1);
         let db = ComponentDb::new();
-        let spec = || {
-            Exploration::over(TemplateSpace::huge())
+        let spec = |strategy: usize| {
+            let e = Exploration::over(TemplateSpace::huge())
                 .workload(&w)
                 .with_db(&db)
-                .strategy(crate::search::Exhaustive::neighbour())
                 .budget(160)
+                .seed(7);
+            match strategy {
+                0 => e.strategy(Exhaustive),
+                1 => e.strategy(Exhaustive::neighbour()),
+                2 => e.strategy(RandomSample),
+                _ => e.strategy(HillClimb::default()),
+            }
         };
-        let full = spec().run();
-        // Interrupt a caching run after its first chunk…
-        let token = CancelToken::new();
-        let cancel = token.clone();
-        let cache = SweepCache::in_memory();
-        let partial = spec()
-            .cache(&cache)
-            .cancel_token(token)
-            .progress(move |_| cancel.cancel())
-            .run();
-        assert!(partial.cancelled);
-        let cp = partial.checkpoint.expect("checkpoint");
-        assert!(!cp.observations.is_empty());
-        assert!(cp.observations.len() < 160);
-        // …and resume it: the warm cache answers the replayed prefix
-        // and the final result is bit-identical to the uninterrupted
-        // run.
-        let before_resume = cache.misses();
-        let resumed = spec().cache(&cache).resume_search(cp).run();
-        assert!(!resumed.cancelled);
-        assert!(resumed.checkpoint.is_none());
-        assert_eq!(resumed.evaluated.len(), full.evaluated.len());
-        for (a, b) in resumed.evaluated.iter().zip(&full.evaluated) {
-            assert_eq!(a.architecture.name, b.architecture.name);
-            assert_eq!(a.objectives, b.objectives);
+        let points = |r: &ExploreResult| -> Vec<(String, ObjectiveVector)> {
+            let named = r.evaluated.iter().map(|e| e.architecture.name.clone());
+            named
+                .zip(r.evaluated.iter().map(|e| e.objectives.clone()))
+                .collect()
+        };
+        for strategy in 0..4 {
+            let full = spec(strategy).run();
+            assert_eq!(full.search.evaluations, 160);
+            // Interrupt a caching run after its first chunk…
+            let token = CancelToken::new();
+            let cancel = token.clone();
+            let cache = SweepCache::in_memory();
+            let partial = spec(strategy)
+                .cache(&cache)
+                .cancel_token(token)
+                .progress(move |_| cancel.cancel())
+                .run();
+            assert!(partial.cancelled);
+            assert!(partial.search.evaluations > 0 && partial.search.evaluations < 160);
+            // …and run it again over the same cache: the merged prefix
+            // answers from the cache, and the result is bit-identical to
+            // the uninterrupted run.
+            let hits_before = cache.hits();
+            let resumed = spec(strategy).cache(&cache).run();
+            let name = &full.search.strategy;
+            assert!(cache.hits() - hits_before >= partial.search.evaluations as u64);
+            assert!(!resumed.cancelled, "{name}");
+            assert_eq!(points(&resumed), points(&full), "{name}");
+            assert_eq!(resumed.infeasible, full.infeasible, "{name}");
+            assert_eq!(resumed.pareto, full.pareto, "{name}");
+            assert_eq!(resumed.search, full.search, "{name}");
         }
-        assert_eq!(resumed.pareto, full.pareto);
-        assert_eq!(resumed.search.evaluations, full.search.evaluations);
-        assert_eq!(resumed.search.rounds, full.search.rounds);
-        // The replayed prefix was answered from the warm cache.
-        assert!(cache.misses() - before_resume < 160);
     }
 
     #[test]
@@ -2649,12 +2583,11 @@ mod tests {
         let serial = Exploration::over(TemplateSpace::tiny())
             .workload(&w)
             .fidelity(FidelityMode::Netlist)
-            .parallel(false)
             .run();
         let parallel = Exploration::over(TemplateSpace::tiny())
             .workload(&w)
             .fidelity(FidelityMode::Netlist)
-            .parallel(true)
+            .threads(2)
             .run();
         assert_eq!(serial.evaluated.len(), parallel.evaluated.len());
         for (a, b) in serial.evaluated.iter().zip(&parallel.evaluated) {

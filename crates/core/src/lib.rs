@@ -27,11 +27,12 @@
 //! ```no_run
 //! use tta_arch::template::TemplateSpace;
 //! use tta_core::explore::Exploration;
+//! use tta_core::parallel::default_threads;
 //! use tta_workloads::suite;
 //!
 //! let result = Exploration::over(TemplateSpace::fast_default())
 //!     .workload(&suite::crypt(2))
-//!     .parallel(true)
+//!     .threads(default_threads())
 //!     .run();
 //! let best = result.select_equal_weights();
 //! println!("selected: {}", best.architecture);
@@ -59,7 +60,7 @@
 //!     .interconnect(InterconnectModel { bus_area_per_bit: 6.0, ..InterconnectModel::paper() })
 //!     .with_db(&db)
 //!     .cache(&cache) // re-runs skip every cached point, bit-identically
-//!     .parallel(true)
+//!     .threads(4) // bit-identical at any worker count
 //!     .run();
 //! assert!(result.projection_holds());
 //! ```
@@ -113,8 +114,7 @@ pub use pareto::{pareto_front, ParetoArchive};
 pub use rfmem::{RfImplementationComparison, RfMemSpec};
 pub use schedmemo::{ScheduleMemo, ScheduleStats};
 pub use search::{
-    Exhaustive, HillClimb, NeighbourExhaustive, RandomSample, SearchCheckpoint, SearchState,
-    SearchStrategy,
+    Exhaustive, HillClimb, NeighbourExhaustive, RandomSample, SearchState, SearchStrategy,
 };
 pub use testcost::{architecture_test_cost, ArchTestCost, ComponentTestCost};
 pub use testplan::{TestPhase, TestPlan};

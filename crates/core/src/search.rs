@@ -63,51 +63,16 @@ pub struct Observation {
     pub objectives: Option<(f64, f64)>,
 }
 
-/// A resumable snapshot of a search trajectory: which points were
-/// visited (in evaluation order, with their observed objectives) and
-/// how many strategy rounds had *completed* when the snapshot was
-/// taken.
-///
-/// Produced by a cancelled [`crate::explore::Exploration`] run
-/// ([`crate::explore::ExploreResult::checkpoint`]) and consumed by
-/// [`crate::explore::Exploration::resume_search`]: the resumed run
-/// replays the checkpointed indices through the normal evaluation
-/// pipeline first (a warm [`crate::cache::SweepCache`] answers them
-/// without re-scheduling), then hands control back to the strategy —
-/// so for the stateless strategies ([`Exhaustive`],
-/// [`NeighbourExhaustive`], [`RandomSample`]) a resumed run's final
-/// result is bit-identical to an uninterrupted one. [`HillClimb`]
-/// keeps private RNG state a checkpoint cannot capture: a resumed
-/// climb is still deterministic and never re-evaluates visited points,
-/// but its continuation trajectory may differ from the uninterrupted
-/// run's.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SearchCheckpoint {
-    /// Strategy rounds whose batches were fully evaluated.
-    pub round: usize,
-    /// Every evaluation up to the snapshot, in evaluation order.
-    pub observations: Vec<Observation>,
-}
-
-impl SearchCheckpoint {
-    /// The visited space indices, in evaluation order — exactly what a
-    /// resumed run replays.
-    pub fn indices(&self) -> Vec<usize> {
-        self.observations.iter().map(|o| o.index).collect()
-    }
-}
-
 /// The engine-owned mutable search trajectory: the round counter, the
 /// set of visited indices and the observation log that
 /// [`SearchContext`] borrows. Extracted from the exploration loop's
-/// locals so a running sweep can be snapshotted
-/// ([`SearchState::checkpoint`]) and a later run re-seeded from the
-/// snapshot — the mechanism behind both daemon job resume and CLI
-/// `--resume`.
+/// locals so the loop and its instrumented replays drive strategies
+/// the same way. There is no snapshot: an interrupted sweep resumes by
+/// running again over the same [`crate::cache::SweepCache`], which
+/// answers the already-evaluated chunks as hits.
 #[derive(Debug, Default)]
 pub struct SearchState {
     round: usize,
-    completed_rounds: usize,
     seen: HashSet<usize>,
     observations: Vec<Observation>,
 }
@@ -128,10 +93,11 @@ impl SearchState {
         self.round += 1;
     }
 
-    /// Marks the current round's batch as fully evaluated.
-    pub fn finish_round(&mut self) {
-        self.completed_rounds = self.round;
-    }
+    /// Marks the current round's batch as fully evaluated. A no-op:
+    /// the engine keeps no per-round snapshot. Kept so the traced
+    /// per-layer replay (`perfbench/replay`), which mirrors the
+    /// engine's round structure, still builds.
+    pub fn finish_round(&mut self) {}
 
     /// Points visited or claimed by an in-flight batch (budget
     /// accounting: claimed points spend budget even if a cancellation
@@ -172,17 +138,6 @@ impl SearchState {
             front,
             &self.seen,
         )
-    }
-
-    /// Snapshots the trajectory: completed rounds plus the observation
-    /// log. Indices claimed by an interrupted batch but never evaluated
-    /// are deliberately *not* part of the snapshot — a resumed run
-    /// re-proposes and evaluates them normally.
-    pub fn checkpoint(&self) -> SearchCheckpoint {
-        SearchCheckpoint {
-            round: self.completed_rounds,
-            observations: self.observations.clone(),
-        }
     }
 }
 

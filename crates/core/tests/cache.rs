@@ -36,7 +36,7 @@ fn run_tiny(rounds: usize, parallel: bool, cache: Option<&SweepCache>) -> Explor
     let mut e = Exploration::over(TemplateSpace::tiny())
         .workload(&w)
         .with_db(db())
-        .parallel(parallel);
+        .threads(if parallel { 2 } else { 1 });
     if let Some(c) = cache {
         e = e.cache(c);
     }
@@ -160,7 +160,7 @@ fn run_weighted(weights: (f64, f64), parallel: bool, cache: Option<&SweepCache>)
         .workload_weighted(&a, weights.0)
         .workload_weighted(&b, weights.1)
         .with_db(db())
-        .parallel(parallel);
+        .threads(if parallel { 2 } else { 1 });
     if let Some(c) = cache {
         e = e.cache(c);
     }

@@ -46,7 +46,7 @@ fn run(
         .workload(&w)
         .with_db(db())
         .lift(lift)
-        .parallel(parallel);
+        .threads(if parallel { 2 } else { 1 });
     if scan {
         e = e.test_cost_model(ScanTestCostModel::new());
     }

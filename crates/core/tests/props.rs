@@ -225,7 +225,6 @@ proptest! {
         let parallel = Exploration::over(space)
             .workload(&w)
             .with_db(&db)
-            .parallel(true)
             .threads(threads)
             .run();
         // Identical evaluated set…

@@ -222,7 +222,7 @@ fn sweep_cycles_match_direct_scheduling_on_every_fast_point() {
             .area_model(Flat)
             .timing_model(Flat)
             .test_cost_model(Flat)
-            .parallel(parallel)
+            .threads(if parallel { 2 } else { 1 })
             .run();
         assert_eq!(result.search.evaluations, space.len());
         let mut infeasible = 0;

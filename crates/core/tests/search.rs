@@ -380,8 +380,7 @@ fn budgeted_huge_space_walk_is_bit_identical_serial_and_parallel() {
             .strategy(Exhaustive::neighbour())
             .budget(256)
             .seed(7)
-            .parallel(parallel)
-            .threads(2)
+            .threads(if parallel { 2 } else { 1 })
             .run()
     };
     let serial = run(false);
@@ -417,8 +416,7 @@ proptest! {
                 .workload(&w)
                 .with_db(shared_db())
                 .lift(lift)
-                .parallel(parallel)
-                .threads(threads)
+                .threads(if parallel { threads } else { 1 })
                 .seed(seed);
             if scan {
                 e = e.test_cost_model(ScanTestCostModel::with_chains(2));
@@ -520,8 +518,7 @@ fn serial_equals_parallel_on_weighted_suites_and_simulated_cycles() {
             .workload_weighted(&b, 0.5)
             .with_db(shared_db())
             .cycle_source(CycleSource::Simulate)
-            .parallel(parallel)
-            .threads(2)
+            .threads(if parallel { 2 } else { 1 })
             .run()
     };
     assert_bit_identical(&run(false), &run(true));
@@ -536,8 +533,7 @@ fn serial_equals_parallel_under_a_custom_test_model_and_a_full_lift() {
             .with_db(shared_db())
             .test_cost_model(ScanTestCostModel::with_chains(2))
             .lift(LiftMode::Full)
-            .parallel(parallel)
-            .threads(2)
+            .threads(if parallel { 2 } else { 1 })
             .run()
     };
     let serial = run(false);
@@ -559,8 +555,7 @@ fn serial_and_parallel_sweeps_write_byte_identical_cache_files() {
             .workload(&w)
             .with_db(shared_db())
             .cache(cache)
-            .parallel(parallel)
-            .threads(2)
+            .threads(if parallel { 2 } else { 1 })
             .run()
     };
     let dir_s = tmpdir("serial-cache");
@@ -629,8 +624,7 @@ fn custom_models_are_consulted_once_per_point_serial_and_parallel() {
             .workload(&w)
             .with_db(shared_db())
             .area_model(CountingArea)
-            .parallel(parallel)
-            .threads(2)
+            .threads(if parallel { 2 } else { 1 })
             .run();
         (result, CALLS.load(Ordering::Relaxed) - before)
     };
@@ -659,8 +653,7 @@ fn lazily_annotated_serial_sweep_equals_a_concurrently_annotated_parallel_one() 
                 .workload(&w)
                 .with_db(db)
                 .lift(LiftMode::Full)
-                .parallel(parallel)
-                .threads(2);
+                .threads(if parallel { 2 } else { 1 });
             if neighbour {
                 e.strategy(Exhaustive::neighbour()).run()
             } else {

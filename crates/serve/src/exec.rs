@@ -19,8 +19,8 @@ use tta_core::explore::{
     CacheStatus, CancelToken, Exploration, ExploreResult, FidelityMode, LiftMode, SweepProgress,
 };
 use tta_core::models::{InterconnectModel, ScanTestCostModel};
+use tta_core::parallel::default_threads;
 use tta_core::report::TextTable;
-use tta_core::search::SearchCheckpoint;
 use tta_core::{ComponentDb, ScheduleStats};
 use tta_workloads::{SuiteParams, SuiteRegistry, WeightedWorkload};
 
@@ -212,15 +212,12 @@ pub struct JobOutput {
     /// local CLI and the remote client, which is the whole
     /// byte-identity story.
     pub output: String,
-    /// Points evaluated (== the checkpointed observations when
-    /// cancelled).
+    /// Points evaluated.
     pub evaluations: usize,
     /// Pareto-front size.
     pub front: usize,
     /// Whether the job was cancelled before finishing.
     pub cancelled: bool,
-    /// The resume checkpoint of a cancelled job.
-    pub checkpoint: Option<SearchCheckpoint>,
     /// Schedule-memo counters (stderr-only observability).
     pub schedule: ScheduleStats,
     /// Per-job cache outcome, as a wire-stable label (`none`,
@@ -254,7 +251,7 @@ pub fn prepare(spec: &JobSpec) -> Result<PreparedJob, String> {
     let workloads = workloads_of(&registry, spec, paper_scale)?;
     Ok(PreparedJob {
         spec: spec.clone(),
-        space: space_of(spec)?,
+        space,
         workloads,
     })
 }
@@ -276,8 +273,9 @@ impl PreparedJob {
     }
 
     /// Runs the sweep: an optional shared cache, an optional cancel
-    /// token (checked between chunks), an optional per-chunk progress
-    /// observer, and an optional checkpoint to resume from.
+    /// token (checked between chunks) and an optional per-chunk
+    /// progress observer. Running a cancelled job again over the same
+    /// cache resumes it: the merged chunks answer as hits.
     ///
     /// The injected `"panic"` fault (see [`JobSpec::fault`]) fires
     /// here, before any evaluation — the daemon's workers run jobs
@@ -288,7 +286,6 @@ impl PreparedJob {
         cache: Option<&SweepCache>,
         cancel: Option<CancelToken>,
         mut progress: Option<&mut dyn FnMut(&SweepProgress)>,
-        resume: Option<SearchCheckpoint>,
     ) -> JobOutput {
         assert!(
             self.spec.fault.is_none(),
@@ -317,7 +314,7 @@ impl PreparedJob {
             // byte-identically.
             .cycle_source(spec.cycles)
             .fidelity(spec.fidelity)
-            .parallel(spec.parallel);
+            .threads(spec.threads.unwrap_or_else(default_threads));
         if spec.test_model == TestModel::Scan {
             e = e.test_cost_model(ScanTestCostModel::default());
         }
@@ -333,9 +330,6 @@ impl PreparedJob {
         if let Some(s) = spec.seed {
             e = e.seed(s);
         }
-        if let Some(n) = spec.threads {
-            e = e.threads(n);
-        }
         if let Some(c) = cache {
             e = e.cache(c);
         }
@@ -344,9 +338,6 @@ impl PreparedJob {
         }
         if let Some(observer) = progress.as_mut() {
             e = e.progress(|p| observer(p));
-        }
-        if let Some(checkpoint) = resume {
-            e = e.resume_search(checkpoint);
         }
         let result = e.run();
         let mut output = Vec::new();
@@ -361,7 +352,6 @@ impl PreparedJob {
             evaluations: result.search.evaluations,
             front: result.pareto.len(),
             cancelled: result.cancelled,
-            checkpoint: result.checkpoint.clone(),
             schedule: result.schedule,
             cache: cache_label(&result.cache_status),
             flush_failure,
@@ -584,7 +574,7 @@ mod tests {
         let job = prepare(&tiny_spec()).unwrap();
         assert!(job.space_points() > 0);
         assert_eq!(job.workload_count(), 1);
-        let out = job.run(None, None, None, None);
+        let out = job.run(None, None, None);
         assert!(!out.cancelled);
         assert!(out.output.starts_with('{'));
         assert!(out.output.contains("\"command\":\"explore\""));
@@ -632,8 +622,8 @@ mod tests {
         let spec = tiny_spec();
         let job = prepare(&spec).unwrap();
         let cache = SweepCache::in_memory();
-        let cold = job.run(Some(&cache), None, None, None);
-        let warm = job.run(Some(&cache), None, None, None);
+        let cold = job.run(Some(&cache), None, None);
+        let warm = job.run(Some(&cache), None, None);
         assert_eq!(cold.output, warm.output, "warm must be byte-identical");
         assert_eq!(cold.cache, "flushed");
         assert!(cache.hits() > 0);
@@ -651,6 +641,6 @@ mod tests {
             space: TemplateSpace::tiny(),
             workloads: Vec::new(),
         };
-        let _ = job.run(None, None, None, None);
+        let _ = job.run(None, None, None);
     }
 }

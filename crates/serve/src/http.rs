@@ -333,13 +333,22 @@ pub fn read_chunk_into(
     }
     let size = usize::from_str_radix(line.trim(), 16)
         .map_err(|_| bad(format!("bad chunk size {line:?}")))?;
-    let mut payload = vec![0u8; size + 2];
-    stream.read_exact(&mut payload)?;
+    let framed = size
+        .checked_add(2)
+        .ok_or_else(|| bad(format!("chunk size {line:?} is out of range")))?;
+    // The size is the peer's claim: read through `take` so memory grows
+    // with the bytes that actually arrive, not with the claim.
+    let mut payload = Vec::new();
+    Read::by_ref(stream)
+        .take(framed as u64)
+        .read_to_end(&mut payload)?;
+    if payload.len() < framed {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     if &payload[size..] != b"\r\n" {
         return Err(bad("chunk missing CRLF terminator".into()));
     }
-    payload.truncate(size);
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&payload[..size]);
     Ok(size)
 }
 
@@ -350,6 +359,23 @@ mod tests {
 
     fn parse(raw: &[u8]) -> Result<Request, Option<ParseError>> {
         read_request(&mut BufReader::new(raw))
+    }
+
+    #[test]
+    fn hostile_chunk_sizes_are_errors_not_panics_or_allocations() {
+        let read = |raw: &[u8]| {
+            let mut out = Vec::new();
+            let e = read_chunk_into(&mut BufReader::new(raw), &mut out).unwrap_err();
+            assert!(out.is_empty());
+            e.kind()
+        };
+        // A size whose CRLF framing overflows `usize`.
+        assert_eq!(
+            read(b"ffffffffffffffff\r\nabc"),
+            std::io::ErrorKind::InvalidData
+        );
+        // A valid but huge size with three bytes behind it.
+        assert_eq!(read(b"40000000\r\nabc"), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

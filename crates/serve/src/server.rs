@@ -16,7 +16,7 @@
 //! | `POST /run`              | submit a job spec; streams NDJSON events    |
 //! | `GET /jobs`              | job table snapshot                          |
 //! | `POST /jobs/<id>/cancel` | cooperative cancel (stops within one chunk) |
-//! | `POST /jobs/<id>/resume` | re-run a cancelled job from its checkpoint  |
+//! | `POST /jobs/<id>/resume` | re-submit a cancelled job as a new job      |
 //! | `POST /shutdown`         | graceful shutdown (also `SIGTERM`)          |
 //!
 //! `POST /run` answers `200` with `Transfer-Encoding: chunked` and one
@@ -25,8 +25,9 @@
 //! exactly one of `done` (with the fully rendered stdout document
 //! embedded as a JSON string) or `error`. Invalid specs never reach the
 //! queue — they answer `400` immediately. A client that disconnects
-//! mid-stream cancels its job cooperatively; the job checkpoints and
-//! stays resumable.
+//! mid-stream cancels its job cooperatively; a cancelled job resumes by
+//! re-running its spec over the shared cache, where the chunks it
+//! merged answer as hits.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -39,7 +40,6 @@ use std::time::Duration;
 
 use tta_core::cache::SweepCache;
 use tta_core::explore::{CancelToken, SweepProgress};
-use tta_core::search::SearchCheckpoint;
 
 use crate::exec::{self, JobOutput, PreparedJob};
 use crate::http::{
@@ -101,7 +101,6 @@ struct JobRecord {
     spec: JobSpec,
     state: JobState,
     cancel: CancelToken,
-    checkpoint: Option<SearchCheckpoint>,
     evaluations: usize,
     front: usize,
 }
@@ -111,7 +110,6 @@ struct JobRecord {
 struct QueuedJob {
     id: u64,
     prepared: PreparedJob,
-    resume: Option<SearchCheckpoint>,
     cancel: CancelToken,
     events: mpsc::Sender<Event>,
 }
@@ -219,7 +217,7 @@ impl Server {
             handlers.retain(|h| !h.is_finished());
         }
         // Graceful drain: no new jobs, cancel whatever is running (the
-        // cancel is cooperative — each job checkpoints within a chunk),
+        // cancel is cooperative — each job stops within a chunk),
         // then wait for workers and in-flight connections.
         self.state.queue.close();
         for record in self.state.jobs().values() {
@@ -255,7 +253,6 @@ fn worker_loop(state: &ServerState) {
                 Some(&state.cache),
                 Some(job.cancel.clone()),
                 Some(&mut observer),
-                job.resume.clone(),
             )
         }));
         let mut jobs = state.jobs();
@@ -267,7 +264,6 @@ fn worker_loop(state: &ServerState) {
                     } else {
                         JobState::Done
                     };
-                    r.checkpoint = out.checkpoint.clone();
                     r.evaluations = out.evaluations;
                     r.front = out.front;
                 }
@@ -339,12 +335,18 @@ fn route(req: &Request, w: &mut TcpStream, state: &ServerState) -> std::io::Resu
                     ("state", json::string(r.state.label())),
                     ("evaluations", json::int(r.evaluations as u64)),
                     ("front", json::int(r.front as u64)),
-                    ("resumable", json::boolean(r.checkpoint.is_some())),
+                    ("resumable", json::boolean(r.state == JobState::Cancelled)),
                 ])
             }));
             write_json(w, &body)
         }
-        ("POST", "/run") => run_job(req, w, state, None),
+        ("POST", "/run") => match std::str::from_utf8(&req.body) {
+            Ok(body) if !body.trim().is_empty() => match JobSpec::from_json(body) {
+                Ok(spec) => run_job(spec, w, state),
+                Err(e) => write_error(w, 400, "Bad Request", &e),
+            },
+            _ => write_error(w, 400, "Bad Request", "expected a JSON job spec body"),
+        },
         ("POST", "/shutdown") => {
             state.shutdown.store(true, Ordering::Release);
             write_json(w, &json::object([("shutting_down", json::boolean(true))]))
@@ -362,7 +364,7 @@ fn route(req: &Request, w: &mut TcpStream, state: &ServerState) -> std::io::Resu
                 .and_then(|rest| rest.strip_suffix("/resume"))
                 .and_then(|id| id.parse::<u64>().ok())
             {
-                return resume_job(id, req, w, state);
+                return resume_job(id, w, state);
             }
             write_error(w, 404, "Not Found", &format!("no route for {path}"))
         }
@@ -404,56 +406,32 @@ fn cancel_job(id: u64, w: &mut TcpStream, state: &ServerState) -> std::io::Resul
     }
 }
 
-fn resume_job(
-    id: u64,
-    req: &Request,
-    w: &mut TcpStream,
-    state: &ServerState,
-) -> std::io::Result<()> {
+/// Re-submits a cancelled job's stored spec as a new job; the shared
+/// cache makes it finish exactly as an uninterrupted run would.
+fn resume_job(id: u64, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
     let jobs = state.jobs();
     let Some(r) = jobs.get(&id) else {
         drop(jobs);
         return write_error(w, 404, "Not Found", &format!("no job {id}"));
     };
-    let Some(checkpoint) = r.checkpoint.clone() else {
+    if r.state != JobState::Cancelled {
         let state_label = r.state.label();
         drop(jobs);
         return write_error(
             w,
             409,
             "Conflict",
-            &format!("job {id} is {state_label} and has no checkpoint to resume from"),
+            &format!("job {id} is {state_label}; only a cancelled job can be resumed"),
         );
-    };
+    }
     let spec = r.spec.clone();
     drop(jobs);
-    run_job(req, w, state, Some((spec, checkpoint)))
+    run_job(spec, w, state)
 }
 
-/// Admits and streams one job. `resume_from` re-runs a stored spec from
-/// its checkpoint (the `/jobs/<id>/resume` path) instead of parsing a
-/// spec from the request body.
-fn run_job(
-    req: &Request,
-    w: &mut TcpStream,
-    state: &ServerState,
-    resume_from: Option<(JobSpec, SearchCheckpoint)>,
-) -> std::io::Result<()> {
-    let (spec, checkpoint) = match resume_from {
-        Some((spec, cp)) => (spec, Some(cp)),
-        None => {
-            let body = match std::str::from_utf8(&req.body) {
-                Ok(s) if !s.trim().is_empty() => s,
-                _ => {
-                    return write_error(w, 400, "Bad Request", "expected a JSON job spec body");
-                }
-            };
-            match JobSpec::from_json(body) {
-                Ok(spec) => (spec, None),
-                Err(e) => return write_error(w, 400, "Bad Request", &e),
-            }
-        }
-    };
+/// Admits and streams one job: a spec parsed from a `POST /run` body,
+/// or a cancelled job's stored spec (the `/jobs/<id>/resume` path).
+fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
     // Validation runs *before* queueing: a bad spec answers 400 here
     // and the queue never sees it.
     let prepared = match exec::prepare(&spec) {
@@ -469,7 +447,6 @@ fn run_job(
             spec: spec.clone(),
             state: JobState::Queued,
             cancel: cancel.clone(),
-            checkpoint: None,
             evaluations: 0,
             front: 0,
         },
@@ -478,7 +455,6 @@ fn run_job(
         QueuedJob {
             id,
             prepared,
-            resume: checkpoint,
             cancel: cancel.clone(),
             events: tx,
         },
@@ -494,7 +470,7 @@ fn run_job(
     // Drain events until the job reaches a terminal state. If the
     // client hangs up — mid-stream, or before the stream even started
     // — cancel the job cooperatively but keep draining so the record
-    // still lands in a terminal state: the checkpoint stays resumable.
+    // still lands in a terminal state (a cancelled one resumes).
     let mut out = w
         .try_clone()
         .and_then(|stream| ChunkedWriter::begin(stream, "application/x-ndjson"))
@@ -627,7 +603,6 @@ mod tests {
             evaluations: 24,
             front: 3,
             cancelled: false,
-            checkpoint: None,
             schedule: Default::default(),
             cache: "flushed",
             flush_failure: None,

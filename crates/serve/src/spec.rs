@@ -183,7 +183,7 @@ pub fn fidelity_parse(s: &str) -> Result<FidelityMode, String> {
 
 /// One sweep job, fully specified. [`Default`] is exactly the CLI's
 /// default `ttadse explore` invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobSpec {
     /// Template space name (`paper`/`fast`/`tiny`/`huge`); `None`
     /// follows `fast` (the `--fast`/`--paper` shorthand).
@@ -214,9 +214,9 @@ pub struct JobSpec {
     pub fidelity: FidelityMode,
     /// Output rendering (`--format`).
     pub format: Format,
-    /// Whether to sweep on worker threads (`--parallel`/`--serial`).
-    pub parallel: bool,
-    /// Pinned worker count (`--threads`).
+    /// Sweep worker count: `None` uses every available core
+    /// (`--parallel`, the default), `Some(1)` sweeps serially
+    /// (`--serial`), `Some(n)` pins `n` workers (`--threads`).
     pub threads: Option<usize>,
     /// Interconnect override: bus area per bit \[GE\] (`--bus-area`).
     pub bus_area: Option<f64>,
@@ -231,33 +231,6 @@ pub struct JobSpec {
     /// suite can assert per-job degradation. Any other value is
     /// rejected at validation time.
     pub fault: Option<String>,
-}
-
-impl Default for JobSpec {
-    fn default() -> Self {
-        JobSpec {
-            space: None,
-            fast: false,
-            workloads: Vec::new(),
-            suite: None,
-            rounds: None,
-            strategy: Strategy::default(),
-            budget: None,
-            seed: None,
-            lift: LiftMode::default(),
-            test_model: TestModel::default(),
-            cycles: CycleSource::default(),
-            fidelity: FidelityMode::default(),
-            format: Format::default(),
-            parallel: true,
-            threads: None,
-            bus_area: None,
-            bus_delay: None,
-            control_area: None,
-            priority: 0,
-            fault: None,
-        }
-    }
 }
 
 fn opt_str(v: &Option<String>) -> String {
@@ -294,7 +267,6 @@ impl JobSpec {
             ("cycles", json::string(cycles_label(self.cycles))),
             ("fidelity", json::string(self.fidelity.label())),
             ("format", json::string(self.format.label())),
-            ("parallel", json::boolean(self.parallel)),
             ("threads", opt_u64(self.threads.map(|t| t as u64))),
             ("bus_area", opt_f64(self.bus_area)),
             ("bus_delay", opt_f64(self.bus_delay)),
@@ -330,7 +302,6 @@ impl JobSpec {
             "cycles",
             "fidelity",
             "format",
-            "parallel",
             "threads",
             "bus_area",
             "bus_delay",
@@ -391,7 +362,6 @@ impl JobSpec {
                 .map_or(Ok(defaults.fidelity), |s| fidelity_parse(&s))?,
             format: field_opt_string(&doc, "format")?
                 .map_or(Ok(defaults.format), |s| Format::parse(&s))?,
-            parallel: field_opt_bool(&doc, "parallel")?.unwrap_or(defaults.parallel),
             threads: field_opt_usize(&doc, "threads")?,
             bus_area: field_opt_f64(&doc, "bus_area")?,
             bus_delay: field_opt_f64(&doc, "bus_delay")?,
@@ -495,7 +465,6 @@ mod tests {
             cycles: CycleSource::Simulate,
             fidelity: FidelityMode::Netlist,
             format: Format::Csv,
-            parallel: false,
             threads: Some(2),
             bus_area: Some(6.5),
             bus_delay: Some(0.25),
@@ -527,6 +496,10 @@ mod tests {
         assert!(JobSpec::from_json("{\"eval\":\"scratch\"}")
             .unwrap_err()
             .contains("unknown job spec field \"eval\""));
+        // `threads` is the one worker-count field.
+        assert!(JobSpec::from_json("{\"parallel\": true}")
+            .unwrap_err()
+            .contains("unknown job spec field \"parallel\""));
         assert!(JobSpec::from_json("[1,2]").is_err());
         assert!(JobSpec::from_json("not json at all").is_err());
     }

@@ -50,7 +50,7 @@ pub fn tiny_spec() -> JobSpec {
 pub fn local_output(spec: &JobSpec) -> String {
     tta_serve::exec::prepare(spec)
         .expect("spec resolves")
-        .run(None, None, None, None)
+        .run(None, None, None)
         .output
 }
 

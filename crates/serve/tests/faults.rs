@@ -17,9 +17,8 @@ use tta_serve::jsonparse::Json;
 use tta_serve::spec::{Format, JobSpec, Strategy};
 
 /// A job slow enough (thousands of points sampled from the huge space,
-/// several seconds in a debug build) that cancel/disconnect reliably
-/// lands mid-sweep, yet small enough that resuming it to completion
-/// stays in test-suite territory.
+/// several seconds in a debug build) that a disconnect reliably lands
+/// mid-sweep.
 fn long_spec() -> JobSpec {
     JobSpec {
         space: Some("huge".into()),
@@ -153,6 +152,7 @@ fn malformed_specs_answer_400_and_never_reach_the_queue() {
         "{\"space\": \"nope\"}",  // unresolvable space
         "{\"budget\": 0}",        // invalid value
         "{\"fault\": \"quake\"}", // unknown fault kind
+        "{\"parallel\": true}",   // `threads` is the one worker count
     ];
     for body in bad_bodies {
         let answer = raw_post(&daemon.addr, "/run", body);
@@ -163,8 +163,8 @@ fn malformed_specs_answer_400_and_never_reach_the_queue() {
         assert!(answer.contains("\"error\""), "{answer:?}");
     }
 
-    // Control-path errors are equally contained: unknown job, resume
-    // without a checkpoint, unknown route.
+    // Control-path errors are equally contained: unknown job, unknown
+    // route.
     let e = control(&daemon.addr, "/jobs/99/cancel").expect_err("no such job");
     assert!(e.contains("404"), "{e}");
     let e = control(&daemon.addr, "/nope").expect_err("no such route");
@@ -223,54 +223,37 @@ fn a_poisoned_worker_fails_alone_and_the_queue_keeps_draining() {
     daemon.stop().expect("clean shutdown");
 }
 
-#[test]
-fn cancel_mid_batch_checkpoints_the_job_and_resume_completes_it() {
-    let daemon = start(2, SweepCache::in_memory());
-    let spec = long_spec();
-    let budget = spec.budget.expect("long spec has a budget");
-    let addr = daemon.addr.clone();
-    let client = std::thread::spawn(move || {
-        let (mut out, mut err) = (Vec::new(), Vec::new());
-        let summary = run_remote(&addr, &spec, &mut out, &mut err)
-            .expect("a cancelled job still streams its partial document");
-        (summary, out.len())
-    });
+/// A stderr sink for [`run_remote`] that cancels job `id` the first
+/// time the client reports progress, so the cancel lands after the
+/// first merged chunk and well before the job's last.
+struct CancelOnProgress {
+    addr: String,
+    id: u64,
+    sent: bool,
+}
 
-    assert!(
-        wait_for_state(&daemon.addr, 1, "running", Duration::from_secs(30)),
-        "job 1 should start"
-    );
-    let answer = control(&daemon.addr, "/jobs/1/cancel").expect("cancel accepted");
-    assert_eq!(answer.get("cancelled").and_then(Json::as_bool), Some(true));
+impl Write for CancelOnProgress {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if !self.sent && String::from_utf8_lossy(buf).contains("visited") {
+            self.sent = true;
+            let path = format!("/jobs/{}/cancel", self.id);
+            let answer = control(&self.addr, &path).expect("cancel accepted");
+            assert_eq!(answer.get("cancelled").and_then(Json::as_bool), Some(true));
+        }
+        Ok(buf.len())
+    }
 
-    let (summary, document_len) = client.join().expect("client thread");
-    assert!(summary.cancelled, "the done event reports the cancellation");
-    assert!(document_len > 0, "the partial render still streams");
-    assert!(
-        summary.evaluations < budget as u64,
-        "cancel landed mid-sweep: {} of {budget}",
-        summary.evaluations
-    );
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
-    let jobs = http_get(&daemon.addr, "/jobs");
-    let record = &jobs.as_arr().expect("jobs array")[0];
-    assert_eq!(
-        record.get("state").and_then(Json::as_str),
-        Some("cancelled")
-    );
-    assert_eq!(
-        record.get("resumable").and_then(Json::as_bool),
-        Some(true),
-        "a cancelled job keeps its checkpoint"
-    );
-
-    // Resume re-runs the stored spec from the checkpoint as a new job
-    // and streams it the same way /run does.
-    let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
+/// `POST /jobs/<id>/resume` and the terminal event of its stream.
+fn resume(addr: &str, id: u64) -> Json {
+    let mut stream = TcpStream::connect(addr).expect("connect");
     write!(
         stream,
-        "POST /jobs/1/resume HTTP/1.1\r\nHost: {}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        daemon.addr
+        "POST /jobs/{id}/resume HTTP/1.1\r\nHost: {addr}\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
     )
     .expect("send resume");
     let mut reader = BufReader::new(&stream);
@@ -284,14 +267,81 @@ fn cancel_mid_batch_checkpoints_the_job_and_resume_completes_it() {
         .rev()
         .find(|l| !l.trim().is_empty())
         .expect("terminal event");
-    let done = Json::parse(done).expect("done event json");
-    assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
-    assert_eq!(done.get("cancelled").and_then(Json::as_bool), Some(false));
-    assert!(
-        done.get("evaluations").and_then(Json::as_u64).unwrap() >= summary.evaluations,
-        "the resumed run carries the checkpointed observations forward"
-    );
-    daemon.stop().expect("clean shutdown");
+    Json::parse(done).expect("done event json")
+}
+
+#[test]
+fn cancel_mid_batch_then_resume_renders_the_uninterrupted_document() {
+    // Resume re-runs the stored spec over the daemon's cache: the chunks
+    // the cancelled run merged answer as hits, so every strategy — the
+    // seeded hill climb included — renders exactly the local
+    // uninterrupted document and spends exactly its budget.
+    for (strategy, budget) in [
+        (Strategy::Exhaustive, 4_096),
+        (Strategy::Neighbour, 4_096),
+        (Strategy::Random, 2_048),
+        (Strategy::HillClimb, 2_048),
+    ] {
+        let daemon = start(2, SweepCache::in_memory());
+        let spec = JobSpec {
+            space: Some("huge".into()),
+            workloads: vec!["crypt".into()],
+            strategy,
+            seed: Some(7),
+            budget: Some(budget),
+            format: Format::Json,
+            ..JobSpec::default()
+        };
+        let label = strategy.label();
+        let mut err = CancelOnProgress {
+            addr: daemon.addr.clone(),
+            id: 1,
+            sent: false,
+        };
+        let mut out = Vec::new();
+        let summary = run_remote(&daemon.addr, &spec, &mut out, &mut err)
+            .expect("a cancelled job still streams its partial document");
+        assert!(
+            summary.cancelled,
+            "{label}: the done event reports the cancellation"
+        );
+        assert!(!out.is_empty(), "{label}: the partial render still streams");
+        assert!(
+            summary.evaluations > 0 && summary.evaluations < budget as u64,
+            "{label}: cancel landed mid-sweep: {} of {budget}",
+            summary.evaluations
+        );
+
+        let jobs = http_get(&daemon.addr, "/jobs");
+        let record = &jobs.as_arr().expect("jobs array")[0];
+        assert_eq!(
+            record.get("state").and_then(Json::as_str),
+            Some("cancelled")
+        );
+        assert_eq!(
+            record.get("resumable").and_then(Json::as_bool),
+            Some(true),
+            "{label}: a cancelled job is resumable"
+        );
+
+        let done = resume(&daemon.addr, 1);
+        assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
+        assert_eq!(done.get("job").and_then(Json::as_u64), Some(2));
+        assert_eq!(done.get("cancelled").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            done.get("evaluations").and_then(Json::as_u64),
+            Some(budget as u64),
+            "{label}: the resumed job spends exactly its budget"
+        );
+        assert!(
+            done.get("output").and_then(Json::as_str) == Some(local_output(&spec).as_str()),
+            "{label}: the resumed job renders the uninterrupted document"
+        );
+        // Only a cancelled job resumes; the finished one answers 409.
+        let e = control(&daemon.addr, "/jobs/2/resume").expect_err("job 2 is done");
+        assert!(e.contains("409"), "{label}: {e}");
+        daemon.stop().expect("clean shutdown");
+    }
 }
 
 #[test]
@@ -322,7 +372,7 @@ fn a_client_vanishing_mid_stream_cancels_its_job_cooperatively() {
     assert_eq!(
         record.get("resumable").and_then(Json::as_bool),
         Some(true),
-        "the orphaned job checkpointed before stopping"
+        "the orphaned job stopped cancelled, so it resumes"
     );
 
     // The daemon shrugged it off: healthy, and a fresh client gets a

@@ -6,6 +6,7 @@
 
 use ttadse::arch::template::TemplateSpace;
 use ttadse::explore::explore::Exploration;
+use ttadse::explore::parallel::default_threads;
 use ttadse::explore::search::{HillClimb, RandomSample};
 use ttadse::explore::ComponentDb;
 use ttadse::workloads::suite;
@@ -19,7 +20,7 @@ fn main() {
     let full = Exploration::over(space.clone())
         .workload(&workload)
         .with_db(&db)
-        .parallel(true)
+        .threads(default_threads())
         .run();
     println!(
         "exhaustive: {} points visited, {} on the front",

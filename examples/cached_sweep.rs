@@ -6,6 +6,7 @@
 use ttadse::arch::template::TemplateSpace;
 use ttadse::explore::cache::SweepCache;
 use ttadse::explore::explore::Exploration;
+use ttadse::explore::parallel::default_threads;
 use ttadse::workloads::suite;
 
 fn main() {
@@ -17,7 +18,7 @@ fn main() {
         Exploration::over(TemplateSpace::fast_default())
             .workload(&workload)
             .cache(&cache)
-            .parallel(true)
+            .threads(default_threads())
             .run()
     };
 

@@ -9,6 +9,7 @@
 use ttadse::arch::template::TemplateSpace;
 use ttadse::explore::explore::Exploration;
 use ttadse::explore::norm::{Norm, Weights};
+use ttadse::explore::parallel::default_threads;
 use ttadse::workloads::suite;
 
 fn main() {
@@ -27,7 +28,7 @@ fn main() {
 
     let result = Exploration::over(space)
         .workload(&workload)
-        .parallel(true)
+        .threads(default_threads())
         .run();
     println!(
         "{} feasible points, {} infeasible, {} on the Pareto front\n",

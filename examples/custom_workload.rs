@@ -7,6 +7,7 @@
 
 use ttadse::arch::template::TemplateSpace;
 use ttadse::explore::explore::Exploration;
+use ttadse::explore::parallel::default_threads;
 use ttadse::movec::ir::{Dfg, Op};
 use ttadse::workloads::{suite, Workload};
 
@@ -48,7 +49,7 @@ fn main() {
     };
     let result = Exploration::over(space.clone())
         .workload(&horner)
-        .parallel(true)
+        .threads(default_threads())
         .run();
     println!(
         "{} feasible, {} infeasible (no multiplier)",
@@ -77,7 +78,7 @@ fn main() {
     let crypt = suite::crypt(1);
     let multi = Exploration::over(space)
         .workloads([&horner, &crypt])
-        .parallel(true)
+        .threads(default_threads())
         .run();
     let best_multi = multi.select_equal_weights();
     println!(

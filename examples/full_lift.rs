@@ -14,6 +14,7 @@ use std::collections::HashSet;
 use tta_arch::template::TemplateSpace;
 use tta_core::explore::{Exploration, LiftMode};
 use tta_core::models::ScanTestCostModel;
+use tta_core::parallel::default_threads;
 use tta_core::ComponentDb;
 use tta_workloads::suite::{SuiteParams, SuiteRegistry};
 
@@ -33,7 +34,7 @@ fn main() {
                 .suite(&members)
                 .with_db(&db)
                 .lift(LiftMode::Full)
-                .parallel(true);
+                .threads(default_threads());
             if scan {
                 e = e.test_cost_model(ScanTestCostModel::new());
             }

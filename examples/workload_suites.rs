@@ -9,6 +9,7 @@
 
 use ttadse::arch::template::TemplateSpace;
 use ttadse::explore::explore::Exploration;
+use ttadse::explore::parallel::default_threads;
 use ttadse::explore::ComponentDb;
 use ttadse::workloads::suite::{SuiteParams, SuiteRegistry};
 
@@ -32,7 +33,7 @@ fn main() {
         let result = Exploration::over(space.clone())
             .suite(&members)
             .with_db(&db)
-            .parallel(true)
+            .threads(default_threads())
             .run();
         let best = result.select_equal_weights();
         println!(

@@ -24,11 +24,12 @@
 //! ```no_run
 //! use ttadse::arch::template::TemplateSpace;
 //! use ttadse::explore::explore::Exploration;
+//! use ttadse::explore::parallel::default_threads;
 //! use ttadse::workloads::suite;
 //!
 //! let result = Exploration::over(TemplateSpace::fast_default())
 //!     .workload(&suite::crypt(1))
-//!     .parallel(true)
+//!     .threads(default_threads())
 //!     .run();
 //! let best = result.select_equal_weights();
 //! println!("{} (area {:.0} GE)", best.architecture, best.area());

@@ -5,6 +5,7 @@
 use ttadse::arch::template::TemplateSpace;
 use ttadse::explore::explore::{Exploration, Objective};
 use ttadse::explore::norm::{Norm, Weights};
+use ttadse::explore::parallel::default_threads;
 use ttadse::explore::pareto::{dominates, pareto_front};
 use ttadse::explore::ComponentDb;
 use ttadse::workloads::suite;
@@ -66,7 +67,6 @@ fn parallel_flow_matches_serial_end_to_end() {
     let parallel = Exploration::over(TemplateSpace::fast_default())
         .workload(&w)
         .with_db(&db)
-        .parallel(true)
         .threads(7) // odd thread count to shake out ordering bugs
         .run();
     assert_eq!(serial.infeasible, parallel.infeasible);
@@ -98,7 +98,7 @@ fn paper_scale_parallel_matches_serial() {
     let parallel = Exploration::over(TemplateSpace::paper_default())
         .workload(&w)
         .with_db(&db)
-        .parallel(true)
+        .threads(default_threads())
         .run();
     assert_eq!(serial.evaluated.len(), 144 - serial.infeasible);
     assert_eq!(serial.pareto, parallel.pareto);
@@ -169,7 +169,7 @@ fn multi_workload_suite_explores_end_to_end() {
     let checksum = suite::checksum32();
     let result = Exploration::over(TemplateSpace::fast_default())
         .workloads([&crypt, &checksum])
-        .parallel(true)
+        .threads(default_threads())
         .run();
     assert_eq!(result.workloads.len(), 2);
     assert!(!result.pareto.is_empty());
