@@ -239,16 +239,6 @@ impl FaultSimulator {
         }
     }
 
-    /// Runs the batch against `faults`, returning a detection mask per
-    /// fault (bit `k` ⇔ pattern `k` detects it).
-    pub fn run_batch(&mut self, batch: &PatternBatch, faults: &[Fault]) -> Vec<u64> {
-        let mut good = self.good_values(batch);
-        faults
-            .iter()
-            .map(|f| self.detect_mask(&mut good, *f))
-            .collect()
-    }
-
     /// Simulates `patterns` against `faults` with fault dropping.
     ///
     /// Returns `(detected_flags, useful_pattern_indices)`:

@@ -1236,21 +1236,6 @@ fn workloads_compare(
 // netlist
 // ---------------------------------------------------------------------
 
-/// Resolves a `--space` name for the netlist subcommand (the explore
-/// path resolves the same names inside `tta_serve::exec`).
-fn netlist_space(name: &str) -> Result<tta_arch::template::TemplateSpace, CliError> {
-    use tta_arch::template::TemplateSpace;
-    match name {
-        "paper" => Ok(TemplateSpace::paper_default()),
-        "fast" => Ok(TemplateSpace::fast_default()),
-        "tiny" => Ok(TemplateSpace::tiny()),
-        "huge" => Ok(TemplateSpace::huge()),
-        other => Err(CliError::usage(format!(
-            "unknown space {other:?} (expected paper, fast, tiny or huge)"
-        ))),
-    }
-}
-
 /// `ttadse netlist`: elaborate one explored template point down to its
 /// gate-level netlist, report loaded STA + fanout statistics, optionally
 /// run the structural lint pass (`--lint`, non-zero exit on findings)
@@ -1285,7 +1270,7 @@ pub fn netlist_cmd(
         }
     }
     let space = match &space_name {
-        Some(name) => netlist_space(name)?,
+        Some(name) => exec::space_named(name).map_err(CliError::usage)?,
         None => scale_of(&common).space(),
     };
     if point >= space.len() {

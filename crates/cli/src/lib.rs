@@ -398,6 +398,13 @@ mod tests {
         let e = run_capture(&["netlist", "--space", "tiny", "--point", "99"]).unwrap_err();
         assert_eq!(e.exit_code, 2);
         assert!(e.message.contains("out of range"), "{}", e.message);
+        // Unknown spaces are usage errors with the explore path's message.
+        let e = run_capture(&["netlist", "--space", "galaxy"]).unwrap_err();
+        assert_eq!(e.exit_code, 2);
+        assert_eq!(
+            e.message,
+            "unknown space \"galaxy\" (expected paper, fast, tiny or huge)"
+        );
     }
 
     #[test]

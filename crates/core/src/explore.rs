@@ -540,7 +540,8 @@ pub struct ExploreResult {
     /// Every feasible evaluated point, in evaluation order (enumeration
     /// order for the default [`Exhaustive`] strategy).
     pub evaluated: Vec<EvaluatedArch>,
-    /// Indices (into `evaluated`) of the Pareto front.
+    /// Indices (into `evaluated`) of the Pareto front, in ascending
+    /// order.
     ///
     /// Under [`LiftMode::ParetoOnly`] the front is computed on the 2-D
     /// (area, time) sweep axes — Figure 2 — and its members are then
@@ -627,7 +628,7 @@ impl ExploreResult {
 
     /// Whether `evaluated[index]` is on the Pareto front.
     pub fn is_on_front(&self, index: usize) -> bool {
-        self.pareto.contains(&index)
+        self.pareto.binary_search(&index).is_ok()
     }
 
     /// Selects the architecture with minimal weighted norm over the
@@ -1025,218 +1026,27 @@ impl<'db> Exploration<'db> {
         if self.workloads.is_empty() {
             return Err(ExploreError::EmptyWorkloads);
         }
-        if let Some(i) = self
-            .weights
-            .iter()
-            .position(|w| !w.is_finite() || *w <= 0.0)
-        {
+        let invalid = |w: &f64| !w.is_finite() || *w <= 0.0;
+        if let Some(i) = self.weights.iter().position(invalid) {
             return Err(ExploreError::InvalidWeight(i));
         }
-        // Netlist fidelity fills the *empty* area/timing slots with the
-        // elaboration-backed models before anything inspects the slots:
-        // downstream, the slots simply hold custom models (the default
-        // test model keeps serving the test axis, and the cache
-        // addresses change through the model fingerprints).
-        if self.fidelity == FidelityMode::Netlist {
-            let eval = Arc::new(NetlistEvaluator::new());
-            if self.area.is_none() {
-                self.area = Some(Box::new(NetlistAreaModel::new(
-                    self.interconnect,
-                    Arc::clone(&eval),
-                )));
-            }
-            if self.timing.is_none() {
-                self.timing = Some(Box::new(NetlistTimingModel::new(
-                    self.interconnect,
-                    Arc::clone(&eval),
-                )));
-            }
-        }
-        let (area, timing, test) = self.resolve_models();
-        let owned_db;
-        let db: &ComponentDb = match self.db {
-            Some(db) => db,
-            None => {
-                owned_db = ComponentDb::new();
-                &owned_db
-            }
-        };
-        let threads = self.threads;
-        let mut strategy: Box<dyn SearchStrategy> =
-            self.strategy.take().unwrap_or_else(|| Box::new(Exhaustive));
-        let strategy_name = strategy.name();
-        let strategy_salt = strategy.cache_salt();
-        let budget = self.budget.unwrap_or(usize::MAX);
-        let seed = self.seed.unwrap_or(0);
-        // Content-address bases for the persistent cache: everything
-        // that determines a point's result except the point itself.
-        // `None` (no cache attached, or an unfingerprintable model)
-        // bypasses caching entirely. Non-exhaustive strategies fold
-        // their identity (plus budget and seed, which shape the
-        // trajectory) into the base, so a sampled run's entries can
-        // never be confused with an exhaustive sweep's.
-        let salted = |f: Fingerprint| match strategy_salt {
-            None => f,
-            Some(salt) => f
-                .str("strategy")
-                .str(strategy_name)
-                .u64(salt)
-                .u64(self.budget.map_or(u64::MAX, |b| b as u64))
-                .u64(seed),
-        };
-        let test_fp = test.fingerprint();
-        let db_fp = db.fingerprint();
-        let eval_cache = self.cache.and_then(|cache| {
-            let base = Fingerprint::new()
-                .str("eval")
-                .u64(u64::from(CACHE_ADDRESS_VERSION))
-                .u64(area.fingerprint()?)
-                .u64(timing.fingerprint()?)
-                .u64(db_fp)
-                .u64(self.workloads.len() as u64);
-            // Weights ride along with each workload: a reweighted suite
-            // changes the exec-time axis, so it must change the address.
-            let base = self
-                .workloads
-                .iter()
-                .zip(&self.weights)
-                .fold(base, |f, (w, &weight)| {
-                    f.u64(workload_fingerprint(w)).f64(weight)
-                });
-            // Simulated cycle counts are a different observable (they
-            // *should* equal the model, but proving that is the point),
-            // so they get their own address family. `Model` leaves the
-            // address untouched — bit-identical to pre-knob sweeps.
-            let base = match self.cycle_source {
-                CycleSource::Model => base,
-                CycleSource::Simulate => base.str("cycles").str("simulate"),
-            };
-            Some((cache, salted(base).finish()))
-        });
-        // A full lift stores per-point test totals *inline* in the eval
-        // entries, tagged with the test model's fingerprint — an
-        // unfingerprintable test model therefore bypasses the eval
-        // cache entirely in that mode (the totals could not be
-        // validated). The eval content address itself is deliberately
-        // unchanged, so both lift modes share their scheduling work.
-        let eval_cache = match self.lift {
-            LiftMode::ParetoOnly => eval_cache,
-            LiftMode::Full => eval_cache.filter(|_| test_fp.is_some()),
-        };
-        let full_test_fp = test_fp.unwrap_or(0);
-        let test_cache = self.cache.and_then(|cache| {
-            let base = Fingerprint::new()
-                .str("test")
-                .u64(u64::from(CACHE_ADDRESS_VERSION))
-                .u64(test_fp?)
-                .u64(db_fp);
-            Some((cache, salted(base).finish()))
-        });
-
-        // Stages 1–2, batched: the strategy proposes point indices, the
-        // engine lazily builds and evaluates them, and every feasible
-        // result streams into an incrementally maintained Pareto
-        // archive that guides the next proposal round. No stage ever
-        // materialises the space.
-        let space = &self.space;
-        let space_len = space.len();
-        let lift = self.lift;
-        let fidelity = self.fidelity;
-        // One schedule per distinct (workload, scheduler view) for the
-        // whole run; lives no longer than the sweep.
-        let schedules = ScheduleMemo::new(&self.workloads, self.cycle_source);
-        let evaluator = ChunkEvaluator {
-            space,
-            workloads: &self.workloads,
-            weights: &self.weights,
-            area: &*area,
-            timing: &*timing,
-            test: &*test,
-            db,
-            schedules: &schedules,
-            cache: eval_cache,
-            lift,
-            full_test_fp,
-        };
+        let mut strategy = self.strategy.take().unwrap_or_else(|| Box::new(Exhaustive));
         let cancel = self.cancel.take();
-        let mut run = SweepRun {
-            evaluated: Vec::new(),
-            eval_space_index: Vec::new(),
-            blocked: vec![0; self.workloads.len()],
-            infeasible: 0,
-            state: SearchState::new(),
-            archive: ParetoArchive::new(),
-            cache: eval_cache.map(|(cache, _)| cache),
-            progress: self.progress.take(),
-            space_len,
-        };
-        let mut was_cancelled = false;
-
-        loop {
-            if cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                was_cancelled = true;
-                break;
-            }
-            let remaining = budget.saturating_sub(run.state.visited());
-            if remaining == 0 {
-                break;
-            }
-            let front_spaces: Vec<usize> = run
-                .archive
-                .ids()
-                .iter()
-                .map(|&id| run.eval_space_index[id])
-                .collect();
-            let ctx = run.state.context(space, seed, remaining, &front_spaces);
-            let batch = strategy.next_batch(&ctx);
-            // Keep only in-range, never-seen proposals, within budget.
-            let mut fresh: Vec<usize> = Vec::new();
-            for i in batch {
-                if i < space_len && run.state.claim(i) {
-                    fresh.push(i);
-                    if fresh.len() == remaining {
-                        break;
-                    }
-                }
-            }
-            if fresh.is_empty() {
-                break;
-            }
-            // A strategy may ask for its batches to be *evaluated* in
-            // neighbour (Gray-walk) order: consecutive points then
-            // differ in one template knob, which decides the order in
-            // which scheduler views repeat in the schedule memo (and
-            // lets netlist fidelity re-elaborate incrementally). The
-            // re-sort happens after budget truncation, so it changes
-            // when a point is evaluated, never whether — and per-point
-            // cache addresses and memoised schedules are visit-order
-            // independent.
-            if strategy.walk_order() == WalkOrder::Neighbour {
-                fresh.sort_by_key(|&i| space.neighbour_rank(i));
-            }
-            run.state.begin_round();
-            if !run.sweep_batch(&evaluator, &fresh, threads, cancel.as_ref()) {
-                was_cancelled = true;
-                break;
-            }
-        }
-        let SweepRun {
-            mut evaluated,
-            blocked,
-            infeasible,
-            state,
-            archive,
-            ..
-        } = run;
-
+        let progress = self.progress.take();
+        self.resolve_models();
+        let private_db = ComponentDb::new();
+        let plan = SweepPlan::resolve(&self, self.db.unwrap_or(&private_db), &*strategy);
+        let mut run = SweepRun::new(&plan, progress);
+        let cancelled = run.search(&mut *strategy, cancel.as_ref());
         // The streaming archive *is* the mode's Pareto front — the 2-D
         // (area, time) front of Figure 2 under ParetoOnly, the true 3-D
         // front under Full. `pareto_front` stays on as the verification
         // oracle.
-        let pareto = archive.ids();
+        let pareto = run.archive.ids();
         #[cfg(debug_assertions)]
         {
-            let pts: Vec<Vec<f64>> = evaluated
+            let pts: Vec<Vec<f64>> = run
+                .evaluated
                 .iter()
                 .map(|e| e.objectives.values().to_vec())
                 .collect();
@@ -1246,92 +1056,51 @@ impl<'db> Exploration<'db> {
                 "streaming front must match the batch oracle"
             );
         }
-
-        // Stage 3 (ParetoOnly): lift the front with the test axis —
-        // Figure 8. "only the architectures that correspond to the
-        // Pareto points in the design space are evaluated in terms of
-        // testing". A Full sweep already carries the axis on every
-        // point, so the stage disappears.
-        if lift == LiftMode::ParetoOnly {
-            let costs = par_map(&pareto, threads, |_, &i| {
-                let arch = &evaluated[i].architecture;
-                if let Some((cache, base)) = &test_cache {
-                    let key = point_key(*base, arch);
-                    if let Some(total) = cache.lookup_test(key) {
-                        return total;
-                    }
-                    let total = test.test_cost(arch, db).total;
-                    cache.store_test(key, total);
-                    return total;
-                }
-                test.test_cost(arch, db).total
-            });
-            for (&i, total) in pareto.iter().zip(costs) {
-                evaluated[i].objectives.push(Objective::TestCost, total);
-            }
-        }
-
-        // One compaction per run, after the lift stage and whether or
-        // not the run was cancelled: the journal the chunks were
-        // checkpointed into becomes the sorted v3 file.
-        let caching_active =
-            eval_cache.is_some() || (lift == LiftMode::ParetoOnly && test_cache.is_some());
-        let cache_status = match self.cache {
-            None => CacheStatus::NotAttached,
-            Some(_) if !caching_active => CacheStatus::Bypassed,
-            Some(cache) => match cache.flush() {
-                Err(e) => CacheStatus::FlushFailed(e.to_string()),
-                Ok(()) => CacheStatus::Flushed,
-            },
-        };
-
+        plan.lift(&mut run.evaluated, &pareto);
         Ok(ExploreResult {
-            evaluated,
+            evaluated: run.evaluated,
             pareto,
-            infeasible,
+            infeasible: run.infeasible,
             workloads: self.workloads.iter().map(|w| w.name.clone()).collect(),
             weights: self.weights.clone(),
-            blocked,
+            blocked: run.blocked,
             search: SearchInfo {
-                strategy: strategy_name.to_string(),
+                strategy: strategy.name().to_string(),
                 budget: self.budget,
                 seed: self.seed,
-                space_len,
-                evaluations: state.observations().len(),
-                rounds: state.round(),
+                space_len: self.space.len(),
+                evaluations: run.state.observations().len(),
+                rounds: run.state.round(),
             },
-            lift,
-            fidelity,
-            cache_status,
-            schedule: schedules.stats(),
-            cancelled: was_cancelled,
+            lift: self.lift,
+            fidelity: self.fidelity,
+            cache_status: plan.flush(),
+            schedule: plan.schedules.stats(),
+            cancelled,
         })
     }
 
-    /// Resolves the installed or default models (defaults parameterised
-    /// by the configured [`InterconnectModel`]).
-    fn resolve_models(&mut self) -> ResolvedModels {
+    /// Fills the empty model slots: under [`FidelityMode::Netlist`] the
+    /// area and timing slots get the elaboration-backed models, and
+    /// every slot still empty then gets the annotated default
+    /// parameterised by the configured [`InterconnectModel`]. Installed
+    /// models are never replaced.
+    fn resolve_models(&mut self) {
         let ic = self.interconnect;
-        (
+        if self.fidelity == FidelityMode::Netlist {
+            let eval = Arc::new(NetlistEvaluator::new());
             self.area
-                .take()
-                .unwrap_or_else(|| Box::new(AnnotatedAreaModel::new(ic))),
+                .get_or_insert_with(|| Box::new(NetlistAreaModel::new(ic, Arc::clone(&eval))));
             self.timing
-                .take()
-                .unwrap_or_else(|| Box::new(AnnotatedTimingModel::new(ic))),
-            self.test
-                .take()
-                .unwrap_or_else(|| Box::new(Eq14TestCostModel)),
-        )
+                .get_or_insert_with(|| Box::new(NetlistTimingModel::new(ic, eval)));
+        }
+        self.area
+            .get_or_insert_with(|| Box::new(AnnotatedAreaModel::new(ic)));
+        self.timing
+            .get_or_insert_with(|| Box::new(AnnotatedTimingModel::new(ic)));
+        self.test.get_or_insert_with(|| Box::new(Eq14TestCostModel));
     }
 }
-
-/// The three resolved model slots.
-type ResolvedModels = (
-    Box<dyn AreaModel>,
-    Box<dyn TimingModel>,
-    Box<dyn TestCostModel>,
-);
 
 /// One sweep evaluation: a feasible point, or why the point dropped
 /// (`Err(Some(i))` = suite member `i` failed to schedule first,
@@ -1346,10 +1115,11 @@ fn point_key(base: u64, arch: &Architecture) -> u64 {
         .finish()
 }
 
-/// Everything a sweep worker reads to evaluate a chunk. All of it is
-/// shared: the database, the schedule memo and the cache synchronise
-/// internally, so any number of workers evaluate chunks at once.
-struct ChunkEvaluator<'a> {
+/// One run's resolved plan: everything the stages read, resolved once
+/// from the builder. The sweep workers share it: the database, the
+/// schedule memo and the cache synchronise internally, so any number of
+/// workers evaluate chunks at once.
+struct SweepPlan<'a> {
     space: &'a TemplateSpace,
     workloads: &'a [Workload],
     weights: &'a [f64],
@@ -1357,11 +1127,20 @@ struct ChunkEvaluator<'a> {
     timing: &'a dyn TimingModel,
     test: &'a dyn TestCostModel,
     db: &'a ComponentDb,
-    schedules: &'a ScheduleMemo<'a>,
-    // The eval cache and its content-address base; `None` bypasses it.
-    cache: Option<(&'a SweepCache, u64)>,
+    // One schedule per distinct (workload, scheduler view) for the
+    // whole run.
+    schedules: ScheduleMemo<'a>,
+    // The attached cache, and the eval and test caches in use with their
+    // content-address bases.
+    cache: Option<&'a SweepCache>,
+    eval_cache: Option<(&'a SweepCache, u64)>,
+    test_cache: Option<(&'a SweepCache, u64)>,
     lift: LiftMode,
+    // The test model's fingerprint, tagging full-lift inline totals.
     full_test_fp: u64,
+    threads: usize,
+    budget: usize,
+    seed: u64,
 }
 
 /// One evaluated chunk waiting for its merge: an outcome per point and
@@ -1371,25 +1150,138 @@ struct EvaluatedChunk {
     stores: Vec<(u64, EvalEntry)>,
 }
 
-impl ChunkEvaluator<'_> {
-    /// Builds and evaluates the points `indices`: one pipeline per
-    /// point — rehydrate from the cache or evaluate, add the test total
-    /// under a full lift, and note what had to be computed. The cache is
-    /// read ONCE per chunk (one lock acquisition for the whole batch)
-    /// and never written here: the merge stores the chunk's entries in
-    /// sweep order.
-    fn evaluate(&self, indices: &[usize]) -> EvaluatedChunk {
-        let archs: Vec<Architecture> = indices.iter().map(|&i| self.space.point(i)).collect();
-        // Each point's content address (empty without a cache), and the
-        // entries the cache holds for them.
-        let (keys, mut prefetched) = match self.cache {
-            Some((cache, base)) => {
-                let keys: Vec<u64> = archs.iter().map(|arch| point_key(base, arch)).collect();
-                let prefetched = cache.lookup_eval_batch(&keys);
-                (keys, prefetched)
-            }
-            None => (Vec::new(), Vec::new()),
+impl<'a> SweepPlan<'a> {
+    /// Resolves the plan of a builder whose model slots are filled
+    /// ([`Exploration::resolve_models`]).
+    fn resolve(x: &'a Exploration<'_>, db: &'a ComponentDb, strategy: &dyn SearchStrategy) -> Self {
+        const FILLED: &str = "resolve_models fills every model slot";
+        let test = x.test.as_deref().expect(FILLED);
+        let test_fp = test.fingerprint();
+        let mut plan = SweepPlan {
+            space: &x.space,
+            workloads: &x.workloads,
+            weights: &x.weights,
+            area: x.area.as_deref().expect(FILLED),
+            timing: x.timing.as_deref().expect(FILLED),
+            test,
+            db,
+            schedules: ScheduleMemo::new(&x.workloads, x.cycle_source),
+            cache: x.cache,
+            eval_cache: None,
+            test_cache: None,
+            lift: x.lift,
+            full_test_fp: test_fp.unwrap_or(0),
+            threads: x.threads,
+            budget: x.budget.unwrap_or(usize::MAX),
+            seed: x.seed.unwrap_or(0),
         };
+        [plan.eval_cache, plan.test_cache] = plan.cache_bases(x, test_fp, strategy);
+        plan
+    }
+
+    /// The attached cache with the content-address bases of its eval and
+    /// its test entries: everything that determines a point's result
+    /// except the point itself. `None` (no cache attached, a model that
+    /// cannot fingerprint itself, or a test half the lift never reads)
+    /// bypasses that half of the cache.
+    fn cache_bases(
+        &self,
+        x: &Exploration<'_>,
+        test_fp: Option<u64>,
+        strategy: &dyn SearchStrategy,
+    ) -> [Option<(&'a SweepCache, u64)>; 2] {
+        let Some(cache) = self.cache else {
+            return [None, None];
+        };
+        let (version, db_fp) = (u64::from(CACHE_ADDRESS_VERSION), self.db.fingerprint());
+        let eval = self.area.fingerprint().zip(self.timing.fingerprint());
+        let eval = eval.map(|(a, t)| {
+            let base = Fingerprint::new().str("eval").u64(version).u64(a).u64(t);
+            let mut base = base.u64(db_fp).u64(self.workloads.len() as u64);
+            // Weights ride along with each workload: a reweighted suite
+            // changes the exec-time axis, so it must change the address.
+            for (w, &weight) in self.workloads.iter().zip(self.weights) {
+                base = base.u64(workload_fingerprint(w)).f64(weight);
+            }
+            // Simulated cycle counts are a different observable (they
+            // *should* equal the model, but proving that is the point),
+            // so they get their own address family. `Model` leaves the
+            // address untouched — bit-identical to pre-knob sweeps.
+            match x.cycle_source {
+                CycleSource::Model => base,
+                CycleSource::Simulate => base.str("cycles").str("simulate"),
+            }
+        });
+        // A full lift stores per-point test totals *inline* in the eval
+        // entries, tagged with the test model's fingerprint — an
+        // unfingerprintable test model therefore bypasses the eval
+        // cache entirely in that mode (the totals could not be
+        // validated). The eval content address itself is deliberately
+        // unchanged, so both lift modes share their scheduling work.
+        let eval = eval.filter(|_| self.lift == LiftMode::ParetoOnly || test_fp.is_some());
+        let test = test_fp.filter(|_| self.lift == LiftMode::ParetoOnly);
+        let test = test.map(|fp| {
+            Fingerprint::new()
+                .str("test")
+                .u64(version)
+                .u64(fp)
+                .u64(db_fp)
+        });
+        // Non-exhaustive strategies fold their identity (plus budget and
+        // seed, which shape the trajectory) into both bases, so a
+        // sampled run's entries can never be confused with an
+        // exhaustive sweep's.
+        [eval, test].map(|base| {
+            let base = base?;
+            let salted = match strategy.cache_salt() {
+                None => base,
+                Some(salt) => base
+                    .str("strategy")
+                    .str(strategy.name())
+                    .u64(salt)
+                    .u64(x.budget.map_or(u64::MAX, |b| b as u64))
+                    .u64(self.seed),
+            };
+            Some((cache, salted.finish()))
+        })
+    }
+
+    /// The per-chunk pipeline a sweep worker runs:
+    /// [`materialise`](Self::materialise) →
+    /// [`lookup`](Self::lookup) → [`evaluate`](Self::evaluate).
+    fn evaluate_chunk(&self, indices: &[usize]) -> EvaluatedChunk {
+        let archs = self.materialise(indices);
+        let (keys, prefetched) = self.lookup(&archs);
+        self.evaluate(&archs, &keys, prefetched)
+    }
+
+    /// Stage: builds the chunk's architectures from their space indices.
+    fn materialise(&self, indices: &[usize]) -> Vec<Architecture> {
+        indices.iter().map(|&i| self.space.point(i)).collect()
+    }
+
+    /// Stage: each point's content address and the entry the eval cache
+    /// holds for it, in ONE batched read (one lock acquisition for the
+    /// whole chunk); both empty without an eval cache.
+    fn lookup(&self, archs: &[Architecture]) -> (Vec<u64>, Vec<Option<EvalEntry>>) {
+        let Some((cache, base)) = self.eval_cache else {
+            return (Vec::new(), Vec::new());
+        };
+        let keys: Vec<u64> = archs.iter().map(|arch| point_key(base, arch)).collect();
+        let prefetched = cache.lookup_eval_batch(&keys);
+        (keys, prefetched)
+    }
+
+    /// Stage: one pipeline per point — rehydrate the prefetched entry or
+    /// evaluate, add the test total under a full lift, and note what had
+    /// to be computed. The cache is never written here: the merge
+    /// stores the chunk's entries in sweep order.
+    fn evaluate(
+        &self,
+        archs: &[Architecture],
+        keys: &[u64],
+        mut prefetched: Vec<Option<EvalEntry>>,
+    ) -> EvaluatedChunk {
         let mut stores = Vec::new();
         let mut rejected = 0;
         let outcomes = archs
@@ -1410,17 +1302,7 @@ impl ChunkEvaluator<'_> {
                     .and_then(|entry| rehydrate(arch, self.workloads.len(), self.weights, entry));
                 rejected += u64::from(found && rehydrated.is_none());
                 let mut dirty = rehydrated.is_none();
-                let outcome = rehydrated.unwrap_or_else(|| {
-                    evaluate_point(
-                        arch,
-                        self.workloads,
-                        self.weights,
-                        self.area,
-                        self.timing,
-                        self.db,
-                        self.schedules,
-                    )
-                });
+                let outcome = rehydrated.unwrap_or_else(|| self.evaluate_point(arch));
                 // 2. Under a full lift every feasible point carries the
                 // test axis: the entry's inline total when it came from
                 // this test model, a fresh fold otherwise (a Pareto-only
@@ -1439,7 +1321,7 @@ impl ChunkEvaluator<'_> {
                     _ => None,
                 };
                 // 3. With a cache, note what this point computed.
-                if dirty && self.cache.is_some() {
+                if dirty && self.eval_cache.is_some() {
                     let test = total.map(|t| (self.full_test_fp, t.to_bits()));
                     stores.push((keys[k], dehydrate(&outcome, test)));
                 }
@@ -1449,16 +1331,117 @@ impl ChunkEvaluator<'_> {
                 }
             })
             .collect();
-        if let Some((cache, _)) = self.cache {
+        if let Some((cache, _)) = self.eval_cache {
             cache.count_rejected(rejected);
         }
         EvaluatedChunk { outcomes, stores }
+    }
+
+    /// Evaluates one architecture on a workload suite (area + throughput
+    /// only; the test axis is lifted later, on front points). Infeasibility
+    /// is entirely the models’ verdict: a non-finite area or clock period
+    /// (the default annotated models return infinity for out-of-
+    /// [`crate::backannotate::ComponentKey`]-domain geometries) or an
+    /// unschedulable workload drops the point — the error records which.
+    /// Cycle counts come from the run's [`ScheduleMemo`]: the modelled
+    /// count of a `(workload, scheduler view)` pair is computed once per
+    /// run, and a simulated count executes the point's own schedule (a
+    /// program that cannot lower or run is as infeasible as one that cannot
+    /// schedule).
+    fn evaluate_point(&self, arch: &Architecture) -> PointOutcome {
+        let mut workload_cycles = Vec::with_capacity(self.workloads.len());
+        let mut spills = 0u32;
+        for (i, w) in self.workloads.iter().enumerate() {
+            let (trace_cycles, workload_spills) =
+                self.schedules.trace_cycles(arch, i).ok_or(Some(i))?;
+            workload_cycles.push(w.application_cycles(trace_cycles));
+            spills += workload_spills;
+        }
+        let cycles: u64 = workload_cycles.iter().sum();
+        let weighted_cycles = weighted_sum(&workload_cycles, self.weights);
+        let area = self.area.area(arch, self.db);
+        let clock = self.timing.clock_period(arch, self.db);
+        // Exec time must be finite too: a finite-but-extreme weight can
+        // overflow the weighted aggregate, and an infinite axis would turn
+        // the norm selection into NaN comparisons downstream.
+        let exec_time = weighted_cycles * clock;
+        if !area.is_finite() || !clock.is_finite() || !exec_time.is_finite() {
+            return Err(None);
+        }
+        Ok(EvaluatedArch {
+            architecture: arch.clone(),
+            cycles,
+            workload_cycles,
+            spills,
+            weighted_cycles,
+            objectives: ObjectiveVector::new([
+                (Objective::Area, area),
+                (Objective::ExecTime, exec_time),
+            ]),
+        })
+    }
+
+    /// Stage: stores a merged chunk's fresh entries in the eval cache and
+    /// checkpoints them into its journal.
+    fn store(&self, stores: Vec<(u64, EvalEntry)>) {
+        if let Some((cache, _)) = self.eval_cache {
+            for (key, entry) in stores {
+                cache.store_eval(key, entry);
+            }
+            // A failed append only coarsens crash-resume: the entries
+            // stay in memory, and the end-of-run flush reports whether
+            // they reached disk.
+            let _ = cache.checkpoint();
+        }
+    }
+
+    /// Stage 3 (ParetoOnly): lifts the front with the test axis —
+    /// Figure 8. "only the architectures that correspond to the Pareto
+    /// points in the design space are evaluated in terms of testing". A
+    /// Full sweep already carries the axis on every point, so the stage
+    /// does nothing.
+    fn lift(&self, evaluated: &mut [EvaluatedArch], pareto: &[usize]) {
+        if self.lift == LiftMode::Full {
+            return;
+        }
+        let costs = par_map(pareto, self.threads, |_, &i| {
+            let arch = &evaluated[i].architecture;
+            let cached = self
+                .test_cache
+                .map(|(cache, base)| (cache, point_key(base, arch)));
+            if let Some(total) = cached.and_then(|(cache, key)| cache.lookup_test(key)) {
+                return total;
+            }
+            let total = self.test.test_cost(arch, self.db).total;
+            if let Some((cache, key)) = cached {
+                cache.store_test(key, total);
+            }
+            total
+        });
+        for (&i, total) in pareto.iter().zip(costs) {
+            evaluated[i].objectives.push(Objective::TestCost, total);
+        }
+    }
+
+    /// Stage: one compaction per run, after the lift and whether or not
+    /// the run was cancelled — the journal the chunks were checkpointed
+    /// into becomes the sorted v3 file.
+    fn flush(&self) -> CacheStatus {
+        match self.cache {
+            None => CacheStatus::NotAttached,
+            Some(_) if self.eval_cache.or(self.test_cache).is_none() => CacheStatus::Bypassed,
+            Some(cache) => match cache.flush() {
+                Err(e) => CacheStatus::FlushFailed(e.to_string()),
+                Ok(()) => CacheStatus::Flushed,
+            },
+        }
     }
 }
 
 /// The coordinator's side of a sweep: the state the in-order merge
 /// updates, chunk by chunk, exactly as a serial sweep would.
-struct SweepRun<'a> {
+struct SweepRun<'p> {
+    plan: &'p SweepPlan<'p>,
     evaluated: Vec<EvaluatedArch>,
     // The space index of each `evaluated` point.
     eval_space_index: Vec<usize>,
@@ -1466,32 +1449,102 @@ struct SweepRun<'a> {
     infeasible: usize,
     state: SearchState,
     archive: ParetoArchive,
-    cache: Option<&'a SweepCache>,
-    progress: Option<ProgressObserver<'a>>,
-    space_len: usize,
+    progress: Option<ProgressObserver<'p>>,
 }
 
-impl SweepRun<'_> {
+impl<'p> SweepRun<'p> {
+    fn new(plan: &'p SweepPlan<'p>, progress: Option<ProgressObserver<'p>>) -> Self {
+        SweepRun {
+            plan,
+            evaluated: Vec::new(),
+            eval_space_index: Vec::new(),
+            blocked: vec![0; plan.workloads.len()],
+            infeasible: 0,
+            state: SearchState::new(),
+            archive: ParetoArchive::new(),
+            progress,
+        }
+    }
+
+    /// Stages 1–2, batched: the strategy proposes point indices, the
+    /// engine lazily builds and evaluates them, and every feasible
+    /// result streams into an incrementally maintained Pareto archive
+    /// that guides the next proposal round. No stage ever materialises
+    /// the space. Returns whether `cancel` stopped the search.
+    fn search(&mut self, strategy: &mut dyn SearchStrategy, cancel: Option<&CancelToken>) -> bool {
+        loop {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return true;
+            }
+            let fresh = self.plan_batch(strategy);
+            if fresh.is_empty() {
+                return false;
+            }
+            self.state.begin_round();
+            if !self.sweep_batch(&fresh, cancel) {
+                return true;
+            }
+        }
+    }
+
+    /// Stage: asks the strategy for its next batch and keeps the
+    /// in-range, never-seen proposals, claimed and truncated to the
+    /// remaining budget (none once the budget is spent).
+    fn plan_batch(&mut self, strategy: &mut dyn SearchStrategy) -> Vec<usize> {
+        let remaining = self.plan.budget.saturating_sub(self.state.visited());
+        if remaining == 0 {
+            return Vec::new();
+        }
+        let space = self.plan.space;
+        let front_spaces: Vec<usize> = self
+            .archive
+            .ids()
+            .iter()
+            .map(|&id| self.eval_space_index[id])
+            .collect();
+        let ctx = self
+            .state
+            .context(space, self.plan.seed, remaining, &front_spaces);
+        let batch = strategy.next_batch(&ctx);
+        let space_len = space.len();
+        let mut fresh: Vec<usize> = Vec::new();
+        for i in batch {
+            if i < space_len && self.state.claim(i) {
+                fresh.push(i);
+                if fresh.len() == remaining {
+                    break;
+                }
+            }
+        }
+        // A strategy may ask for its batches to be *evaluated* in
+        // neighbour (Gray-walk) order: consecutive points then differ in
+        // one template knob, which decides the order in which scheduler
+        // views repeat in the schedule memo (and lets netlist fidelity
+        // re-elaborate incrementally). The re-sort happens after budget
+        // truncation, so it changes when a point is evaluated, never
+        // whether — and per-point cache addresses and memoised schedules
+        // are visit-order independent.
+        if strategy.walk_order() == WalkOrder::Neighbour {
+            fresh.sort_by_key(|&i| space.neighbour_rank(i));
+        }
+        fresh
+    }
+
     /// Evaluates one planned batch in [`CACHE_FLUSH_CHUNK`]-point chunks
     /// and merges the chunks in order. Returns `false` when `cancel`
     /// stopped the batch.
     ///
-    /// With `threads > 1` the batch gets one scoped pool: each worker
-    /// claims the next chunk rank from a shared counter and evaluates
-    /// the whole chunk, while this thread merges finished chunks
-    /// strictly in rank order. The front, the cache journal, the
+    /// With more than one thread the batch gets one scoped pool: each
+    /// worker claims the next chunk rank from a shared counter and
+    /// evaluates the whole chunk, while this thread merges finished
+    /// chunks strictly in rank order. The front, the cache journal, the
     /// progress events and the cancellation boundary therefore match
     /// the serial sweep's exactly; only the evaluation runs ahead.
-    fn sweep_batch(
-        &mut self,
-        evaluator: &ChunkEvaluator<'_>,
-        fresh: &[usize],
-        threads: usize,
-        cancel: Option<&CancelToken>,
-    ) -> bool {
+    fn sweep_batch(&mut self, fresh: &[usize], cancel: Option<&CancelToken>) -> bool {
         let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+        let plan = self.plan;
         let chunks: Vec<&[usize]> = fresh.chunks(CACHE_FLUSH_CHUNK).collect();
-        let threads = threads.min(chunks.len());
+        let threads = plan.threads.min(chunks.len());
         if threads <= 1 {
             for indices in chunks {
                 // The cooperative cancellation point: a cancel request
@@ -1501,7 +1554,7 @@ impl SweepRun<'_> {
                 if cancelled() {
                     return false;
                 }
-                self.merge(indices, evaluator.evaluate(indices));
+                self.merge(indices, plan.evaluate_chunk(indices));
             }
             return true;
         }
@@ -1520,7 +1573,7 @@ impl SweepRun<'_> {
                         break;
                     };
                     // A closed channel means the merge stopped.
-                    if done.send((rank, evaluator.evaluate(indices))).is_err() {
+                    if done.send((rank, plan.evaluate_chunk(indices))).is_err() {
                         break;
                     }
                 });
@@ -1548,34 +1601,30 @@ impl SweepRun<'_> {
     }
 
     /// Merges one evaluated chunk of the points `indices` into the run:
-    /// stores and checkpoints its cache entries, then streams its
-    /// outcomes into the front and the strategy's observations, then
-    /// reports progress.
+    /// [`store`](SweepPlan::store) → [`insert`](Self::insert) →
+    /// [`report`](Self::report).
     fn merge(&mut self, indices: &[usize], chunk: EvaluatedChunk) {
-        if let Some(cache) = self.cache {
-            for (key, entry) in chunk.stores {
-                cache.store_eval(key, entry);
-            }
-            // A failed append only coarsens crash-resume: the entries
-            // stay in memory, and the end-of-run flush reports whether
-            // they reached disk.
-            let _ = cache.checkpoint();
-        }
-        // Feasible results join the evaluated set and are offered to the
-        // archive (insert-time dominance check — no full-set re-scan);
-        // every outcome becomes an observation the strategy can steer by.
-        for (&index, outcome) in indices.iter().zip(chunk.outcomes) {
+        self.plan.store(chunk.stores);
+        self.insert(indices, chunk.outcomes);
+        self.report();
+    }
+
+    /// Stage: feasible results join the evaluated set and are offered to
+    /// the archive (insert-time dominance check — no full-set re-scan);
+    /// every outcome becomes an observation the strategy can steer by,
+    /// and every infeasible one is counted against the workload that
+    /// blocked it.
+    fn insert(&mut self, indices: &[usize], outcomes: Vec<PointOutcome>) {
+        for (&index, outcome) in indices.iter().zip(outcomes) {
+            let objectives = outcome.as_ref().ok().map(|e| (e.area(), e.exec_time()));
+            self.state.record(Observation { index, objectives });
             match outcome {
                 Ok(e) => {
-                    let id = self.evaluated.len();
                     // ParetoOnly points carry [area, time], Full points
                     // [area, time, test] — the archive streams whichever
                     // front the mode defines.
-                    self.archive.try_insert(id, e.objectives.values());
-                    self.state.record(Observation {
-                        index,
-                        objectives: Some((e.area(), e.exec_time())),
-                    });
+                    self.archive
+                        .try_insert(self.evaluated.len(), e.objectives.values());
                     self.eval_space_index.push(index);
                     self.evaluated.push(e);
                 }
@@ -1584,16 +1633,15 @@ impl SweepRun<'_> {
                     if let Some(w) = why {
                         self.blocked[w] += 1;
                     }
-                    self.state.record(Observation {
-                        index,
-                        objectives: None,
-                    });
                 }
             }
         }
-        // Per-chunk progress: live telemetry for streaming clients.
-        // Observability only — the snapshot is built from state the
-        // chunk already produced.
+    }
+
+    /// Stage: per-chunk progress, live telemetry for streaming clients.
+    /// Observability only — the snapshot is built from state the chunk
+    /// already produced.
+    fn report(&mut self) {
         if let Some(observer) = self.progress.as_mut() {
             observer(&SweepProgress {
                 round: self.state.round(),
@@ -1601,7 +1649,7 @@ impl SweepRun<'_> {
                 feasible: self.evaluated.len(),
                 infeasible: self.infeasible,
                 front: self.archive.len(),
-                space_len: self.space_len,
+                space_len: self.plan.space.len(),
             });
         }
     }
@@ -1711,57 +1759,6 @@ fn dehydrate(e: &PointOutcome, test: Option<(u64, u64)>) -> EvalEntry {
             test,
         },
     }
-}
-
-/// Evaluates one architecture on a workload suite (area + throughput
-/// only; the test axis is lifted later, on front points). Infeasibility
-/// is entirely the models’ verdict: a non-finite area or clock period
-/// (the default annotated models return infinity for out-of-
-/// [`crate::backannotate::ComponentKey`]-domain geometries) or an
-/// unschedulable workload drops the point — the error records which.
-/// Cycle counts come from the run's [`ScheduleMemo`]: the modelled
-/// count of a `(workload, scheduler view)` pair is computed once per
-/// run, and a simulated count executes the point's own schedule (a
-/// program that cannot lower or run is as infeasible as one that cannot
-/// schedule).
-fn evaluate_point(
-    arch: &Architecture,
-    workloads: &[Workload],
-    weights: &[f64],
-    area_model: &dyn AreaModel,
-    timing_model: &dyn TimingModel,
-    db: &ComponentDb,
-    schedules: &ScheduleMemo<'_>,
-) -> PointOutcome {
-    let mut workload_cycles = Vec::with_capacity(workloads.len());
-    let mut spills = 0u32;
-    for (i, w) in workloads.iter().enumerate() {
-        let (trace_cycles, workload_spills) = schedules.trace_cycles(arch, i).ok_or(Some(i))?;
-        workload_cycles.push(w.application_cycles(trace_cycles));
-        spills += workload_spills;
-    }
-    let cycles: u64 = workload_cycles.iter().sum();
-    let weighted_cycles = weighted_sum(&workload_cycles, weights);
-    let area = area_model.area(arch, db);
-    let clock = timing_model.clock_period(arch, db);
-    // Exec time must be finite too: a finite-but-extreme weight can
-    // overflow the weighted aggregate, and an infinite axis would turn
-    // the norm selection into NaN comparisons downstream.
-    let exec_time = weighted_cycles * clock;
-    if !area.is_finite() || !clock.is_finite() || !exec_time.is_finite() {
-        return Err(None);
-    }
-    Ok(EvaluatedArch {
-        architecture: arch.clone(),
-        cycles,
-        workload_cycles,
-        spills,
-        weighted_cycles,
-        objectives: ObjectiveVector::new([
-            (Objective::Area, area),
-            (Objective::ExecTime, exec_time),
-        ]),
-    })
 }
 
 #[cfg(test)]

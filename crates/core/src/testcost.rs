@@ -64,26 +64,6 @@ pub struct ArchTestCost {
     pub total: f64,
 }
 
-impl ArchTestCost {
-    /// Sum of functional costs only (Σ ftfu + Σ ftrf).
-    pub fn functional_total(&self) -> f64 {
-        self.components
-            .iter()
-            .filter(|c| !c.excluded)
-            .map(|c| c.functional_cost)
-            .sum()
-    }
-
-    /// Sum of socket scan costs only (Σ fts).
-    pub fn socket_total(&self) -> f64 {
-        self.components
-            .iter()
-            .filter(|c| !c.excluded)
-            .map(|c| c.fts)
-            .sum()
-    }
-}
-
 /// eq. (11) in the explicit ratio form: `np · CD_const · max(1, nconn/nb)`.
 ///
 /// Used by the Figure 6 harness to show two *identical* units costing

@@ -114,14 +114,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Moves per cycle averaged over the makespan — bus pressure.
-    pub fn transport_density(&self, arch: &Architecture) -> f64 {
-        if self.makespan == 0 {
-            return 0.0;
-        }
-        self.moves.len() as f64 / (self.makespan as f64 * arch.bus_count() as f64)
-    }
-
     /// Transports grouped by FU index (for utilisation reports).
     pub fn transports_per_fu(&self) -> &HashMap<usize, Vec<OpTransport>> {
         &self.transports

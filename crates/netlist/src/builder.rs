@@ -204,11 +204,6 @@ impl NetlistBuilder {
         self.gate(GateKind::Nand, &[a, b])
     }
 
-    /// Two-input NOR.
-    pub fn nor2(&mut self, a: NetId, b: NetId) -> NetId {
-        self.gate(GateKind::Nor, &[a, b])
-    }
-
     /// Two-input XOR.
     pub fn xor2(&mut self, a: NetId, b: NetId) -> NetId {
         self.gate(GateKind::Xor, &[a, b])
@@ -241,14 +236,6 @@ impl NetlistBuilder {
         let q = self.fresh_net(NetDriver::DffQ(fid), Some(format!("{name}.q")));
         self.dffs.push(Dff { d, q, name });
         q
-    }
-
-    /// Registers a whole word; returns the Q word.
-    pub fn dff_word(&mut self, name: &str, d: &[NetId]) -> Word {
-        d.iter()
-            .enumerate()
-            .map(|(i, &bit)| self.dff(format!("{name}[{i}]"), bit))
-            .collect()
     }
 
     /// Declares a flip-flop whose D input will be connected later with
@@ -338,19 +325,9 @@ impl NetlistBuilder {
             .collect()
     }
 
-    /// OR-reduction of a word (balanced tree), 1 if any bit set.
-    pub fn or_reduce(&mut self, word: &[NetId]) -> NetId {
-        self.reduce(GateKind::Or, word)
-    }
-
     /// AND-reduction of a word (balanced tree), 1 if all bits set.
     pub fn and_reduce(&mut self, word: &[NetId]) -> NetId {
         self.reduce(GateKind::And, word)
-    }
-
-    /// XOR-reduction (parity) of a word.
-    pub fn xor_reduce(&mut self, word: &[NetId]) -> NetId {
-        self.reduce(GateKind::Xor, word)
     }
 
     fn reduce(&mut self, kind: GateKind, word: &[NetId]) -> NetId {
@@ -426,12 +403,6 @@ impl NetlistBuilder {
     pub fn add_sub_wrap(&mut self, a: &[NetId], b: &[NetId], sub: NetId) -> Word {
         let b_adj: Word = b.iter().map(|&y| self.xor2(y, sub)).collect();
         self.ripple_add_wrap(a, &b_adj, sub)
-    }
-
-    /// Equality comparator over two words.
-    pub fn eq_word(&mut self, a: &[NetId], b: &[NetId]) -> NetId {
-        let diff = self.zipmap(GateKind::Xnor, a, b);
-        self.and_reduce(&diff)
     }
 
     /// Logical barrel shifter. `amount` is LSB-first; `left` selects the

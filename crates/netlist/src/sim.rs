@@ -229,12 +229,6 @@ impl OwnedSeqSim {
         &self.state
     }
 
-    /// Overwrites flip-flop state (used by scan-load models).
-    pub fn set_state(&mut self, state: Vec<u64>) {
-        assert_eq!(state.len(), self.nl.dff_count(), "state width mismatch");
-        self.state = state;
-    }
-
     /// Numeric value of a contiguous flip-flop range (pattern 0, LSB =
     /// first flip-flop in the range).
     pub fn state_value(&self, range: std::ops::Range<usize>) -> u64 {

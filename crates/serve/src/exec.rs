@@ -58,6 +58,15 @@ fn space_of(spec: &JobSpec) -> Result<TemplateSpace, String> {
         None if spec.fast => "fast",
         None => "paper",
     };
+    space_named(name)
+}
+
+/// Resolves a template-space name (`paper`, `fast`, `tiny` or `huge`).
+///
+/// # Errors
+///
+/// A usage message naming the accepted spaces.
+pub fn space_named(name: &str) -> Result<TemplateSpace, String> {
     match name {
         "paper" => Ok(TemplateSpace::paper_default()),
         "fast" => Ok(TemplateSpace::fast_default()),

@@ -256,9 +256,4 @@ impl Program {
             (1u64 << self.width) - 1
         }
     }
-
-    /// Total number of moves across all instructions.
-    pub fn move_count(&self) -> usize {
-        self.instructions.iter().map(Vec::len).sum()
-    }
 }

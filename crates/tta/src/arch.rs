@@ -232,11 +232,6 @@ impl Architecture {
         self.fus.iter().filter(move |f| f.kind == kind)
     }
 
-    /// Total register capacity across register files.
-    pub fn total_registers(&self) -> usize {
-        self.rfs.iter().map(|r| r.regs).sum()
-    }
-
     /// Checks structural invariants. Allocation-free: the sweep
     /// validates every point it schedules.
     ///
