@@ -23,7 +23,7 @@ use tta_core::models::{
     AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel, InterconnectModel,
     TestCostModel, TimingModel,
 };
-use tta_core::ComponentDb;
+use tta_core::{ComponentDb, Exhaustive};
 use tta_movec::schedule::Scheduler;
 use tta_netlist::{elaborate, timing, IncrementalElaborator};
 use tta_sim::{lower, SimOptions, Simulator};
@@ -32,6 +32,7 @@ use tta_workloads::suite;
 struct SweepRow {
     space: &'static str,
     points: usize,
+    walked: usize,
     front: usize,
     sweep_s: f64,
 }
@@ -257,35 +258,56 @@ fn time_fold_axis(
     }
 }
 
-/// Best-of-`iters` wall-clock for one cold sweep.
-fn time_sweep(space: &TemplateSpace, db: &ComponentDb, iters: usize) -> (f64, usize) {
+/// Best-of-`iters` wall-clock for one cold serial sweep of the first
+/// `walked` steps of the space's Gray neighbour walk (every point when
+/// `walked` covers the space).
+fn time_sweep(
+    space: &TemplateSpace,
+    walked: usize,
+    db: &ComponentDb,
+    iters: usize,
+) -> (f64, usize) {
     let workload = suite::crypt(1);
     let mut front = 0;
     let best = best_of(iters, &mut || {
-        let result = Exploration::over(space.clone())
+        let x = Exploration::over(space.clone())
             .workload(&workload)
-            .with_db(db)
-            .run();
-        front = result.pareto.len();
+            .with_db(db);
+        let x = if walked < space.len() {
+            x.strategy(Exhaustive::neighbour()).budget(walked)
+        } else {
+            x
+        };
+        front = x.run().pareto.len();
         0.0
     });
     (best, front)
 }
 
+/// The sweep row of `template`: a whole-space sweep, or the budgeted
+/// `walked`-point neighbour walk of a space too large to sweep. Both
+/// pay materialise, schedule and fold per point, as `ttadse explore`
+/// does.
 fn measure(
     space: &'static str,
     template: TemplateSpace,
+    walked: usize,
     db: &ComponentDb,
     iters: usize,
 ) -> SweepRow {
-    eprintln!("sweeping {space} space ({} points)...", template.len());
+    let walked = walked.min(template.len());
+    eprintln!(
+        "sweeping {space} space ({walked} of {} points)...",
+        template.len()
+    );
     // One untimed pass so the lazily-annotated database is warm before
     // the sweep is measured (matters for --iters 1).
-    time_sweep(&template, db, 1);
-    let (sweep_s, front) = time_sweep(&template, db, iters);
+    time_sweep(&template, walked, db, 1);
+    let (sweep_s, front) = time_sweep(&template, walked, db, iters);
     SweepRow {
         space,
         points: template.len(),
+        walked,
         front,
         sweep_s,
     }
@@ -338,10 +360,28 @@ fn main() {
     let keep = |name: &str| space_filter.as_deref().is_none_or(|f| f == name);
     let mut rows = Vec::new();
     if keep("fast") {
-        rows.push(measure("fast", TemplateSpace::fast_default(), &db, iters));
+        rows.push(measure(
+            "fast",
+            TemplateSpace::fast_default(),
+            usize::MAX,
+            &db,
+            iters,
+        ));
     }
     if keep("paper") {
-        rows.push(measure("paper", TemplateSpace::paper_default(), &db, iters));
+        rows.push(measure(
+            "paper",
+            TemplateSpace::paper_default(),
+            usize::MAX,
+            &db,
+            iters,
+        ));
+    }
+    // The huge sweep row is a budgeted serial 4096-point neighbour walk,
+    // the only row that covers materialise + schedule + fold on the
+    // hierarchical space.
+    if keep("huge") {
+        rows.push(measure("huge", TemplateSpace::huge(), 4096, &db, iters));
     }
     // Fold-axis rows: per-point cost evaluation alone. The huge row is
     // the first
@@ -404,9 +444,11 @@ fn main() {
     );
     println!(
         "  \"note\": \"best-of-{iters} wall-clock, release profile, single machine run, cold \
-         sweep cache, shared warmed ComponentDb. The sweep rows are whole serial sweeps (crypt, \
-         one round) and are scheduler-dominated; the cold row rebuilds the annotation database \
-         (real ATPG + march runs) inside the timed region, as `ttadse fig2` pays it. The \
+         sweep cache, shared warmed ComponentDb. The sweep rows are serial sweeps (crypt, one \
+         round): the whole fast and paper spaces, and a 4096-point Gray-walk prefix of the huge \
+         space, each paying materialise + schedule + fold per point; the cold row rebuilds \
+         the annotation database (real ATPG + march runs) inside the timed region, as `ttadse \
+         fig2` pays it. The \
          fold_axis rows isolate per-point cost evaluation (area + clock + eq. (14) total, one \
          database read lock per fold) over a Gray-walk prefix; the huge row is the budgeted \
          2^20-point hierarchical-space walk. All rows are regression guards: CI warns when a \
@@ -425,8 +467,9 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         println!(
-            "    {{ \"space\": \"{}\", \"points\": {}, \"front\": {}, \"sweep_s\": {:.4} }}{comma}",
-            r.space, r.points, r.front, r.sweep_s
+            "    {{ \"space\": \"{}\", \"points\": {}, \"walked\": {}, \"front\": {}, \
+             \"sweep_s\": {:.4} }}{comma}",
+            r.space, r.points, r.walked, r.front, r.sweep_s
         );
     }
     println!("  ],");

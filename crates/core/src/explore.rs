@@ -1252,10 +1252,12 @@ impl<'a> SweepPlan<'a> {
     fn evaluate_chunk(&self, indices: &[usize]) -> EvaluatedChunk {
         let archs = self.materialise(indices);
         let (keys, prefetched) = self.lookup(&archs);
-        self.evaluate(&archs, &keys, prefetched)
+        self.evaluate(archs, &keys, prefetched)
     }
 
-    /// Stage: builds the chunk's architectures from their space indices.
+    /// Stage: builds the chunk's architectures from their space indices,
+    /// once each: [`evaluate`](Self::evaluate) moves every feasible one
+    /// into its result.
     fn materialise(&self, indices: &[usize]) -> Vec<Architecture> {
         indices.iter().map(|&i| self.space.point(i)).collect()
     }
@@ -1274,18 +1276,20 @@ impl<'a> SweepPlan<'a> {
 
     /// Stage: one pipeline per point — rehydrate the prefetched entry or
     /// evaluate, add the test total under a full lift, and note what had
-    /// to be computed. The cache is never written here: the merge
-    /// stores the chunk's entries in sweep order.
+    /// to be computed. Each feasible outcome takes ownership of its
+    /// architecture; an infeasible one drops it. The cache is never
+    /// written here: the merge stores the chunk's entries in sweep
+    /// order.
     fn evaluate(
         &self,
-        archs: &[Architecture],
+        archs: Vec<Architecture>,
         keys: &[u64],
         mut prefetched: Vec<Option<EvalEntry>>,
     ) -> EvaluatedChunk {
         let mut stores = Vec::new();
         let mut rejected = 0;
         let outcomes = archs
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(k, arch)| {
                 let entry = prefetched.get_mut(k).and_then(Option::take);
@@ -1294,28 +1298,34 @@ impl<'a> SweepPlan<'a> {
                     _ => None,
                 };
                 // 1. Rehydrate or evaluate. A cache entry inconsistent
-                // with this suite (corrupt or hash-colliding) rehydrates
-                // to None and is re-evaluated — a bad cache may cost
-                // time, never correctness or a panic.
-                let found = entry.is_some();
-                let rehydrated = entry
-                    .and_then(|entry| rehydrate(arch, self.workloads.len(), self.weights, entry));
-                rejected += u64::from(found && rehydrated.is_none());
-                let mut dirty = rehydrated.is_none();
-                let outcome = rehydrated.unwrap_or_else(|| self.evaluate_point(arch));
+                // with this suite (corrupt or hash-colliding) hands the
+                // point back and it is re-evaluated — a bad cache may
+                // cost time, never correctness or a panic.
+                let (outcome, mut dirty) = match entry {
+                    None => (self.evaluate_point(arch), true),
+                    Some(entry) => {
+                        match rehydrate(arch, self.workloads.len(), self.weights, entry) {
+                            Ok(outcome) => (outcome, false),
+                            Err(arch) => {
+                                rejected += 1;
+                                (self.evaluate_point(arch), true)
+                            }
+                        }
+                    }
+                };
                 // 2. Under a full lift every feasible point carries the
                 // test axis: the entry's inline total when it came from
                 // this test model, a fresh fold otherwise (a Pareto-only
                 // entry reuses its scheduling work and is stored back
                 // upgraded).
                 let total = match (self.lift, &outcome) {
-                    (LiftMode::Full, Ok(_)) => Some(match inline_test {
+                    (LiftMode::Full, Ok(e)) => Some(match inline_test {
                         Some((fp, bits)) if fp == self.full_test_fp && !dirty => {
                             f64::from_bits(bits)
                         }
                         _ => {
                             dirty = true;
-                            self.test.test_cost(arch, self.db).total
+                            self.test.test_cost(&e.architecture, self.db).total
                         }
                     }),
                     _ => None,
@@ -1348,19 +1358,19 @@ impl<'a> SweepPlan<'a> {
     /// run, and a simulated count executes the point's own schedule (a
     /// program that cannot lower or run is as infeasible as one that cannot
     /// schedule).
-    fn evaluate_point(&self, arch: &Architecture) -> PointOutcome {
+    fn evaluate_point(&self, arch: Architecture) -> PointOutcome {
         let mut workload_cycles = Vec::with_capacity(self.workloads.len());
         let mut spills = 0u32;
         for (i, w) in self.workloads.iter().enumerate() {
             let (trace_cycles, workload_spills) =
-                self.schedules.trace_cycles(arch, i).ok_or(Some(i))?;
+                self.schedules.trace_cycles(&arch, i).ok_or(Some(i))?;
             workload_cycles.push(w.application_cycles(trace_cycles));
             spills += workload_spills;
         }
         let cycles: u64 = workload_cycles.iter().sum();
         let weighted_cycles = weighted_sum(&workload_cycles, self.weights);
-        let area = self.area.area(arch, self.db);
-        let clock = self.timing.clock_period(arch, self.db);
+        let area = self.area.area(&arch, self.db);
+        let clock = self.timing.clock_period(&arch, self.db);
         // Exec time must be finite too: a finite-but-extreme weight can
         // overflow the weighted aggregate, and an infinite axis would turn
         // the norm selection into NaN comparisons downstream.
@@ -1369,7 +1379,7 @@ impl<'a> SweepPlan<'a> {
             return Err(None);
         }
         Ok(EvaluatedArch {
-            architecture: arch.clone(),
+            architecture: arch,
             cycles,
             workload_cycles,
             spills,
@@ -1667,30 +1677,31 @@ fn weighted_sum(workload_cycles: &[u64], weights: &[f64]) -> f64 {
         .sum()
 }
 
-/// Rebuilds an evaluation from its cache entry. The floats come back as
-/// the exact bit patterns the original evaluation produced (the
-/// weighted aggregate is deterministically recomputed from the cached
-/// per-workload cycles), so a warm sweep is bit-identical to a cold
-/// one. Entries `evaluate_point` could not have produced for a suite
-/// of `n_workloads` members (a corrupt or hand-edited cache line, or a
-/// content-address collision) return `None`, which sends the point back
-/// to a fresh evaluation: a wrong workload count or `blocked` index,
-/// `cycles` other than the (non-overflowing) sum of the workload cycles,
-/// or a non-finite area or exec time.
+/// Rebuilds the evaluation of `arch` from its cache entry; a feasible
+/// one takes ownership of `arch`. The floats come back as the exact bit
+/// patterns the original evaluation produced (the weighted aggregate is
+/// deterministically recomputed from the cached per-workload cycles),
+/// so a warm sweep is bit-identical to a cold one. Entries
+/// `evaluate_point` could not have produced for a suite of
+/// `n_workloads` members (a corrupt or hand-edited cache line, or a
+/// content-address collision) hand `arch` back as `Err`, for a fresh
+/// evaluation: a wrong workload count or `blocked` index, `cycles`
+/// other than the (non-overflowing) sum of the workload cycles, or a
+/// non-finite area or exec time.
 fn rehydrate(
-    arch: &Architecture,
+    arch: Architecture,
     n_workloads: usize,
     weights: &[f64],
     entry: EvalEntry,
-) -> Option<PointOutcome> {
+) -> Result<PointOutcome, Architecture> {
     match entry {
         EvalEntry::Infeasible { blocked } => {
             let blocked = match blocked {
                 None => None,
                 Some(w) if (w as usize) < n_workloads => Some(w as usize),
-                Some(_) => return None,
+                Some(_) => return Err(arch),
             };
-            Some(Err(blocked))
+            Ok(Err(blocked))
         }
         EvalEntry::Feasible {
             cycles,
@@ -1709,11 +1720,11 @@ fn rehydrate(
                 || !area.is_finite()
                 || !exec.is_finite()
             {
-                return None;
+                return Err(arch);
             }
             let weighted_cycles = weighted_sum(&workload_cycles, weights);
-            Some(Ok(EvaluatedArch {
-                architecture: arch.clone(),
+            Ok(Ok(EvaluatedArch {
+                architecture: arch,
                 cycles,
                 workload_cycles,
                 spills,
@@ -1784,7 +1795,7 @@ mod tests {
     fn rehydrate_keeps_a_consistent_row_bit_exact() {
         let arch = TemplateSpace::fast_default().point(0);
         let row = feasible_row(vec![300, 45], 345, 4000.5, 77.25);
-        let Some(Ok(e)) = rehydrate(&arch, 2, &[0.25, 0.75], row) else {
+        let Ok(Ok(e)) = rehydrate(arch.clone(), 2, &[0.25, 0.75], row) else {
             panic!("a consistent row must rehydrate");
         };
         assert_eq!(e.architecture.name, arch.name);
@@ -1812,9 +1823,9 @@ mod tests {
         // The wrapping sum of the workload cycles is 4 == `cycles`; only
         // a checked sum sees that no evaluation could have written it.
         let row = feasible_row(vec![u64::MAX, 5], 4, 4000.5, 77.25);
-        assert!(rehydrate(&arch, 2, &[0.5, 0.5], row).is_none());
+        assert!(rehydrate(arch.clone(), 2, &[0.5, 0.5], row).is_err());
         let row = feasible_row(vec![300, 45], 346, 4000.5, 77.25);
-        assert!(rehydrate(&arch, 2, &[0.5, 0.5], row).is_none());
+        assert!(rehydrate(arch.clone(), 2, &[0.5, 0.5], row).is_err());
     }
 
     #[test]
@@ -1828,7 +1839,7 @@ mod tests {
         ] {
             let row = feasible_row(vec![300, 45], 345, area, exec);
             assert!(
-                rehydrate(&arch, 2, &[0.5, 0.5], row).is_none(),
+                rehydrate(arch.clone(), 2, &[0.5, 0.5], row).is_err(),
                 "area {area}, exec {exec}"
             );
         }
@@ -1838,11 +1849,18 @@ mod tests {
     fn rehydrate_rejects_rows_shaped_for_another_suite() {
         let arch = TemplateSpace::fast_default().point(0);
         let row = feasible_row(vec![345], 345, 4000.5, 77.25);
-        assert!(rehydrate(&arch, 2, &[0.5, 0.5], row).is_none());
-        let blamed = |blocked| rehydrate(&arch, 2, &[0.5, 0.5], EvalEntry::Infeasible { blocked });
-        assert!(matches!(blamed(Some(1)), Some(Err(Some(1)))));
-        assert!(matches!(blamed(None), Some(Err(None))));
-        assert!(blamed(Some(2)).is_none());
+        assert!(rehydrate(arch.clone(), 2, &[0.5, 0.5], row).is_err());
+        let blamed = |blocked| {
+            rehydrate(
+                arch.clone(),
+                2,
+                &[0.5, 0.5],
+                EvalEntry::Infeasible { blocked },
+            )
+        };
+        assert!(matches!(blamed(Some(1)), Ok(Err(Some(1)))));
+        assert!(matches!(blamed(None), Ok(Err(None))));
+        assert!(blamed(Some(2)).is_err());
     }
 
     #[test]

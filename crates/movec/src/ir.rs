@@ -223,36 +223,20 @@ impl Dfg {
             .count()
     }
 
-    /// Consumers of every value.
-    pub fn consumers(&self) -> Vec<Vec<ValueId>> {
-        let mut cons: Vec<Vec<ValueId>> = vec![Vec::new(); self.nodes.len()];
-        for (i, node) in self.nodes.iter().enumerate() {
+    /// Longest path (in nodes) from each node to any sink — the classic
+    /// list-scheduling priority. A producer's priority exceeds each of
+    /// its consumers' by at least one.
+    pub fn priorities(&self) -> Vec<u32> {
+        let mut prio = vec![0u32; self.nodes.len()];
+        // Consumers follow their producers, so walking backwards settles
+        // a node's priority before it is passed on to its arguments.
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            let above = prio[i] + 1;
             for a in &node.args {
-                cons[a.index()].push(ValueId(i as u32));
+                prio[a.index()] = prio[a.index()].max(above);
             }
         }
-        cons
-    }
-
-    /// Longest path (in nodes) from each node to any sink — the classic
-    /// list-scheduling priority.
-    pub fn priorities(&self) -> Vec<u32> {
-        let cons = self.consumers();
-        let mut prio = vec![0u32; self.nodes.len()];
-        for i in (0..self.nodes.len()).rev() {
-            let best = cons[i]
-                .iter()
-                .map(|c| prio[c.index()] + 1)
-                .max()
-                .unwrap_or(0);
-            prio[i] = best;
-        }
         prio
-    }
-
-    /// Critical-path length in operations (lower bound on any schedule).
-    pub fn critical_path(&self) -> u32 {
-        self.priorities().iter().copied().max().unwrap_or(0) + 1
     }
 
     /// Interprets the graph: the golden model for workload verification.
@@ -360,7 +344,8 @@ mod tests {
         let p = dfg.priorities();
         assert!(p[a.index()] > p[b.index()]);
         assert!(p[b.index()] > p[c.index()]);
-        assert_eq!(dfg.critical_path(), 3);
+        // The critical path, in operations.
+        assert_eq!(p.iter().max().map(|m| m + 1), Some(3));
     }
 
     #[test]

@@ -185,30 +185,22 @@ impl<'a> Scheduler<'a> {
             .map_err(ScheduleError::InvalidArchitecture)?;
         let mut st = State::new(self.arch, dfg)?;
 
-        // List scheduling: repeatedly pick the highest-priority ready node.
+        // List scheduling in descending priority. A producer's priority
+        // exceeds each of its consumers' (`prio[a] ≥ prio[c] + 1`), so
+        // this stable order is topological: every node is ready when its
+        // turn comes, and one pass schedules the whole graph.
         let prio = dfg.priorities();
-        let n = dfg.nodes().len();
-        let mut scheduled = vec![false; n];
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<usize> = (0..dfg.nodes().len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(prio[i]));
-        let mut done = 0;
-        while done < n {
-            let mut progressed = false;
-            for &i in &order {
-                if scheduled[i] {
-                    continue;
-                }
-                let node = &dfg.nodes()[i];
-                let ready = node.args.iter().all(|a| scheduled[a.index()]);
-                if !ready {
-                    continue;
-                }
-                st.schedule_node(dfg, i)?;
-                scheduled[i] = true;
-                done += 1;
-                progressed = true;
-            }
-            assert!(progressed, "DFG is acyclic; some node must be ready");
+        for &i in &order {
+            debug_assert!(
+                dfg.nodes()[i]
+                    .args
+                    .iter()
+                    .all(|a| prio[a.index()] > prio[i]),
+                "node {i} scheduled before one of its arguments"
+            );
+            st.schedule_node(dfg, i)?;
         }
 
         Ok(st.finish())
@@ -307,8 +299,12 @@ struct State<'a> {
     rf_read: Vec<Pool>,
     imm_out: Vec<Pool>,
     imm_units: Vec<usize>,
-    fu_of_class: HashMap<FuClass, Vec<usize>>,
+    /// Units per FU class slot (see `class_slot`).
+    fu_of_class: [Vec<usize>; 5],
     fu_state: Vec<FuState>,
+    /// `(bound, operand floor)` keys the current node has probed — a
+    /// buffer kept across nodes (see `schedule_node`).
+    probed: Vec<(u32, u32)>,
     place: Vec<Place>,
     remaining_reads: Vec<u32>,
     resident: Vec<u32>,
@@ -323,7 +319,7 @@ struct State<'a> {
 
 impl<'a> State<'a> {
     fn new(arch: &'a Architecture, dfg: &Dfg) -> Result<Self, ScheduleError> {
-        let mut fu_of_class: HashMap<FuClass, Vec<usize>> = HashMap::new();
+        let mut fu_of_class: [Vec<usize>; 5] = Default::default();
         let mut imm_units = Vec::new();
         for (i, fu) in arch.fus().iter().enumerate() {
             let Some(class) = class_of(fu.kind) else {
@@ -332,7 +328,7 @@ impl<'a> State<'a> {
             if class == FuClass::Imm {
                 imm_units.push(i);
             }
-            fu_of_class.entry(class).or_default().push(i);
+            fu_of_class[class_slot(class)].push(i);
         }
         // Comparisons may fall back to the ALU when no CMP unit exists?
         // No — the paper's templates always include the needed units; we
@@ -341,15 +337,20 @@ impl<'a> State<'a> {
             if let Some(class) = node.op.fu_class() {
                 let covered = match class {
                     FuClass::Imm => !imm_units.is_empty(),
-                    _ => fu_of_class.get(&class).is_some_and(|v| !v.is_empty()),
+                    _ => !fu_of_class[class_slot(class)].is_empty(),
                 };
                 if !covered {
                     return Err(ScheduleError::MissingFu(class));
                 }
             }
         }
-        let consumers = dfg.consumers();
         let n = dfg.nodes().len();
+        let mut remaining_reads = vec![0u32; n];
+        for node in dfg.nodes() {
+            for a in &node.args {
+                remaining_reads[a.index()] += 1;
+            }
+        }
         let mut st = State {
             arch,
             buses: Pool::new(arch.bus_count()),
@@ -367,8 +368,9 @@ impl<'a> State<'a> {
                     result_free_from: 0,
                 })
                 .collect(),
+            probed: Vec::new(),
             place: vec![Place::Void; n],
-            remaining_reads: consumers.iter().map(|c| c.len() as u32).collect(),
+            remaining_reads,
             resident: vec![0; arch.rfs().len()],
             is_output: {
                 let mut v = vec![false; n];
@@ -473,20 +475,20 @@ impl<'a> State<'a> {
         if class == FuClass::Imm {
             return Ok(()); // constants materialise at read time
         }
-        let candidates: Vec<usize> = self.fu_of_class[&class].clone();
-
-        // Earliest availability of each argument.
-        let arg_avail = |st: &State, v: ValueId| -> u32 {
-            match st.place[v.index()] {
-                Place::Rf { available, .. } => available,
-                Place::Imm => 1,
-                Place::Void => 1,
-            }
-        };
-
-        // Pick the FU reaching the earliest trigger cycle.
+        // Pick the FU reaching the earliest trigger cycle; the first unit
+        // wins a tie. A unit's answer depends only on its bound `lb` and
+        // its operand floor `last_t`, and its trigger is never below
+        // `lb`. So a unit whose bound is at or beyond the best trigger so
+        // far, or whose `(lb, last_t)` an earlier unit already probed,
+        // cannot win and is skipped. The one difference from probing
+        // every unit: a skipped unit might have hit `ResourceDeadlock`
+        // where the best succeeded. Reads are feasible or not whatever
+        // the unit, so that needs the schedule horizon within
+        // `SEARCH_LIMIT` cycles of the skipped unit's bound.
         let mut best: Option<(u32, Option<u32>, usize)> = None; // (t, o, fu)
-        for &fu in &candidates {
+        let mut probed = std::mem::take(&mut self.probed);
+        probed.clear();
+        for &fu in &self.fu_of_class[class_slot(class)] {
             let fs = &self.fu_state[fu];
             let lat = fs.kind.latency();
             let mut lb = fs
@@ -494,14 +496,23 @@ impl<'a> State<'a> {
                 .map_or(1, |t| t + 1)
                 .max(fs.result_free_from.saturating_sub(lat) + 1)
                 .max(1);
-            for a in &node.args {
-                lb = lb.max(arg_avail(self, *a));
+            for &a in &node.args {
+                lb = lb.max(self.arg_lower(a));
             }
-            let found = self.find_slots(node, lb, fu)?;
-            if best.is_none() || found.0 < best.as_ref().unwrap().0 {
-                best = Some((found.0, found.1, fu));
+            if best.is_some_and(|(t, _, _)| lb >= t) {
+                continue;
+            }
+            let last_t = fs.last_trigger.map_or(0, |t| t + 1);
+            if probed.contains(&(lb, last_t)) {
+                continue;
+            }
+            probed.push((lb, last_t));
+            let (t, o) = self.find_slots(node, lb, last_t)?;
+            if best.is_none_or(|(best_t, _, _)| t < best_t) {
+                best = Some((t, o, fu));
             }
         }
+        self.probed = probed;
         let (c_t, c_o, fu) = best.expect("at least one candidate FU");
 
         // Commit the input moves.
@@ -584,54 +595,57 @@ impl<'a> State<'a> {
         Ok(())
     }
 
-    /// Finds the earliest `(trigger, operand)` cycles from `lb` on `fu`.
+    /// The earliest cycle `v` can be read: when it reached its register
+    /// file; constants any cycle from 1.
+    fn arg_lower(&self, v: ValueId) -> u32 {
+        match self.place[v.index()] {
+            Place::Rf { available, .. } => available,
+            Place::Imm | Place::Void => 1,
+        }
+    }
+
+    /// Finds the earliest `(trigger, operand)` cycles from `lb` on a unit
+    /// whose operand move may not precede `last_t` (relation 5: strictly
+    /// after the unit's previous trigger).
     fn find_slots(
         &self,
         node: &crate::ir::Node,
         lb: u32,
-        fu: usize,
+        last_t: u32,
     ) -> Result<(u32, Option<u32>), ScheduleError> {
-        let last_t = self.fu_state[fu].last_trigger.map_or(0, |t| t + 1);
-        for c_t in lb..lb + SEARCH_LIMIT {
-            match node.args.len() {
-                0 => return Ok((c_t, None)),
-                1 => {
-                    if self.read_feasible(node.args[0], c_t) {
-                        return Ok((c_t, None));
+        let window = lb..lb + SEARCH_LIMIT;
+        let found = match *node.args.as_slice() {
+            [] => Some((lb, None)),
+            [a] => window
+                .into_iter()
+                .find(|&c_t| self.read_feasible(a, c_t))
+                .map(|c_t| (c_t, None)),
+            [a, b] => {
+                // Operand move: latest feasible cycle ≤ c_t. The same
+                // cycle needs both reads to fit at once (`pair_feasible`).
+                // Below c_t, once the trigger read is feasible, a pair is
+                // feasible exactly when the operand read is, and nothing
+                // is committed during the search. So `below`, the latest
+                // feasible operand cycle in [lo, c_t), is carried forward
+                // as c_t advances instead of being rescanned.
+                let lo = last_t.max(self.arg_lower(a));
+                let mut below = (lo..lb).rev().find(|&c| self.read_feasible(a, c));
+                window.into_iter().find_map(|c_t| {
+                    if c_t > lb && c_t > lo && self.read_feasible(a, c_t - 1) {
+                        below = Some(c_t - 1);
                     }
-                }
-                2 => {
-                    if !self.read_feasible(node.args[1], c_t) {
-                        continue;
+                    if !self.read_feasible(b, c_t) {
+                        return None;
                     }
-                    // Operand move: latest feasible cycle ≤ c_t, strictly
-                    // after the previous trigger (relation 5). Same-cycle
-                    // needs two bus slots; `read_feasible` already checks
-                    // slot counts, but both reads landing on one cycle must
-                    // not exceed them — check pairwise.
-                    let lo = last_t.max(arg_lower(self, node.args[0]));
-                    let mut c_o = c_t;
-                    while c_o >= lo {
-                        if self.pair_feasible(node.args[0], c_o, node.args[1], c_t) {
-                            return Ok((c_t, Some(c_o)));
-                        }
-                        if c_o == 0 {
-                            break;
-                        }
-                        c_o -= 1;
+                    if c_t >= lo && self.pair_feasible(a, c_t, b, c_t) {
+                        return Some((c_t, Some(c_t)));
                     }
-                }
-                _ => unreachable!(),
+                    below.map(|c_o| (c_t, Some(c_o)))
+                })
             }
-        }
-        return Err(ScheduleError::ResourceDeadlock);
-
-        fn arg_lower(st: &State, v: ValueId) -> u32 {
-            match st.place[v.index()] {
-                Place::Rf { available, .. } => available,
-                _ => 1,
-            }
-        }
+            _ => unreachable!("IR ops have at most 2 args"),
+        };
+        found.ok_or(ScheduleError::ResourceDeadlock)
     }
 
     /// Can reads of `a` at `ca` and `b` at `cb` coexist?

@@ -22,7 +22,44 @@ pub struct TemplateBuilder {
     next_bus: u8,
     fus: Vec<FuInstance>,
     rfs: Vec<RfInstance>,
-    counters: std::collections::HashMap<&'static str, usize>,
+    /// Instances named so far per [`instance_base`] slot.
+    counters: [usize; 7],
+}
+
+/// The instance-name base of a unit kind (`None`: a register file) and
+/// its slot in [`TemplateBuilder`]'s counters.
+fn instance_base(kind: Option<FuKind>) -> (&'static str, usize) {
+    match kind {
+        Some(FuKind::Alu) => ("alu", 0),
+        Some(FuKind::Cmp) => ("cmp", 1),
+        Some(FuKind::Mul) => ("mul", 2),
+        Some(FuKind::LdSt) => ("ldst", 3),
+        Some(FuKind::Pc) => ("pc", 4),
+        Some(FuKind::Immediate) => ("imm", 5),
+        None => ("rf", 6),
+    }
+}
+
+/// Decimal digits of `n`.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends the decimal digits of `n` to `s`.
+fn push_decimal(s: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(s, n / 10);
+    }
+    s.push(char::from(b'0' + (n % 10) as u8));
+}
+
+/// `base` followed by the decimal digits of `n`, allocated at exactly
+/// that length.
+fn numbered(base: &str, n: usize) -> String {
+    let mut name = String::with_capacity(base.len() + decimal_len(n));
+    name.push_str(base);
+    push_decimal(&mut name, n);
+    name
 }
 
 impl TemplateBuilder {
@@ -36,7 +73,7 @@ impl TemplateBuilder {
             next_bus: 0,
             fus: Vec::new(),
             rfs: Vec::new(),
-            counters: std::collections::HashMap::new(),
+            counters: [0; 7],
         }
     }
 
@@ -46,20 +83,24 @@ impl TemplateBuilder {
         b
     }
 
+    /// The next instance name of `kind` (`None`: a register file).
+    fn next_name(&mut self, kind: Option<FuKind>) -> String {
+        let (base, slot) = instance_base(kind);
+        let n = self.counters[slot];
+        self.counters[slot] += 1;
+        // Register files count from 1 (RF1, RF2, like the paper).
+        numbered(base, if kind.is_none() { n + 1 } else { n })
+    }
+
     /// Adds a functional unit of `kind`, assigning its sockets to buses
     /// round-robin. Instance names are `alu0`, `alu1`, `cmp0`, ….
     pub fn fu(mut self, kind: FuKind) -> Self {
-        let base = match kind {
-            FuKind::Alu => "alu",
-            FuKind::Cmp => "cmp",
-            FuKind::Mul => "mul",
-            FuKind::LdSt => "ldst",
-            FuKind::Pc => "pc",
-            FuKind::Immediate => "imm",
-        };
-        let n = self.counters.entry(base).or_insert(0);
-        let name = format!("{base}{n}");
-        *n += 1;
+        self.push_fu(kind);
+        self
+    }
+
+    fn push_fu(&mut self, kind: FuKind) {
+        let name = self.next_name(Some(kind));
         let operand_bus = self.take_bus();
         let trigger_bus = if kind == FuKind::Immediate {
             operand_bus
@@ -74,15 +115,17 @@ impl TemplateBuilder {
             trigger_bus,
             result_bus,
         });
-        self
     }
 
     /// Adds a register file with `regs` registers, `nin` write and `nout`
     /// read ports.
     pub fn rf(mut self, regs: usize, nin: usize, nout: usize) -> Self {
-        let n = self.counters.entry("rf").or_insert(0);
-        let name = format!("rf{}", *n + 1); // RF1, RF2 naming like the paper
-        *n += 1;
+        self.push_rf(regs, nin, nout);
+        self
+    }
+
+    fn push_rf(&mut self, regs: usize, nin: usize, nout: usize) {
+        let name = self.next_name(None);
         let write_ports = (0..nin).map(|_| self.take_bus()).collect();
         let read_ports = (0..nout).map(|_| self.take_bus()).collect();
         self.rfs.push(RfInstance {
@@ -91,7 +134,6 @@ impl TemplateBuilder {
             write_ports,
             read_ports,
         });
-        self
     }
 
     /// Finalises the architecture (not yet validated — the exploration
@@ -129,6 +171,17 @@ pub const KNOBS: usize = 9;
 /// - `rf_banks` splits every register file of the chosen RF set into
 ///   `k` banks of `⌈regs/k⌉` registers (min 2) with the same port
 ///   geometry per bank.
+///
+/// The hierarchical knobs *alias*: distinct indices can build the same
+/// machine (equal instances, buses and register files) under different
+/// names. Points whose `b·c` bus products agree, whose `(a·p, c·p,
+/// m·p)` unit products agree, or whose banks clamp to the same size
+/// (`b1a1c1m0i1r8.2.3k4` and `b1a1c1m0i1r4.2.3k4` both get 2 registers
+/// per bank) are one machine. Each is still its own point: it is
+/// evaluated and reported under its own name, and shares its
+/// sweep-cache address (which hashes the machine, not the name) with
+/// its twins. See [`TemplateSpace::huge`] for how much of that space
+/// this covers.
 #[derive(Debug, Clone)]
 pub struct TemplateSpace {
     /// Datapath width (the paper uses 16).
@@ -147,9 +200,14 @@ pub struct TemplateSpace {
     /// Immediate-unit counts to try (≥ 1).
     pub imms: Vec<usize>,
     /// Per-FU pipelining depths to try (≥ 1; modelled as compute-FU
-    /// replication).
+    /// replication). Depth `p` with `a` ALUs builds the same units as
+    /// depth 1 with `a·p` ALUs (likewise CMPs and MULs), so points
+    /// whose unit products agree alias one machine.
     pub pipes: Vec<usize>,
-    /// Register-file bank counts to try (≥ 1).
+    /// Register-file bank counts to try (≥ 1). Banks hold `⌈regs/k⌉`
+    /// registers, at least 2, so RF sets that differ only in `regs`
+    /// can alias one machine: 8 and 4 registers over 4 banks both give
+    /// banks of 2.
     pub rf_banks: Vec<usize>,
     /// Register-file geometries `(regs, nin, nout)` per RF; each entry is
     /// a complete RF set for the machine.
@@ -220,6 +278,13 @@ impl TemplateSpace {
     /// large to sweep exhaustively, which is the point: this is the
     /// space where budgeted strategies, the schedule memo and the Gray
     /// neighbour walk earn their keep.
+    ///
+    /// Its hierarchical knobs alias (see [`TemplateSpace`]): the space
+    /// holds 507,600 distinct machines among its 1,048,576 points, and
+    /// the first 16,384 steps of [`TemplateSpace::neighbour_order`]
+    /// build 14,400 distinct machines. Aliased points are evaluated
+    /// under their own names; a sweep with a cache answers a twin from
+    /// the cache only once the twin's chunk has been stored.
     pub fn huge() -> Self {
         let mut rf_sets = Vec::new();
         for regs in [4usize, 8, 16, 32] {
@@ -345,40 +410,53 @@ impl TemplateSpace {
         // Historical flat label; the hierarchical knobs append suffixes
         // only when non-default, so every pre-existing preset keeps its
         // exact point names (and with them its cache keys and goldens).
-        let mut label = format!(
-            "b{nb}a{na}c{nc}m{nm}i{ni}r{}",
-            rfset
-                .iter()
-                .map(|(r, i, o)| format!("{r}.{i}.{o}"))
-                .collect::<Vec<_>>()
-                .join("_")
-        );
-        if ncl > 1 {
-            label.push_str(&format!("x{ncl}"));
-        }
-        if np > 1 {
-            label.push_str(&format!("p{np}"));
-        }
-        if nk > 1 {
-            label.push_str(&format!("k{nk}"));
-        }
+        // The pieces are walked twice: once to size the label, once to
+        // write it.
+        let pieces = |piece: &mut dyn FnMut(&str, Option<usize>)| {
+            for (prefix, n) in [("b", nb), ("a", na), ("c", nc), ("m", nm), ("i", ni)] {
+                piece(prefix, Some(n));
+            }
+            piece("r", None);
+            for (k, &(r, i, o)) in rfset.iter().enumerate() {
+                piece(if k == 0 { "" } else { "_" }, Some(r));
+                piece(".", Some(i));
+                piece(".", Some(o));
+            }
+            for (prefix, n) in [("x", ncl), ("p", np), ("k", nk)] {
+                if n > 1 {
+                    piece(prefix, Some(n));
+                }
+            }
+        };
+        let mut len = 0;
+        pieces(&mut |prefix, n| len += prefix.len() + n.map_or(0, decimal_len));
+        let mut label = String::with_capacity(len);
+        pieces(&mut |prefix, n| {
+            label.push_str(prefix);
+            if let Some(n) = n {
+                push_decimal(&mut label, n);
+            }
+        });
+        // Every vector gets exactly its final length, so the point can
+        // be kept as built.
         let mut b = TemplateBuilder::new(label, self.width, nb * ncl);
-        for _ in 0..na * np {
-            b = b.fu(FuKind::Alu);
+        b.fus.reserve_exact((na + nc + nm) * np + ni + 2);
+        b.rfs.reserve_exact(rfset.len() * nk);
+        for (kind, count) in [
+            (FuKind::Alu, na * np),
+            (FuKind::Cmp, nc * np),
+            (FuKind::Mul, nm * np),
+            (FuKind::Immediate, ni),
+            (FuKind::LdSt, 1),
+            (FuKind::Pc, 1),
+        ] {
+            for _ in 0..count {
+                b.push_fu(kind);
+            }
         }
-        for _ in 0..nc * np {
-            b = b.fu(FuKind::Cmp);
-        }
-        for _ in 0..nm * np {
-            b = b.fu(FuKind::Mul);
-        }
-        for _ in 0..ni {
-            b = b.fu(FuKind::Immediate);
-        }
-        b = b.fu(FuKind::LdSt).fu(FuKind::Pc);
         for &(regs, nin, nout) in rfset {
             for _ in 0..nk {
-                b = b.rf(regs.div_ceil(nk).max(2), nin, nout);
+                b.push_rf(regs.div_ceil(nk).max(2), nin, nout);
             }
         }
         b.build()
@@ -707,6 +785,38 @@ mod tests {
             assert_eq!(diffs.len(), 1, "{a:?} -> {b:?}");
             assert_eq!(a[diffs[0]].abs_diff(b[diffs[0]]), 1);
         }
+    }
+
+    #[test]
+    fn points_are_allocated_at_exactly_their_size() {
+        let space = TemplateSpace::huge();
+        let stride = space.len() / 61;
+        for i in (0..space.len()).step_by(stride).chain([space.len() - 1]) {
+            let a = space.point(i);
+            assert_eq!(a.name.capacity(), a.name.len(), "{}", a.name);
+            assert_eq!(a.fus.capacity(), a.fus.len(), "{}", a.name);
+            assert_eq!(a.rfs.capacity(), a.rfs.len(), "{}", a.name);
+            for fu in &a.fus {
+                assert_eq!(fu.name.capacity(), fu.name.len(), "{}", fu.name);
+            }
+            for rf in &a.rfs {
+                assert_eq!(rf.name.capacity(), rf.name.len(), "{}", rf.name);
+                assert_eq!(rf.write_ports.capacity(), rf.write_ports.len());
+                assert_eq!(rf.read_ports.capacity(), rf.read_ports.len());
+            }
+        }
+    }
+
+    #[test]
+    fn labels_and_instance_names_count_in_decimal() {
+        let mut space = TemplateSpace::tiny();
+        space.alus = vec![12];
+        space.rf_sets = vec![vec![(8, 1, 2), (100, 10, 2)], vec![]];
+        let a = space.point(0);
+        assert_eq!(a.name, "b1a12c1m0i1r8.1.2_100.10.2");
+        assert_eq!(a.fus[11].name, "alu11");
+        assert_eq!(a.rfs[1].name, "rf2");
+        assert_eq!(space.point(1).name, "b1a12c1m0i1r");
     }
 
     #[test]
