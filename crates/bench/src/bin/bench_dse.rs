@@ -67,10 +67,6 @@ fn time_sim(db: &ComponentDb, iters: usize) -> String {
     eprintln!("simulator kernels and model-vs-simulate fast sweep...");
     let space = TemplateSpace::fast_default();
     let arch = space.point(space.len() - 1);
-    let options = SimOptions {
-        allow_register_overflow: true,
-        ..Default::default()
-    };
     let members = suite::SuiteRegistry::standard()
         .instantiate("all", &suite::SuiteParams::fast())
         .expect("the standard registry has an `all` suite");
@@ -81,7 +77,9 @@ fn time_sim(db: &ComponentDb, iters: usize) -> String {
             .expect("the maximal point schedules every kernel");
         let program = lower(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).expect("schedules lower");
         let run = || {
-            let result = Simulator::new(&arch).options(options).run(&program);
+            let result = Simulator::new(&arch)
+                .options(SimOptions::LOWERED)
+                .run(&program);
             result.expect("lowered programs execute").cycles
         };
         let cycles = run();

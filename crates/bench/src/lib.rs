@@ -722,15 +722,7 @@ pub struct SuiteComparisonRow {
 /// or lower there).
 fn simulated_delta(arch: &Architecture, w: &suite::Workload) -> Option<i64> {
     let schedule = tta_movec::schedule::Scheduler::new(arch).run(&w.dfg).ok()?;
-    let program = tta_sim::lower(arch, &w.dfg, &schedule, &w.inputs, &w.mem).ok()?;
-    let options = tta_sim::SimOptions {
-        allow_register_overflow: true,
-        ..Default::default()
-    };
-    let trace = tta_sim::Simulator::new(arch)
-        .options(options)
-        .run(&program)
-        .ok()?;
+    let trace = tta_sim::run_lowered(arch, &w.dfg, &schedule, &w.inputs, &w.mem).ok()?;
     let executed = i64::try_from(trace.cycles).ok()?;
     Some(executed - i64::from(schedule.cycles))
 }
@@ -899,14 +891,9 @@ mod tests {
     #[test]
     fn sim_kernels_execute_in_their_committed_cycle_counts() {
         use tta_movec::schedule::Scheduler;
-        use tta_sim::{lower, SimOptions, Simulator};
 
         let space = TemplateSpace::fast_default();
         let arch = space.point(space.len() - 1);
-        let options = SimOptions {
-            allow_register_overflow: true,
-            ..Default::default()
-        };
         let members = suite::SuiteRegistry::standard()
             .instantiate("all", &suite::SuiteParams::fast())
             .unwrap();
@@ -915,8 +902,7 @@ mod tests {
             .map(|m| {
                 let w = m.workload;
                 let schedule = Scheduler::new(&arch).run(&w.dfg).unwrap();
-                let program = lower(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).unwrap();
-                let run = Simulator::new(&arch).options(options).run(&program);
+                let run = tta_sim::run_lowered(&arch, &w.dfg, &schedule, &w.inputs, &w.mem);
                 (w.name, run.unwrap().cycles)
             })
             .collect();

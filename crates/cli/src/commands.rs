@@ -15,7 +15,7 @@ use tta_serve::client::run_remote;
 use tta_serve::exec::{self, front_point_json};
 use tta_serve::server::{install_signal_handlers, Server};
 use tta_serve::spec::{cycles_parse, fidelity_parse, lift_parse, JobSpec, Strategy, TestModel};
-use tta_sim::{SimOptions, Simulator, Trace};
+use tta_sim::{LoweredRunError, Simulator, Trace};
 use tta_workloads::{SuiteRegistry, Workload};
 
 use crate::json;
@@ -791,16 +791,12 @@ fn sim_workload(
             w.name, arch.name
         ))
     })?;
-    let prog = tta_sim::lower(&arch, &w.dfg, &schedule, &w.inputs, &w.mem)
-        .map_err(|e| CliError::runtime(format!("lowering failed: {e}")))?;
-    let options = SimOptions {
-        allow_register_overflow: true, // lowered spills may exceed hw registers
-        ..Default::default()
-    };
-    let trace = Simulator::new(&arch)
-        .options(options)
-        .run(&prog)
-        .map_err(|e| CliError::runtime(format!("simulation failed: {e}")))?;
+    let trace = tta_sim::run_lowered(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).map_err(|e| {
+        CliError::runtime(match e {
+            LoweredRunError::Lower(e) => format!("lowering failed: {e}"),
+            LoweredRunError::Sim(e) => format!("simulation failed: {e}"),
+        })
+    })?;
     let golden = {
         let mut mem = w.mem.clone();
         w.dfg.eval(&w.inputs, &mut mem)

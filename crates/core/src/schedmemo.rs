@@ -136,14 +136,6 @@ impl<'a> ScheduleMemo<'a> {
 /// One workload's executed (simulated) trace cycle count on `arch`,
 /// or `None` when the lowered program cannot run there.
 fn executed_cycles(arch: &Architecture, w: &Workload, schedule: &Schedule) -> Option<u32> {
-    let program = tta_sim::lower(arch, &w.dfg, schedule, &w.inputs, &w.mem).ok()?;
-    let options = tta_sim::SimOptions {
-        allow_register_overflow: true,
-        ..Default::default()
-    };
-    let trace = tta_sim::Simulator::new(arch)
-        .options(options)
-        .run(&program)
-        .ok()?;
+    let trace = tta_sim::run_lowered(arch, &w.dfg, schedule, &w.inputs, &w.mem).ok()?;
     u32::try_from(trace.cycles).ok()
 }

@@ -1,6 +1,6 @@
 //! The shared sweep executor: resolve a [`JobSpec`], run it, render it.
 //!
-//! `ttadse explore` (local) and the serve daemon's workers run jobs
+//! `ttadse explore` (local) and the serve daemon run jobs
 //! through the *same* [`prepare`] → [`PreparedJob::run`] pipeline, and
 //! both emit the string [`JobOutput::output`] verbatim — which is how
 //! `--remote` output is byte-identical to a local run *by construction*
@@ -287,8 +287,8 @@ impl PreparedJob {
     /// cache resumes it: the merged chunks answer as hits.
     ///
     /// The injected `"panic"` fault (see [`JobSpec::fault`]) fires
-    /// here, before any evaluation — the daemon's workers run jobs
-    /// under `catch_unwind` and the fault suite asserts a panicking job
+    /// here, before any evaluation — the daemon runs jobs under
+    /// `catch_unwind` and the fault suite asserts a panicking job
     /// degrades alone.
     pub fn run(
         &self,

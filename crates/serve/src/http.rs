@@ -203,7 +203,6 @@ pub fn write_error(
 /// streamed event line, flushed eagerly so clients see progress live.
 pub struct ChunkedWriter<W: Write> {
     stream: W,
-    finished: bool,
 }
 
 impl<W: Write> ChunkedWriter<W> {
@@ -218,10 +217,7 @@ impl<W: Write> ChunkedWriter<W> {
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
         )?;
         stream.flush()?;
-        Ok(ChunkedWriter {
-            stream,
-            finished: false,
-        })
+        Ok(ChunkedWriter { stream })
     }
 
     /// Sends one chunk. A write failure here is how the daemon learns
@@ -246,7 +242,6 @@ impl<W: Write> ChunkedWriter<W> {
     ///
     /// Propagates socket write failures.
     pub fn finish(mut self) -> std::io::Result<()> {
-        self.finished = true;
         self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
     }

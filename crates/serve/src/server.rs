@@ -1,12 +1,19 @@
-//! The sweep daemon: one warm cache, a worker pool, streamed jobs.
+//! The sweep daemon: one warm cache, one thread per request, streamed
+//! jobs.
 //!
 //! A [`Server`] owns one process-wide [`SweepCache`] (sharded internally
-//! — see `tta_core::cache`) that every job warms for the next, a
-//! [`Queue`] scheduling admitted jobs by priority/budget/FIFO, and a
-//! small worker pool that runs each job under `catch_unwind` so a
-//! panicking job (or the fault suite's injected `"panic"`) fails alone:
-//! the queue keeps draining, the cache stays consistent, and later jobs
-//! succeed.
+//! — see `tta_core::cache`) that every job warms for the next, and a
+//! [`Gate`] that lets at most `--workers` jobs run at once, starting
+//! waiting ones by priority/budget/FIFO. Every connection is served on
+//! its own thread, and a job runs on the thread of the connection that
+//! submitted it: its events go straight to that connection's stream.
+//! Each job runs under `catch_unwind`, so a panicking job (or the fault
+//! suite's injected `"panic"`) fails alone: waiting jobs keep starting,
+//! the cache stays consistent, and later jobs succeed.
+//!
+//! Every connection has fixed [`READ_DEADLINE`] and [`WRITE_DEADLINE`]s,
+//! so a silent client cannot hold up shutdown, and one that stops
+//! reading its stream cancels its job and frees the slot.
 //!
 //! ## Endpoints
 //!
@@ -24,33 +31,44 @@
 //! evaluated chunk, carrying the live visit and front counts), then
 //! exactly one of `done` (with the fully rendered stdout document
 //! embedded as a JSON string) or `error`. Invalid specs never reach the
-//! queue — they answer `400` immediately. A client that disconnects
+//! gate — they answer `400` immediately. A client that disconnects
 //! mid-stream cancels its job cooperatively; a cancelled job resumes by
 //! re-running its spec over the shared cache, where the chunks it
 //! merged answer as hits.
 
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use tta_core::cache::SweepCache;
 use tta_core::explore::{CancelToken, SweepProgress};
 
-use crate::exec::{self, JobOutput, PreparedJob};
+use crate::exec::{self, JobOutput};
 use crate::http::{
     parse_error_status, read_request, write_error, write_response, ChunkedWriter, Request,
 };
 use crate::json;
-use crate::queue::Queue;
+use crate::queue::Gate;
 use crate::spec::JobSpec;
 
-/// Process-wide flag a `SIGTERM`/`SIGINT` handler flips; the accept
-/// loop polls it alongside the `/shutdown` flag.
+/// How long a connection may go silent while sending its request; a
+/// request that misses it answers `400`.
+pub const READ_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long one write to a connection may block before the client
+/// counts as gone (and its job is cancelled).
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(30);
+
+/// How often the shutdown watcher looks at the stop flags. A signal
+/// handler can only set a flag, so the watcher has to poll.
+const STOP_POLL: Duration = Duration::from_millis(20);
+
+/// Process-wide flag a `SIGTERM`/`SIGINT` handler flips; the shutdown
+/// watcher polls it alongside the `/shutdown` flag.
 static TERMINATED: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_terminate(_signum: i32) {
@@ -74,23 +92,23 @@ pub fn install_signal_handlers() {
 }
 
 /// Lifecycle of one admitted job.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobState {
     Queued,
     Running,
     Done,
     Cancelled,
-    Failed(String),
+    Failed,
 }
 
 impl JobState {
-    fn label(&self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
             JobState::Done => "done",
             JobState::Cancelled => "cancelled",
-            JobState::Failed(_) => "failed",
+            JobState::Failed => "failed",
         }
     }
 }
@@ -105,27 +123,18 @@ struct JobRecord {
     front: usize,
 }
 
-/// One queue entry: everything a worker needs to run a job and stream
-/// its events back to the waiting connection handler.
-struct QueuedJob {
-    id: u64,
-    prepared: PreparedJob,
-    cancel: CancelToken,
-    events: mpsc::Sender<Event>,
-}
-
-/// Worker→handler messages; the handler turns each into one NDJSON
-/// line on the wire.
-enum Event {
+/// One NDJSON line of a job stream.
+enum Event<'a> {
+    Queued,
     Started,
-    Progress(SweepProgress),
-    Finished(Box<JobOutput>),
-    Failed(String),
+    Progress(&'a SweepProgress),
+    Done(&'a JobOutput),
+    Error(&'a str),
 }
 
 struct ServerState {
     cache: SweepCache,
-    queue: Queue<QueuedJob>,
+    gate: Gate,
     jobs: Mutex<HashMap<u64, JobRecord>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -133,8 +142,8 @@ struct ServerState {
 
 impl ServerState {
     fn jobs(&self) -> MutexGuard<'_, HashMap<u64, JobRecord>> {
-        // Poison tolerance everywhere a panicking worker might have
-        // held a guard: one wedged job must never wedge the daemon.
+        // Poison tolerance everywhere a panicking job's thread might
+        // have held a guard: one wedged job must never wedge the daemon.
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -148,37 +157,26 @@ impl ServerState {
 /// until `/shutdown` or a signal, then drains gracefully.
 pub struct Server {
     listener: TcpListener,
-    state: Arc<ServerState>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    state: ServerState,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7878`, port 0 for ephemeral) and
-    /// starts `workers` job workers over `cache`.
+    /// admits at most `workers` jobs at once over `cache`.
     ///
     /// # Errors
     ///
     /// Socket bind failures.
     pub fn bind(addr: &str, workers: usize, cache: SweepCache) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let state = Arc::new(ServerState {
-            cache,
-            queue: Queue::new(),
-            jobs: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
-        });
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || worker_loop(&state))
-            })
-            .collect();
         Ok(Server {
-            listener,
-            state,
-            workers,
+            listener: TcpListener::bind(addr)?,
+            state: ServerState {
+                cache,
+                gate: Gate::new(workers),
+                jobs: Mutex::new(HashMap::new()),
+                next_id: AtomicU64::new(1),
+                shutdown: AtomicBool::new(false),
+            },
         })
     }
 
@@ -187,101 +185,54 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the socket query failure.
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.listener.local_addr()
     }
 
-    /// Serves until shutdown is requested, then drains: the queue
-    /// closes, running jobs are cancelled cooperatively, workers are
-    /// joined, and the warm cache is flushed one final time.
+    /// Serves until shutdown is requested, then drains: the gate
+    /// closes, running jobs are cancelled cooperatively, every
+    /// connection thread is joined, and the warm cache is flushed one
+    /// final time.
     ///
     /// # Errors
     ///
     /// A final cache-flush failure (connection-level errors are
     /// per-connection, never fatal to the daemon).
     pub fn run(self) -> std::io::Result<()> {
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.state.stopping() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &state)
-                    }));
+        let Server { listener, state } = self;
+        // On Linux a connect to an unspecified address (`0.0.0.0`)
+        // reaches the local host, so the bound address always works.
+        let wake = listener.local_addr()?;
+        std::thread::scope(|scope| {
+            // The accept below blocks; once a stop flag is set, this
+            // watcher connects to the listener so the loop sees it.
+            scope.spawn(|| {
+                while !state.stopping() {
+                    std::thread::sleep(STOP_POLL);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                let _ = TcpStream::connect(wake);
+            });
+            for stream in listener.incoming() {
+                if state.stopping() {
+                    break;
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
-            }
-            handlers.retain(|h| !h.is_finished());
-        }
-        // Graceful drain: no new jobs, cancel whatever is running (the
-        // cancel is cooperative — each job stops within a chunk),
-        // then wait for workers and in-flight connections.
-        self.state.queue.close();
-        for record in self.state.jobs().values() {
-            if record.state == JobState::Running {
-                record.cancel.cancel();
-            }
-        }
-        for w in self.workers {
-            let _ = w.join();
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-        self.state.cache.flush()
-    }
-}
-
-/// Runs jobs off the queue until it closes. Each job executes under
-/// `catch_unwind`: a panic marks that job failed and the loop continues
-/// — the poisoned worker never takes the daemon down with it.
-fn worker_loop(state: &ServerState) {
-    while let Some(job) = state.queue.pop() {
-        if let Some(r) = state.jobs().get_mut(&job.id) {
-            r.state = JobState::Running;
-        }
-        let _ = job.events.send(Event::Started);
-        let events = job.events.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut observer = |p: &SweepProgress| {
-                let _ = events.send(Event::Progress(p.clone()));
-            };
-            job.prepared.run(
-                Some(&state.cache),
-                Some(job.cancel.clone()),
-                Some(&mut observer),
-            )
-        }));
-        let mut jobs = state.jobs();
-        match outcome {
-            Ok(out) => {
-                if let Some(r) = jobs.get_mut(&job.id) {
-                    r.state = if out.cancelled {
-                        JobState::Cancelled
-                    } else {
-                        JobState::Done
-                    };
-                    r.evaluations = out.evaluations;
-                    r.front = out.front;
+                if let Ok(stream) = stream {
+                    let state = &state;
+                    scope.spawn(move || handle_connection(stream, state));
                 }
-                drop(jobs);
-                let _ = job.events.send(Event::Finished(Box::new(out)));
             }
-            Err(panic) => {
-                // `&*panic` reaches the payload itself; a plain `&panic`
-                // would coerce the Box into `dyn Any` and the downcasts
-                // below would never match.
-                let msg = panic_message(&*panic);
-                if let Some(r) = jobs.get_mut(&job.id) {
-                    r.state = JobState::Failed(msg.clone());
+            // Graceful drain: no new jobs, cancel whatever is running
+            // (the cancel is cooperative — each job stops within a
+            // chunk). Waiting jobs still run; the scope joins every
+            // connection thread.
+            state.gate.close();
+            for record in state.jobs().values() {
+                if record.state == JobState::Running {
+                    record.cancel.cancel();
                 }
-                drop(jobs);
-                let _ = job.events.send(Event::Failed(msg));
             }
-        }
+        });
+        state.cache.flush()
     }
 }
 
@@ -296,10 +247,13 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn handle_connection(stream: TcpStream, state: &ServerState) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let deadlines = stream
+        .set_read_timeout(Some(READ_DEADLINE))
+        .and_then(|()| stream.set_write_timeout(Some(WRITE_DEADLINE)));
+    let Ok(read_half) = deadlines.and_then(|()| stream.try_clone()) else {
+        return;
+    };
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let request = match read_request(&mut reader) {
         Ok(r) => r,
@@ -311,6 +265,31 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
         }
     };
     let _ = route(&request, &mut writer, state);
+    if request.method == "POST" {
+        // Close first: the client has its answer before the trim runs.
+        drop((reader, writer));
+        release_free_heap();
+    }
+}
+
+/// Hands the allocator's free pages back to the OS. Each job runs on a
+/// fresh connection thread, and glibc gives such threads whichever
+/// malloc arena is free, so a job's transient memory lands in a
+/// rotating set of arenas that each keep their high-water mark. A trim
+/// after each job keeps the daemon's resident set at its live data.
+fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes no pointers and only walks the
+        // allocator's own free lists under its arena locks, so any
+        // thread may call it at any time.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
 }
 
 fn route(req: &Request, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
@@ -318,7 +297,7 @@ fn route(req: &Request, w: &mut TcpStream, state: &ServerState) -> std::io::Resu
         ("GET", "/healthz") => {
             let body = json::object([
                 ("ok", json::boolean(true)),
-                ("queued", json::int(state.queue.len() as u64)),
+                ("queued", json::int(state.gate.waiting() as u64)),
                 ("jobs", json::int(state.jobs().len() as u64)),
                 ("cache_entries", json::int(state.cache.len() as u64)),
             ]);
@@ -352,21 +331,14 @@ fn route(req: &Request, w: &mut TcpStream, state: &ServerState) -> std::io::Resu
             write_json(w, &json::object([("shutting_down", json::boolean(true))]))
         }
         ("POST", path) => {
-            if let Some(id) = path
+            let job = path
                 .strip_prefix("/jobs/")
-                .and_then(|rest| rest.strip_suffix("/cancel"))
-                .and_then(|id| id.parse::<u64>().ok())
-            {
-                return cancel_job(id, w, state);
+                .and_then(|rest| rest.split_once('/'));
+            match job.and_then(|(id, action)| Some((id.parse::<u64>().ok()?, action))) {
+                Some((id, "cancel")) => cancel_job(id, w, state),
+                Some((id, "resume")) => resume_job(id, w, state),
+                _ => write_error(w, 404, "Not Found", &format!("no route for {path}")),
             }
-            if let Some(id) = path
-                .strip_prefix("/jobs/")
-                .and_then(|rest| rest.strip_suffix("/resume"))
-                .and_then(|id| id.parse::<u64>().ok())
-            {
-                return resume_job(id, w, state);
-            }
-            write_error(w, 404, "Not Found", &format!("no route for {path}"))
         }
         (method, path) => write_error(
             w,
@@ -384,63 +356,54 @@ fn write_json(w: &mut TcpStream, body: &str) -> std::io::Result<()> {
 }
 
 fn cancel_job(id: u64, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
-    let jobs = state.jobs();
-    match jobs.get(&id) {
-        None => {
-            drop(jobs);
-            write_error(w, 404, "Not Found", &format!("no job {id}"))
-        }
-        Some(r) => {
-            r.cancel.cancel();
-            let was = r.state.label();
-            drop(jobs);
-            write_json(
-                w,
-                &json::object([
-                    ("job", json::int(id)),
-                    ("cancelled", json::boolean(true)),
-                    ("state", json::string(was)),
-                ]),
-            )
-        }
+    let was = state.jobs().get(&id).map(|r| {
+        r.cancel.cancel();
+        r.state.label()
+    });
+    match was {
+        None => write_error(w, 404, "Not Found", &format!("no job {id}")),
+        Some(was) => write_json(
+            w,
+            &json::object([
+                ("job", json::int(id)),
+                ("cancelled", json::boolean(true)),
+                ("state", json::string(was)),
+            ]),
+        ),
     }
 }
 
 /// Re-submits a cancelled job's stored spec as a new job; the shared
 /// cache makes it finish exactly as an uninterrupted run would.
 fn resume_job(id: u64, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
-    let jobs = state.jobs();
-    let Some(r) = jobs.get(&id) else {
-        drop(jobs);
-        return write_error(w, 404, "Not Found", &format!("no job {id}"));
-    };
-    if r.state != JobState::Cancelled {
-        let state_label = r.state.label();
-        drop(jobs);
-        return write_error(
+    let found = state.jobs().get(&id).map(|r| {
+        let resumable = r.state == JobState::Cancelled;
+        (r.state.label(), resumable.then(|| r.spec.clone()))
+    });
+    match found {
+        None => write_error(w, 404, "Not Found", &format!("no job {id}")),
+        Some((_, Some(spec))) => run_job(spec, w, state),
+        Some((label, None)) => write_error(
             w,
             409,
             "Conflict",
-            &format!("job {id} is {state_label}; only a cancelled job can be resumed"),
-        );
+            &format!("job {id} is {label}; only a cancelled job can be resumed"),
+        ),
     }
-    let spec = r.spec.clone();
-    drop(jobs);
-    run_job(spec, w, state)
 }
 
-/// Admits and streams one job: a spec parsed from a `POST /run` body,
-/// or a cancelled job's stored spec (the `/jobs/<id>/resume` path).
+/// Admits and runs one job on this connection's thread, streaming its
+/// events: a spec parsed from a `POST /run` body, or a cancelled job's
+/// stored spec (the `/jobs/<id>/resume` path).
 fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
     // Validation runs *before* queueing: a bad spec answers 400 here
-    // and the queue never sees it.
+    // and the gate never sees it.
     let prepared = match exec::prepare(&spec) {
         Ok(p) => p,
         Err(e) => return write_error(w, 400, "Bad Request", &e),
     };
     let id = state.next_id.fetch_add(1, Ordering::Relaxed);
     let cancel = CancelToken::new();
-    let (tx, rx) = mpsc::channel();
     state.jobs().insert(
         id,
         JobRecord {
@@ -451,45 +414,63 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
             front: 0,
         },
     );
-    let admitted = state.queue.push(
-        QueuedJob {
-            id,
-            prepared,
-            cancel: cancel.clone(),
-            events: tx,
-        },
-        spec.priority,
-        spec.budget,
-    );
-    if !admitted {
+    let Some(mut ticket) = state.gate.enter(spec.priority, spec.budget) else {
         state.jobs().remove(&id);
         return write_error(w, 503, "Service Unavailable", "daemon is shutting down");
-    }
-    let mut line = json::object([("event", json::string("queued")), ("job", json::int(id))]);
-    line.push('\n');
-    // Drain events until the job reaches a terminal state. If the
-    // client hangs up — mid-stream, or before the stream even started
-    // — cancel the job cooperatively but keep draining so the record
-    // still lands in a terminal state (a cancelled one resumes).
-    let mut out = w
-        .try_clone()
-        .and_then(|stream| ChunkedWriter::begin(stream, "application/x-ndjson"))
-        .and_then(|mut out| out.chunk(line.as_bytes()).map(|()| out))
-        .ok();
-    if out.is_none() {
-        cancel.cancel();
-    }
-    while let Ok(event) = rx.recv() {
-        let (line, terminal) = render_event(id, &event);
+    };
+    // If the client hangs up — mid-stream, before the stream even
+    // started, or by not reading past the write deadline — cancel the
+    // job cooperatively but run it on, so the record still lands in a
+    // terminal state (a cancelled one resumes).
+    let mut out = ChunkedWriter::begin(&mut *w, "application/x-ndjson").ok();
+    let mut send = |event: Event| {
+        let line = render_event(id, &event);
         if out
             .as_mut()
             .is_some_and(|out| out.chunk(line.as_bytes()).is_err())
         {
             out = None;
+        }
+        if out.is_none() {
             cancel.cancel();
         }
-        if terminal {
-            break;
+    };
+    send(Event::Queued);
+    ticket.wait();
+    set_state(state, id, JobState::Running);
+    send(Event::Started);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut observer = |p: &SweepProgress| send(Event::Progress(p));
+        prepared.run(
+            Some(&state.cache),
+            Some(cancel.clone()),
+            Some(&mut observer),
+        )
+    }));
+    match outcome {
+        Ok(done) => {
+            if let Some(r) = state.jobs().get_mut(&id) {
+                r.state = if done.cancelled {
+                    JobState::Cancelled
+                } else {
+                    JobState::Done
+                };
+                r.evaluations = done.evaluations;
+                r.front = done.front;
+            }
+            // The slot is free before the (possibly large) document
+            // goes out.
+            drop(ticket);
+            send(Event::Done(&done));
+        }
+        Err(panic) => {
+            // `&*panic` reaches the payload itself; a plain `&panic`
+            // would coerce the Box into `dyn Any` and the downcasts
+            // would never match.
+            let msg = panic_message(&*panic);
+            set_state(state, id, JobState::Failed);
+            drop(ticket);
+            send(Event::Error(&msg));
         }
     }
     if let Some(out) = out {
@@ -498,55 +479,52 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
     Ok(())
 }
 
-/// Renders one event as an NDJSON line; the bool marks terminal events.
-fn render_event(id: u64, event: &Event) -> (String, bool) {
-    let (mut line, terminal) = match event {
-        Event::Started => (
-            json::object([("event", json::string("started")), ("job", json::int(id))]),
-            false,
-        ),
-        Event::Progress(p) => (
-            json::object([
-                ("event", json::string("progress")),
-                ("job", json::int(id)),
-                ("round", json::int(p.round as u64)),
-                ("visited", json::int(p.visited as u64)),
-                ("feasible", json::int(p.feasible as u64)),
-                ("infeasible", json::int(p.infeasible as u64)),
-                ("front", json::int(p.front as u64)),
-                ("space_points", json::int(p.space_len as u64)),
-            ]),
-            false,
-        ),
-        Event::Finished(out) => (
-            json::object([
-                ("event", json::string("done")),
-                ("job", json::int(id)),
-                ("evaluations", json::int(out.evaluations as u64)),
-                ("front", json::int(out.front as u64)),
-                ("cancelled", json::boolean(out.cancelled)),
-                ("cache", json::string(out.cache)),
-                (
-                    "flush_failure",
-                    out.flush_failure
-                        .as_deref()
-                        .map_or_else(|| "null".into(), json::string),
-                ),
-                ("output", json::string(&out.output)),
-            ]),
-            true,
-        ),
-        Event::Failed(msg) => (
-            json::object([
-                ("event", json::string("error")),
-                ("job", json::int(id)),
-                ("error", json::string(msg)),
-            ]),
-            true,
-        ),
+fn set_state(state: &ServerState, id: u64, to: JobState) {
+    if let Some(r) = state.jobs().get_mut(&id) {
+        r.state = to;
+    }
+}
+
+/// Renders one event as an NDJSON line.
+fn render_event(id: u64, event: &Event) -> String {
+    let mut line = match event {
+        Event::Queued => json::object([("event", json::string("queued")), ("job", json::int(id))]),
+        Event::Started => {
+            json::object([("event", json::string("started")), ("job", json::int(id))])
+        }
+        Event::Progress(p) => json::object([
+            ("event", json::string("progress")),
+            ("job", json::int(id)),
+            ("round", json::int(p.round as u64)),
+            ("visited", json::int(p.visited as u64)),
+            ("feasible", json::int(p.feasible as u64)),
+            ("infeasible", json::int(p.infeasible as u64)),
+            ("front", json::int(p.front as u64)),
+            ("space_points", json::int(p.space_len as u64)),
+        ]),
+        Event::Done(out) => json::object([
+            ("event", json::string("done")),
+            ("job", json::int(id)),
+            ("evaluations", json::int(out.evaluations as u64)),
+            ("front", json::int(out.front as u64)),
+            ("cancelled", json::boolean(out.cancelled)),
+            ("cache", json::string(out.cache)),
+            (
+                "flush_failure",
+                out.flush_failure
+                    .as_deref()
+                    .map_or_else(|| "null".into(), json::string),
+            ),
+            ("output", json::string(&out.output)),
+        ]),
+        Event::Error(msg) => json::object([
+            ("event", json::string("error")),
+            ("job", json::int(id)),
+            ("error", json::string(msg)),
+        ]),
     };
     line.push('\n');
-    (line, terminal)
+    line
 }
 
 #[cfg(test)]
@@ -572,21 +550,11 @@ mod tests {
             front: 5,
             space_len: 16_384,
         };
-        let (line, terminal) = render_event(7, &Event::Progress(progress));
-        assert!(!terminal);
+        let line = render_event(7, &Event::Progress(&progress));
         assert!(line.ends_with('\n') && line.matches('\n').count() == 1);
         assert_eq!(
-            keys(&line),
-            [
-                "event",
-                "feasible",
-                "front",
-                "infeasible",
-                "job",
-                "round",
-                "space_points",
-                "visited"
-            ]
+            keys(&line).join(" "),
+            "event feasible front infeasible job round space_points visited"
         );
         let event = Json::parse(line.trim_end()).unwrap();
         assert_eq!(event.get("visited").and_then(Json::as_u64), Some(128));
@@ -607,20 +575,10 @@ mod tests {
             cache: "flushed",
             flush_failure: None,
         };
-        let (line, terminal) = render_event(9, &Event::Finished(Box::new(out)));
-        assert!(terminal);
+        let line = render_event(9, &Event::Done(&out));
         assert_eq!(
-            keys(&line),
-            [
-                "cache",
-                "cancelled",
-                "evaluations",
-                "event",
-                "flush_failure",
-                "front",
-                "job",
-                "output"
-            ]
+            keys(&line).join(" "),
+            "cache cancelled evaluations event flush_failure front job output"
         );
         let event = Json::parse(line.trim_end()).unwrap();
         assert_eq!(

@@ -33,14 +33,8 @@ impl Format {
     ///
     /// A usage message naming the accepted values.
     pub fn parse(s: &str) -> Result<Format, String> {
-        match s {
-            "table" => Ok(Format::Table),
-            "json" => Ok(Format::Json),
-            "csv" => Ok(Format::Csv),
-            other => Err(format!(
-                "unknown format {other:?} (expected table, json or csv)"
-            )),
-        }
+        let all = [Format::Table, Format::Json, Format::Csv];
+        parse_label("format", s, &all, Format::label)
     }
 
     /// The wire/flag name.
@@ -74,15 +68,13 @@ impl Strategy {
     ///
     /// A usage message naming the accepted values.
     pub fn parse(s: &str) -> Result<Strategy, String> {
-        match s {
-            "exhaustive" => Ok(Strategy::Exhaustive),
-            "neighbour" => Ok(Strategy::Neighbour),
-            "random" => Ok(Strategy::Random),
-            "hillclimb" => Ok(Strategy::HillClimb),
-            other => Err(format!(
-                "unknown strategy {other:?} (expected exhaustive, neighbour, random or hillclimb)"
-            )),
-        }
+        let all = [
+            Strategy::Exhaustive,
+            Strategy::Neighbour,
+            Strategy::Random,
+            Strategy::HillClimb,
+        ];
+        parse_label("strategy", s, &all, Strategy::label)
     }
 
     /// The wire/flag name.
@@ -113,13 +105,8 @@ impl TestModel {
     ///
     /// A usage message naming the accepted values.
     pub fn parse(s: &str) -> Result<TestModel, String> {
-        match s {
-            "eq14" => Ok(TestModel::Eq14),
-            "scan" => Ok(TestModel::Scan),
-            other => Err(format!(
-                "unknown test model {other:?} (expected eq14 or scan)"
-            )),
-        }
+        let all = [TestModel::Eq14, TestModel::Scan];
+        parse_label("test model", s, &all, TestModel::label)
     }
 
     /// The wire/flag name.
@@ -137,11 +124,8 @@ impl TestModel {
 ///
 /// A usage message naming the accepted values.
 pub fn lift_parse(s: &str) -> Result<LiftMode, String> {
-    match s {
-        "pareto" => Ok(LiftMode::ParetoOnly),
-        "full" => Ok(LiftMode::Full),
-        other => Err(format!("unknown lift {other:?} (expected pareto or full)")),
-    }
+    let all = [LiftMode::ParetoOnly, LiftMode::Full];
+    parse_label("lift", s, &all, LiftMode::label)
 }
 
 /// Parses a cycle-source name (`model`/`simulate`).
@@ -150,20 +134,8 @@ pub fn lift_parse(s: &str) -> Result<LiftMode, String> {
 ///
 /// A usage message naming the accepted values.
 pub fn cycles_parse(s: &str) -> Result<CycleSource, String> {
-    match s {
-        "model" => Ok(CycleSource::Model),
-        "simulate" => Ok(CycleSource::Simulate),
-        other => Err(format!(
-            "unknown cycle source {other:?} (expected model or simulate)"
-        )),
-    }
-}
-
-fn cycles_label(c: CycleSource) -> &'static str {
-    match c {
-        CycleSource::Model => "model",
-        CycleSource::Simulate => "simulate",
-    }
+    let all = [CycleSource::Model, CycleSource::Simulate];
+    parse_label("cycle source", s, &all, CycleSource::label)
 }
 
 /// Parses a fidelity name (`table`/`netlist`).
@@ -172,13 +144,28 @@ fn cycles_label(c: CycleSource) -> &'static str {
 ///
 /// A usage message naming the accepted values.
 pub fn fidelity_parse(s: &str) -> Result<FidelityMode, String> {
-    match s {
-        "table" => Ok(FidelityMode::Table),
-        "netlist" => Ok(FidelityMode::Netlist),
-        other => Err(format!(
-            "unknown fidelity {other:?} (expected table or netlist)"
-        )),
+    let all = [FidelityMode::Table, FidelityMode::Netlist];
+    parse_label("fidelity", s, &all, FidelityMode::label)
+}
+
+/// Parses `s` as the one of `variants` whose `label` it is, so each
+/// selector name is spelled once, in its `label()`. The error names the
+/// selector (`what`) and lists every accepted name.
+fn parse_label<T: Copy>(
+    what: &str,
+    s: &str,
+    variants: &[T],
+    label: fn(T) -> &'static str,
+) -> Result<T, String> {
+    if let Some(&v) = variants.iter().find(|&&v| label(v) == s) {
+        return Ok(v);
     }
+    let names: Vec<&str> = variants.iter().map(|&v| label(v)).collect();
+    let (last, rest) = names.split_last().expect("a selector has variants");
+    Err(format!(
+        "unknown {what} {s:?} (expected {} or {last})",
+        rest.join(", ")
+    ))
 }
 
 /// One sweep job, fully specified. [`Default`] is exactly the CLI's
@@ -227,7 +214,7 @@ pub struct JobSpec {
     /// Queue priority (higher runs first; `--priority`, daemon only).
     pub priority: i64,
     /// Fault-injection hook for the daemon's test harness: `None` in
-    /// real use; `"panic"` makes the worker panic mid-job so the fault
+    /// real use; `"panic"` makes the job panic mid-run so the fault
     /// suite can assert per-job degradation. Any other value is
     /// rejected at validation time.
     pub fault: Option<String>,
@@ -264,7 +251,7 @@ impl JobSpec {
             ("seed", opt_u64(self.seed)),
             ("lift", json::string(self.lift.label())),
             ("test_model", json::string(self.test_model.label())),
-            ("cycles", json::string(cycles_label(self.cycles))),
+            ("cycles", json::string(self.cycles.label())),
             ("fidelity", json::string(self.fidelity.label())),
             ("format", json::string(self.format.label())),
             ("threads", opt_u64(self.threads.map(|t| t as u64))),
@@ -502,5 +489,37 @@ mod tests {
             .contains("unknown job spec field \"parallel\""));
         assert!(JobSpec::from_json("[1,2]").is_err());
         assert!(JobSpec::from_json("not json at all").is_err());
+    }
+
+    #[test]
+    fn unknown_selector_names_list_the_accepted_ones() {
+        for (got, want) in [
+            (
+                lift_parse("x").err(),
+                "lift \"x\" (expected pareto or full)",
+            ),
+            (
+                cycles_parse("x").err(),
+                "cycle source \"x\" (expected model or simulate)",
+            ),
+            (
+                fidelity_parse("x").err(),
+                "fidelity \"x\" (expected table or netlist)",
+            ),
+            (
+                Format::parse("x").err(),
+                "format \"x\" (expected table, json or csv)",
+            ),
+            (
+                Strategy::parse("x").err(),
+                "strategy \"x\" (expected exhaustive, neighbour, random or hillclimb)",
+            ),
+            (
+                TestModel::parse("x").err(),
+                "test model \"x\" (expected eq14 or scan)",
+            ),
+        ] {
+            assert_eq!(got, Some(format!("unknown {want}")));
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Fault injection against a live daemon: truncated requests, garbage
-//! specs, panicking workers, cancellation mid-batch, clients vanishing
+//! specs, panicking jobs, cancellation mid-batch, clients vanishing
 //! mid-stream. The contract under test is *per-job* degradation — one
 //! broken job or client must never wedge the queue, corrupt the shared
 //! cache, or take the daemon down.
@@ -14,6 +14,7 @@ use common::{http_get, local_output, start, tiny_spec};
 use tta_core::cache::{SweepCache, CACHE_FILE_NAME};
 use tta_serve::client::{control, run_remote};
 use tta_serve::jsonparse::Json;
+use tta_serve::server::READ_DEADLINE;
 use tta_serve::spec::{Format, JobSpec, Strategy};
 
 /// A job slow enough (thousands of points sampled from the huge space,
@@ -424,4 +425,140 @@ fn faulted_daemons_flush_byte_identical_cache_files() {
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&fault_dir);
+}
+
+/// Polls `GET /healthz` until it reports `queued` waiting jobs.
+fn wait_for_queued(addr: &str, queued: u64, timeout: Duration) -> bool {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
+        if http_get(addr, "/healthz")
+            .get("queued")
+            .and_then(Json::as_u64)
+            == Some(queued)
+        {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    false
+}
+
+/// The state `GET /jobs` reports for job `id`.
+fn job_state(addr: &str, id: u64) -> Option<String> {
+    http_get(addr, "/jobs").as_arr().and_then(|arr| {
+        arr.iter()
+            .find(|j| j.get("job").and_then(Json::as_u64) == Some(id))
+            .and_then(|j| j.get("state").and_then(Json::as_str).map(String::from))
+    })
+}
+
+#[test]
+fn waiting_jobs_start_by_priority_then_budget_then_arrival() {
+    // One slot, held by a long job while three more wait. They arrive
+    // in the worst order for FIFO (unbudgeted, budget 8, priority 5),
+    // so only the (priority, budget, arrival) rank can start them as
+    // priority 5 → budget 8 → unbudgeted. The long jobs stay `running`
+    // until cancelled, which makes the start order observable without
+    // racing the streams: exactly one job runs at a time.
+    let daemon = start(1, SweepCache::in_memory());
+    let addr = daemon.addr.clone();
+    let unbudgeted = JobSpec {
+        space: Some("huge".into()),
+        workloads: vec!["crypt".into()],
+        format: Format::Json,
+        ..JobSpec::default()
+    };
+    let waiting = [
+        unbudgeted.clone(),
+        JobSpec {
+            strategy: Strategy::Random,
+            seed: Some(3),
+            budget: Some(8),
+            ..unbudgeted.clone()
+        },
+        JobSpec {
+            priority: 5,
+            ..unbudgeted
+        },
+    ];
+    let summaries = std::thread::scope(|scope| {
+        let submit = |spec: JobSpec| {
+            let addr = &addr;
+            scope.spawn(move || {
+                let (mut out, mut err) = (Vec::new(), Vec::new());
+                run_remote(addr, &spec, &mut out, &mut err).expect("the job streams to its end")
+            })
+        };
+        let holder = submit(long_spec());
+        assert!(wait_for_state(&addr, 1, "running", Duration::from_secs(30)));
+        // Jobs 2, 3, 4 in arrival order; each is queued before the next
+        // is sent, so the ids are fixed.
+        let clients: Vec<_> = waiting
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let client = submit(spec.clone());
+                assert!(
+                    wait_for_queued(&addr, i as u64 + 1, Duration::from_secs(30)),
+                    "job {} queued",
+                    i + 2
+                );
+                client
+            })
+            .collect();
+
+        control(&addr, "/jobs/1/cancel").expect("cancel the holder");
+        assert!(
+            wait_for_state(&addr, 4, "running", Duration::from_secs(30)),
+            "the priority-5 job starts first"
+        );
+        assert_eq!(job_state(&addr, 2).as_deref(), Some("queued"));
+        assert_eq!(job_state(&addr, 3).as_deref(), Some("queued"));
+        control(&addr, "/jobs/4/cancel").expect("cancel the priority-5 job");
+        assert!(
+            wait_for_state(&addr, 2, "running", Duration::from_secs(30)),
+            "the unbudgeted job starts last"
+        );
+        assert_eq!(
+            job_state(&addr, 3).as_deref(),
+            Some("done"),
+            "the budget-8 job ran to its end before the unbudgeted one started"
+        );
+        control(&addr, "/jobs/2/cancel").expect("cancel the unbudgeted job");
+
+        let holder = holder.join().expect("holder client");
+        assert!(holder.cancelled);
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("waiting client"))
+            .collect::<Vec<_>>()
+    });
+    let cancelled: Vec<bool> = summaries.iter().map(|s| s.cancelled).collect();
+    assert_eq!(cancelled, [true, false, true]);
+    daemon.stop().expect("clean shutdown");
+}
+
+#[test]
+fn a_silent_connection_does_not_hold_up_shutdown() {
+    // A client that connects and never sends a byte. The accept queue
+    // is FIFO, so once a later `/healthz` has answered, the daemon has
+    // taken the silent connection too.
+    let daemon = start(1, SweepCache::in_memory());
+    let mut silent = TcpStream::connect(&daemon.addr).expect("connect");
+    http_get(&daemon.addr, "/healthz");
+    let begun = Instant::now();
+    daemon.stop().expect("clean shutdown");
+    let took = begun.elapsed();
+    assert!(
+        took < READ_DEADLINE + Duration::from_secs(2),
+        "shutdown waited {took:?} on a silent connection"
+    );
+    // The daemon closed its end: the read runs to EOF.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("client read timeout");
+    let mut rest = Vec::new();
+    silent
+        .read_to_end(&mut rest)
+        .expect("the silent socket was closed");
 }

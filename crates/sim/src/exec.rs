@@ -37,10 +37,19 @@ pub struct SimOptions {
     pub allow_register_overflow: bool,
 }
 
+impl SimOptions {
+    /// The options every lowered program runs under: the default cycle
+    /// limit, with register overflow allowed for the spill convention.
+    pub const LOWERED: SimOptions = SimOptions {
+        max_cycles: 1 << 22,
+        allow_register_overflow: true,
+    };
+}
+
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            max_cycles: 1 << 22,
+            max_cycles: SimOptions::LOWERED.max_cycles,
             allow_register_overflow: false,
         }
     }

@@ -61,6 +61,37 @@ pub use exec::{SimError, SimOptions, Simulator, Trace, TraceCycle, TraceMove};
 pub use lower::{lower, LowerError};
 pub use program::{MoveDst, MoveOp, MoveSrc, OpCode, OutputLoc, Program, RfImage};
 
+/// Which step of [`run_lowered`] failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoweredRunError {
+    /// The schedule did not lower to a program.
+    Lower(LowerError),
+    /// The lowered program did not execute.
+    Sim(SimError),
+}
+
+/// Lowers `schedule` (of `dfg` on `arch`) and executes the program
+/// under [`SimOptions::LOWERED`]: the one way to run a scheduled
+/// workload.
+///
+/// # Errors
+///
+/// The failed step: [`LoweredRunError::Lower`] or
+/// [`LoweredRunError::Sim`].
+pub fn run_lowered(
+    arch: &tta_arch::Architecture,
+    dfg: &tta_movec::ir::Dfg,
+    schedule: &tta_movec::schedule::Schedule,
+    inputs: &[u64],
+    mem: &[u64],
+) -> Result<Trace, LoweredRunError> {
+    let program = lower(arch, dfg, schedule, inputs, mem).map_err(LoweredRunError::Lower)?;
+    Simulator::new(arch)
+        .options(SimOptions::LOWERED)
+        .run(&program)
+        .map_err(LoweredRunError::Sim)
+}
+
 // `docs/SIMULATOR.md` snippets compile and run against this crate.
 #[cfg(doctest)]
 mod simulator_guide {

@@ -16,7 +16,8 @@
 //!   register count (the overflow registers stand in for spill slots)
 //!   and padding the program with the same number of empty cycles, so
 //!   `trace.cycles == schedule.cycles` holds exactly. Run such
-//!   programs with [`SimOptions::allow_register_overflow`] set.
+//!   programs with [`SimOptions::allow_register_overflow`] set (as
+//!   [`crate::run_lowered`] does).
 //! * **Constants** ride immediate units at read time and never occupy
 //!   a register.
 //!

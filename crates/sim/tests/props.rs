@@ -13,13 +13,6 @@ use tta_movec::schedule::Scheduler;
 use tta_sim::{lower, SimError, SimOptions, Simulator};
 use tta_workloads::suite::{SuiteParams, SuiteRegistry};
 
-fn lowered_options() -> SimOptions {
-    SimOptions {
-        allow_register_overflow: true,
-        ..Default::default()
-    }
-}
-
 /// The acceptance property: executed == modeled, for every registered
 /// workload on every fast-space point where the workload schedules.
 #[test]
@@ -42,7 +35,7 @@ fn every_workload_executes_to_the_model_on_the_fast_space() {
             let program = lower(arch, &w.dfg, &schedule, &w.inputs, &w.mem)
                 .unwrap_or_else(|e| panic!("{name} on {}: lowering failed: {e}", arch.name));
             let trace = Simulator::new(arch)
-                .options(lowered_options())
+                .options(SimOptions::LOWERED)
                 .run(&program)
                 .unwrap_or_else(|e| panic!("{name} on {}: simulation failed: {e}", arch.name));
             assert_eq!(
@@ -78,7 +71,7 @@ fn final_memory_matches_golden_model() {
             .expect("maximal point schedules all");
         let program = lower(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).unwrap();
         let trace = Simulator::new(&arch)
-            .options(lowered_options())
+            .options(SimOptions::LOWERED)
             .run(&program)
             .unwrap();
         assert_eq!(trace.mem, golden_mem, "{name}: final memory diverged");
@@ -99,8 +92,8 @@ proptest! {
         let arch = space.point(point % space.len());
         if let Ok(schedule) = Scheduler::new(&arch).run(&w.dfg) {
             let program = lower(&arch, &w.dfg, &schedule, &w.inputs, &w.mem).unwrap();
-            let a = Simulator::new(&arch).options(lowered_options()).run(&program).unwrap();
-            let b = Simulator::new(&arch).options(lowered_options()).run(&program).unwrap();
+            let a = Simulator::new(&arch).options(SimOptions::LOWERED).run(&program).unwrap();
+            let b = Simulator::new(&arch).options(SimOptions::LOWERED).run(&program).unwrap();
             prop_assert_eq!(a, b);
         }
     }
@@ -224,7 +217,7 @@ fn register_overflow_needs_opt_in() {
         Err(SimError::RegisterOutOfRange { .. })
     ));
     assert!(Simulator::new(&arch)
-        .options(lowered_options())
+        .options(SimOptions::LOWERED)
         .run(&program)
         .is_ok());
 }

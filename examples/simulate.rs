@@ -56,12 +56,8 @@ fn main() {
 
     // 4. Execute it cycle by cycle. Lowered programs opt into the
     //    spill convention (registers beyond the hardware file).
-    let options = SimOptions {
-        allow_register_overflow: true,
-        ..Default::default()
-    };
     let trace = Simulator::new(&arch)
-        .options(options)
+        .options(SimOptions::LOWERED)
         .run(&reassembled)
         .expect("lowered programs execute");
     println!("\ntrace head:");
