@@ -26,7 +26,7 @@ use std::fmt;
 use tta_arch::template::TemplateSpace;
 use tta_arch::vliw::VliwTemplate;
 use tta_arch::{Architecture, BusId, FuInstance, FuKind};
-use tta_core::backannotate::{ComponentDb, ComponentKey};
+use tta_core::backannotate::{parts, ComponentDb, ComponentKey, Unit};
 use tta_core::cache::SweepCache;
 use tta_core::explore::{CacheStatus, EvaluatedArch, Exploration, ExploreResult, LiftMode};
 use tta_core::fullscan::FullScanDb;
@@ -607,38 +607,27 @@ pub fn table1(exp: &mut Experiments) -> Table1 {
 
 /// Table 1 for an explicit architecture.
 pub fn table1_for(exp: &mut Experiments, arch: Architecture) -> Table1 {
-    let w = u16::try_from(arch.width).expect("harness widths fit the component keys");
     let mut fullscan = FullScanDb::new();
     let cost = architecture_test_cost(&arch, exp.db());
-    let mut rows = Vec::new();
-    for (c, fu_or_rf) in cost.components.iter().zip(
-        arch.fus()
-            .iter()
-            .map(|f| (Some(f.kind), None))
-            .chain(arch.rfs().iter().map(|r| (None, Some(r)))),
-    ) {
-        let (key, n_inputs, is_rf) = match fu_or_rf {
-            (Some(kind), None) => (ComponentKey::for_fu(kind, w), kind.input_ports(), false),
-            (None, Some(rf)) => (
-                ComponentKey::for_rf(rf, w).expect("harness RFs fit the component keys"),
-                rf.nin(),
-                true,
-            ),
-            _ => unreachable!("zip pairs components with their source"),
-        };
-        let fs = fullscan.get(key, n_inputs).clone();
-        rows.push(Table1Row {
-            component: c.name.clone(),
-            full_scan: fs.cycles,
-            ours: c.our_approach_cycles(),
-            nl: c.nl,
-            ftfu: (!is_rf).then_some(c.functional_cost),
-            ftrf: is_rf.then_some(c.functional_cost),
-            fts: c.fts,
-            coverage: c.fault_coverage * 100.0,
-            excluded: c.excluded,
-        });
-    }
+    // The eq. (14) rows follow the same walk, one row per part.
+    let parts = parts(&arch).expect("Table 1 machines are in the component model's domain");
+    let rows = parts
+        .zip(&cost.components)
+        .map(|(part, c)| {
+            let is_rf = matches!(part.unit(), Unit::Rf(_));
+            Table1Row {
+                component: c.name.clone(),
+                full_scan: fullscan.get(&part).cycles,
+                ours: c.our_approach_cycles(),
+                nl: c.nl,
+                ftfu: (!is_rf).then_some(c.functional_cost),
+                ftrf: is_rf.then_some(c.functional_cost),
+                fts: c.fts,
+                coverage: c.fault_coverage * 100.0,
+                excluded: c.excluded,
+            }
+        })
+        .collect();
     Table1 {
         architecture: arch,
         rows,

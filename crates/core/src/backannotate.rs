@@ -19,7 +19,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
-use tta_arch::{FuKind, RfInstance};
+use tta_arch::{Architecture, FuInstance, FuKind, RfInstance};
 use tta_atpg::{Atpg, AtpgConfig};
 use tta_dft::march::MarchAlgorithm;
 use tta_netlist::components::{self, Component};
@@ -49,7 +49,7 @@ pub enum ComponentKey {
 impl ComponentKey {
     /// The key of the functional-unit component for `kind` at datapath
     /// width `width` — the single source of the FU→component mapping.
-    pub fn for_fu(kind: FuKind, width: u16) -> ComponentKey {
+    fn for_fu(kind: FuKind, width: u16) -> ComponentKey {
         match kind {
             FuKind::Alu => ComponentKey::Alu(width),
             FuKind::Cmp => ComponentKey::Cmp(width),
@@ -58,27 +58,6 @@ impl ComponentKey {
             FuKind::Pc => ComponentKey::Pc(width),
             FuKind::Immediate => ComponentKey::Imm(width),
         }
-    }
-
-    /// The key of a register file, with checked narrowing: `None` when
-    /// the geometry exceeds the key's field widths (>65535 registers or
-    /// >255 ports) instead of silently truncating to a *smaller* RF.
-    pub fn for_rf(rf: &RfInstance, width: u16) -> Option<ComponentKey> {
-        Some(ComponentKey::Rf(
-            width,
-            u16::try_from(rf.regs).ok()?,
-            u8::try_from(rf.nin()).ok()?,
-            u8::try_from(rf.nout()).ok()?,
-        ))
-    }
-
-    /// The socket-group key serving a component with `n_input_ports`
-    /// inputs; `None` when the port count exceeds the key's `u8` field.
-    pub fn socket_group(width: u16, n_input_ports: usize) -> Option<ComponentKey> {
-        Some(ComponentKey::SocketGroup(
-            width,
-            u8::try_from(n_input_ports).ok()?,
-        ))
     }
 
     /// Generates the component netlist for this key.
@@ -111,6 +90,126 @@ impl ComponentKey {
             ComponentKey::Imm(_) => "IMM".into(),
             ComponentKey::SocketGroup(_, n) => format!("SOCK{n}"),
         }
+    }
+}
+
+/// The datapath unit a [`Part`] prices.
+#[derive(Debug, Clone, Copy)]
+pub enum Unit<'a> {
+    /// A functional unit.
+    Fu(&'a FuInstance),
+    /// A register file.
+    Rf(&'a RfInstance),
+}
+
+/// One part of an architecture as the cost models price it: a
+/// functional unit or register file behind the socket group serving its
+/// input ports (one row of the paper's Table 1). Only [`parts`] makes
+/// one, so its keys always match its unit.
+#[derive(Debug, Clone, Copy)]
+pub struct Part<'a> {
+    unit: Unit<'a>,
+    /// The unit's component.
+    pub key: ComponentKey,
+    /// The socket group in front of the unit.
+    pub socket: ComponentKey,
+    /// Input ports the socket group serves.
+    pub input_ports: usize,
+    /// LD/ST, PC and the Immediate unit "always appear once for
+    /// arbitrary architecture and application": the paper reports them
+    /// but leaves them out of the comparative test-cost total.
+    pub excluded: bool,
+}
+
+impl<'a> Part<'a> {
+    fn fu(fu: &'a FuInstance, width: u16) -> Self {
+        let input_ports = fu.kind.input_ports();
+        let ports = u8::try_from(input_ports).expect("a functional unit has at most two inputs");
+        Part {
+            unit: Unit::Fu(fu),
+            key: ComponentKey::for_fu(fu.kind, width),
+            socket: ComponentKey::SocketGroup(width, ports),
+            input_ports,
+            excluded: matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate),
+        }
+    }
+
+    /// Checked narrowing: `None` when the geometry exceeds the key's
+    /// field widths (>65535 registers or >255 ports) instead of silently
+    /// truncating to a *smaller* RF.
+    fn rf(rf: &'a RfInstance, width: u16) -> Option<Self> {
+        let nin = u8::try_from(rf.nin()).ok()?;
+        let nout = u8::try_from(rf.nout()).ok()?;
+        Some(Part {
+            unit: Unit::Rf(rf),
+            key: ComponentKey::Rf(width, u16::try_from(rf.regs).ok()?, nin, nout),
+            socket: ComponentKey::SocketGroup(width, nin),
+            input_ports: rf.nin(),
+            excluded: false,
+        })
+    }
+
+    /// The unit itself.
+    pub fn unit(&self) -> Unit<'a> {
+        self.unit
+    }
+
+    /// The unit's instance name.
+    pub fn name(&self) -> &'a str {
+        match self.unit {
+            Unit::Fu(fu) => &fu.name,
+            Unit::Rf(rf) => &rf.name,
+        }
+    }
+}
+
+/// The parts of `arch` in datapath order — functional units, then
+/// register files — or `None` when `arch` is outside the component
+/// model's domain: its width or a register-file geometry overflows the
+/// [`ComponentKey`] fields (checked narrowing, never a silently
+/// truncated key). Every table-tier cost model, [`keys_of`] and Table 1
+/// read an architecture's components from this one walk; it does not
+/// allocate.
+///
+/// [`keys_of`]: crate::models::keys_of
+pub fn parts(arch: &Architecture) -> Option<Parts<'_>> {
+    let width = u16::try_from(arch.width).ok()?;
+    if arch.rfs().iter().any(|rf| Part::rf(rf, width).is_none()) {
+        return None;
+    }
+    Some(Parts {
+        fus: arch.fus().iter(),
+        rfs: arch.rfs().iter(),
+        width,
+    })
+}
+
+/// The walk [`parts`] returns.
+#[derive(Debug, Clone)]
+pub struct Parts<'a> {
+    fus: std::slice::Iter<'a, FuInstance>,
+    rfs: std::slice::Iter<'a, RfInstance>,
+    width: u16,
+}
+
+impl<'a> Iterator for Parts<'a> {
+    type Item = Part<'a>;
+
+    fn next(&mut self) -> Option<Part<'a>> {
+        match self.fus.next() {
+            Some(fu) => Some(Part::fu(fu, self.width)),
+            // `parts` checked that every register file fits the keys.
+            None => self.rfs.next().and_then(|rf| Part::rf(rf, self.width)),
+        }
+    }
+
+    // Two plain loops, so a fold over the walk costs what hand-written
+    // loops over the units cost: through `Iterator::chain` the area
+    // fold ran ~1.5x slower.
+    fn fold<B, F: FnMut(B, Part<'a>) -> B>(self, init: B, mut f: F) -> B {
+        let width = self.width;
+        let acc = self.fus.fold(init, |acc, fu| f(acc, Part::fu(fu, width)));
+        self.rfs.filter_map(|rf| Part::rf(rf, width)).fold(acc, f)
     }
 }
 
@@ -270,7 +369,9 @@ impl ComponentDb {
         Self::with_engines(AtpgConfig::sweep(), MarchAlgorithm::march_cminus())
     }
 
-    /// Database with custom engines (ablation benches).
+    /// Database with explicit engines: the ATPG settings and the
+    /// register-file march algorithm. [`ComponentDb::fingerprint`] tells
+    /// engine sets apart, so a sweep cache never mixes their records.
     pub fn with_engines(atpg_config: AtpgConfig, march: MarchAlgorithm) -> Self {
         ComponentDb {
             atpg: Atpg::new(atpg_config),
@@ -682,30 +783,32 @@ mod tests {
         assert_ne!(deep_atpg.fingerprint(), before);
     }
 
-    #[test]
-    fn rf_keys_reject_geometries_wider_than_their_fields() {
-        let rf = |regs, nin, nout| RfInstance {
+    fn rf(regs: usize, nin: usize, nout: usize) -> RfInstance {
+        RfInstance {
             name: "r".into(),
             regs,
             write_ports: vec![tta_arch::BusId(0); nin],
             read_ports: vec![tta_arch::BusId(0); nout],
-        };
-        assert_eq!(
-            ComponentKey::for_rf(&rf(8, 1, 2), 16),
-            Some(ComponentKey::Rf(16, 8, 1, 2))
-        );
-        assert_eq!(ComponentKey::for_rf(&rf(70_000, 1, 2), 16), None);
-        assert_eq!(ComponentKey::for_rf(&rf(8, 256, 2), 16), None);
-        assert_eq!(ComponentKey::for_rf(&rf(8, 1, 300), 16), None);
+        }
+    }
+
+    #[test]
+    fn rf_keys_reject_geometries_wider_than_their_fields() {
+        let key = |rf: RfInstance| Part::rf(&rf, 16).map(|part| part.key);
+        assert_eq!(key(rf(8, 1, 2)), Some(ComponentKey::Rf(16, 8, 1, 2)));
+        assert_eq!(key(rf(70_000, 1, 2)), None);
+        assert_eq!(key(rf(8, 256, 2)), None);
+        assert_eq!(key(rf(8, 1, 300)), None);
     }
 
     #[test]
     fn socket_group_keys_reject_more_ports_than_their_field() {
+        let socket = |rf: RfInstance| Part::rf(&rf, 8).map(|part| part.socket);
         assert_eq!(
-            ComponentKey::socket_group(8, 255),
+            socket(rf(8, 255, 1)),
             Some(ComponentKey::SocketGroup(8, 255))
         );
-        assert_eq!(ComponentKey::socket_group(8, 256), None);
+        assert_eq!(socket(rf(8, 256, 1)), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use tta_atpg::{Atpg, AtpgConfig};
 use tta_dft::scan::insert_scan;
 use tta_dft::testtime::full_scan_cycles;
 
-use crate::backannotate::ComponentKey;
+use crate::backannotate::{ComponentKey, Part};
 use crate::testcost::socket_state_bits;
 
 /// Full-scan figures for one component.
@@ -53,33 +53,31 @@ impl FullScanDb {
         }
     }
 
-    /// Fetches (computing on first use) the full-scan record for `key`.
+    /// Fetches (computing on first use) the full-scan record for `part`
+    /// (keyed by its component: the socket group follows from it).
     ///
-    /// The component is scan-inserted structurally; ATPG then runs on the
-    /// scanned netlist's full-scan view. Socket logic patterns and state
-    /// bits are added on top (one chain, as the paper assumes).
-    pub fn get(&mut self, key: ComponentKey, n_input_ports: usize) -> &FullScanRecord {
+    /// ATPG runs on the unscanned component netlist: the engine already
+    /// treats every flip-flop as a pseudo primary input and output, which
+    /// is what full scan makes them. The scan-inserted copy only prices
+    /// the area overhead. Socket logic patterns and state bits are added
+    /// on top (one chain, as the paper assumes).
+    pub fn get(&mut self, part: &Part<'_>) -> &FullScanRecord {
+        let key = part.key;
         if !self.cache.contains_key(&key) {
-            let record = self.compute(key, n_input_ports);
+            let record = self.compute(part);
             self.cache.insert(key, record);
         }
         &self.cache[&key]
     }
 
-    fn compute(&self, key: ComponentKey, n_input_ports: usize) -> FullScanRecord {
-        let component = key.generate();
+    fn compute(&self, part: &Part<'_>) -> FullScanRecord {
+        let component = part.key.generate();
         let scanned = insert_scan(&component.netlist);
         let comp_result = self.atpg.run(&component.netlist);
-        // Socket logic joins the same chain. Checked narrowing, like the
-        // other cost paths: an out-of-model geometry must fail loudly
-        // instead of scanning a silently truncated socket group.
-        let width = u16::try_from(component.width).expect("component width fits the key fields");
-        let sock = ComponentKey::socket_group(width, n_input_ports)
-            .expect("socket group port count fits the key fields")
-            .generate();
-        let sock_result = self.atpg.run(&sock.netlist);
+        // Socket logic joins the same chain.
+        let sock_result = self.atpg.run(&part.socket.generate().netlist);
         let np = comp_result.pattern_count() + sock_result.pattern_count();
-        let nl = component.netlist.dff_count() + socket_state_bits(n_input_ports);
+        let nl = component.netlist.dff_count() + socket_state_bits(part.input_ports);
         FullScanRecord {
             np,
             nl,
@@ -93,10 +91,26 @@ impl FullScanDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backannotate::ComponentDb;
+    use crate::backannotate::{parts, ComponentDb};
     use crate::testcost::architecture_test_cost;
     use tta_arch::template::TemplateBuilder;
-    use tta_arch::FuKind;
+    use tta_arch::{Architecture, FuKind};
+
+    fn arch8() -> Architecture {
+        TemplateBuilder::new("t", 8, 2)
+            .fu(FuKind::Alu)
+            .fu(FuKind::Cmp)
+            .fu(FuKind::LdSt)
+            .fu(FuKind::Pc)
+            .fu(FuKind::Immediate)
+            .rf(8, 1, 2)
+            .build()
+    }
+
+    /// The part of `arch` whose component is `key`.
+    fn part_of(arch: &Architecture, key: ComponentKey) -> Part<'_> {
+        parts(arch).unwrap().find(|p| p.key == key).unwrap()
+    }
 
     #[test]
     fn full_scan_costs_an_order_of_magnitude_more() {
@@ -104,14 +118,7 @@ mod tests {
         // approach needs far fewer cycles than full scan.
         let mut fsdb = FullScanDb::new();
         let db = ComponentDb::new();
-        let arch = TemplateBuilder::new("t", 8, 2)
-            .fu(FuKind::Alu)
-            .fu(FuKind::Cmp)
-            .fu(FuKind::LdSt)
-            .fu(FuKind::Pc)
-            .fu(FuKind::Immediate)
-            .rf(8, 1, 2)
-            .build();
+        let arch = arch8();
         let ours = architecture_test_cost(&arch, &db);
         let alu_ours = ours
             .components
@@ -119,7 +126,7 @@ mod tests {
             .find(|c| c.name.starts_with("alu"))
             .unwrap()
             .our_approach_cycles();
-        let alu_scan = fsdb.get(ComponentKey::Alu(8), 2).cycles as f64;
+        let alu_scan = fsdb.get(&part_of(&arch, ComponentKey::Alu(8))).cycles as f64;
         assert!(
             alu_scan > 3.0 * alu_ours,
             "full scan {alu_scan} vs ours {alu_ours}"
@@ -129,7 +136,8 @@ mod tests {
     #[test]
     fn scan_adds_area() {
         let mut fsdb = FullScanDb::new();
-        let rec = fsdb.get(ComponentKey::Cmp(8), 2).clone();
+        let arch = arch8();
+        let rec = fsdb.get(&part_of(&arch, ComponentKey::Cmp(8))).clone();
         assert!(rec.area_overhead > 0.0);
         assert!(rec.fault_coverage > 0.98);
         assert_eq!(rec.cycles, full_scan_cycles(rec.np, rec.nl));

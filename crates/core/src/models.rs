@@ -16,16 +16,24 @@
 //! * [`TestCostModel`] → [`Eq14TestCostModel`]: the eqs. (11)–(14)
 //!   functional test cost of [`crate::testcost`].
 //!
+//! The table-tier models, [`ScanTestCostModel`] and [`keys_of`] are folds
+//! over one walk of an architecture's parts ([`parts`]: each FU and RF
+//! with its component key, socket group and Table 1 exclusion flag), so
+//! the component list, its domain check and the LD/ST–PC–IMM exclusion
+//! live in one place. The two netlist-fidelity models price the same
+//! interconnect terms ([`InterconnectModel::area`],
+//! [`InterconnectModel::clock_period`]) on elaborated netlists instead.
+//!
 //! All model methods take a shared `&ComponentDb`, so one database serves
 //! a whole (possibly parallel) sweep.
 
-use tta_arch::{Architecture, FuKind, InstructionFormat};
+use tta_arch::{Architecture, InstructionFormat};
 use tta_dft::testtime::multi_chain_scan_cycles;
 
-use crate::backannotate::{ComponentDb, ComponentKey};
+use crate::backannotate::{parts, ComponentDb, ComponentKey};
 use crate::cache::Fingerprint;
 use crate::testcost::{
-    architecture_test_cost, out_of_model, socket_state_bits, ArchTestCost, ComponentTestCost,
+    architecture_test_cost, fold_test_cost, socket_state_bits, ArchTestCost, ComponentTestCost,
 };
 
 /// The analytical interconnect/control model: the constants the paper
@@ -75,6 +83,20 @@ impl InterconnectModel {
             bus_delay_penalty: 0.0,
             control_area_per_instr_bit: 0.0,
         }
+    }
+
+    /// Area of `arch`: its components' `cell_area` plus the control path
+    /// and the bus wiring.
+    pub fn area(&self, arch: &Architecture, cell_area: f64) -> f64 {
+        cell_area
+            + f64::from(InstructionFormat::of(arch).width()) * self.control_area_per_instr_bit
+            + arch.bus_count() as f64 * arch.width as f64 * self.bus_area_per_bit
+    }
+
+    /// Clock period of `arch`: its slowest component's `critical_path`
+    /// plus the wire penalty of its buses.
+    pub fn clock_period(&self, arch: &Architecture, critical_path: f64) -> f64 {
+        critical_path + arch.bus_count() as f64 * self.bus_delay_penalty
     }
 }
 
@@ -126,12 +148,6 @@ pub trait TestCostModel: Send + Sync {
     }
 }
 
-/// Width of `arch` as the `u16` the [`ComponentKey`] encoding uses, or
-/// `None` for out-of-model widths.
-fn key_width(arch: &Architecture) -> Option<u16> {
-    u16::try_from(arch.width).ok()
-}
-
 /// The default area model: back-annotated cell areas + socket groups +
 /// bus wiring + control path.
 #[derive(Debug, Clone, Default)]
@@ -158,34 +174,15 @@ impl AreaModel for AnnotatedAreaModel {
     }
 
     fn area(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        let Some(w) = key_width(arch) else {
+        let Some(parts) = parts(arch) else {
             return f64::INFINITY;
         };
-        let interconnect = &self.interconnect;
-        db.fold(|records| {
-            let mut area = 0.0;
-            for fu in arch.fus() {
-                area += records.get(ComponentKey::for_fu(fu.kind, w)).area;
-                let Some(sock) = ComponentKey::socket_group(w, fu.kind.input_ports()) else {
-                    return f64::INFINITY;
-                };
-                area += records.get(sock).area;
-            }
-            for rf in arch.rfs() {
-                let (Some(key), Some(sock)) = (
-                    ComponentKey::for_rf(rf, w),
-                    ComponentKey::socket_group(w, rf.nin()),
-                ) else {
-                    return f64::INFINITY;
-                };
-                area += records.get(key).area;
-                area += records.get(sock).area;
-            }
-            let control = f64::from(InstructionFormat::of(arch).width())
-                * interconnect.control_area_per_instr_bit;
-            area + control
-                + arch.bus_count() as f64 * arch.width as f64 * interconnect.bus_area_per_bit
-        })
+        let cell_area = db.fold(|records| {
+            parts.clone().fold(0.0, |area, part| {
+                area + records.get(part.key).area + records.get(part.socket).area
+            })
+        });
+        self.interconnect.area(arch, cell_area)
     }
 }
 
@@ -215,22 +212,15 @@ impl TimingModel for AnnotatedTimingModel {
     }
 
     fn clock_period(&self, arch: &Architecture, db: &ComponentDb) -> f64 {
-        let Some(w) = key_width(arch) else {
+        let Some(parts) = parts(arch) else {
             return f64::INFINITY;
         };
-        db.fold(|records| {
-            let mut worst: f64 = 0.0;
-            for fu in arch.fus() {
-                worst = worst.max(records.get(ComponentKey::for_fu(fu.kind, w)).critical_path);
-            }
-            for rf in arch.rfs() {
-                let Some(key) = ComponentKey::for_rf(rf, w) else {
-                    return f64::INFINITY;
-                };
-                worst = worst.max(records.get(key).critical_path);
-            }
-            worst + arch.bus_count() as f64 * self.interconnect.bus_delay_penalty
-        })
+        let critical_path = db.fold(|records| {
+            parts.clone().fold(0.0, |worst: f64, part| {
+                worst.max(records.get(part.key).critical_path)
+            })
+        });
+        self.interconnect.clock_period(arch, critical_path)
     }
 }
 
@@ -289,19 +279,6 @@ impl ScanTestCostModel {
             chains: chains.max(1),
         }
     }
-
-    /// Scan cost of one component: `np` patterns through the longest of
-    /// the balanced chains covering `ffs` flip-flops. The longest chain
-    /// of a balanced partition ([`tta_dft::chains::ChainPlan`]) has
-    /// `ffs.div_ceil(chains)` flip-flops — exactly what
-    /// [`multi_chain_scan_cycles`] prices, so no per-point partition is
-    /// materialised.
-    fn scan_cycles(&self, np: usize, ffs: usize) -> (usize, f64) {
-        (
-            ffs.div_ceil(self.chains),
-            multi_chain_scan_cycles(np, ffs, self.chains) as f64,
-        )
-    }
 }
 
 impl Default for ScanTestCostModel {
@@ -321,85 +298,25 @@ impl TestCostModel for ScanTestCostModel {
     }
 
     fn test_cost(&self, arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
-        let Some(w) = key_width(arch) else {
-            return out_of_model();
-        };
-        db.fold(|records| {
-            let mut components = Vec::with_capacity(arch.fus().len() + arch.rfs().len());
-            for fu in arch.fus() {
-                let n_inputs = fu.kind.input_ports();
-                let Some(sock_key) = ComponentKey::socket_group(w, n_inputs) else {
-                    return out_of_model();
-                };
-                let rec = records.get(ComponentKey::for_fu(fu.kind, w));
-                let sock = records.get(sock_key);
-                let np = rec.np + sock.np;
-                let ffs = rec.ff_total + socket_state_bits(n_inputs);
-                let (nl, cycles) = self.scan_cycles(np, ffs);
-                components.push(ComponentTestCost {
-                    name: fu.name.clone(),
-                    np,
-                    // Patterns arrive through the chain, not the buses.
-                    cd: 0,
-                    functional_cost: cycles,
-                    socket_np: sock.np,
-                    nl,
-                    fts: 0.0,
-                    fault_coverage: rec.adjusted_coverage,
-                    excluded: matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate),
-                });
+        fold_test_cost(arch, db, |part, rec, sock| {
+            let np = rec.np + sock.np;
+            let ffs = rec.ff_total + socket_state_bits(part.input_ports);
+            ComponentTestCost {
+                name: part.name().to_owned(),
+                np,
+                // Patterns arrive through the chain, not the buses.
+                cd: 0,
+                functional_cost: multi_chain_scan_cycles(np, ffs, self.chains) as f64,
+                socket_np: sock.np,
+                // The longest balanced chain, as `multi_chain_scan_cycles`
+                // prices it: no per-point `ChainPlan` is materialised.
+                nl: ffs.div_ceil(self.chains),
+                fts: 0.0,
+                fault_coverage: rec.adjusted_coverage,
+                excluded: part.excluded,
             }
-            for rf in arch.rfs() {
-                let (Some(key), Some(sock_key)) = (
-                    ComponentKey::for_rf(rf, w),
-                    ComponentKey::socket_group(w, rf.nin()),
-                ) else {
-                    return out_of_model();
-                };
-                let rec = records.get(key);
-                let sock = records.get(sock_key);
-                let np = rec.np + sock.np;
-                let ffs = rec.ff_total + socket_state_bits(rf.nin());
-                let (nl, cycles) = self.scan_cycles(np, ffs);
-                components.push(ComponentTestCost {
-                    name: rf.name.clone(),
-                    np,
-                    cd: 0,
-                    functional_cost: cycles,
-                    socket_np: sock.np,
-                    nl,
-                    fts: 0.0,
-                    fault_coverage: rec.adjusted_coverage,
-                    excluded: false,
-                });
-            }
-            let total = components
-                .iter()
-                .filter(|c| !c.excluded)
-                .map(ComponentTestCost::our_approach_cycles)
-                .sum();
-            ArchTestCost { components, total }
         })
     }
-}
-
-/// Whether `arch` is inside the component model's domain — every
-/// geometry fits the [`ComponentKey`] fields, so [`keys_of`] would
-/// return `Some` (this is its allocation-free mirror). The sweep itself
-/// does not call this — infeasibility is the models' non-finite-value
-/// verdict — but space generators can use it to validate candidates
-/// before enumeration.
-pub fn in_model(arch: &Architecture) -> bool {
-    let Some(w) = key_width(arch) else {
-        return false;
-    };
-    arch.fus()
-        .iter()
-        .all(|fu| ComponentKey::socket_group(w, fu.kind.input_ports()).is_some())
-        && arch.rfs().iter().all(|rf| {
-            ComponentKey::for_rf(rf, w).is_some()
-                && ComponentKey::socket_group(w, rf.nin()).is_some()
-        })
 }
 
 /// Shared per-sweep elaboration engine behind the netlist-fidelity
@@ -549,11 +466,7 @@ impl AreaModel for NetlistAreaModel {
         let Some(figures) = self.eval.figures(arch) else {
             return f64::INFINITY;
         };
-        let control = f64::from(InstructionFormat::of(arch).width())
-            * self.interconnect.control_area_per_instr_bit;
-        figures.cell_area
-            + control
-            + arch.bus_count() as f64 * arch.width as f64 * self.interconnect.bus_area_per_bit
+        self.interconnect.area(arch, figures.cell_area)
     }
 }
 
@@ -587,24 +500,18 @@ impl TimingModel for NetlistTimingModel {
         let Some(figures) = self.eval.figures(arch) else {
             return f64::INFINITY;
         };
-        figures.critical_path + arch.bus_count() as f64 * self.interconnect.bus_delay_penalty
+        self.interconnect.clock_period(arch, figures.critical_path)
     }
 }
 
 /// Every [`ComponentKey`] needed to evaluate `arch` (area, timing and
-/// test cost), or `None` when the architecture is outside the component
-/// model's domain (checked narrowing — see [`ComponentKey::for_rf`]).
+/// test cost) — each part's component, then its socket group — or `None`
+/// when the architecture is outside the component model's domain (see
+/// [`parts`]).
 pub fn keys_of(arch: &Architecture) -> Option<Vec<ComponentKey>> {
-    let w = key_width(arch)?;
-    let mut keys = Vec::new();
-    for fu in arch.fus() {
-        keys.push(ComponentKey::for_fu(fu.kind, w));
-        keys.push(ComponentKey::socket_group(w, fu.kind.input_ports())?);
-    }
-    for rf in arch.rfs() {
-        keys.push(ComponentKey::for_rf(rf, w)?);
-        keys.push(ComponentKey::socket_group(w, rf.nin())?);
-    }
+    let parts = parts(arch)?;
+    let mut keys = Vec::with_capacity(2 * (arch.fus().len() + arch.rfs().len()));
+    parts.for_each(|part| keys.extend([part.key, part.socket]));
     Some(keys)
 }
 
@@ -615,14 +522,18 @@ mod tests {
     use tta_arch::template::TemplateBuilder;
     use tta_arch::FuKind;
 
-    fn arch8() -> Architecture {
-        TemplateBuilder::new("m", 8, 2)
+    fn arch8_buses(buses: usize) -> Architecture {
+        TemplateBuilder::new(format!("b{buses}"), 8, buses)
             .fu(FuKind::Alu)
             .fu(FuKind::LdSt)
             .fu(FuKind::Pc)
             .fu(FuKind::Immediate)
             .rf(8, 1, 2)
             .build()
+    }
+
+    fn arch8() -> Architecture {
+        arch8_buses(2)
     }
 
     #[test]
@@ -644,15 +555,9 @@ mod tests {
         assert!(paper_clk > free_clk);
         // With free interconnect, the clock is exactly the slowest
         // component.
-        let worst = arch
-            .fus()
-            .iter()
-            .map(|fu| db.get(ComponentKey::for_fu(fu.kind, 8)).critical_path)
-            .chain(
-                arch.rfs()
-                    .iter()
-                    .map(|rf| db.get(ComponentKey::for_rf(rf, 8).unwrap()).critical_path),
-            )
+        let worst = parts(&arch)
+            .unwrap()
+            .map(|part| db.get(part.key).critical_path)
             .fold(0.0f64, f64::max);
         assert_eq!(free_clk, worst);
     }
@@ -670,16 +575,6 @@ mod tests {
         Eq14TestCostModel.test_cost(&arch, &db);
         ScanTestCostModel::default().test_cost(&arch, &db);
         assert_eq!(db.len(), before, "models touched an unwarmed key");
-    }
-
-    fn arch8_buses(buses: usize) -> Architecture {
-        TemplateBuilder::new(format!("b{buses}"), 8, buses)
-            .fu(FuKind::Alu)
-            .fu(FuKind::LdSt)
-            .fu(FuKind::Pc)
-            .fu(FuKind::Immediate)
-            .rf(8, 1, 2)
-            .build()
     }
 
     #[test]
@@ -755,20 +650,6 @@ mod tests {
         let cost = ScanTestCostModel::new().test_cost(&bad, &db);
         assert!(cost.total.is_infinite());
         assert!(cost.components.is_empty());
-    }
-
-    #[test]
-    fn in_model_agrees_with_keys_of() {
-        let ok = arch8();
-        assert!(in_model(&ok));
-        assert!(keys_of(&ok).is_some());
-        let bad = TemplateBuilder::new("wide", 8, 2)
-            .fu(FuKind::Alu)
-            .fu(FuKind::Pc)
-            .rf(70_000, 1, 2)
-            .build();
-        assert!(!in_model(&bad));
-        assert!(keys_of(&bad).is_none());
     }
 
     #[test]
@@ -975,7 +856,7 @@ mod tests {
             .fu(FuKind::Pc)
             .rf(8, 1, 2)
             .build();
-        assert!(!in_model(&wide));
+        assert!(keys_of(&wide).is_none());
         assert!(AnnotatedAreaModel::default().area(&wide, &db).is_infinite());
         assert!(AnnotatedTimingModel::default()
             .clock_period(&wide, &db)
@@ -1013,5 +894,8 @@ mod tests {
             .test_cost(&ported, &db)
             .total
             .is_infinite());
+        // The walk rejects the point before any fold reads a record, so
+        // not even the in-domain FUs ahead of the RF are annotated.
+        assert!(db.is_empty(), "an out-of-domain point annotates nothing");
     }
 }

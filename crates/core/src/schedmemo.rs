@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use tta_arch::Architecture;
-use tta_movec::{Schedule, Scheduler, SchedulerView};
+use tta_movec::{Schedule, Scheduler, SchedulerView, UsedClasses};
 use tta_workloads::Workload;
 
 use crate::explore::CycleSource;
@@ -57,6 +57,8 @@ pub struct ScheduleStats {
 #[derive(Debug)]
 pub struct ScheduleMemo<'a> {
     workloads: &'a [Workload],
+    /// The FU classes of each workload's DFG, in workload order.
+    classes: Vec<UsedClasses>,
     source: CycleSource,
     shards: [Mutex<Shard>; SHARDS],
     lookups: AtomicU64,
@@ -69,6 +71,7 @@ impl<'a> ScheduleMemo<'a> {
     pub fn new(workloads: &'a [Workload], source: CycleSource) -> Self {
         ScheduleMemo {
             workloads,
+            classes: workloads.iter().map(|w| UsedClasses::of(&w.dfg)).collect(),
             source,
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             lookups: AtomicU64::new(0),
@@ -98,7 +101,8 @@ impl<'a> ScheduleMemo<'a> {
                 // which the view leaves out, so every point pays for its
                 // own check before it may share a memoised schedule.
                 arch.validate().ok()?;
-                let key = (index, SchedulerView::new(arch, &w.dfg));
+                let view = SchedulerView::with_classes(arch, self.classes[index]);
+                let key = (index, view);
                 let mut hasher = DefaultHasher::new();
                 key.hash(&mut hasher);
                 let shard = hasher.finish() as usize % SHARDS;

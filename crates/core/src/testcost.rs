@@ -18,10 +18,15 @@
 //! LD/ST, PC and the Immediate unit "always appear once for arbitrary
 //! architecture and application; hence, they contribute equally" — they
 //! are reported but excluded from the comparative total, as in the paper.
+//!
+//! [`architecture_test_cost`] and the scan model of [`crate::models`]
+//! share one fold over the architecture's parts ([`parts`]): the part
+//! list, the domain check and the exclusion rule are the walk's, and
+//! the two models differ only in how they price one part.
 
-use tta_arch::{timing, Architecture, FuKind};
+use tta_arch::{timing, Architecture};
 
-use crate::backannotate::{ComponentDb, ComponentKey};
+use crate::backannotate::{parts, ComponentDb, ComponentRecord, Part, Unit};
 
 /// Test cost of one datapath component (one Table 1 row).
 #[derive(Debug, Clone)]
@@ -99,77 +104,32 @@ pub fn socket_state_bits(n_input_ports: usize) -> usize {
     n_input_ports + 4
 }
 
-/// An infinite test cost marking an architecture outside the component
-/// model's domain (the same convention as the area/timing models: the
-/// sweep and any selection drop such points instead of trusting a
-/// silently truncated key). Shared with the scan-based model in
-/// [`crate::models`].
-pub(crate) fn out_of_model() -> ArchTestCost {
-    ArchTestCost {
-        components: Vec::new(),
-        total: f64::INFINITY,
-    }
-}
-
-/// Computes the full eq.-(14) test cost of `arch`, back-annotating
-/// components through `db` as needed.
+/// The test cost of `arch` with each part priced by `price` from the
+/// part and the records of its component and socket group: one row per
+/// part in datapath order, and the eq. (14) total over the rows not
+/// excluded.
 ///
-/// Architectures outside the component model's domain (width or RF/port
-/// geometry overflowing the [`ComponentKey`] fields) get an empty
-/// breakdown with an infinite total rather than a truncated-key cost.
-pub fn architecture_test_cost(arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
-    let Ok(w) = u16::try_from(arch.width) else {
-        return out_of_model();
+/// Architectures outside the component model's domain get an empty
+/// breakdown with an infinite total (the convention of the area/timing
+/// models: the sweep and any selection drop such points instead of
+/// trusting a silently truncated key).
+pub(crate) fn fold_test_cost(
+    arch: &Architecture,
+    db: &ComponentDb,
+    price: impl Fn(&Part<'_>, &ComponentRecord, &ComponentRecord) -> ComponentTestCost,
+) -> ArchTestCost {
+    let Some(parts) = parts(arch) else {
+        return ArchTestCost {
+            components: Vec::new(),
+            total: f64::INFINITY,
+        };
     };
     db.fold(|records| {
         let mut components = Vec::with_capacity(arch.fus().len() + arch.rfs().len());
-        for fu in arch.fus() {
-            let rec = records.get(ComponentKey::for_fu(fu.kind, w));
-            let n_inputs = fu.kind.input_ports();
-            let Some(sock_key) = ComponentKey::socket_group(w, n_inputs) else {
-                return out_of_model();
-            };
-            let sock = records.get(sock_key);
-            let cd = timing::transport_cycles(fu);
-            let nl = rec.ff_infrastructure + socket_state_bits(n_inputs);
-            let excluded = matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate);
-            components.push(ComponentTestCost {
-                name: fu.name.clone(),
-                np: rec.np,
-                cd,
-                functional_cost: rec.np as f64 * f64::from(cd),
-                socket_np: sock.np,
-                nl,
-                fts: fts(sock.np, nl),
-                fault_coverage: rec.adjusted_coverage,
-                excluded,
-            });
+        for part in parts.clone() {
+            let (rec, sock) = (records.get(part.key), records.get(part.socket));
+            components.push(price(&part, rec, sock));
         }
-
-        for rf in arch.rfs() {
-            let (Some(key), Some(sock_key)) = (
-                ComponentKey::for_rf(rf, w),
-                ComponentKey::socket_group(w, rf.nin()),
-            ) else {
-                return out_of_model();
-            };
-            let rec = records.get(key);
-            let sock = records.get(sock_key);
-            let cd = timing::rf_transport_cycles(rf.write_ports[0], rf.read_ports[0]);
-            let nl = rec.ff_infrastructure + socket_state_bits(rf.nin());
-            components.push(ComponentTestCost {
-                name: rf.name.clone(),
-                np: rec.np,
-                cd,
-                functional_cost: ftrf(rec.np, cd, rf.nin(), rf.nout(), arch.bus_count()),
-                socket_np: sock.np,
-                nl,
-                fts: fts(sock.np, nl),
-                fault_coverage: rec.adjusted_coverage,
-                excluded: false,
-            });
-        }
-
         let total = components
             .iter()
             .filter(|c| !c.excluded)
@@ -179,10 +139,41 @@ pub fn architecture_test_cost(arch: &Architecture, db: &ComponentDb) -> ArchTest
     })
 }
 
+/// Computes the full eq.-(14) test cost of `arch`, back-annotating
+/// components through `db` as needed. Outside the component model's
+/// domain the total is infinite (see [`parts`]).
+pub fn architecture_test_cost(arch: &Architecture, db: &ComponentDb) -> ArchTestCost {
+    fold_test_cost(arch, db, |part, rec, sock| {
+        let (cd, functional_cost) = match part.unit() {
+            Unit::Fu(fu) => {
+                let cd = timing::transport_cycles(fu);
+                (cd, rec.np as f64 * f64::from(cd))
+            }
+            Unit::Rf(rf) => {
+                let cd = timing::rf_transport_cycles(rf.write_ports[0], rf.read_ports[0]);
+                (cd, ftrf(rec.np, cd, rf.nin(), rf.nout(), arch.bus_count()))
+            }
+        };
+        let nl = rec.ff_infrastructure + socket_state_bits(part.input_ports);
+        ComponentTestCost {
+            name: part.name().to_owned(),
+            np: rec.np,
+            cd,
+            functional_cost,
+            socket_np: sock.np,
+            nl,
+            fts: fts(sock.np, nl),
+            fault_coverage: rec.adjusted_coverage,
+            excluded: part.excluded,
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tta_arch::template::TemplateBuilder;
+    use tta_arch::FuKind;
 
     fn arch8(buses: usize) -> Architecture {
         TemplateBuilder::new(format!("t{buses}"), 8, buses)

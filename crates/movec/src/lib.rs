@@ -36,4 +36,4 @@ pub mod ir;
 pub mod schedule;
 
 pub use ir::{Dfg, FuClass, Op, ValueId};
-pub use schedule::{Move, Schedule, ScheduleError, Scheduler, SchedulerView};
+pub use schedule::{Move, Schedule, ScheduleError, Scheduler, SchedulerView, UsedClasses};

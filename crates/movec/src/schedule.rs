@@ -259,15 +259,32 @@ pub struct SchedulerView {
     rfs: Vec<(usize, usize, usize)>,
 }
 
+/// The FU classes some node of a DFG executes on: the part of a
+/// [`SchedulerView`] that depends on the DFG alone, so a sweep computes
+/// it once per workload instead of once per point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UsedClasses([bool; 5]);
+
+impl UsedClasses {
+    /// The classes `dfg` uses.
+    pub fn of(dfg: &Dfg) -> Self {
+        let mut used = [false; 5];
+        for class in dfg.nodes().iter().filter_map(|node| node.op.fu_class()) {
+            used[class_slot(class)] = true;
+        }
+        UsedClasses(used)
+    }
+}
+
 impl SchedulerView {
     /// The view [`Scheduler::run`] has of `arch` while scheduling `dfg`.
     pub fn new(arch: &Architecture, dfg: &Dfg) -> Self {
-        let mut fus = [None; 5];
-        for node in dfg.nodes() {
-            if let Some(class) = node.op.fu_class() {
-                fus[class_slot(class)] = Some(0);
-            }
-        }
+        Self::with_classes(arch, UsedClasses::of(dfg))
+    }
+
+    /// The view of `arch` for a DFG using the classes `used`.
+    pub fn with_classes(arch: &Architecture, used: UsedClasses) -> Self {
+        let mut fus = used.0.map(|used| used.then_some(0));
         for fu in arch.fus() {
             if let Some(n) = class_of(fu.kind).and_then(|c| fus[class_slot(c)].as_mut()) {
                 *n += 1;
