@@ -11,166 +11,31 @@
 //! | Figure 9 (norm selection) | [`fig9`] | `ttadse fig9` |
 //! | Table 1 (full scan vs ours) | [`table1`] | `ttadse table1` |
 //!
-//! Each harness has two sizes: `Scale::Paper` (16-bit datapath, the full
-//! 144-point space, 16 crypt rounds; the CLI default) and `Scale::Fast`
-//! (8-bit reduced space for tests and CI smoke runs; `--fast`). Absolute
-//! numbers differ from the paper (different cell library, netlists and
-//! ATPG); the tests assert the paper's relations instead — Pareto
-//! shapes, projection properties, the port-sharing inequality and the
-//! full-scan vs functional totals.
+//! Each harness is a pure function of what it reads: the sweeping
+//! figures ([`fig2`], [`fig8`], [`fig8_full`], [`fig9`] and [`table1`])
+//! take the [`ExploreResult`] of the paper's crypt exploration, which
+//! the CLI resolves and runs through `tta_serve::exec` like any other
+//! job (at the paper's 16-bit scale by default, at the reduced 8-bit
+//! one with `--fast`); Table 1 and Figure 6 also read the component
+//! database, and the cross-suite comparison reads one result per suite
+//! ([`SuiteComparisonRow::of`]). Absolute numbers differ from the paper
+//! (different cell library, netlists and ATPG); the tests assert the
+//! paper's relations instead — Pareto shapes, projection properties,
+//! the port-sharing inequality and the full-scan vs functional totals.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 
-use tta_arch::template::TemplateSpace;
 use tta_arch::vliw::VliwTemplate;
 use tta_arch::{Architecture, BusId, FuInstance, FuKind};
 use tta_core::backannotate::{parts, ComponentDb, ComponentKey, Unit};
-use tta_core::cache::SweepCache;
-use tta_core::explore::{CacheStatus, EvaluatedArch, Exploration, ExploreResult, LiftMode};
+use tta_core::explore::{EvaluatedArch, ExploreResult};
 use tta_core::fullscan::FullScanDb;
-use tta_core::parallel::default_threads;
 use tta_core::report::TextTable;
 use tta_core::testcost::{architecture_test_cost, ftfu_ratio};
 use tta_core::{Norm, Weights};
-use tta_workloads::suite;
-
-/// Experiment size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// The paper's configuration: 16-bit, full space, 16 crypt rounds.
-    Paper,
-    /// Reduced 8-bit configuration for tests / smoke benches.
-    Fast,
-}
-
-impl Scale {
-    /// Template space for this scale.
-    pub fn space(self) -> TemplateSpace {
-        match self {
-            Scale::Paper => TemplateSpace::paper_default(),
-            Scale::Fast => TemplateSpace::fast_default(),
-        }
-    }
-
-    /// Crypt trace length (Feistel rounds per scheduled trace).
-    pub fn crypt_rounds(self) -> usize {
-        match self {
-            Scale::Paper => 16,
-            Scale::Fast => 1,
-        }
-    }
-
-    /// Datapath width.
-    pub fn width(self) -> u16 {
-        match self {
-            Scale::Paper => 16,
-            Scale::Fast => 8,
-        }
-    }
-
-    /// Workload sizing parameters for this scale.
-    pub fn suite_params(self) -> suite::SuiteParams {
-        match self {
-            Scale::Paper => suite::SuiteParams::paper(),
-            Scale::Fast => suite::SuiteParams::fast(),
-        }
-    }
-}
-
-/// Shared experiment context (annotation database + crypt workload +
-/// result cache, optionally backed by a persistent [`SweepCache`]).
-pub struct Experiments<'c> {
-    /// The scale everything runs at.
-    pub scale: Scale,
-    db: ComponentDb,
-    cache: Option<&'c SweepCache>,
-    result: Option<ExploreResult>,
-    full_result: Option<ExploreResult>,
-}
-
-impl Experiments<'static> {
-    /// Creates a context at `scale` (no persistent cache).
-    pub fn new(scale: Scale) -> Self {
-        Experiments {
-            scale,
-            db: ComponentDb::new(),
-            cache: None,
-            result: None,
-            full_result: None,
-        }
-    }
-}
-
-impl<'c> Experiments<'c> {
-    /// Creates a context whose exploration consults (and populates) a
-    /// persistent sweep cache — a warm cache skips the whole sweep and
-    /// is bit-identical to a cold run.
-    pub fn with_cache(scale: Scale, cache: &'c SweepCache) -> Self {
-        Experiments {
-            scale,
-            db: ComponentDb::new(),
-            cache: Some(cache),
-            result: None,
-            full_result: None,
-        }
-    }
-
-    fn run_exploration(&self, lift: LiftMode) -> ExploreResult {
-        let workload = suite::crypt(self.scale.crypt_rounds());
-        let mut e = Exploration::over(self.scale.space())
-            .workload(&workload)
-            .with_db(&self.db)
-            .lift(lift)
-            .threads(default_threads());
-        if let Some(cache) = self.cache {
-            e = e.cache(cache);
-        }
-        e.run()
-    }
-
-    /// Runs (or returns the cached) crypt exploration — parallel, which
-    /// is bit-identical to the serial sweep.
-    pub fn exploration(&mut self) -> &ExploreResult {
-        if self.result.is_none() {
-            self.result = Some(self.run_exploration(LiftMode::ParetoOnly));
-        }
-        self.result.as_ref().expect("just populated")
-    }
-
-    /// Runs (or returns the cached) *full-lift* crypt exploration
-    /// ([`LiftMode::Full`]): every feasible point carries the test
-    /// axis and the front is the true 3-D one. Shares the annotation
-    /// database — and, through the unchanged eval content addresses,
-    /// the persistent cache's scheduling entries — with
-    /// [`Experiments::exploration`].
-    pub fn exploration_full(&mut self) -> &ExploreResult {
-        if self.full_result.is_none() {
-            self.full_result = Some(self.run_exploration(LiftMode::Full));
-        }
-        self.full_result.as_ref().expect("just populated")
-    }
-
-    /// The first cache-flush failure message from any exploration this
-    /// context has run, if any — so harness callers (the CLI figure
-    /// commands) can warn that results were computed but not
-    /// persisted.
-    pub fn flush_failure(&self) -> Option<&str> {
-        [self.result.as_ref(), self.full_result.as_ref()]
-            .into_iter()
-            .flatten()
-            .find_map(|r| match &r.cache_status {
-                CacheStatus::FlushFailed(msg) => Some(msg.as_str()),
-                _ => None,
-            })
-    }
-
-    /// The shared back-annotation database.
-    pub fn db(&self) -> &ComponentDb {
-        &self.db
-    }
-}
+use tta_workloads::suite::{WeightedWorkload, Workload};
 
 // ---------------------------------------------------------------------
 // Figure 2
@@ -187,9 +52,8 @@ pub struct Fig2 {
     pub infeasible: usize,
 }
 
-/// Regenerates Figure 2.
-pub fn fig2(exp: &mut Experiments) -> Fig2 {
-    let result = exp.exploration();
+/// Regenerates Figure 2 from the crypt exploration.
+pub fn fig2(result: &ExploreResult) -> Fig2 {
     let mut points = Vec::new();
     for (i, e) in result.evaluated.iter().enumerate() {
         points.push((e.area(), e.exec_time(), result.is_on_front(i)));
@@ -241,10 +105,9 @@ pub struct Fig6 {
     pub ratio_form: (f64, f64),
 }
 
-/// Regenerates Figure 6.
-pub fn fig6(exp: &mut Experiments) -> Fig6 {
-    let w = exp.scale.width();
-    let np = exp.db().get(ComponentKey::Alu(w)).np;
+/// Regenerates Figure 6 for a `width`-bit ALU.
+pub fn fig6(db: &ComponentDb, width: u16) -> Fig6 {
+    let np = db.get(ComponentKey::Alu(width)).np;
     let fu1 = FuInstance {
         kind: FuKind::Alu,
         name: "fu1".into(),
@@ -347,9 +210,8 @@ pub struct Fig8 {
     pub test_spread: f64,
 }
 
-/// Regenerates Figure 8.
-pub fn fig8(exp: &mut Experiments) -> Fig8 {
-    let result = exp.exploration();
+/// Regenerates Figure 8 from the crypt exploration.
+pub fn fig8(result: &ExploreResult) -> Fig8 {
     let mut points: Vec<(f64, f64, f64, String)> = result
         .pareto_points()
         .iter()
@@ -399,9 +261,9 @@ impl fmt::Display for Fig8 {
     }
 }
 
-/// Figure 8, co-explored: the true 3-D front of a [`LiftMode::Full`]
-/// sweep against the paper's Pareto-only lift — quantifying what the
-/// post-hoc lift misses.
+/// Figure 8, co-explored: the true 3-D front of a full-lift sweep
+/// against the paper's Pareto-only lift — quantifying what the post-hoc
+/// lift misses.
 pub struct Fig8Full {
     /// Size of the 2-D design front (the points the paper lifts).
     pub design_front: usize,
@@ -417,9 +279,11 @@ pub struct Fig8Full {
     pub projection_holds: bool,
 }
 
-/// Regenerates the Figure 8 comparison under full 3-D co-exploration.
-pub fn fig8_full(exp: &mut Experiments) -> Fig8Full {
-    let result = exp.exploration_full();
+/// Regenerates the Figure 8 comparison from a [`LiftMode::Full`] crypt
+/// exploration.
+///
+/// [`LiftMode::Full`]: tta_core::explore::LiftMode::Full
+pub fn fig8_full(result: &ExploreResult) -> Fig8Full {
     let design: std::collections::HashSet<usize> = result.design_front().into_iter().collect();
     let mut missed: Vec<(f64, f64, f64, String)> = result
         .pareto
@@ -491,9 +355,9 @@ pub struct Fig9 {
     pub alternatives: Vec<(String, String)>,
 }
 
-/// Regenerates Figure 9 (plus a selection-sensitivity appendix).
-pub fn fig9(exp: &mut Experiments) -> Fig9 {
-    let result = exp.exploration();
+/// Regenerates Figure 9 (plus a selection-sensitivity appendix) from
+/// the crypt exploration.
+pub fn fig9(result: &ExploreResult) -> Fig9 {
     let selected = result.select_equal_weights().clone();
     let mut alternatives = Vec::new();
     for (label, weights, norm) in [
@@ -595,20 +459,16 @@ impl Table1 {
     }
 }
 
-/// Regenerates Table 1 for the Figure 9 selection (or, at fast scale, the
-/// fast-space selection).
-pub fn table1(exp: &mut Experiments) -> Table1 {
-    let arch = {
-        let result = exp.exploration();
-        result.select_equal_weights().architecture.clone()
-    };
-    table1_for(exp, arch)
+/// Regenerates Table 1 for the crypt exploration's Figure 9 selection,
+/// costed over `db` (the sweep's own database reuses its records).
+pub fn table1(result: &ExploreResult, db: &ComponentDb) -> Table1 {
+    table1_for(db, result.select_equal_weights().architecture.clone())
 }
 
 /// Table 1 for an explicit architecture.
-pub fn table1_for(exp: &mut Experiments, arch: Architecture) -> Table1 {
+pub fn table1_for(db: &ComponentDb, arch: Architecture) -> Table1 {
     let mut fullscan = FullScanDb::new();
-    let cost = architecture_test_cost(&arch, exp.db());
+    let cost = architecture_test_cost(&arch, db);
     // The eq. (14) rows follow the same walk, one row per part.
     let parts = parts(&arch).expect("Table 1 machines are in the component model's domain");
     let rows = parts
@@ -709,62 +569,16 @@ pub struct SuiteComparisonRow {
 /// Executes one scheduled trace of `w` on `arch` and returns simulated
 /// minus scheduled cycles (`None` when the workload does not schedule
 /// or lower there).
-fn simulated_delta(arch: &Architecture, w: &suite::Workload) -> Option<i64> {
+fn simulated_delta(arch: &Architecture, w: &Workload) -> Option<i64> {
     let schedule = tta_movec::schedule::Scheduler::new(arch).run(&w.dfg).ok()?;
     let trace = tta_sim::run_lowered(arch, &w.dfg, &schedule, &w.inputs, &w.mem).ok()?;
     let executed = i64::try_from(trace.cycles).ok()?;
     Some(executed - i64::from(schedule.cycles))
 }
 
-/// How the Figure 9 weighted-norm selection moves across workload
-/// suites — the `ttadse workloads compare` harness.
-pub struct SuiteComparison {
-    /// The scale every sweep ran at.
-    pub scale: Scale,
-    /// Template points per sweep.
-    pub space_points: usize,
-    /// One row per requested suite, in request order.
-    pub rows: Vec<SuiteComparisonRow>,
-    /// First cache-flush failure across the sweeps, if any — results
-    /// are complete but were not persisted.
-    pub flush_failure: Option<String>,
-}
-
-/// Sweeps the scale's template space once per named suite (sharing one
-/// annotation database, and the persistent cache when given) and
-/// reports each suite's weighted-norm selection side by side.
-///
-/// # Errors
-///
-/// Returns the offending name when `suites` contains a name the
-/// standard [`suite::SuiteRegistry`] does not know.
-pub fn compare_suites(
-    scale: Scale,
-    suites: &[String],
-    cache: Option<&SweepCache>,
-) -> Result<SuiteComparison, String> {
-    let registry = suite::SuiteRegistry::standard();
-    let params = scale.suite_params();
-    let db = ComponentDb::new();
-    let space = scale.space();
-    let space_points = space.len();
-    let mut rows = Vec::new();
-    let mut flush_failure = None;
-    for name in suites {
-        let members = registry
-            .instantiate(name, &params)
-            .ok_or_else(|| name.clone())?;
-        let mut e = Exploration::over(space.clone())
-            .suite(&members)
-            .with_db(&db)
-            .threads(default_threads());
-        if let Some(cache) = cache {
-            e = e.cache(cache);
-        }
-        let result = e.run();
-        if let CacheStatus::FlushFailed(msg) = &result.cache_status {
-            flush_failure.get_or_insert_with(|| msg.clone());
-        }
+impl SuiteComparisonRow {
+    /// The row of `suite`, whose `members` the sweep `result` explored.
+    pub fn of(suite: &str, members: &[WeightedWorkload], result: &ExploreResult) -> Self {
         let selected = result.try_select_equal_weights().cloned();
         let cycle_deltas = members
             .iter()
@@ -774,8 +588,8 @@ pub fn compare_suites(
                     .and_then(|s| simulated_delta(&s.architecture, &m.workload))
             })
             .collect();
-        rows.push(SuiteComparisonRow {
-            suite: name.clone(),
+        SuiteComparisonRow {
+            suite: suite.to_string(),
             members: members
                 .iter()
                 .map(|m| (m.workload.name.clone(), m.weight))
@@ -785,14 +599,18 @@ pub fn compare_suites(
             blocked: result.blocked.clone(),
             selected,
             cycle_deltas,
-        });
+        }
     }
-    Ok(SuiteComparison {
-        scale,
-        space_points,
-        rows,
-        flush_failure,
-    })
+}
+
+/// How the Figure 9 weighted-norm selection moves across workload
+/// suites — the `ttadse workloads compare` harness: one sweep of the
+/// same template space per suite, one row each.
+pub struct SuiteComparison {
+    /// Template points per sweep.
+    pub space_points: usize,
+    /// One row per requested suite, in request order.
+    pub rows: Vec<SuiteComparisonRow>,
 }
 
 impl fmt::Display for SuiteComparison {
@@ -857,19 +675,37 @@ impl fmt::Display for SuiteComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tta_arch::template::TemplateSpace;
+    use tta_core::explore::LiftMode;
+    use tta_serve::exec::{prepare, PreparedJob};
+    use tta_serve::spec::JobSpec;
+    use tta_workloads::suite;
+
+    /// Resolves `spec` at fast scale, as `ttadse <figure> --fast` does.
+    fn fast_job(spec: JobSpec) -> PreparedJob {
+        prepare(&JobSpec { fast: true, ..spec }).expect("a valid spec")
+    }
+
+    /// The fast-scale crypt exploration the figures read.
+    fn crypt_sweep(lift: LiftMode, db: &ComponentDb) -> ExploreResult {
+        let spec = JobSpec {
+            workloads: vec!["crypt".into()],
+            lift,
+            ..JobSpec::default()
+        };
+        fast_job(spec).explore(db, None, None, None)
+    }
 
     #[test]
     fn fast_fig2_has_front() {
-        let mut exp = Experiments::new(Scale::Fast);
-        let fig = fig2(&mut exp);
+        let fig = fig2(&crypt_sweep(LiftMode::ParetoOnly, &ComponentDb::new()));
         assert!(!fig.front.is_empty());
         assert!(fig.to_string().contains("Pareto"));
     }
 
     #[test]
     fn fast_fig6_shows_inequality() {
-        let mut exp = Experiments::new(Scale::Fast);
-        let fig = fig6(&mut exp);
+        let fig = fig6(&ComponentDb::new(), 8);
         assert!(fig.shared.1 > fig.dedicated.1, "ftf1 < ftf2 required");
         assert!(fig.ratio_form.1 > fig.ratio_form.0);
     }
@@ -919,8 +755,7 @@ mod tests {
 
     #[test]
     fn fast_fig8_projection() {
-        let mut exp = Experiments::new(Scale::Fast);
-        let fig = fig8(&mut exp);
+        let fig = fig8(&crypt_sweep(LiftMode::ParetoOnly, &ComponentDb::new()));
         assert!(fig.projection_holds);
         assert!(!fig.points.is_empty());
     }
@@ -934,17 +769,12 @@ mod tests {
         // eq. (14) model: the true 3-D front holds points that are
         // dominated in (area, time) yet cheaper to test than every one
         // of their dominators — the Pareto-only lift never sees them.
-        let registry = suite::SuiteRegistry::standard();
-        let members = registry
-            .instantiate("control", &suite::SuiteParams::fast())
-            .expect("control is a standard suite");
-        let db = ComponentDb::new();
-        let full = Exploration::over(TemplateSpace::fast_default())
-            .suite(&members)
-            .with_db(&db)
-            .lift(LiftMode::Full)
-            .threads(default_threads())
-            .run();
+        let full = fast_job(JobSpec {
+            suite: Some("control".into()),
+            lift: LiftMode::Full,
+            ..JobSpec::default()
+        })
+        .explore(&ComponentDb::new(), None, None, None);
         let design: HashSet<usize> = full.design_front().into_iter().collect();
         // The 3-D front is a superset of the design front…
         for &i in &design {
@@ -985,8 +815,8 @@ mod tests {
 
     #[test]
     fn fig8_full_agrees_with_the_two_underlying_sweeps() {
-        let mut exp = Experiments::new(Scale::Fast);
-        let fig = fig8_full(&mut exp);
+        let db = ComponentDb::new();
+        let fig = fig8_full(&crypt_sweep(LiftMode::Full, &db));
         // This equation relies on the annotated models producing no
         // exact (area, time) ties on the fast space (a tied point can
         // be 3-D-dominated by its twin — see
@@ -995,14 +825,27 @@ mod tests {
         assert_eq!(fig.full_front, fig.design_front + fig.missed.len());
         assert_eq!(fig.projection_holds, fig.missed.is_empty());
         // The Pareto-only harness sees the same design front.
-        let pareto_only = fig8(&mut exp);
+        let pareto_only = fig8(&crypt_sweep(LiftMode::ParetoOnly, &db));
         assert_eq!(pareto_only.points.len(), fig.design_front);
     }
 
     #[test]
     fn suite_comparison_moves_the_selection() {
-        let cmp = compare_suites(Scale::Fast, &["paper".into(), "dsp".into()], None)
-            .expect("both suites are registered");
+        let db = ComponentDb::new();
+        let rows = ["paper", "dsp"]
+            .iter()
+            .map(|&name| {
+                let job = fast_job(JobSpec {
+                    suite: Some(name.into()),
+                    ..JobSpec::default()
+                });
+                SuiteComparisonRow::of(name, job.workloads(), &job.explore(&db, None, None, None))
+            })
+            .collect();
+        let cmp = SuiteComparison {
+            space_points: TemplateSpace::fast_default().len(),
+            rows,
+        };
         assert_eq!(cmp.rows.len(), 2);
         let paper = cmp.rows[0].selected.as_ref().expect("crypt is feasible");
         let dsp = cmp.rows[1].selected.as_ref().expect("dsp has MUL points");
@@ -1038,17 +881,24 @@ mod tests {
 
     #[test]
     fn unknown_suite_is_reported_by_name() {
-        let err = match compare_suites(Scale::Fast, &["media".into()], None) {
-            Err(name) => name,
+        let err = match prepare(&JobSpec {
+            fast: true,
+            suite: Some("media".into()),
+            ..JobSpec::default()
+        }) {
+            Err(message) => message,
             Ok(_) => panic!("unknown suite must be rejected"),
         };
-        assert_eq!(err, "media");
+        assert_eq!(
+            err,
+            "unknown suite \"media\" (expected paper, dsp, control, all)"
+        );
     }
 
     #[test]
     fn fast_table1_favours_our_approach() {
-        let mut exp = Experiments::new(Scale::Fast);
-        let table = table1(&mut exp);
+        let db = ComponentDb::new();
+        let table = table1(&crypt_sweep(LiftMode::ParetoOnly, &db), &db);
         let (fs, ours) = table.totals();
         assert!(fs > ours, "full scan {fs} must exceed ours {ours}");
         assert!(table.to_string().contains("fewer"));

@@ -4,12 +4,16 @@
 use std::io::Write;
 use std::path::PathBuf;
 
+use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
 use tta_bench::{
-    compare_suites, fig2, fig6, fig7, fig8, fig9, table1, table1_for, Experiments, Scale,
+    fig2, fig6, fig7, fig8, fig8_full, fig9, table1, table1_for, SuiteComparison,
+    SuiteComparisonRow,
 };
 use tta_core::cache::SweepCache;
+use tta_core::explore::{ExploreResult, LiftMode};
 use tta_core::report::TextTable;
+use tta_core::ComponentDb;
 use tta_movec::schedule::Scheduler;
 use tta_serve::client::run_remote;
 use tta_serve::exec::{self, front_point_json};
@@ -68,39 +72,44 @@ fn warn_flush_failure(msg: &str, err: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The flush warning for the figure-harness context: covers every
-/// exploration the `Experiments` ran (fig2/fig8/fig9/table1 and the
-/// `--full` comparison all sweep through it).
-fn warn_experiments_cache(exp: &Experiments, err: &mut dyn Write) -> Result<(), CliError> {
-    if let Some(msg) = exp.flush_failure() {
+/// The flush warning for the first of `results` whose sweep could not
+/// be persisted, if any.
+fn warn_unpersisted<'r>(
+    results: impl IntoIterator<Item = &'r ExploreResult>,
+    err: &mut dyn Write,
+) -> Result<(), CliError> {
+    if let Some(msg) = results.into_iter().find_map(exec::flush_failure) {
         warn_flush_failure(msg, err)?;
     }
     Ok(())
 }
 
-fn scale_of(common: &CommonOpts) -> Scale {
+/// The scale name the figures report.
+fn scale_label(common: &CommonOpts) -> &'static str {
     if common.fast {
-        Scale::Fast
+        "fast"
     } else {
-        Scale::Paper
+        "paper"
     }
 }
 
-fn scale_label(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Paper => "paper",
-        Scale::Fast => "fast",
-    }
-}
-
-/// Builds the figure experiment context, wired to the cache when one is
-/// configured.
-fn experiments<'c>(common: &CommonOpts, cache: &'c Option<SweepCache>) -> Experiments<'c> {
-    let scale = scale_of(common);
-    match cache {
-        Some(c) => Experiments::with_cache(scale, c),
-        None => Experiments::new(scale),
-    }
+/// The paper's evaluation sweep every sweeping figure reads: crypt at
+/// weight 1 over the scale's space, resolved and run through the same
+/// job front-end as `ttadse explore`.
+fn crypt_sweep(
+    common: &CommonOpts,
+    lift: LiftMode,
+    db: &ComponentDb,
+    cache: &Option<SweepCache>,
+) -> ExploreResult {
+    let spec = JobSpec {
+        fast: common.fast,
+        workloads: vec!["crypt".into()],
+        lift,
+        ..JobSpec::default()
+    };
+    let job = exec::prepare(&spec).expect("the figure sweep spec is valid");
+    job.explore(db, cache.as_ref(), None, None)
 }
 
 // ---------------------------------------------------------------------
@@ -303,17 +312,16 @@ fn parse_common_only(cmd: &'static str, args: &[String]) -> Result<CommonOpts, C
 /// `ttadse fig2`: the 2-D (area, time) solution space.
 pub fn fig2_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
     let common = parse_common_only("fig2", args)?;
-    let scale = scale_of(&common);
-    writeln!(err, "running Figure 2 at {} scale...", scale_label(scale))?;
+    writeln!(err, "running Figure 2 at {} scale...", scale_label(&common))?;
     let cache = open_cache(&common)?;
-    let mut exp = experiments(&common, &cache);
-    let fig = fig2(&mut exp);
+    let result = crypt_sweep(&common, LiftMode::ParetoOnly, &ComponentDb::new(), &cache);
+    let fig = fig2(&result);
     match common.format {
         Format::Table => writeln!(out, "{fig}")?,
         Format::Json => {
             let doc = json::object([
                 ("figure", json::string("fig2")),
-                ("scale", json::string(scale_label(scale))),
+                ("scale", json::string(scale_label(&common))),
                 (
                     "points",
                     json::array(fig.points.iter().map(|(a, t, on)| {
@@ -345,7 +353,7 @@ pub fn fig2_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
             }
         }
     }
-    warn_experiments_cache(&exp, err)?;
+    warn_unpersisted([&result], err)?;
     cache_report(&cache, err)
 }
 
@@ -353,8 +361,9 @@ pub fn fig2_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
 pub fn fig6_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
     let common = parse_common_only("fig6", args)?;
     let cache = open_cache(&common)?;
-    let mut exp = experiments(&common, &cache);
-    let fig = fig6(&mut exp);
+    let (space, _) = exec::resolve_scale(common.fast, None).map_err(CliError::usage)?;
+    let width = u16::try_from(space.width).expect("datapath widths fit in u16");
+    let fig = fig6(&ComponentDb::new(), width);
     match common.format {
         Format::Table => writeln!(out, "{fig}")?,
         Format::Json => {
@@ -391,7 +400,6 @@ pub fn fig6_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
             writeln!(out, "shared,{},{}", fig.shared.0, fig.shared.1)?;
         }
     }
-    warn_experiments_cache(&exp, err)?;
     cache_report(&cache, err)
 }
 
@@ -447,20 +455,37 @@ pub fn fig8_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
             other => return Err(unknown_flag("fig8", other)),
         }
     }
-    let scale = scale_of(&common);
-    writeln!(err, "running Figure 8 at {} scale...", scale_label(scale))?;
+    writeln!(err, "running Figure 8 at {} scale...", scale_label(&common))?;
     let cache = open_cache(&common)?;
-    let mut exp = experiments(&common, &cache);
+    let lift = if full {
+        LiftMode::Full
+    } else {
+        LiftMode::ParetoOnly
+    };
+    let result = crypt_sweep(&common, lift, &ComponentDb::new(), &cache);
     if full {
-        return fig8_full_render(&mut exp, &common, out, err, &cache);
+        fig8_full_render(&result, &common, out)?;
+    } else {
+        fig8_render(&result, &common, out)?;
     }
-    let fig = fig8(&mut exp);
+    warn_unpersisted([&result], err)?;
+    cache_report(&cache, err)
+}
+
+/// Renders plain `ttadse fig8`: the Pareto set lifted with the test
+/// axis.
+fn fig8_render(
+    result: &ExploreResult,
+    common: &CommonOpts,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    let fig = fig8(result);
     match common.format {
         Format::Table => writeln!(out, "{fig}")?,
         Format::Json => {
             let doc = json::object([
                 ("figure", json::string("fig8")),
-                ("scale", json::string(scale_label(scale))),
+                ("scale", json::string(scale_label(common))),
                 (
                     "points",
                     json::array(fig.points.iter().map(|(a, t, tc, name)| {
@@ -484,26 +509,23 @@ pub fn fig8_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
             }
         }
     }
-    warn_experiments_cache(&exp, err)?;
-    cache_report(&cache, err)
+    Ok(())
 }
 
 /// Renders `ttadse fig8 --full`: the co-explored 3-D front compared
 /// with the paper's Pareto-only lift.
 fn fig8_full_render(
-    exp: &mut Experiments,
+    result: &ExploreResult,
     common: &CommonOpts,
     out: &mut dyn Write,
-    err: &mut dyn Write,
-    cache: &Option<SweepCache>,
 ) -> Result<(), CliError> {
-    let fig = tta_bench::fig8_full(exp);
+    let fig = fig8_full(result);
     match common.format {
         Format::Table => writeln!(out, "{fig}")?,
         Format::Json => {
             let doc = json::object([
                 ("figure", json::string("fig8-full")),
-                ("scale", json::string(scale_label(exp.scale))),
+                ("scale", json::string(scale_label(common))),
                 ("lift", json::string("full")),
                 ("design_front", json::int(fig.design_front as u64)),
                 ("full_front", json::int(fig.full_front as u64)),
@@ -533,24 +555,22 @@ fn fig8_full_render(
             }
         }
     }
-    warn_experiments_cache(exp, err)?;
-    cache_report(cache, err)
+    Ok(())
 }
 
 /// `ttadse fig9`: the weighted-norm selection.
 pub fn fig9_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Result<(), CliError> {
     let common = parse_common_only("fig9", args)?;
-    let scale = scale_of(&common);
-    writeln!(err, "running Figure 9 at {} scale...", scale_label(scale))?;
+    writeln!(err, "running Figure 9 at {} scale...", scale_label(&common))?;
     let cache = open_cache(&common)?;
-    let mut exp = experiments(&common, &cache);
-    let fig = fig9(&mut exp);
+    let result = crypt_sweep(&common, LiftMode::ParetoOnly, &ComponentDb::new(), &cache);
+    let fig = fig9(&result);
     match common.format {
         Format::Table => writeln!(out, "{fig}")?,
         Format::Json => {
             let doc = json::object([
                 ("figure", json::string("fig9")),
-                ("scale", json::string(scale_label(scale))),
+                ("scale", json::string(scale_label(&common))),
                 ("selected", front_point_json(&fig.selected)),
                 (
                     "alternatives",
@@ -572,7 +592,7 @@ pub fn fig9_cmd(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Re
             }
         }
     }
-    warn_experiments_cache(&exp, err)?;
+    warn_unpersisted([&result], err)?;
     cache_report(&cache, err)
 }
 
@@ -594,18 +614,21 @@ pub fn table1_cmd(
             other => return Err(unknown_flag("table1", other)),
         }
     }
-    let scale = scale_of(&common);
     let cache = open_cache(&common)?;
-    let mut exp = experiments(&common, &cache);
-    let table = if figure9 {
-        table1_for(&mut exp, tta_arch::Architecture::figure9())
+    let db = ComponentDb::new();
+    let result = if figure9 {
+        None
     } else {
         writeln!(
             err,
             "selecting the architecture at {} scale...",
-            scale_label(scale)
+            scale_label(&common)
         )?;
-        table1(&mut exp)
+        Some(crypt_sweep(&common, LiftMode::ParetoOnly, &db, &cache))
+    };
+    let table = match &result {
+        Some(result) => table1(result, &db),
+        None => table1_for(&db, Architecture::figure9()),
     };
     match common.format {
         Format::Table => writeln!(out, "{table}")?,
@@ -662,7 +685,7 @@ pub fn table1_cmd(
             }
         }
     }
-    warn_experiments_cache(&exp, err)?;
+    warn_unpersisted(&result, err)?;
     cache_report(&cache, err)
 }
 
@@ -690,13 +713,10 @@ fn parse_sim_arch(s: &str) -> Result<SimArch, CliError> {
     }
 }
 
-fn sim_arch(choice: SimArch, scale: Scale) -> Architecture {
+fn sim_arch(choice: SimArch, space: &TemplateSpace) -> Architecture {
     match choice {
         SimArch::Figure9 => Architecture::figure9(),
-        SimArch::Max => {
-            let space = scale.space();
-            space.point(space.len() - 1)
-        }
+        SimArch::Max => space.point(space.len() - 1),
     }
 }
 
@@ -775,15 +795,15 @@ fn sim_workload(
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let scale = scale_of(common);
+    let (space, params) = exec::resolve_scale(common.fast, None).map_err(CliError::usage)?;
     let registry = SuiteRegistry::standard();
-    let w: Workload = registry.build(name, &scale.suite_params()).ok_or_else(|| {
+    let w: Workload = registry.build(name, &params).ok_or_else(|| {
         CliError::usage(format!(
             "unknown workload {name:?} (expected {})",
             registry.workload_names().join(", ")
         ))
     })?;
-    let arch = sim_arch(arch_choice.unwrap_or(SimArch::Max), scale);
+    let arch = sim_arch(arch_choice.unwrap_or(SimArch::Max), &space);
     writeln!(err, "simulating {} on {}...", w.name, arch.name)?;
     let schedule = Scheduler::new(&arch).run(&w.dfg).map_err(|e| {
         CliError::runtime(format!(
@@ -877,7 +897,8 @@ fn sim_program(
         .map_err(|e| CliError::runtime(format!("{}: {e}", path.display())))?;
     // Hand-written programs run under the strict rules: declaring more
     // registers than the machine has is an error, not a spill.
-    let arch = sim_arch(arch_choice.unwrap_or(SimArch::Figure9), scale_of(common));
+    let (space, _) = exec::resolve_scale(common.fast, None).map_err(CliError::usage)?;
+    let arch = sim_arch(arch_choice.unwrap_or(SimArch::Figure9), &space);
     writeln!(err, "simulating {} on {}...", path.display(), arch.name)?;
     let trace = Simulator::new(&arch)
         .run(&prog)
@@ -994,7 +1015,6 @@ pub fn workloads_cmd(
             other => return Err(unknown_flag("workloads", other)),
         }
     }
-    let registry = SuiteRegistry::standard();
     match action.as_deref().unwrap_or("list") {
         "list" => {
             if suites.is_some() {
@@ -1002,23 +1022,19 @@ pub fn workloads_cmd(
                     "--suites only applies to `ttadse workloads compare`",
                 ));
             }
-            workloads_list(&registry, &common, out)
+            workloads_list(&common, out)
         }
-        "compare" => workloads_compare(&registry, &common, suites, out, err),
+        "compare" => workloads_compare(&common, suites, out, err),
         _ => unreachable!("action is validated above"),
     }
 }
 
-fn workloads_list(
-    registry: &SuiteRegistry,
-    common: &CommonOpts,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let scale = scale_of(common);
-    let params = scale.suite_params();
+fn workloads_list(common: &CommonOpts, out: &mut dyn Write) -> Result<(), CliError> {
+    let registry = SuiteRegistry::standard();
+    let (_, params) = exec::resolve_scale(common.fast, None).map_err(CliError::usage)?;
     match common.format {
         Format::Table => {
-            writeln!(out, "workloads at {} scale:", scale_label(scale))?;
+            writeln!(out, "workloads at {} scale:", scale_label(common))?;
             let mut t = TextTable::new(["name", "instance", "ops", "trace iters"]);
             for name in registry.workload_names() {
                 let w = registry.build(name, &params).expect("listed => buildable");
@@ -1046,7 +1062,7 @@ fn workloads_list(
         Format::Json => {
             let doc = json::object([
                 ("command", json::string("workloads")),
-                ("scale", json::string(scale_label(scale))),
+                ("scale", json::string(scale_label(common))),
                 (
                     "workloads",
                     json::array(registry.workload_names().iter().map(|name| {
@@ -1093,32 +1109,51 @@ fn workloads_list(
 }
 
 fn workloads_compare(
-    registry: &SuiteRegistry,
     common: &CommonOpts,
     suites: Option<String>,
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let scale = scale_of(common);
-    let names: Vec<String> = suites
+    let names: Vec<&str> = suites
         .as_deref()
         .unwrap_or("paper,dsp,control")
         .split(',')
-        .map(String::from)
         .collect();
     let cache = open_cache(common)?;
     writeln!(
         err,
         "comparing {} suite(s) at {} scale...",
         names.len(),
-        scale_label(scale)
+        scale_label(common)
     )?;
-    let cmp = compare_suites(scale, &names, cache.as_ref()).map_err(|bad| {
-        CliError::usage(format!(
-            "unknown suite {bad:?} (expected {})",
-            registry.suite_names().join(", ")
-        ))
-    })?;
+    // Every suite is resolved before the first sweep runs, so an
+    // unknown name fails without sweeping the ones before it.
+    let jobs = names
+        .iter()
+        .map(|&name| {
+            let spec = JobSpec {
+                fast: common.fast,
+                suite: Some(name.into()),
+                ..JobSpec::default()
+            };
+            exec::prepare(&spec).map_err(CliError::usage)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    // One annotation database serves every suite's sweep.
+    let db = ComponentDb::new();
+    let results: Vec<ExploreResult> = jobs
+        .iter()
+        .map(|job| job.explore(&db, cache.as_ref(), None, None))
+        .collect();
+    let cmp = SuiteComparison {
+        space_points: jobs.first().map_or(0, |job| job.space_points()),
+        rows: names
+            .iter()
+            .zip(&jobs)
+            .zip(&results)
+            .map(|((name, job), result)| SuiteComparisonRow::of(name, job.workloads(), result))
+            .collect(),
+    };
     match common.format {
         Format::Table => {
             writeln!(out, "{cmp}")?;
@@ -1138,7 +1173,7 @@ fn workloads_compare(
         Format::Json => {
             let doc = json::object([
                 ("command", json::string("workloads-compare")),
-                ("scale", json::string(scale_label(scale))),
+                ("scale", json::string(scale_label(common))),
                 ("space_points", json::int(cmp.space_points as u64)),
                 (
                     "suites",
@@ -1222,9 +1257,7 @@ fn workloads_compare(
             }
         }
     }
-    if let Some(msg) = &cmp.flush_failure {
-        warn_flush_failure(msg, err)?;
-    }
+    warn_unpersisted(&results, err)?;
     cache_report(&cache, err)
 }
 
@@ -1265,10 +1298,8 @@ pub fn netlist_cmd(
             other => return Err(unknown_flag("netlist", other)),
         }
     }
-    let space = match &space_name {
-        Some(name) => exec::space_named(name).map_err(CliError::usage)?,
-        None => scale_of(&common).space(),
-    };
+    let (space, _) =
+        exec::resolve_scale(common.fast, space_name.as_deref()).map_err(CliError::usage)?;
     if point >= space.len() {
         return Err(CliError::usage(format!(
             "--point {point} is out of range (the space has {} points)",

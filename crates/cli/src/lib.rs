@@ -103,7 +103,9 @@ SUBCOMMANDS:
     help      Print this help
 
 COMMON FLAGS:
-    --fast                 Reduced 8-bit space (default: the paper's 16-bit)
+    --fast                 Reduced 8-bit space (default: the paper's 16-bit);
+                           an explicit --space wins. Workload sizing follows
+                           the space's width: paper sizing on a 16-bit space
     --format FORMAT        table (default) | json | csv
     --cache-dir DIR        Persistent sweep cache; re-runs skip cached points,
                            so re-running an interrupted sweep resumes it

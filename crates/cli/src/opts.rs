@@ -21,7 +21,9 @@ fn parse_format(s: &str) -> Result<Format, CliError> {
 /// Options every sweep-running subcommand understands.
 #[derive(Debug, Default)]
 pub struct CommonOpts {
-    /// `--fast`: reduced 8-bit space instead of the paper's 16-bit one.
+    /// `--fast`: the reduced 8-bit space instead of the paper's 16-bit
+    /// one, unless a command's `--space` names another; workload sizing
+    /// follows the space (`tta_serve::exec::resolve_scale`).
     pub fast: bool,
     /// `--format`: output rendering.
     pub format: Format,

@@ -179,6 +179,23 @@ fn csv_and_table_render_the_same_sweep() {
 }
 
 #[test]
+fn fast_does_not_resize_an_explicit_space() {
+    // `--fast` only picks the space when `--space` is absent, and the
+    // workload sizing follows the resolved space: on the 16-bit paper
+    // space the run keeps paper sizing (crypt[16r]) either way.
+    let base = [
+        "explore", "--space", "paper", "--budget", "2", "--format", "json",
+    ];
+    let (plain, _) = run_ok(&base);
+    let (fast, _) = run_ok(&[&base[..], &["--fast"]].concat());
+    assert_eq!(
+        fast, plain,
+        "--fast must not change an explicit space's run"
+    );
+    assert!(plain.contains("\"name\":\"crypt[16r]\""), "{plain}");
+}
+
+#[test]
 fn weighted_suite_runs_report_breakdowns_and_stay_deterministic() {
     // A weighted multi-workload suite: serial and parallel runs must be
     // byte-identical, and every output format carries the breakdown.

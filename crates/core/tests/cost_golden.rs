@@ -12,8 +12,9 @@ use std::collections::HashSet;
 
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
-use tta_bench::{table1, table1_for, Experiments, Scale, Table1};
+use tta_bench::{table1, table1_for, Table1};
 use tta_core::cache::Fingerprint;
+use tta_core::explore::Exploration;
 use tta_core::models::{
     keys_of, AnnotatedAreaModel, AnnotatedTimingModel, AreaModel, Eq14TestCostModel,
     ScanTestCostModel, TestCostModel, TimingModel,
@@ -118,14 +119,19 @@ fn cost_figures_are_golden() {
         assert_eq!(seen.len(), huge.knob_radices()[knob], "knob {knob}");
     }
     let huge_points: Vec<Architecture> = sample.iter().map(|&i| huge.point(i)).collect();
-    let mut exp = Experiments::new(Scale::Fast);
+    // The fast-scale figure sweep (crypt[1r] over the fast space), whose
+    // selection Table 1 costs.
+    let fast = Exploration::over(TemplateSpace::fast_default())
+        .workload(&tta_workloads::suite::crypt(1))
+        .with_db(&db)
+        .run();
     let actual = [
         line("tiny", &TemplateSpace::tiny().enumerate(), &db),
         line("fast", &TemplateSpace::fast_default().enumerate(), &db),
         line("paper", &TemplateSpace::paper_default().enumerate(), &db),
         line("huge", &huge_points, &db),
-        table_line(&table1_for(&mut exp, Architecture::figure9())),
-        table_line(&table1(&mut exp)),
+        table_line(&table1_for(&db, Architecture::figure9())),
+        table_line(&table1(&fast, &db)),
     ]
     .join("\n");
     assert_eq!(

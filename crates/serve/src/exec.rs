@@ -4,7 +4,11 @@
 //! through the *same* [`prepare`] → [`PreparedJob::run`] pipeline, and
 //! both emit the string [`JobOutput::output`] verbatim — which is how
 //! `--remote` output is byte-identical to a local run *by construction*
-//! rather than by parallel maintenance of two render paths.
+//! rather than by parallel maintenance of two render paths. The
+//! figure subcommands and `workloads compare` resolve their sweeps
+//! through [`prepare`] too and take the unrendered result from
+//! [`PreparedJob::explore`]; [`resolve_scale`] is the one place that
+//! decides what the `fast`/paper scale means.
 //!
 //! Validation ([`prepare`]) is deliberately split from execution: the
 //! daemon rejects an unresolvable spec with a clean HTTP error before
@@ -50,46 +54,41 @@ pub fn parse_workload_spec(spec: &str) -> Result<(&str, f64), String> {
     Ok((name, weight))
 }
 
-fn space_of(spec: &JobSpec) -> Result<TemplateSpace, String> {
-    // `fast` is the scale shorthand the figure subcommands use; let it
-    // pick the space here too, but an explicit space name always wins.
-    let name = match &spec.space {
-        Some(name) => name.as_str(),
-        None if spec.fast => "fast",
-        None => "paper",
-    };
-    space_named(name)
-}
-
-/// Resolves a template-space name (`paper`, `fast`, `tiny` or `huge`).
+/// What the `fast`/paper scale means, decided once for every command
+/// that runs at a scale: the template space and the workload sizing.
+///
+/// An explicit `space` name always wins; without one, `fast` picks the
+/// reduced 8-bit `fast` space and its absence the paper's 16-bit one.
+/// The sizing then follows the resolved space's datapath width, not
+/// `fast`: paper sizing (16 crypt rounds, 16-point FFT, 8-state
+/// trellis) on a 16-bit space and fast sizing on every other, so
+/// `--space paper --fast` runs `crypt[16r]`.
 ///
 /// # Errors
 ///
-/// A usage message naming the accepted spaces.
-pub fn space_named(name: &str) -> Result<TemplateSpace, String> {
-    match name {
-        "paper" => Ok(TemplateSpace::paper_default()),
-        "fast" => Ok(TemplateSpace::fast_default()),
-        "tiny" => Ok(TemplateSpace::tiny()),
-        "huge" => Ok(TemplateSpace::huge()),
-        other => Err(format!(
-            "unknown space {other:?} (expected paper, fast, tiny or huge)"
-        )),
-    }
-}
-
-/// Workload sizing for a scale, with the spec's `rounds` overriding the
-/// crypt trace length.
-fn suite_params(spec: &JobSpec, paper_scale: bool) -> SuiteParams {
-    let mut params = if paper_scale {
+/// A usage message naming the accepted spaces (`paper`, `fast`, `tiny`
+/// or `huge`) for an unknown `space` name.
+pub fn resolve_scale(
+    fast: bool,
+    space: Option<&str>,
+) -> Result<(TemplateSpace, SuiteParams), String> {
+    let space = match space.unwrap_or(if fast { "fast" } else { "paper" }) {
+        "paper" => TemplateSpace::paper_default(),
+        "fast" => TemplateSpace::fast_default(),
+        "tiny" => TemplateSpace::tiny(),
+        "huge" => TemplateSpace::huge(),
+        other => {
+            return Err(format!(
+                "unknown space {other:?} (expected paper, fast, tiny or huge)"
+            ))
+        }
+    };
+    let params = if space.width == 16 {
         SuiteParams::paper()
     } else {
         SuiteParams::fast()
     };
-    if let Some(rounds) = spec.rounds {
-        params.crypt_rounds = rounds;
-    }
-    params
+    Ok((space, params))
 }
 
 /// Registry names of the members of `suite_name`, when it names a
@@ -109,12 +108,11 @@ fn suite_member_names<'r>(registry: &'r SuiteRegistry, suite_name: &str) -> Opti
 fn workloads_of(
     registry: &SuiteRegistry,
     spec: &JobSpec,
-    paper_scale: bool,
+    params: &SuiteParams,
 ) -> Result<Vec<WeightedWorkload>, String> {
-    let params = suite_params(spec, paper_scale);
     let mut out: Vec<WeightedWorkload> = Vec::new();
     if let Some(name) = &spec.suite {
-        out.extend(registry.instantiate(name, &params).ok_or_else(|| {
+        out.extend(registry.instantiate(name, params).ok_or_else(|| {
             format!(
                 "unknown suite {name:?} (expected {})",
                 registry.suite_names().join(", ")
@@ -146,7 +144,7 @@ fn workloads_of(
     let mut explicit_seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
     for item in &spec.workloads {
         let (name, weight) = parse_workload_spec(item)?;
-        if let Some(w) = registry.build(name, &params) {
+        if let Some(w) = registry.build(name, params) {
             if !explicit_seen.insert(name) {
                 return Err(format!(
                     "workload {name:?} appears more than once; \
@@ -164,7 +162,7 @@ fn workloads_of(
                 workload: w,
                 weight,
             });
-        } else if let Some(members) = registry.instantiate(name, &params) {
+        } else if let Some(members) = registry.instantiate(name, params) {
             // A suite name in workload position (e.g. the historical
             // `all`); a `:weight` scales every member. A *repeated*
             // suite name would duplicate every member with compounding
@@ -197,7 +195,7 @@ fn workloads_of(
         // The historical default: the paper's application.
         out.extend(
             registry
-                .instantiate("paper", &params)
+                .instantiate("paper", params)
                 .expect("the standard registry has a `paper` suite"),
         );
     }
@@ -254,10 +252,11 @@ fn cache_label(status: &CacheStatus) -> &'static str {
 /// zero budget, unknown fault tag).
 pub fn prepare(spec: &JobSpec) -> Result<PreparedJob, String> {
     spec.validate()?;
-    let space = space_of(spec)?;
-    let paper_scale = space.width == 16;
-    let registry = SuiteRegistry::standard();
-    let workloads = workloads_of(&registry, spec, paper_scale)?;
+    let (space, mut params) = resolve_scale(spec.fast, spec.space.as_deref())?;
+    if let Some(rounds) = spec.rounds {
+        params.crypt_rounds = rounds;
+    }
+    let workloads = workloads_of(&SuiteRegistry::standard(), spec, &params)?;
     Ok(PreparedJob {
         spec: spec.clone(),
         space,
@@ -281,21 +280,29 @@ impl PreparedJob {
         &self.spec
     }
 
-    /// Runs the sweep: an optional shared cache, an optional cancel
-    /// token (checked between chunks) and an optional per-chunk
-    /// progress observer. Running a cancelled job again over the same
-    /// cache resumes it: the merged chunks answer as hits.
+    /// The resolved workloads, in aggregation order.
+    pub fn workloads(&self) -> &[WeightedWorkload] {
+        &self.workloads
+    }
+
+    /// Runs the sweep over `db` (the back-annotation database, shared
+    /// across sweeps that want to reuse component records): an optional
+    /// shared cache, an optional cancel token (checked between chunks)
+    /// and an optional per-chunk progress observer. Running a cancelled
+    /// job again over the same cache resumes it: the merged chunks
+    /// answer as hits.
     ///
     /// The injected `"panic"` fault (see [`JobSpec::fault`]) fires
     /// here, before any evaluation — the daemon runs jobs under
     /// `catch_unwind` and the fault suite asserts a panicking job
     /// degrades alone.
-    pub fn run(
+    pub fn explore(
         &self,
+        db: &ComponentDb,
         cache: Option<&SweepCache>,
         cancel: Option<CancelToken>,
         mut progress: Option<&mut dyn FnMut(&SweepProgress)>,
-    ) -> JobOutput {
+    ) -> ExploreResult {
         assert!(
             self.spec.fault.is_none(),
             "fault injection: panic requested by the job spec"
@@ -311,10 +318,9 @@ impl PreparedJob {
         if let Some(v) = spec.control_area {
             interconnect.control_area_per_instr_bit = v;
         }
-        let db = ComponentDb::new();
         let mut e = Exploration::over(self.space.clone())
             .suite(&self.workloads)
-            .with_db(&db)
+            .with_db(db)
             .interconnect(interconnect)
             .lift(spec.lift)
             // `cycles` is deliberately NOT echoed in any output
@@ -348,14 +354,22 @@ impl PreparedJob {
         if let Some(observer) = progress.as_mut() {
             e = e.progress(|p| observer(p));
         }
-        let result = e.run();
+        e.run()
+    }
+
+    /// Runs the sweep over a fresh annotation database
+    /// ([`PreparedJob::explore`]) and renders the result in the spec's
+    /// format.
+    pub fn run(
+        &self,
+        cache: Option<&SweepCache>,
+        cancel: Option<CancelToken>,
+        progress: Option<&mut dyn FnMut(&SweepProgress)>,
+    ) -> JobOutput {
+        let result = self.explore(&ComponentDb::new(), cache, cancel, progress);
         let mut output = Vec::new();
-        render_explore(&result, spec.test_model, spec.format, &mut output)
+        render_explore(&result, self.spec.test_model, self.spec.format, &mut output)
             .expect("rendering into a Vec cannot fail");
-        let flush_failure = match &result.cache_status {
-            CacheStatus::FlushFailed(msg) => Some(msg.clone()),
-            _ => None,
-        };
         JobOutput {
             output: String::from_utf8(output).expect("rendered output is utf-8"),
             evaluations: result.search.evaluations,
@@ -363,8 +377,17 @@ impl PreparedJob {
             cancelled: result.cancelled,
             schedule: result.schedule,
             cache: cache_label(&result.cache_status),
-            flush_failure,
+            flush_failure: flush_failure(&result).map(str::to_string),
         }
+    }
+}
+
+/// The message of a sweep whose results are complete but could not be
+/// persisted to its cache, if that is what happened.
+pub fn flush_failure(result: &ExploreResult) -> Option<&str> {
+    match &result.cache_status {
+        CacheStatus::FlushFailed(msg) => Some(msg),
+        _ => None,
     }
 }
 

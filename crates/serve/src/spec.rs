@@ -175,7 +175,11 @@ pub struct JobSpec {
     /// Template space name (`paper`/`fast`/`tiny`/`huge`); `None`
     /// follows `fast` (the `--fast`/`--paper` shorthand).
     pub space: Option<String>,
-    /// The `--fast` shorthand: reduced 8-bit space and workload sizing.
+    /// The `--fast` shorthand: picks the reduced 8-bit `fast` space
+    /// when `space` is unset (an explicit space always wins). It does
+    /// not pick the workload sizing: that follows the resolved space's
+    /// width, paper sizing on a 16-bit space and fast sizing otherwise
+    /// (see [`crate::exec::resolve_scale`]).
     pub fast: bool,
     /// `name[:weight]` workload (or suite) specs, the CLI's
     /// `--workload` items.

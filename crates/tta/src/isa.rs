@@ -28,10 +28,12 @@ impl SlotFormat {
 }
 
 /// Bit-level layout of a whole instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstructionFormat {
-    /// One slot per bus.
-    pub slots: Vec<SlotFormat>,
+    /// The layout every move slot shares.
+    pub slot: SlotFormat,
+    /// Move slots: one per bus.
+    pub slots: usize,
     /// Immediate field bits (one short-immediate field per immediate
     /// unit, as in MOVE's long-instruction encoding).
     pub immediate_bits: u32,
@@ -57,26 +59,21 @@ impl InstructionFormat {
             .sum::<usize>()
             + arch.rfs().iter().map(|r| r.nin()).sum::<usize>()
             + 1;
-        let src_bits = bits_for(n_src);
-        let dst_bits = bits_for(n_dst);
-        let slots = vec![
-            SlotFormat {
-                src_bits,
-                dst_bits,
-                guard_bits: 1,
-            };
-            arch.bus_count()
-        ];
         let n_imm = arch.fus_of(FuKind::Immediate).count() as u32;
         InstructionFormat {
-            slots,
+            slot: SlotFormat {
+                src_bits: bits_for(n_src),
+                dst_bits: bits_for(n_dst),
+                guard_bits: 1,
+            },
+            slots: arch.bus_count(),
             immediate_bits: n_imm * arch.width as u32 / 2,
         }
     }
 
     /// Instruction width in bits.
     pub fn width(&self) -> u32 {
-        self.slots.iter().map(SlotFormat::width).sum::<u32>() + self.immediate_bits
+        self.slot.width() * self.slots as u32 + self.immediate_bits
     }
 }
 
@@ -103,11 +100,11 @@ mod tests {
     #[test]
     fn figure9_format_is_plausible() {
         let fmt = InstructionFormat::of(&Architecture::figure9());
-        assert_eq!(fmt.slots.len(), 2);
+        assert_eq!(fmt.slots, 2);
         // Sources: 5 FU outputs + 4 RF reads + idle = 10 -> 4 bits.
-        assert_eq!(fmt.slots[0].src_bits, 4);
+        assert_eq!(fmt.slot.src_bits, 4);
         // Destinations: 2+2+2+2+1 FU inputs + 2 RF writes + idle = 12 -> 4.
-        assert_eq!(fmt.slots[0].dst_bits, 4);
+        assert_eq!(fmt.slot.dst_bits, 4);
         // 2 slots * 9 + 8 immediate bits.
         assert_eq!(fmt.width(), 2 * 9 + 8);
     }
