@@ -52,6 +52,10 @@ impl std::fmt::Display for AsmError {
 
 impl std::error::Error for AsmError {}
 
+/// The most registers one `.rf` may declare: the largest register file
+/// the component model can name.
+const MAX_RF_REGS: u64 = u16::MAX as u64;
+
 fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, AsmError> {
     Err(AsmError {
         line,
@@ -249,7 +253,19 @@ pub fn assemble(text: &str) -> Result<Program, AsmError> {
                         if rfs.iter().any(|r| r.name == name) {
                             return err(line, format!("duplicate .rf `{name}`"));
                         }
-                        let regs = parse_u64(parts.next().unwrap_or(""), line)? as usize;
+                        let regs = parse_u64(parts.next().unwrap_or(""), line)?;
+                        // Checked before the image is sized: the count is
+                        // untrusted text.
+                        if regs > MAX_RF_REGS {
+                            return err(
+                                line,
+                                format!(
+                                    ".rf `{name}`: {regs} registers, more than the \
+                                     {MAX_RF_REGS} a register file can hold"
+                                ),
+                            );
+                        }
+                        let regs = regs as usize;
                         if parts.next() != Some("=") {
                             return err(line, ".rf expects `= v0 v1 …`");
                         }
@@ -446,5 +462,21 @@ imm0:@top -> pc0.jmp
         let p = assemble(".width 8\n.rf rf1 3 = 1\n").unwrap();
         assert_eq!(p.rfs[0].init, vec![1, 0, 0]);
         assert!(assemble(".width 8\n.rf rf1 1 = 1 2\n").is_err());
+    }
+
+    #[test]
+    fn rf_register_count_is_bounded_before_sizing() {
+        let p = assemble(".width 8\n.rf rf1 65535 =\n").unwrap();
+        assert_eq!(p.rfs[0].init.len(), 65_535);
+        for regs in ["65536", "1000000000", "4611686018427387904"] {
+            let e = assemble(&format!(".width 16\n.rf rf1 {regs} =\n")).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert_eq!(
+                e.msg,
+                format!(
+                    ".rf `rf1`: {regs} registers, more than the 65535 a register file can hold"
+                )
+            );
+        }
     }
 }

@@ -664,3 +664,26 @@ fn other_threads_can_write_stderr_while_a_command_runs() {
     );
     assert_eq!(code, std::process::ExitCode::SUCCESS);
 }
+
+/// A register count past what a register file can hold is an assembler
+/// error on its line (exit 1), for `asm` and `sim --program` alike, not
+/// an allocation of the declared size.
+#[test]
+fn an_oversized_rf_is_an_assembler_error_not_a_panic() {
+    let dir = tmpdir("asm-rf");
+    fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("huge-rf.tta");
+    fs::write(&file, ".width 16\n.rf rf1 4611686018427387904 =\n").expect("program file");
+    let path = file.to_str().expect("utf-8 temp path");
+    let expected = format!(
+        "{path}: line 2: .rf `rf1`: 4611686018427387904 registers, more than the 65535 a \
+         register file can hold"
+    );
+    for args in [vec!["asm", path], vec!["sim", "--program", path]] {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let e = run(&args, &mut Vec::new(), &mut Vec::new()).unwrap_err();
+        assert_eq!(e.exit_code, 1, "{args:?}");
+        assert_eq!(e.message, expected, "{args:?}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

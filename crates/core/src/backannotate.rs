@@ -22,76 +22,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use tta_arch::{Architecture, FuInstance, FuKind, RfInstance};
 use tta_atpg::{Atpg, AtpgConfig};
 use tta_dft::march::MarchAlgorithm;
-use tta_netlist::components::{self, Component};
+pub use tta_netlist::components::ComponentKey;
 use tta_netlist::timing;
-
-/// Identity of a pre-designed component (the cache key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ComponentKey {
-    /// ALU at the given width.
-    Alu(u16),
-    /// Comparator.
-    Cmp(u16),
-    /// Multiplier.
-    Mul(u16),
-    /// Register file `(width, regs, nin, nout)`.
-    Rf(u16, u16, u8, u8),
-    /// Load/store unit.
-    LdSt(u16),
-    /// Program counter.
-    Pc(u16),
-    /// Immediate unit.
-    Imm(u16),
-    /// Socket/stage-control group `(width, n_input_ports)`.
-    SocketGroup(u16, u8),
-}
-
-impl ComponentKey {
-    /// The key of the functional-unit component for `kind` at datapath
-    /// width `width` — the single source of the FU→component mapping.
-    fn for_fu(kind: FuKind, width: u16) -> ComponentKey {
-        match kind {
-            FuKind::Alu => ComponentKey::Alu(width),
-            FuKind::Cmp => ComponentKey::Cmp(width),
-            FuKind::Mul => ComponentKey::Mul(width),
-            FuKind::LdSt => ComponentKey::LdSt(width),
-            FuKind::Pc => ComponentKey::Pc(width),
-            FuKind::Immediate => ComponentKey::Imm(width),
-        }
-    }
-
-    /// Generates the component netlist for this key.
-    pub fn generate(self) -> Component {
-        match self {
-            ComponentKey::Alu(w) => components::alu(w as usize),
-            ComponentKey::Cmp(w) => components::cmp(w as usize),
-            ComponentKey::Mul(w) => components::mul(w as usize),
-            ComponentKey::Rf(w, regs, nin, nout) => {
-                components::register_file(w as usize, regs as usize, nin as usize, nout as usize)
-            }
-            ComponentKey::LdSt(w) => components::load_store(w as usize),
-            ComponentKey::Pc(w) => components::pc(w as usize),
-            ComponentKey::Imm(w) => components::immediate(w as usize),
-            ComponentKey::SocketGroup(w, n_in) => {
-                components::socket_group(w as usize, n_in as usize, 5)
-            }
-        }
-    }
-
-    /// Table-1 style display name.
-    pub fn display_name(self) -> String {
-        match self {
-            ComponentKey::Alu(_) => "ALU".into(),
-            ComponentKey::Cmp(_) => "CMP".into(),
-            ComponentKey::Mul(_) => "MUL".into(),
-            ComponentKey::Rf(_, regs, nin, nout) => format!("RF{regs}({nin}w/{nout}r)"),
-            ComponentKey::LdSt(_) => "LD/ST".into(),
-            ComponentKey::Pc(_) => "PC".into(),
-            ComponentKey::Imm(_) => "IMM".into(),
-            ComponentKey::SocketGroup(_, n) => format!("SOCK{n}"),
-        }
-    }
-}
 
 /// The datapath unit a [`Part`] prices.
 #[derive(Debug, Clone, Copy)]
@@ -124,26 +56,23 @@ pub struct Part<'a> {
 impl<'a> Part<'a> {
     fn fu(fu: &'a FuInstance, width: u16) -> Self {
         let input_ports = fu.kind.input_ports();
-        let ports = u8::try_from(input_ports).expect("a functional unit has at most two inputs");
         Part {
             unit: Unit::Fu(fu),
             key: ComponentKey::for_fu(fu.kind, width),
-            socket: ComponentKey::SocketGroup(width, ports),
+            socket: ComponentKey::socket_group(width, input_ports)
+                .expect("a functional unit has at most two inputs"),
             input_ports,
             excluded: matches!(fu.kind, FuKind::LdSt | FuKind::Pc | FuKind::Immediate),
         }
     }
 
-    /// Checked narrowing: `None` when the geometry exceeds the key's
-    /// field widths (>65535 registers or >255 ports) instead of silently
-    /// truncating to a *smaller* RF.
+    /// `None` when the geometry has no key (see
+    /// [`ComponentKey::for_rf`]).
     fn rf(rf: &'a RfInstance, width: u16) -> Option<Self> {
-        let nin = u8::try_from(rf.nin()).ok()?;
-        let nout = u8::try_from(rf.nout()).ok()?;
         Some(Part {
             unit: Unit::Rf(rf),
-            key: ComponentKey::Rf(width, u16::try_from(rf.regs).ok()?, nin, nout),
-            socket: ComponentKey::SocketGroup(width, nin),
+            key: ComponentKey::for_rf(rf, width)?,
+            socket: ComponentKey::socket_group(width, rf.nin())?,
             input_ports: rf.nin(),
             excluded: false,
         })
@@ -166,8 +95,8 @@ impl<'a> Part<'a> {
 /// The parts of `arch` in datapath order — functional units, then
 /// register files — or `None` when `arch` is outside the component
 /// model's domain: its width or a register-file geometry overflows the
-/// [`ComponentKey`] fields (checked narrowing, never a silently
-/// truncated key). Every table-tier cost model, [`keys_of`] and Table 1
+/// [`ComponentKey`] fields, the rule the netlist elaborator applies too.
+/// Every table-tier cost model, [`keys_of`] and Table 1
 /// read an architecture's components from this one walk; it does not
 /// allocate.
 ///
@@ -857,13 +786,5 @@ mod tests {
         hashes.sort_unstable();
         hashes.dedup();
         assert_eq!(hashes.len(), keys.len(), "two keys share a hash");
-    }
-
-    #[test]
-    fn display_names_follow_table1() {
-        assert_eq!(ComponentKey::Alu(8).display_name(), "ALU");
-        assert_eq!(ComponentKey::LdSt(8).display_name(), "LD/ST");
-        assert_eq!(ComponentKey::Rf(8, 12, 1, 2).display_name(), "RF12(1w/2r)");
-        assert_eq!(ComponentKey::SocketGroup(8, 3).display_name(), "SOCK3");
     }
 }

@@ -1361,9 +1361,10 @@ impl<'a> SweepPlan<'a> {
     fn evaluate_point(&self, arch: Architecture) -> PointOutcome {
         let mut workload_cycles = Vec::with_capacity(self.workloads.len());
         let mut spills = 0u32;
+        let admitted = self.schedules.admits(&arch);
         for (i, w) in self.workloads.iter().enumerate() {
             let (trace_cycles, workload_spills) =
-                self.schedules.trace_cycles(&arch, i).ok_or(Some(i))?;
+                self.schedules.lookup(&arch, i, admitted).ok_or(Some(i))?;
             workload_cycles.push(w.application_cycles(trace_cycles));
             spills += workload_spills;
         }

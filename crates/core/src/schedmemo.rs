@@ -89,7 +89,31 @@ impl<'a> ScheduleMemo<'a> {
     ///
     /// Panics when `index` is not a workload of the memo's suite.
     pub fn trace_cycles(&self, arch: &Architecture, index: usize) -> Option<(u32, u32)> {
+        self.lookup(arch, index, self.admits(arch))
+    }
+
+    /// Whether `arch` may be looked up at all. Validity depends on
+    /// instance names and port buses, which the view leaves out, so under
+    /// [`CycleSource::Model`] every point pays for its own check before it
+    /// may share a memoised schedule; a simulated point schedules itself.
+    /// The answer holds for every workload, so a sweep asks once per
+    /// point.
+    pub(crate) fn admits(&self, arch: &Architecture) -> bool {
+        self.source == CycleSource::Simulate || arch.validate().is_ok()
+    }
+
+    /// [`ScheduleMemo::trace_cycles`] given [`ScheduleMemo::admits`]'s
+    /// answer for `arch`: a refused point still counts as one lookup.
+    pub(crate) fn lookup(
+        &self,
+        arch: &Architecture,
+        index: usize,
+        admitted: bool,
+    ) -> Option<(u32, u32)> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
+        if !admitted {
+            return None;
+        }
         let w = &self.workloads[index];
         match self.source {
             CycleSource::Simulate => {
@@ -97,10 +121,6 @@ impl<'a> ScheduleMemo<'a> {
                 Some((executed_cycles(arch, w, &schedule)?, schedule.spills))
             }
             CycleSource::Model => {
-                // Validity depends on instance names and port buses,
-                // which the view leaves out, so every point pays for its
-                // own check before it may share a memoised schedule.
-                arch.validate().ok()?;
                 let view = SchedulerView::with_classes(arch, self.classes[index]);
                 let key = (index, view);
                 let mut hasher = DefaultHasher::new();
@@ -142,4 +162,30 @@ impl<'a> ScheduleMemo<'a> {
 fn executed_cycles(arch: &Architecture, w: &Workload, schedule: &Schedule) -> Option<u32> {
     let trace = tta_sim::run_lowered(arch, &w.dfg, schedule, &w.inputs, &w.mem).ok()?;
     u32::try_from(trace.cycles).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_refused_point_counts_one_lookup_and_no_run() {
+        let suite = [tta_workloads::suite::crypt(1)];
+        let valid = Architecture::figure9();
+        let mut invalid = valid.clone();
+        invalid.fus[1].name = invalid.fus[0].name.clone();
+        let memo = ScheduleMemo::new(&suite, CycleSource::Model);
+        assert!(memo.admits(&valid));
+        assert!(!memo.admits(&invalid));
+        assert_eq!(memo.lookup(&invalid, 0, false), None);
+        assert_eq!(memo.trace_cycles(&invalid, 0), None);
+        let cycles = memo.lookup(&valid, 0, true);
+        assert!(cycles.is_some());
+        assert_eq!(memo.trace_cycles(&valid, 0), cycles);
+        let stats = memo.stats();
+        assert_eq!((stats.lookups, stats.runs), (4, 1));
+        // A simulated point schedules itself, so nothing is refused up
+        // front.
+        assert!(ScheduleMemo::new(&suite, CycleSource::Simulate).admits(&invalid));
+    }
 }

@@ -3,7 +3,7 @@
 //! per Figure 3 (operand register O, trigger register T, result register R).
 
 use crate::builder::NetlistBuilder;
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 
 /// Operations of the generated ALU, encoded in the 3-bit opcode register.
 ///
@@ -156,7 +156,6 @@ pub fn alu(width: usize) -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::Alu,
         netlist,
         width,
         data_in_ports: 2,

@@ -2,7 +2,7 @@
 //! comparison, hybrid-pipelined like the ALU.
 
 use crate::builder::NetlistBuilder;
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 
 /// Comparison predicates of the generated CMP unit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,7 +134,6 @@ pub fn cmp(width: usize) -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::Cmp,
         netlist,
         width,
         data_in_ports: 2,

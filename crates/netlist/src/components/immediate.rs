@@ -2,7 +2,7 @@
 //! the move buses.
 
 use crate::builder::NetlistBuilder;
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 
 /// Builds a `width`-bit immediate unit: a single register loaded from the
 /// instruction word (`imm_in` + `en`) whose output feeds a bus socket.
@@ -17,7 +17,6 @@ pub fn immediate(width: usize) -> Component {
     b.output_word("imm_out", &q);
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::Immediate,
         netlist,
         width,
         data_in_ports: 1,

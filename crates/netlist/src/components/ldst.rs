@@ -6,7 +6,7 @@
 //! full-scan pattern counts in parentheses.
 
 use crate::builder::NetlistBuilder;
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 
 /// Builds a `width`-bit load/store unit.
 ///
@@ -74,7 +74,6 @@ pub fn load_store(width: usize) -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::LoadStore,
         netlist,
         width,
         data_in_ports: 2,

@@ -34,73 +34,94 @@ pub use regfile::register_file;
 pub use socket::{input_socket, output_socket, socket_group};
 pub use stage::stage_control;
 
-use std::fmt;
+use tta_arch::{FuKind, RfInstance};
 
 use crate::netlist::Netlist;
 
-/// The kind of a generated datapath component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ComponentKind {
-    /// Arithmetic-logic unit: add, sub, shifts, and, or, xor, not.
-    Alu,
-    /// Magnitude/equality comparator.
-    Cmp,
-    /// Array multiplier (low half).
-    Mul,
-    /// Register file with `regs` registers, `nin` write and `nout` read
-    /// ports (flip-flop implementation).
-    RegisterFile {
-        /// Number of registers.
-        regs: u16,
-        /// Write (input) ports.
-        nin: u8,
-        /// Read (output) ports.
-        nout: u8,
-    },
-    /// Load/store unit towards data memory.
-    LoadStore,
-    /// Program counter / sequencer.
-    Pc,
-    /// Immediate operand unit.
-    Immediate,
-    /// Input socket (bus → component), Figure 4.
-    InputSocket,
-    /// Output socket (component → bus).
-    OutputSocket,
-    /// Stage-control FSM of the hybrid pipeline, Figure 3.
-    StageControl,
+/// Width of the per-bus socket-address field: every socket group the
+/// annotation database prices and every bus the elaborator cuts decodes
+/// this many bits.
+pub const SOCKET_ID_BITS: usize = 5;
+
+/// Identity of a predesigned component: the annotation database's
+/// record key and the elaborator's netlist-cache key, and through
+/// [`ComponentKey::generate`] the one way to its generator. A unit whose
+/// geometry the fields cannot hold has no key and is outside the
+/// component model; the constructors narrow checked, never to a smaller
+/// component.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum ComponentKey {
+    /// ALU at the given width.
+    Alu(u16),
+    /// Comparator.
+    Cmp(u16),
+    /// Multiplier.
+    Mul(u16),
+    /// Register file `(width, regs, nin, nout)`.
+    Rf(u16, u16, u8, u8),
+    /// Load/store unit.
+    LdSt(u16),
+    /// Program counter.
+    Pc(u16),
+    /// Immediate unit.
+    Imm(u16),
+    /// Socket/stage-control group `(width, n_input_ports)`.
+    SocketGroup(u16, u8),
 }
 
-impl ComponentKind {
-    /// Short mnemonic as used in the paper's Table 1.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            ComponentKind::Alu => "ALU",
-            ComponentKind::Cmp => "CMP",
-            ComponentKind::Mul => "MUL",
-            ComponentKind::RegisterFile { .. } => "RF",
-            ComponentKind::LoadStore => "LD/ST",
-            ComponentKind::Pc => "PC",
-            ComponentKind::Immediate => "IMM",
-            ComponentKind::InputSocket => "ISOCK",
-            ComponentKind::OutputSocket => "OSOCK",
-            ComponentKind::StageControl => "STAGE",
+impl ComponentKey {
+    /// The key of the functional-unit component for `kind` at datapath
+    /// width `width`.
+    #[inline]
+    pub fn for_fu(kind: FuKind, width: u16) -> ComponentKey {
+        match kind {
+            FuKind::Alu => ComponentKey::Alu(width),
+            FuKind::Cmp => ComponentKey::Cmp(width),
+            FuKind::Mul => ComponentKey::Mul(width),
+            FuKind::LdSt => ComponentKey::LdSt(width),
+            FuKind::Pc => ComponentKey::Pc(width),
+            FuKind::Immediate => ComponentKey::Imm(width),
         }
     }
 
-    /// Whether this component is datapath (tested functionally through the
-    /// buses) rather than transport infrastructure (tested via scan).
-    pub fn is_datapath(&self) -> bool {
-        !matches!(
-            self,
-            ComponentKind::InputSocket | ComponentKind::OutputSocket | ComponentKind::StageControl
-        )
+    /// The key of register file `rf` at datapath width `width`, or
+    /// `None` when it has more than 65,535 registers or 255 ports of
+    /// either kind.
+    #[inline]
+    pub fn for_rf(rf: &RfInstance, width: u16) -> Option<ComponentKey> {
+        Some(ComponentKey::Rf(
+            width,
+            u16::try_from(rf.regs).ok()?,
+            u8::try_from(rf.nin()).ok()?,
+            u8::try_from(rf.nout()).ok()?,
+        ))
     }
-}
 
-impl fmt::Display for ComponentKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
+    /// The key of the socket group serving `input_ports` input ports at
+    /// datapath width `width`, or `None` past 255 ports.
+    #[inline]
+    pub fn socket_group(width: u16, input_ports: usize) -> Option<ComponentKey> {
+        u8::try_from(input_ports)
+            .ok()
+            .map(|ports| ComponentKey::SocketGroup(width, ports))
+    }
+
+    /// Generates the component netlist for this key.
+    pub fn generate(self) -> Component {
+        match self {
+            ComponentKey::Alu(w) => alu(w.into()),
+            ComponentKey::Cmp(w) => cmp(w.into()),
+            ComponentKey::Mul(w) => mul(w.into()),
+            ComponentKey::Rf(w, regs, nin, nout) => {
+                register_file(w.into(), regs.into(), nin.into(), nout.into())
+            }
+            ComponentKey::LdSt(w) => load_store(w.into()),
+            ComponentKey::Pc(w) => pc(w.into()),
+            ComponentKey::Imm(w) => immediate(w.into()),
+            ComponentKey::SocketGroup(w, n_in) => {
+                socket_group(w.into(), n_in.into(), SOCKET_ID_BITS)
+            }
+        }
     }
 }
 
@@ -108,8 +129,6 @@ impl fmt::Display for ComponentKind {
 /// architecture and test-cost models consume.
 #[derive(Debug, Clone)]
 pub struct Component {
-    /// What this component is.
-    pub kind: ComponentKind,
     /// The gate-level implementation.
     pub netlist: Netlist,
     /// Data width in bits.
@@ -149,21 +168,6 @@ impl Component {
     }
 }
 
-impl fmt::Display for Component {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} ({}-bit, {} in / {} out ports, {:.0} GE, {} FFs)",
-            self.kind,
-            self.width,
-            self.data_in_ports,
-            self.data_out_ports,
-            self.area(),
-            self.netlist.dff_count()
-        )
-    }
-}
-
 /// Number of address bits needed for `n` registers (at least 1).
 pub(crate) fn addr_bits(n: usize) -> usize {
     debug_assert!(n >= 1);
@@ -198,15 +202,8 @@ mod tests {
             stage_control(),
         ];
         for c in &comps {
-            assert_eq!(c.netlist.validate(), Ok(()), "{}", c.kind);
-            assert!(c.area() > 0.0, "{}", c.kind);
+            assert_eq!(c.netlist.validate(), Ok(()), "{}", c.netlist.name());
+            assert!(c.area() > 0.0, "{}", c.netlist.name());
         }
-    }
-
-    #[test]
-    fn datapath_classification() {
-        assert!(ComponentKind::Alu.is_datapath());
-        assert!(!ComponentKind::InputSocket.is_datapath());
-        assert!(!ComponentKind::StageControl.is_datapath());
     }
 }

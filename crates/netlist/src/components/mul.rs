@@ -2,7 +2,7 @@
 //! multipliers, see the paper's Figure 1 caption).
 
 use crate::builder::NetlistBuilder;
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 
 /// Builds a `width`-bit array multiplier producing the low `width` bits of
 /// `o * t`, hybrid-pipelined (O, T, R registers; no opcode — a MUL unit
@@ -51,7 +51,6 @@ pub fn mul(width: usize) -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::Mul,
         netlist,
         width,
         data_in_ports: 2,

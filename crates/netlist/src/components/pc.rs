@@ -1,7 +1,7 @@
 //! Program counter / instruction sequencer (Figure 9).
 
 use crate::builder::NetlistBuilder;
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 
 /// Builds a `width`-bit program counter.
 ///
@@ -48,7 +48,6 @@ pub fn pc(width: usize) -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::Pc,
         netlist,
         width,
         data_in_ports: 2,

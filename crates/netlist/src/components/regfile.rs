@@ -8,7 +8,7 @@
 //! comparison of Table 1.
 
 use crate::builder::NetlistBuilder;
-use crate::components::{addr_bits, Component, ComponentKind};
+use crate::components::{addr_bits, Component};
 
 /// Builds a register file with `regs` registers of `width` bits, `nin`
 /// write ports and `nout` read ports.
@@ -94,11 +94,6 @@ pub fn register_file(width: usize, regs: usize, nin: usize, nout: usize) -> Comp
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::RegisterFile {
-            regs: regs as u16,
-            nin: nin as u8,
-            nout: nout as u8,
-        },
         netlist,
         width,
         data_in_ports: nin,

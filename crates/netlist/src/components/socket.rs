@@ -4,7 +4,7 @@
 //! data between the bus and the component.
 
 use crate::builder::{NetlistBuilder, Word};
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 use crate::netlist::NetId;
 
 /// Emits the socket-ID comparator of Figure 4: `addr` matched against the
@@ -154,7 +154,6 @@ pub fn input_socket(width: usize, id_bits: usize, id_value: u64) -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::InputSocket,
         netlist,
         width,
         data_in_ports: 1,
@@ -187,7 +186,6 @@ pub fn output_socket(width: usize, id_bits: usize, id_value: u64) -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::OutputSocket,
         netlist,
         width,
         data_in_ports: 1,
@@ -239,7 +237,6 @@ pub fn socket_group(width: usize, n_inputs: usize, id_bits: usize) -> Component 
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::InputSocket,
         netlist,
         width,
         data_in_ports: n_inputs,

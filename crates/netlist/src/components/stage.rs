@@ -6,7 +6,7 @@
 //! consecutive operations of the same FU retire in order.
 
 use crate::builder::NetlistBuilder;
-use crate::components::{Component, ComponentKind};
+use crate::components::Component;
 
 /// Builds the stage-control FSM.
 ///
@@ -54,7 +54,6 @@ pub fn stage_control() -> Component {
 
     let netlist = b.finish();
     Component {
-        kind: ComponentKind::StageControl,
         netlist,
         width: 1,
         data_in_ports: 0,

@@ -11,18 +11,24 @@
 //! distribution) and a structural Verilog export can run on the design the
 //! sweep actually selected.
 //!
+//! Each unit's netlist is its [`ComponentKey`]'s, the component the
+//! annotation database prices; an architecture with a unit the key cannot
+//! name is refused ([`ElaborateError::OutOfModel`]), as the table-tier
+//! cost models refuse it.
+//!
 //! # Boundary model
 //!
 //! The instruction-fetch/decode path is not elaborated (the paper costs
 //! the control store analytically). Each move bus is therefore cut at its
 //! decoded interface: primary inputs `bus{b}_data[width]`,
-//! `bus{b}_addr[5]` and `bus{b}_valid` carry the decoded move, and primary
-//! outputs `bus{b}_result[width]` / `bus{b}_drive` expose the OR-merged
-//! result traffic. Component pins with no architectural binding (ALU
-//! opcodes, RF register addresses, memory data pins, …) are promoted to
-//! primary ports named `{instance}_{pin}`, which keeps every generated
-//! gate observable — the lint pass holds elaborated points to the same
-//! zero-diagnostic bar as the standalone component generators.
+//! `bus{b}_addr[SOCKET_ID_BITS]` and `bus{b}_valid` carry the decoded
+//! move, and primary outputs `bus{b}_result[width]` / `bus{b}_drive`
+//! expose the OR-merged result traffic. Component pins with no
+//! architectural binding (ALU opcodes, RF register addresses, memory data
+//! pins, …) are promoted to primary ports named `{instance}_{pin}`, which
+//! keeps every generated gate observable — the lint pass holds elaborated
+//! points to the same zero-diagnostic bar as the standalone component
+//! generators.
 //!
 //! # Incremental re-elaboration
 //!
@@ -40,18 +46,19 @@ use tta_arch::{Architecture, ArchitectureError, FuInstance, FuKind, RfInstance};
 
 use crate::builder::{BuildError, BuilderMark, NetlistBuilder, Word};
 use crate::components::socket::{emit_id_match, emit_socket_group_front, SocketTap};
-use crate::components::{self};
+use crate::components::ComponentKey;
+pub use crate::components::SOCKET_ID_BITS;
 use crate::netlist::{NetDriver, NetId, Netlist};
-
-/// Width of the per-bus socket-address field, matching the back-annotation
-/// flow's socket-group parameterisation.
-pub const SOCKET_ID_BITS: usize = 5;
 
 /// Errors reported by [`elaborate`] / [`IncrementalElaborator::advance`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ElaborateError {
     /// The architecture fails its own structural validation.
     Architecture(ArchitectureError),
+    /// A unit of the named architecture has no [`ComponentKey`]: its
+    /// width or a register-file geometry overflows the key's fields, the
+    /// same domain the table-tier cost models price.
+    OutOfModel(String),
     /// The stitched netlist fails to finalise (never expected from the
     /// shipped generators; indicates a broken custom component).
     Build(BuildError),
@@ -61,6 +68,9 @@ impl fmt::Display for ElaborateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ElaborateError::Architecture(e) => write!(f, "invalid architecture: {e}"),
+            ElaborateError::OutOfModel(name) => {
+                write!(f, "{name} is outside the component model")
+            }
             ElaborateError::Build(e) => write!(f, "elaboration failed: {e}"),
         }
     }
@@ -85,7 +95,8 @@ impl From<BuildError> for ElaborateError {
 /// # Errors
 ///
 /// Returns an [`ElaborateError`] if the architecture is structurally
-/// invalid or the stitched netlist cannot be finalised.
+/// invalid, has a unit outside the component model, or the stitched
+/// netlist cannot be finalised.
 pub fn elaborate(arch: &Architecture) -> Result<Netlist, ElaborateError> {
     IncrementalElaborator::new().advance(arch)
 }
@@ -111,8 +122,8 @@ struct BusDrive {
 #[derive(Clone, PartialEq, Eq)]
 enum SegmentKey {
     Prologue { width: usize, buses: usize },
-    Fu(FuInstance),
-    Rf(RfInstance),
+    Fu(FuInstance, ComponentKey),
+    Rf(RfInstance, ComponentKey),
 }
 
 struct Segment {
@@ -120,18 +131,6 @@ struct Segment {
     /// Builder extent *before* this segment was emitted.
     mark: BuilderMark,
     drives: Vec<BusDrive>,
-}
-
-/// Cache key for generated component netlists (shared across points).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum CompKey {
-    Fu(FuKind, usize),
-    Rf {
-        width: usize,
-        regs: usize,
-        nin: usize,
-        nout: usize,
-    },
 }
 
 /// Incrementally re-elaborates a sequence of architectures, reusing the
@@ -152,8 +151,8 @@ pub struct IncrementalElaborator {
     taps: Vec<BusTapNets>,
     /// Builder extent before the bus fabric + output epilogue.
     fabric_mark: Option<BuilderMark>,
-    /// Generated component netlists, keyed by their parameters.
-    comp_cache: HashMap<CompKey, Netlist>,
+    /// Generated component netlists, shared across points.
+    comp_cache: HashMap<ComponentKey, Netlist>,
     /// How many segments the last `advance` reused unchanged.
     last_reused: usize,
     /// How many segments the last `advance` (re-)emitted.
@@ -198,6 +197,24 @@ impl IncrementalElaborator {
     /// Returns an [`ElaborateError`] exactly like [`elaborate`].
     pub fn advance(&mut self, arch: &Architecture) -> Result<Netlist, ElaborateError> {
         arch.validate()?;
+        // Desired segment sequence for this architecture, each unit with
+        // the key of its component.
+        let out_of_model = || ElaborateError::OutOfModel(arch.name.clone());
+        let width = u16::try_from(arch.width).map_err(|_| out_of_model())?;
+        let mut want: Vec<SegmentKey> = Vec::with_capacity(1 + arch.fus.len() + arch.rfs.len());
+        want.push(SegmentKey::Prologue {
+            width: arch.width,
+            buses: arch.buses,
+        });
+        for fu in &arch.fus {
+            let key = ComponentKey::for_fu(fu.kind, width);
+            want.push(SegmentKey::Fu(fu.clone(), key));
+        }
+        for rf in &arch.rfs {
+            let key = ComponentKey::for_rf(rf, width).ok_or_else(out_of_model)?;
+            want.push(SegmentKey::Rf(rf.clone(), key));
+        }
+
         // The design name tracks the point, not the structure.
         self.builder.set_name(arch.name.clone());
 
@@ -206,15 +223,6 @@ impl IncrementalElaborator {
         if let Some(mark) = self.fabric_mark.take() {
             self.builder.rewind(mark);
         }
-
-        // Desired segment sequence for this architecture.
-        let mut want: Vec<SegmentKey> = Vec::with_capacity(1 + arch.fus.len() + arch.rfs.len());
-        want.push(SegmentKey::Prologue {
-            width: arch.width,
-            buses: arch.buses,
-        });
-        want.extend(arch.fus.iter().cloned().map(SegmentKey::Fu));
-        want.extend(arch.rfs.iter().cloned().map(SegmentKey::Rf));
 
         // Longest common prefix with what is already built.
         let mut keep = 0;
@@ -239,18 +247,13 @@ impl IncrementalElaborator {
                     self.taps = emit_prologue(&mut self.builder, *width, *buses);
                     Vec::new()
                 }
-                SegmentKey::Fu(fu) => {
-                    let comp = self.component(CompKey::Fu(fu.kind, arch.width));
-                    emit_fu(&mut self.builder, &self.taps, fu, &comp)
+                SegmentKey::Fu(fu, comp) => {
+                    let comp = component(&mut self.comp_cache, *comp);
+                    emit_fu(&mut self.builder, &self.taps, fu, comp)
                 }
-                SegmentKey::Rf(rf) => {
-                    let comp = self.component(CompKey::Rf {
-                        width: arch.width,
-                        regs: rf.regs,
-                        nin: rf.nin(),
-                        nout: rf.nout(),
-                    });
-                    emit_rf(&mut self.builder, &self.taps, rf, &comp)
+                SegmentKey::Rf(rf, comp) => {
+                    let comp = component(&mut self.comp_cache, *comp);
+                    emit_rf(&mut self.builder, &self.taps, rf, comp)
                 }
             };
             self.segments.push(Segment { key, mark, drives });
@@ -264,28 +267,11 @@ impl IncrementalElaborator {
 
         Ok(self.builder.try_finish()?)
     }
+}
 
-    fn component(&mut self, key: CompKey) -> Netlist {
-        self.comp_cache
-            .entry(key)
-            .or_insert_with(|| match key {
-                CompKey::Fu(kind, width) => match kind {
-                    FuKind::Alu => components::alu(width).netlist,
-                    FuKind::Cmp => components::cmp(width).netlist,
-                    FuKind::Mul => components::mul(width).netlist,
-                    FuKind::LdSt => components::load_store(width).netlist,
-                    FuKind::Pc => components::pc(width).netlist,
-                    FuKind::Immediate => components::immediate(width).netlist,
-                },
-                CompKey::Rf {
-                    width,
-                    regs,
-                    nin,
-                    nout,
-                } => components::register_file(width, regs, nin, nout).netlist,
-            })
-            .clone()
-    }
+/// The netlist of `key`'s component, generated on first use.
+fn component(cache: &mut HashMap<ComponentKey, Netlist>, key: ComponentKey) -> &Netlist {
+    cache.entry(key).or_insert_with(|| key.generate().netlist)
 }
 
 /// Declares the decoded-move interface of every bus.
@@ -600,6 +586,20 @@ mod tests {
             elaborate(&a),
             Err(ElaborateError::Architecture(_))
         ));
+        // A unit the component key cannot name is out of model, and a
+        // refused point leaves the elaborator as it was.
+        let mut regs = Architecture::figure9();
+        regs.rfs[1].regs = 70_000;
+        let mut width = Architecture::figure9();
+        width.width = 70_000;
+        let mut inc = IncrementalElaborator::new();
+        let base = inc.advance(&Architecture::figure9()).unwrap().dump();
+        for arch in [regs, width] {
+            let refused = inc.advance(&arch).err();
+            assert_eq!(refused, Some(ElaborateError::OutOfModel("figure9".into())));
+        }
+        assert_eq!(inc.advance(&Architecture::figure9()).unwrap().dump(), base);
+        assert_eq!(inc.last_emitted(), 0);
     }
 
     #[test]
