@@ -15,7 +15,9 @@
 //! alu0.r -> rf1[2]
 //! ```
 //!
-//! * `.width`, `.rf`, `.mem`, `.out` mirror the [`Program`] fields;
+//! * `.width`, `.rf`, `.mem`, `.out` mirror the [`Program`] fields; an
+//!   `.rf` holds 1–65,535 registers, and an `.out` may read only a
+//!   register its file's `.rf` declares;
 //! * a move is `src -> dst`; sources are `rf[reg]`, `fu.r` (result)
 //!   or `imm0:42` (a constant riding an immediate unit); destinations
 //!   are `fu.o` (operand), `fu.<opcode>` (trigger) or `rf[reg]`;
@@ -220,7 +222,9 @@ pub fn assemble(text: &str) -> Result<Program, AsmError> {
     let mut width: Option<u32> = None;
     let mut rfs: Vec<RfImage> = Vec::new();
     let mut mem: Vec<u64> = Vec::new();
-    let mut outputs: Vec<OutputLoc> = Vec::new();
+    // Each output with its line, checked against the `.rf` images once
+    // all of them are declared.
+    let mut outputs: Vec<(usize, OutputLoc)> = Vec::new();
     let mut instructions: Vec<Vec<MoveOp>> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -265,6 +269,9 @@ pub fn assemble(text: &str) -> Result<Program, AsmError> {
                                 ),
                             );
                         }
+                        if regs == 0 {
+                            return err(line, format!(".rf `{name}`: no registers"));
+                        }
                         let regs = regs as usize;
                         if parts.next() != Some("=") {
                             return err(line, ".rf expects `= v0 v1 …`");
@@ -297,7 +304,7 @@ pub fn assemble(text: &str) -> Result<Program, AsmError> {
                     Some("out") => {
                         for tok in parts {
                             match parse_indexed(tok, line)? {
-                                Some((rf, reg)) => outputs.push(OutputLoc { rf, reg }),
+                                Some((rf, reg)) => outputs.push((line, OutputLoc { rf, reg })),
                                 None => {
                                     return err(
                                         line,
@@ -332,6 +339,21 @@ pub fn assemble(text: &str) -> Result<Program, AsmError> {
     let Some(width) = width else {
         return err(text.lines().count().max(1), "missing .width directive");
     };
+    for (line, out) in &outputs {
+        if let Some(rf) = rfs
+            .iter()
+            .find(|rf| rf.name == out.rf && rf.regs <= out.reg)
+        {
+            return err(
+                *line,
+                format!(
+                    ".out `{}[{}]`: .rf `{}` has {} registers",
+                    out.rf, out.reg, rf.name, rf.regs
+                ),
+            );
+        }
+    }
+    let outputs = outputs.into_iter().map(|(_, out)| out).collect();
     Ok(Program {
         width,
         rfs,
@@ -478,5 +500,29 @@ imm0:@top -> pc0.jmp
                 )
             );
         }
+    }
+
+    #[test]
+    fn an_rf_without_registers_is_rejected() {
+        let e = assemble(".width 16\n.rf rf1 0 =\n.out rf1[0]\n-\n").unwrap_err();
+        assert_eq!((e.line, e.msg.as_str()), (2, ".rf `rf1`: no registers"));
+    }
+
+    #[test]
+    fn an_output_past_its_declared_rf_is_rejected() {
+        for src in [
+            ".width 16\n.rf rf1 2 =\n.out rf1[5]\n-\n",
+            // The check holds whichever directive comes first.
+            ".width 16\n.out rf1[0] rf1[5]\n.rf rf1 2 =\n-\n",
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!(e.msg, ".out `rf1[5]`: .rf `rf1` has 2 registers", "{src}");
+        }
+        let e = assemble(".width 16\n.rf rf1 2 =\n.out rf1[2]\n").unwrap_err();
+        assert_eq!(e.line, 3);
+        // The last register, and a file the program declares no image
+        // for, are accepted.
+        let p = assemble(".width 16\n.rf rf1 2 =\n.out rf1[1] rf2[7]\n").unwrap();
+        assert_eq!(p.outputs.len(), 2);
     }
 }

@@ -11,7 +11,9 @@ const RFS: [&str; 2] = ["rf1", "rf2"];
 
 /// Deterministically expands generated tuples into a (syntactically
 /// arbitrary, not necessarily executable) program — round-trip is a
-/// purely textual property.
+/// purely textual property. The assembler does check each `.rf` against
+/// its `.out` locations, so every image has a register and every output
+/// names one of its file's registers.
 #[allow(clippy::type_complexity)]
 fn build_program(
     width: u32,
@@ -52,6 +54,7 @@ fn build_program(
             instructions.push(Vec::new());
         }
     }
+    let regs = [rf1_init.len(), rf2_init.len()];
     Program {
         width,
         rfs: vec![
@@ -69,9 +72,12 @@ fn build_program(
         mem,
         outputs: outs
             .into_iter()
-            .map(|(rf, reg)| OutputLoc {
-                rf: RFS[rf as usize % RFS.len()].to_string(),
-                reg,
+            .map(|(rf, reg)| {
+                let rf = rf as usize % RFS.len();
+                OutputLoc {
+                    rf: RFS[rf].to_string(),
+                    reg: reg % regs[rf],
+                }
             })
             .collect(),
         instructions,
@@ -84,8 +90,8 @@ proptest! {
     #[test]
     fn assemble_inverts_disassemble(
         width in 2u32..=64,
-        rf1_init in proptest::collection::vec(0u64..70000, 0..8),
-        rf2_init in proptest::collection::vec(0u64..70000, 0..8),
+        rf1_init in proptest::collection::vec(0u64..70000, 1..8),
+        rf2_init in proptest::collection::vec(0u64..70000, 1..8),
         mem in proptest::collection::vec(0u64..70000, 0..12),
         outs in proptest::collection::vec((0u8..2, 0usize..8), 0..4),
         moves in proptest::collection::vec(

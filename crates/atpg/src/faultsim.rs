@@ -22,7 +22,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use tta_netlist::netlist::Fanout;
-use tta_netlist::{GateId, NetId, Netlist, Simulator};
+use tta_netlist::{sim, GateId, NetId, Netlist};
 
 use crate::fault::{Fault, FaultSite};
 use crate::pattern::{Pattern, PatternBatch};
@@ -49,7 +49,6 @@ pub struct FaultSimulator {
     single_reader: Vec<Option<(GateId, u8)>>,
     /// Topological position of every gate (for ordered event processing).
     topo_pos: Vec<u32>,
-    sim: Simulator,
     /// Per-net flag: is this net a view observe point?
     observed: Vec<bool>,
     // --- scratch (reused across stems) ---
@@ -73,7 +72,6 @@ impl FaultSimulator {
         for (pos, gid) in nl.topo_order().iter().enumerate() {
             topo_pos[gid.index()] = pos as u32;
         }
-        let sim = Simulator::new(&nl);
         let nets = nl.net_count();
         let gates = nl.gate_count();
         let mut observed = vec![false; nets];
@@ -96,7 +94,6 @@ impl FaultSimulator {
             fanout,
             single_reader,
             topo_pos,
-            sim,
             observed,
             faulty: vec![0; nets],
             touched: Vec::with_capacity(64),
@@ -120,7 +117,7 @@ impl FaultSimulator {
     /// word of every net, with an empty stem memo.
     pub fn good_values(&self, batch: &PatternBatch) -> GoodValues {
         let (pi, state) = self.view.split_assignment(&batch.words);
-        let values = self.sim.eval(&self.nl, pi, state);
+        let values = sim::eval(&self.nl, pi, state);
         GoodValues {
             stem_obs: vec![None; values.len()],
             values,

@@ -10,7 +10,7 @@ use tta_atpg::pattern::{Pattern, PatternBatch};
 use tta_atpg::podem::{Podem, PodemOutcome};
 use tta_atpg::v5::V3;
 use tta_atpg::{CombView, FaultSimulator};
-use tta_netlist::{components, GateKind, NetId, Netlist, NetlistBuilder, Simulator};
+use tta_netlist::{components, sim, GateKind, NetId, Netlist, NetlistBuilder};
 
 /// Deterministically builds a random DAG circuit from a seed.
 fn random_circuit(seed: u64, n_inputs: usize, n_gates: usize) -> Netlist {
@@ -66,10 +66,9 @@ fn random_circuit(seed: u64, n_inputs: usize, n_gates: usize) -> Netlist {
 /// 64 slots of `words` at once. Returns the slots in which some observe
 /// point differs from the fault-free circuit.
 fn brute_force_mask(nl: &Netlist, fault: Fault, words: &[u64]) -> u64 {
-    let sim = Simulator::new(nl);
     let view = CombView::full_scan(nl);
     let (pi, state) = view.split_assignment(words);
-    let good = sim.eval(nl, pi, state);
+    let good = sim::eval(nl, pi, state);
     let forced = if fault.stuck { u64::MAX } else { 0 };
     let mut faulty = good.clone();
     if let FaultSite::Net(fnet) = fault.site {

@@ -687,3 +687,34 @@ fn an_oversized_rf_is_an_assembler_error_not_a_panic() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A register file without registers, or an output past the registers
+/// its `.rf` declares, is an assembler error on its line (exit 1): the
+/// simulator never reads a register the program did not declare.
+#[test]
+fn a_degenerate_rf_or_output_is_an_assembler_error() {
+    let dir = tmpdir("asm-degenerate-rf");
+    fs::create_dir_all(&dir).expect("temp dir");
+    let cases = [
+        (
+            "empty-rf.tta",
+            ".width 16\n.rf rf1 0 =\n.out rf1[0]\n-\n",
+            "line 2: .rf `rf1`: no registers",
+        ),
+        (
+            "out-past-rf.tta",
+            ".width 16\n.rf rf1 2 =\n.out rf1[5]\n-\n",
+            "line 3: .out `rf1[5]`: .rf `rf1` has 2 registers",
+        ),
+    ];
+    for (name, text, msg) in cases {
+        let file = dir.join(name);
+        fs::write(&file, text).expect("program file");
+        let path = file.to_str().expect("utf-8 temp path");
+        let args = ["sim", "--program", path].map(String::from);
+        let e = run(&args, &mut Vec::new(), &mut Vec::new()).unwrap_err();
+        assert_eq!(e.exit_code, 1, "{name}");
+        assert_eq!(e.message, format!("{path}: {msg}"));
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -8,22 +8,22 @@
 //! [`ComponentDb`] lazily generates each component netlist, runs ATPG
 //! (march tests for register-file storage), and caches the record — so a
 //! whole design-space sweep pays for each distinct component once. The
-//! cache is interior-mutable (`RwLock` over `Arc`ed records), so a shared
-//! `&ComponentDb` serves many sweep threads concurrently, and each key is
-//! annotated exactly once however many threads ask for it at the same
-//! time (see [`ComponentDb::warm`]).
+//! records live in the engine's compute-once memo (`OnceMap`), so a
+//! shared `&ComponentDb` serves many sweep threads concurrently, and each
+//! key is annotated exactly once however many threads ask for it at the
+//! same time (see [`ComponentDb::warm`]).
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::Arc;
 
 use tta_arch::{Architecture, FuInstance, FuKind, RfInstance};
 use tta_atpg::{Atpg, AtpgConfig};
 use tta_dft::march::MarchAlgorithm;
 pub use tta_netlist::components::ComponentKey;
 use tta_netlist::timing;
+
+use crate::memo::{OnceMap, Ready};
 
 /// The datapath unit a [`Part`] prices.
 #[derive(Debug, Clone, Copy)]
@@ -167,43 +167,6 @@ pub struct ComponentRecord {
     pub nconn: usize,
 }
 
-/// FxHash-style multiply-rotate hasher for the record map. A fold looks
-/// up every component of a point, and SipHash's per-lookup setup would
-/// be most of that cost; the handful of small enum keys needs no more
-/// hash quality than this. The map is never iterated, so nothing
-/// observable depends on the hash.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The annotated records, keyed by component.
-type RecordMap = HashMap<ComponentKey, Arc<ComponentRecord>, BuildHasherDefault<KeyHasher>>;
-
 /// Stand-in for a record a fold reads before it is annotated: the
 /// fold's value is discarded and the fold runs again once the key is
 /// annotated, so these numbers never reach a result.
@@ -224,14 +187,14 @@ static COLD: ComponentRecord = ComponentRecord {
 /// reference; a key that is not annotated yet reads as a placeholder
 /// and is noted, so the database can annotate it and fold again.
 pub(crate) struct Records<'a> {
-    cache: &'a RecordMap,
+    ready: Ready<'a, ComponentKey, Arc<ComponentRecord>>,
     cold: RefCell<Vec<ComponentKey>>,
 }
 
 impl<'a> Records<'a> {
     /// The record for `key`.
     pub(crate) fn get(&self, key: ComponentKey) -> &'a ComponentRecord {
-        match self.cache.get(&key) {
+        match self.ready.get(&key) {
             Some(record) => record,
             None => {
                 self.cold.borrow_mut().push(key);
@@ -246,41 +209,19 @@ impl<'a> Records<'a> {
 /// March-tested register files use [`MarchAlgorithm::march_cminus`] by
 /// default; the algorithm is configurable for the eq.-(12) ablation.
 ///
-/// The cache is interior-mutable: [`ComponentDb::get`] takes `&self`, so
-/// a single database can be shared (by reference) across sweep threads.
-/// Concurrent first accesses never duplicate work: the first asker
-/// claims a key and annotates it, and every other asker waits for that
-/// record (after annotating whatever unclaimed keys it needs itself).
+/// The records are interior-mutable: [`ComponentDb::get`] takes `&self`,
+/// so a single database can be shared (by reference) across sweep
+/// threads. Each record is one cell of a `OnceMap`, so concurrent first
+/// accesses never duplicate work: the first asker annotates a key and
+/// every other asker waits for that record. An annotation that panics
+/// leaves its cell empty, and the next asker annotates the key.
 #[derive(Debug)]
 pub struct ComponentDb {
     atpg: Atpg,
     march: MarchAlgorithm,
-    cache: RwLock<RecordMap>,
-    // Keys some thread is annotating right now; `annotated` wakes the
-    // threads waiting for one of them.
-    claimed: Mutex<HashSet<ComponentKey>>,
-    annotated: Condvar,
-    // Annotations computed so far (one per key, barring a panic).
+    records: OnceMap<ComponentKey, Arc<ComponentRecord>>,
+    // Annotations started so far (one per key, barring a panic).
     annotations: AtomicUsize,
-}
-
-/// Releases a key claim when its annotation ends — also when the
-/// annotation panics, so a waiter claims the key again instead of
-/// waiting forever.
-struct Claim<'a> {
-    db: &'a ComponentDb,
-    key: ComponentKey,
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        self.db
-            .claimed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&self.key);
-        self.db.annotated.notify_all();
-    }
 }
 
 impl Default for ComponentDb {
@@ -305,9 +246,7 @@ impl ComponentDb {
         ComponentDb {
             atpg: Atpg::new(atpg_config),
             march,
-            cache: RwLock::new(RecordMap::default()),
-            claimed: Mutex::new(HashSet::new()),
-            annotated: Condvar::new(),
+            records: OnceMap::default(),
             annotations: AtomicUsize::new(0),
         }
     }
@@ -333,12 +272,7 @@ impl ComponentDb {
 
     /// Fetches (computing and caching on first use) the record for `key`.
     pub fn get(&self, key: ComponentKey) -> Arc<ComponentRecord> {
-        if let Some(rec) = self.cache.read().expect("db lock").get(&key) {
-            return Arc::clone(rec);
-        }
-        self.warm([key]);
-        let cache = self.cache.read().expect("db lock");
-        Arc::clone(cache.get(&key).expect("warm annotates every key"))
+        self.records.get_or_init(key, || self.annotate(key))
     }
 
     /// Runs `fold` over the annotated records under a single read lock:
@@ -349,90 +283,50 @@ impl ComponentDb {
     /// real records.
     pub(crate) fn fold<T>(&self, fold: impl Fn(&Records<'_>) -> T) -> T {
         loop {
-            let cold = {
-                let cache = self.cache.read().expect("db lock");
+            let pass = self.records.read(|ready| {
                 let records = Records {
-                    cache: &cache,
+                    ready,
                     cold: RefCell::new(Vec::new()),
                 };
                 let value = fold(&records);
                 let cold = records.cold.into_inner();
                 if cold.is_empty() {
-                    return value;
+                    Ok(value)
+                } else {
+                    Err(cold)
                 }
-                cold
-            };
-            self.warm(cold);
+            });
+            match pass {
+                Ok(value) => return value,
+                Err(cold) => self.warm(cold),
+            }
         }
     }
 
     /// Whether `key` has already been annotated.
     pub fn contains(&self, key: ComponentKey) -> bool {
-        self.cache.read().expect("db lock").contains_key(&key)
+        self.records.read(|ready| ready.get(&key).is_some())
     }
 
     /// Annotates every key in `keys` that is not cached yet, and returns
     /// once all of them are. Each key is annotated exactly once across
-    /// threads: a key another thread is annotating is skipped, so this
-    /// thread moves on to keys nobody has claimed, and only at the end
-    /// waits for the skipped ones.
+    /// threads: a key whose cell another thread inserted is skipped, so
+    /// this thread moves on to keys nobody has taken, and only at the end
+    /// waits for the skipped ones (annotating one itself if its first
+    /// annotation panicked).
     pub fn warm(&self, keys: impl IntoIterator<Item = ComponentKey>) {
         let mut skipped = Vec::new();
         for key in keys {
-            match self.claim(key) {
-                Some(claim) => self.annotate(claim),
-                None => skipped.push(key),
+            match self.records.cell(key) {
+                (cell, true) => {
+                    cell.get_or_init(|| self.annotate(key));
+                }
+                (_, false) => skipped.push(key),
             }
         }
         for key in skipped {
-            // Still cold once its claim is released means the annotating
-            // thread panicked: the key is claimed again, here or
-            // elsewhere.
-            while !self.contains(key) {
-                match self.claim(key) {
-                    Some(claim) => self.annotate(claim),
-                    None => self.wait_for(key),
-                }
-            }
+            self.get(key);
         }
-    }
-
-    /// Blocks while another thread holds the claim on `key`.
-    fn wait_for(&self, key: ComponentKey) {
-        let mut claimed = self.claimed.lock().unwrap_or_else(PoisonError::into_inner);
-        while claimed.contains(&key) {
-            claimed = self
-                .annotated
-                .wait(claimed)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Claims `key` for annotation; `None` when it is cached already or
-    /// another thread holds the claim. The cache is checked under the
-    /// claim lock, and an annotation is cached before its claim is
-    /// released, so a key is never claimed twice.
-    fn claim(&self, key: ComponentKey) -> Option<Claim<'_>> {
-        if self.contains(key) {
-            return None;
-        }
-        let mut claimed = self.claimed.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.contains(key) || !claimed.insert(key) {
-            return None;
-        }
-        Some(Claim { db: self, key })
-    }
-
-    /// Annotates a claimed key outside every lock (annotation can take
-    /// seconds, and other keys must stay readable meanwhile), caches the
-    /// record, then releases the claim.
-    fn annotate(&self, claim: Claim<'_>) {
-        let record = Arc::new(self.compute(claim.key));
-        self.annotations.fetch_add(1, Ordering::Relaxed);
-        self.cache
-            .write()
-            .expect("db lock")
-            .insert(claim.key, record);
     }
 
     /// Annotations computed so far.
@@ -443,7 +337,7 @@ impl ComponentDb {
 
     /// Number of distinct components annotated so far.
     pub fn len(&self) -> usize {
-        self.cache.read().expect("db lock").len()
+        self.records.read(|ready| ready.len())
     }
 
     /// Whether nothing has been annotated yet.
@@ -451,7 +345,10 @@ impl ComponentDb {
         self.len() == 0
     }
 
-    fn compute(&self, key: ComponentKey) -> ComponentRecord {
+    /// Annotates `key`; the memo runs this outside its lock (annotation
+    /// can take seconds, and other keys must stay readable meanwhile).
+    fn annotate(&self, key: ComponentKey) -> Arc<ComponentRecord> {
+        self.annotations.fetch_add(1, Ordering::Relaxed);
         let component = key.generate();
         let stats = timing::analyze(&component.netlist);
         // Register files: storage is march-tested (eq. 12); the port/pipe
@@ -473,7 +370,7 @@ impl ComponentDb {
                 )
             }
         };
-        ComponentRecord {
+        Arc::new(ComponentRecord {
             np,
             fault_coverage: fc,
             adjusted_coverage: afc,
@@ -483,13 +380,15 @@ impl ComponentDb {
             ff_infrastructure: component.infrastructure_ff_count(),
             gates: component.netlist.gate_count(),
             nconn: component.nconn(),
-        }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memo::KeyHasher;
+    use std::hash::BuildHasherDefault;
 
     #[test]
     fn records_are_cached() {
@@ -679,23 +578,6 @@ mod tests {
             );
         }
         assert_eq!(db.annotations(), keys.len(), "a cached key was annotated");
-    }
-
-    #[test]
-    fn an_abandoned_claim_lets_the_next_asker_annotate() {
-        let db = ComponentDb::new();
-        let key = ComponentKey::Alu(4);
-        let claim = db.claim(key).expect("a cold key is claimable");
-        assert!(db.claim(key).is_none(), "a claimed key is claimed once");
-        // A claim dropped without caching a record (as when its
-        // annotation panics)…
-        drop(claim);
-        assert!(!db.contains(key));
-        // …so the next asker claims and annotates the key itself.
-        db.warm([key]);
-        assert!(db.contains(key));
-        assert_eq!(db.annotations(), 1);
-        assert!(db.claim(key).is_none(), "a cached key is never claimed");
     }
 
     #[test]

@@ -1911,6 +1911,34 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_sweeps_share_one_cold_db() {
+        let w = suite::crypt(1);
+        let sweep = |db: &ComponentDb, threads| {
+            let result = Exploration::over(TemplateSpace::fast_default())
+                .workload(&w)
+                .with_db(db)
+                .threads(threads)
+                .run();
+            format!("{result:?}")
+        };
+        let fresh = ComponentDb::new();
+        let serial = sweep(&fresh, 1);
+        let db = ComponentDb::new();
+        let shared: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2).map(|_| scope.spawn(|| sweep(&db, 2))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sweep thread"))
+                .collect()
+        });
+        for rendered in &shared {
+            assert!(rendered == &serial, "a shared-db sweep renders other bytes");
+        }
+        assert_eq!(db.annotations(), db.len(), "a key was annotated twice");
+        assert_eq!(db.len(), fresh.len());
+    }
+
+    #[test]
     fn multi_workload_aggregates_cycles() {
         let crypt = suite::crypt(1);
         let checksum = suite::checksum32();

@@ -86,6 +86,7 @@ pub mod backannotate;
 pub mod cache;
 pub mod explore;
 pub mod fullscan;
+mod memo;
 pub mod models;
 pub mod norm;
 pub mod parallel;

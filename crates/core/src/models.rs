@@ -27,11 +27,15 @@
 //! All model methods take a shared `&ComponentDb`, so one database serves
 //! a whole (possibly parallel) sweep.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
 use tta_arch::{Architecture, InstructionFormat};
 use tta_dft::testtime::multi_chain_scan_cycles;
 
 use crate::backannotate::{parts, ComponentDb, ComponentKey};
 use crate::cache::Fingerprint;
+use crate::memo::OnceMap;
 use crate::testcost::{
     architecture_test_cost, fold_test_cost, socket_state_bits, ArchTestCost, ComponentTestCost,
 };
@@ -326,22 +330,24 @@ impl TestCostModel for ScanTestCostModel {
 /// a full gate-level netlist *once* (through
 /// [`tta_netlist::IncrementalElaborator`], so Gray-walk neighbours reuse
 /// the common component prefix) and its area / loaded-critical-path
-/// figures are memoized in a bounded map keyed by the architecture's
-/// structural fingerprint. The evaluator is `Sync`: each call checks an
-/// elaborator out of a small free list, so parallel workers elaborate
-/// at the same time. Results are order-independent because incremental
-/// elaboration is bit-identical to from-scratch elaboration.
+/// figures — or its refusal — are memoized in a `OnceMap` keyed by the
+/// architecture's structural fingerprint. The evaluator lives for one
+/// run, like the schedule memo, so the memo is not capped: an entry is
+/// about 100 B per distinct point, against the ~2.4 KB the run keeps
+/// for each evaluated point anyway.
+///
+/// The evaluator is `Sync`: the first caller of a point elaborates it
+/// with an elaborator checked out of a small free list, so parallel
+/// workers elaborate distinct points at the same time, and a caller of
+/// a point being elaborated waits for its figures. Results are
+/// order-independent because incremental elaboration is bit-identical
+/// to from-scratch elaboration.
 pub struct NetlistEvaluator {
-    memo: std::sync::Mutex<NetlistMemo>,
+    figures: OnceMap<u64, Option<NetlistFigures>>,
     // Elaborators no call is using; one per concurrent caller at most.
-    idle: std::sync::Mutex<Vec<tta_netlist::IncrementalElaborator>>,
-}
-
-struct NetlistMemo {
-    figures: std::collections::HashMap<u64, NetlistFigures>,
-    order: std::collections::VecDeque<u64>,
-    elaborations: u64,
-    memo_hits: u64,
+    idle: Mutex<Vec<tta_netlist::IncrementalElaborator>>,
+    lookups: AtomicU64,
+    elaborations: AtomicU64,
 }
 
 /// Raw per-point figures extracted from one elaborated netlist.
@@ -357,38 +363,30 @@ pub struct NetlistFigures {
     pub critical_path: f64,
 }
 
-/// Memoized points kept per evaluator; beyond this the oldest entry is
-/// evicted (FIFO). Large enough that a sweep chunk plus the lift stage
-/// never thrashes.
-const NETLIST_MEMO_CAP: usize = 4096;
-
 impl NetlistEvaluator {
     /// Creates an evaluator with an empty memo.
     pub fn new() -> Self {
         NetlistEvaluator {
-            memo: std::sync::Mutex::new(NetlistMemo {
-                figures: std::collections::HashMap::new(),
-                order: std::collections::VecDeque::new(),
-                elaborations: 0,
-                memo_hits: 0,
-            }),
-            idle: std::sync::Mutex::new(Vec::new()),
+            figures: OnceMap::default(),
+            idle: Mutex::new(Vec::new()),
+            lookups: AtomicU64::new(0),
+            elaborations: AtomicU64::new(0),
         }
     }
 
-    /// Per-point figures for `arch`, elaborating at most once per
-    /// structurally distinct architecture (unless two threads ask for
-    /// the same one at once). `None` when the architecture is invalid
+    /// Per-point figures for `arch`, elaborating once per structurally
+    /// distinct architecture. `None` when the architecture is invalid
     /// (the models map that to infeasibility).
     pub fn figures(&self, arch: &Architecture) -> Option<NetlistFigures> {
-        let key = crate::cache::arch_fingerprint(arch);
-        {
-            let mut memo = self.memo.lock().expect("netlist evaluator poisoned");
-            if let Some(&f) = memo.figures.get(&key) {
-                memo.memo_hits += 1;
-                return Some(f);
-            }
-        }
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.figures
+            .get_or_init(crate::cache::arch_fingerprint(arch), || {
+                self.elaborate(arch)
+            })
+    }
+
+    fn elaborate(&self, arch: &Architecture) -> Option<NetlistFigures> {
+        self.elaborations.fetch_add(1, Ordering::Relaxed);
         // An idle elaborator, or a fresh one when every one is busy.
         let mut elab = self
             .idle
@@ -404,26 +402,15 @@ impl NetlistEvaluator {
             .lock()
             .expect("netlist evaluator poisoned")
             .push(elab);
-        let figures = figures?;
-        let mut memo = self.memo.lock().expect("netlist evaluator poisoned");
-        memo.elaborations += 1;
-        if !memo.figures.contains_key(&key) {
-            if memo.order.len() >= NETLIST_MEMO_CAP {
-                if let Some(old) = memo.order.pop_front() {
-                    memo.figures.remove(&old);
-                }
-            }
-            memo.figures.insert(key, figures);
-            memo.order.push_back(key);
-        }
-        Some(figures)
+        figures
     }
 
     /// `(elaborations, memo hits)` so far — observability for tests and
     /// benchmarks, never part of any result.
     pub fn counters(&self) -> (u64, u64) {
-        let memo = self.memo.lock().expect("netlist evaluator poisoned");
-        (memo.elaborations, memo.memo_hits)
+        let elaborations = self.elaborations.load(Ordering::Relaxed);
+        let lookups = self.lookups.load(Ordering::Relaxed);
+        (elaborations, lookups.saturating_sub(elaborations))
     }
 }
 

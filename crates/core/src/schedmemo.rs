@@ -15,27 +15,14 @@
 //! the point itself; the `schedule_view` differential test checks this
 //! across the knob radices of every preset space.
 
-use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use tta_arch::Architecture;
 use tta_movec::{Schedule, Scheduler, SchedulerView, UsedClasses};
 use tta_workloads::Workload;
 
 use crate::explore::CycleSource;
-
-/// Lock shards of the memo (the same count as the sweep cache's).
-const SHARDS: usize = 16;
-
-/// `(trace cycles, spills)` of one scheduled workload; `None` when it
-/// cannot be scheduled.
-type Outcome = Option<(u32, u32)>;
-
-/// One shard: a cell per `(workload index, view)`, filled by the first
-/// worker that asks for it while later askers wait on the cell.
-type Shard = HashMap<(usize, SchedulerView), Arc<OnceLock<Outcome>>>;
+use crate::memo::OnceMap;
 
 /// Scheduler accounting of one sweep ([`crate::ExploreResult::schedule`]).
 /// Observability only: no rendered format carries it.
@@ -54,13 +41,21 @@ pub struct ScheduleStats {
 /// under exact equality, never a hash alone. Under
 /// [`CycleSource::Simulate`] the memo is bypassed, because lowering
 /// needs every point's own [`Schedule`].
+///
+/// The outcomes live in a `OnceMap`: the first worker that asks for a
+/// view schedules it outside the map's lock, so other views keep flowing
+/// meanwhile, and later askers of that view wait for its outcome. A
+/// scheduler run that panics leaves the view's cell empty for the next
+/// asker.
 #[derive(Debug)]
 pub struct ScheduleMemo<'a> {
     workloads: &'a [Workload],
     /// The FU classes of each workload's DFG, in workload order.
     classes: Vec<UsedClasses>,
     source: CycleSource,
-    shards: [Mutex<Shard>; SHARDS],
+    /// `(trace cycles, spills)` per `(workload index, view)`; `None`
+    /// when the workload cannot be scheduled.
+    outcomes: OnceMap<(usize, SchedulerView), Option<(u32, u32)>>,
     lookups: AtomicU64,
     runs: AtomicU64,
 }
@@ -73,7 +68,7 @@ impl<'a> ScheduleMemo<'a> {
             workloads,
             classes: workloads.iter().map(|w| UsedClasses::of(&w.dfg)).collect(),
             source,
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            outcomes: OnceMap::default(),
             lookups: AtomicU64::new(0),
             runs: AtomicU64::new(0),
         }
@@ -122,23 +117,9 @@ impl<'a> ScheduleMemo<'a> {
             }
             CycleSource::Model => {
                 let view = SchedulerView::with_classes(arch, self.classes[index]);
-                let key = (index, view);
-                let mut hasher = DefaultHasher::new();
-                key.hash(&mut hasher);
-                let shard = hasher.finish() as usize % SHARDS;
-                let cell = Arc::clone(
-                    self.shards[shard]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .entry(key)
-                        .or_default(),
-                );
-                // A poisoned shard is still whole (its one update is the
-                // `or_default` insert above), and a cell whose filler
-                // panicked stays empty for the next asker. The cell is
-                // filled outside the shard lock, so other views keep
-                // flowing while this one schedules.
-                *cell.get_or_init(|| self.run(arch, w).map(|s| (s.cycles, s.spills)))
+                self.outcomes.get_or_init((index, view), || {
+                    self.run(arch, w).map(|s| (s.cycles, s.spills))
+                })
             }
         }
     }

@@ -605,7 +605,7 @@ impl NetlistBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::sim;
 
     #[test]
     fn ripple_adder_adds() {
@@ -617,10 +617,9 @@ mod tests {
         b.output_word("s", &sum);
         b.output("cout", cout);
         let nl = b.finish();
-        let sim = Simulator::new(&nl);
         for x in 0..16u64 {
             for y in 0..16u64 {
-                let outs = sim.eval_words(&nl, &[("a", x), ("b", y)]);
+                let outs = sim::eval_words(&nl, &[("a", x), ("b", y)]);
                 let s = outs["s"];
                 let c = outs["cout"];
                 assert_eq!(s, (x + y) & 0xF, "{x}+{y}");
@@ -638,10 +637,9 @@ mod tests {
         let (r, _) = b.add_sub(&a, &bw, sub);
         b.output_word("r", &r);
         let nl = b.finish();
-        let sim = Simulator::new(&nl);
-        let outs = sim.eval_words(&nl, &[("a", 100), ("b", 58), ("sub", 1)]);
+        let outs = sim::eval_words(&nl, &[("a", 100), ("b", 58), ("sub", 1)]);
         assert_eq!(outs["r"], 42);
-        let outs = sim.eval_words(&nl, &[("a", 100), ("b", 58), ("sub", 0)]);
+        let outs = sim::eval_words(&nl, &[("a", 100), ("b", 58), ("sub", 0)]);
         assert_eq!(outs["r"], 158);
     }
 
@@ -654,11 +652,10 @@ mod tests {
         let out = b.barrel_shift(&v, &amt, left);
         b.output_word("out", &out);
         let nl = b.finish();
-        let sim = Simulator::new(&nl);
         for sh in 0..8u64 {
-            let right = sim.eval_words(&nl, &[("v", 0xB7), ("amt", sh), ("left", 0)]);
+            let right = sim::eval_words(&nl, &[("v", 0xB7), ("amt", sh), ("left", 0)]);
             assert_eq!(right["out"], 0xB7 >> sh, "right shift {sh}");
-            let leftr = sim.eval_words(&nl, &[("v", 0xB7), ("amt", sh), ("left", 1)]);
+            let leftr = sim::eval_words(&nl, &[("v", 0xB7), ("amt", sh), ("left", 1)]);
             assert_eq!(leftr["out"], (0xB7 << sh) & 0xFF, "left shift {sh}");
         }
     }
@@ -670,9 +667,8 @@ mod tests {
         let lines = b.decoder(&sel);
         b.output_word("line", &lines);
         let nl = b.finish();
-        let sim = Simulator::new(&nl);
         for s in 0..8u64 {
-            let outs = sim.eval_words(&nl, &[("sel", s)]);
+            let outs = sim::eval_words(&nl, &[("sel", s)]);
             assert_eq!(outs["line"], 1 << s, "sel={s}");
         }
     }
@@ -685,9 +681,8 @@ mod tests {
         let out = b.mux_tree(&sel, &words);
         b.output_word("out", &out);
         let nl = b.finish();
-        let sim = Simulator::new(&nl);
         for s in 0..4u64 {
-            let outs = sim.eval_words(
+            let outs = sim::eval_words(
                 &nl,
                 &[("sel", s), ("w0", 1), ("w1", 3), ("w2", 7), ("w3", 15)],
             );
@@ -703,8 +698,7 @@ mod tests {
         b.output_word("s", &s);
         b.output("c", c);
         let nl = b.finish();
-        let sim = Simulator::new(&nl);
-        let outs = sim.eval_words(&nl, &[("a", 15)]);
+        let outs = sim::eval_words(&nl, &[("a", 15)]);
         assert_eq!(outs["s"], 0);
         assert_eq!(outs["c"], 1);
     }

@@ -55,6 +55,5 @@ pub use elaborate::{elaborate, ElaborateError, IncrementalElaborator};
 pub use gate::{Gate, GateId, GateKind};
 pub use lint::{lint, LintDiagnostic, LintKind};
 pub use netlist::{Net, NetDriver, NetId, Netlist, NetlistError};
-pub use sim::Simulator;
 pub use stats::NetlistStats;
 pub use verilog::to_verilog;

@@ -8,16 +8,60 @@ use std::collections::HashMap;
 
 use crate::netlist::{NetDriver, Netlist};
 
-/// Combinational (single-cycle) evaluator for a [`Netlist`].
+/// Evaluates the combinational logic of `nl`.
 ///
-/// The simulator itself is stateless; flip-flop state is passed in
+/// `pi` holds one 64-pattern word per primary input (in PI order) and
+/// `state` one word per flip-flop (Q values, in flip-flop order).
+/// Returns a value word for every net. Flip-flop state is passed in
 /// explicitly, which lets ATPG treat flip-flop outputs as pseudo primary
 /// inputs (the full-scan view used throughout the paper).
+///
+/// # Panics
+///
+/// Panics if `pi` or `state` have the wrong length.
+pub fn eval(nl: &Netlist, pi: &[u64], state: &[u64]) -> Vec<u64> {
+    assert_eq!(pi.len(), nl.primary_inputs().len(), "PI width mismatch");
+    assert_eq!(state.len(), nl.dff_count(), "state width mismatch");
+    let mut values = vec![0u64; nl.net_count()];
+    for (i, net) in nl.nets().iter().enumerate() {
+        match net.driver() {
+            NetDriver::PrimaryInput(k) => values[i] = pi[k as usize],
+            NetDriver::DffQ(ff) => values[i] = state[ff.index()],
+            NetDriver::Const0 => values[i] = 0,
+            NetDriver::Const1 => values[i] = u64::MAX,
+            NetDriver::Gate(_) | NetDriver::Floating => {}
+        }
+    }
+    let mut ins = [0u64; 3];
+    for &gid in nl.topo_order() {
+        let g = nl.gate(gid);
+        for (k, inp) in g.inputs().iter().enumerate() {
+            ins[k] = values[inp.index()];
+        }
+        values[g.output().index()] = g.kind().eval(&ins[..g.inputs().len()]);
+    }
+    values
+}
+
+/// Next-state word for every flip-flop given a completed [`eval`].
+pub fn next_state(nl: &Netlist, values: &[u64]) -> Vec<u64> {
+    nl.dffs().iter().map(|ff| values[ff.d().index()]).collect()
+}
+
+/// Convenience evaluation with named input words and numeric values.
+///
+/// Input names may refer to single-bit inputs (`"sub"`) or words
+/// declared via [`crate::NetlistBuilder::input_word`] (`"a"` expands to
+/// `a[0]`, `a[1]`, …). Unmentioned inputs are zero, flip-flop state is
+/// zero, and the returned map aggregates outputs the same way.
+///
+/// Only pattern 0 (bit 0 of each word) is driven, making this ideal for
+/// functional unit tests.
 ///
 /// # Examples
 ///
 /// ```
-/// use tta_netlist::{NetlistBuilder, Simulator};
+/// use tta_netlist::{sim, NetlistBuilder};
 ///
 /// let mut b = NetlistBuilder::new("xor");
 /// let a = b.input("a");
@@ -25,76 +69,13 @@ use crate::netlist::{NetDriver, Netlist};
 /// let y = b.xor2(a, c);
 /// b.output("y", y);
 /// let nl = b.finish();
-/// let sim = Simulator::new(&nl);
-/// let outs = sim.eval_words(&nl, &[("a", 1), ("b", 0)]);
+/// let outs = sim::eval_words(&nl, &[("a", 1), ("b", 0)]);
 /// assert_eq!(outs["y"], 1);
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Simulator {
-    _private: (),
-}
-
-impl Simulator {
-    /// Creates a simulator for netlists shaped like `netlist`.
-    ///
-    /// The argument is only used for interface symmetry and future
-    /// preprocessing; any structurally valid netlist may be evaluated.
-    pub fn new(_netlist: &Netlist) -> Self {
-        Simulator { _private: () }
-    }
-
-    /// Evaluates the combinational logic.
-    ///
-    /// `pi` holds one 64-pattern word per primary input (in PI order) and
-    /// `state` one word per flip-flop (Q values, in flip-flop order).
-    /// Returns a value word for every net.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi` or `state` have the wrong length.
-    pub fn eval(&self, nl: &Netlist, pi: &[u64], state: &[u64]) -> Vec<u64> {
-        assert_eq!(pi.len(), nl.primary_inputs().len(), "PI width mismatch");
-        assert_eq!(state.len(), nl.dff_count(), "state width mismatch");
-        let mut values = vec![0u64; nl.net_count()];
-        for (i, net) in nl.nets().iter().enumerate() {
-            match net.driver() {
-                NetDriver::PrimaryInput(k) => values[i] = pi[k as usize],
-                NetDriver::DffQ(ff) => values[i] = state[ff.index()],
-                NetDriver::Const0 => values[i] = 0,
-                NetDriver::Const1 => values[i] = u64::MAX,
-                NetDriver::Gate(_) | NetDriver::Floating => {}
-            }
-        }
-        let mut ins = [0u64; 3];
-        for &gid in nl.topo_order() {
-            let g = nl.gate(gid);
-            for (k, inp) in g.inputs().iter().enumerate() {
-                ins[k] = values[inp.index()];
-            }
-            values[g.output().index()] = g.kind().eval(&ins[..g.inputs().len()]);
-        }
-        values
-    }
-
-    /// Next-state word for every flip-flop given a completed `eval`.
-    pub fn next_state(&self, nl: &Netlist, values: &[u64]) -> Vec<u64> {
-        nl.dffs().iter().map(|ff| values[ff.d().index()]).collect()
-    }
-
-    /// Convenience evaluation with named input words and numeric values.
-    ///
-    /// Input names may refer to single-bit inputs (`"sub"`) or words
-    /// declared via [`crate::NetlistBuilder::input_word`] (`"a"` expands to
-    /// `a[0]`, `a[1]`, …). Unmentioned inputs are zero, flip-flop state is
-    /// zero, and the returned map aggregates outputs the same way.
-    ///
-    /// Only pattern 0 (bit 0 of each word) is driven, making this ideal for
-    /// functional unit tests.
-    pub fn eval_words(&self, nl: &Netlist, inputs: &[(&str, u64)]) -> HashMap<String, u64> {
-        let pi = pack_word_inputs(nl, inputs);
-        let values = self.eval(nl, &pi, &vec![0; nl.dff_count()]);
-        collect_outputs(nl, &values)
-    }
+pub fn eval_words(nl: &Netlist, inputs: &[(&str, u64)]) -> HashMap<String, u64> {
+    let pi = pack_word_inputs(nl, inputs);
+    let values = eval(nl, &pi, &vec![0; nl.dff_count()]);
+    collect_outputs(nl, &values)
 }
 
 /// Packs named word inputs into a PI vector (pattern 0 only).
@@ -182,7 +163,6 @@ fn parse_indexed(name: &str) -> Option<(&str, u32)> {
 #[derive(Debug)]
 pub struct OwnedSeqSim {
     nl: Netlist,
-    sim: Simulator,
     state: Vec<u64>,
     values: Vec<u64>,
 }
@@ -191,15 +171,9 @@ impl OwnedSeqSim {
     /// Creates a sequential simulator that owns its netlist; flip-flops
     /// reset to zero.
     pub fn new(nl: Netlist) -> Self {
-        let sim = Simulator::new(&nl);
         let state = vec![0; nl.dff_count()];
         let values = vec![0; nl.net_count()];
-        OwnedSeqSim {
-            nl,
-            sim,
-            state,
-            values,
-        }
+        OwnedSeqSim { nl, state, values }
     }
 
     /// The simulated netlist.
@@ -209,8 +183,8 @@ impl OwnedSeqSim {
 
     /// Applies one clock cycle with raw PI pattern words.
     pub fn step(&mut self, pi: &[u64]) {
-        self.values = self.sim.eval(&self.nl, pi, &self.state);
-        self.state = self.sim.next_state(&self.nl, &self.values);
+        self.values = eval(&self.nl, pi, &self.state);
+        self.state = next_state(&self.nl, &self.values);
     }
 
     /// Applies one cycle with named input words (pattern 0 only).
@@ -274,8 +248,7 @@ mod tests {
         let y = b.not(a);
         b.output("y", y);
         let nl = b.finish();
-        let sim = Simulator::new(&nl);
-        let values = sim.eval(&nl, &[0xAAAA_AAAA_AAAA_AAAA], &[]);
+        let values = eval(&nl, &[0xAAAA_AAAA_AAAA_AAAA], &[]);
         let ynet = nl.primary_outputs()[0].1;
         assert_eq!(values[ynet.index()], !0xAAAA_AAAA_AAAA_AAAAu64);
     }
