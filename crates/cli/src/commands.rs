@@ -202,7 +202,7 @@ pub fn explore(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Res
         job.space_points(),
         job.workload_count()
     )?;
-    let result = job.run(cache.as_ref(), None, None);
+    let result = job.run(&ComponentDb::new(), cache.as_ref(), None, None);
     out.write_all(result.output.as_bytes())?;
     writeln!(
         err,

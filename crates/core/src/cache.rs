@@ -328,11 +328,12 @@ fn shard_of(key: u64) -> usize {
 /// one `rows` arena of `u64` words (see [`encode`] for the row layout).
 /// A long-lived daemon holds hundreds of thousands of entries, and a
 /// map of owned [`Entry`] values costs a ~96-byte bucket plus a heap
-/// `Vec` per feasible entry; an index bucket is 24 bytes and a typical
-/// row 6 words.
+/// `Vec` per feasible entry; an indexed key costs ~13 bytes (see
+/// [`KeyIndex`]) and a single-workload feasible row 4 words.
 #[derive(Debug, Default)]
 struct Shard {
-    index: HashMap<(Kind, u64), u32>,
+    /// One index per [`Kind`].
+    index: [KeyIndex; 2],
     rows: Vec<u64>,
     /// Arena words no index entry points at: rows replaced by a row of
     /// another length. Compacted away once they outweigh the live rows.
@@ -341,9 +342,25 @@ struct Shard {
 }
 
 impl Shard {
+    /// The arena offset of `key`'s row.
+    fn offset(&self, &(kind, key): &(Kind, u64)) -> Option<u32> {
+        self.index[kind as usize].get(key)
+    }
+
+    /// Every key held, in no particular order.
+    fn keys(&self) -> impl Iterator<Item = (Kind, u64)> + '_ {
+        let [evals, tests] = &self.index;
+        (evals.keys().map(|k| (Kind::Eval, k))).chain(tests.keys().map(|k| (Kind::Test, k)))
+    }
+
+    /// Number of entries held.
+    fn len(&self) -> usize {
+        self.index.iter().map(KeyIndex::len).sum()
+    }
+
     /// The packed row of `key`.
     fn row(&self, key: &(Kind, u64)) -> Option<&[u64]> {
-        let start = *self.index.get(key)? as usize;
+        let start = self.offset(key)? as usize;
         Some(&self.rows[start..start + row_len(&self.rows[start..])])
     }
 
@@ -369,8 +386,9 @@ impl Shard {
         let start = self.rows.len();
         encode(entry, &mut self.rows);
         let len = self.rows.len() - start;
-        let Some(&old) = self.index.get(&key) else {
-            self.index.insert(key, row_offset(start));
+        let index = &mut self.index[key.0 as usize];
+        let Some(old) = index.get(key.1) else {
+            index.insert(key.1, row_offset(start));
             return true;
         };
         let old = old as usize;
@@ -381,7 +399,7 @@ impl Shard {
             self.rows.truncate(start);
             return changed;
         }
-        self.index.insert(key, row_offset(start));
+        index.insert(key.1, row_offset(start));
         self.dead += old_len;
         if self.dead > self.rows.len() / 2 {
             self.compact();
@@ -392,7 +410,7 @@ impl Shard {
     /// Rewrites the arena with the live rows only.
     fn compact(&mut self) {
         let mut rows = Vec::with_capacity(self.rows.len() - self.dead);
-        for start in self.index.values_mut() {
+        for start in self.index.iter_mut().flat_map(KeyIndex::offsets_mut) {
             let old = *start as usize;
             *start = row_offset(rows.len());
             rows.extend_from_slice(&self.rows[old..old + row_len(&self.rows[old..])]);
@@ -406,22 +424,104 @@ impl Shard {
     }
 }
 
+/// Fewest new keys a [`KeyIndex`] merges at once, so a small index does
+/// not rebuild its sorted run on every insert.
+const MERGE_MIN: usize = 64;
+
+/// One kind's key → row-offset index. Most keys sit in a sorted run of
+/// parallel key and offset vectors, 12 bytes a key, found by binary
+/// search. A new key goes to a small hash map first, which is merged
+/// into the run once it holds an eighth as many keys, so merging costs
+/// a constant number of copies per key. A hash map alone would cost
+/// 16-byte buckets at 44–87% load, up to 36 bytes a key, and would
+/// double all at once.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    sorted: Vec<u64>,
+    offsets: Vec<u32>,
+    recent: HashMap<u64, u32>,
+}
+
+impl KeyIndex {
+    fn get(&self, key: u64) -> Option<u32> {
+        match self.sorted.binary_search(&key) {
+            Ok(i) => Some(self.offsets[i]),
+            Err(_) => self.recent.get(&key).copied(),
+        }
+    }
+
+    /// Points `key` at `offset`.
+    fn insert(&mut self, key: u64, offset: u32) {
+        if let Ok(i) = self.sorted.binary_search(&key) {
+            self.offsets[i] = offset;
+            return;
+        }
+        self.recent.insert(key, offset);
+        if self.recent.len() >= MERGE_MIN.max(self.sorted.len() / 8) {
+            self.merge();
+        }
+    }
+
+    /// Moves the recent keys into the sorted run.
+    fn merge(&mut self) {
+        let mut recent: Vec<(u64, u32)> = std::mem::take(&mut self.recent).into_iter().collect();
+        recent.sort_unstable();
+        let len = self.sorted.len() + recent.len();
+        let (mut keys, mut offsets) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        let mut run = self.sorted.iter().zip(&self.offsets).peekable();
+        for (key, offset) in recent {
+            while let Some((&k, &o)) = run.next_if(|(&k, _)| k < key) {
+                keys.push(k);
+                offsets.push(o);
+            }
+            keys.push(key);
+            offsets.push(offset);
+        }
+        for (&k, &o) in run {
+            keys.push(k);
+            offsets.push(o);
+        }
+        self.sorted = keys;
+        self.offsets = offsets;
+    }
+
+    fn len(&self) -> usize {
+        self.sorted.len() + self.recent.len()
+    }
+
+    /// Every key, in no particular order.
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.sorted.iter().chain(self.recent.keys()).copied()
+    }
+
+    /// Every offset, for rewriting them all.
+    fn offsets_mut(&mut self) -> impl Iterator<Item = &mut u32> {
+        self.offsets.iter_mut().chain(self.recent.values_mut())
+    }
+}
+
 /// An arena offset as stored in a shard index.
 fn row_offset(start: usize) -> u32 {
     u32::try_from(start).expect("a cache shard holds at most 2^32 words")
 }
 
 // Row layout. The first word of a row is its header: the tag in bits
-// 0–1, the inline-test flag in bit 2, and a `u32` payload in bits 32–63
-// (the blocked workload, or the spill count). A feasible row continues
-// with the workload count, cycles, area bits, exec bits, the optional
-// (model fingerprint, test bits) pair and the per-workload cycles; a
-// test row with its total's bits.
+// 0–1, the inline-test flag in bit 2, the summed-cycles flag in bit 3,
+// a feasible row's workload count in bits 4–31, and a `u32` payload in
+// bits 32–63 (the blocked workload, or the spill count). A feasible row
+// continues with its cycles (left out when they are the sum of the
+// per-workload cycles, as the sweep computes them), area bits, exec
+// bits, the optional (model fingerprint, test bits) pair and the
+// per-workload cycles; a test row with its total's bits.
 const TAG_INFEASIBLE: u64 = 0;
 const TAG_BLOCKED: u64 = 1;
 const TAG_FEASIBLE: u64 = 2;
 const TAG_TEST: u64 = 3;
 const HAS_TEST: u64 = 1 << 2;
+const SUMMED: u64 = 1 << 3;
+/// Bound on a feasible row's workload count, which its header holds in
+/// bits 4–31; the loader rejects a line with more.
+const MAX_ROW_WORKLOADS: usize = 1 << 28;
 
 /// Appends `entry`'s packed row to `out`.
 fn encode(entry: &Entry, out: &mut Vec<u64>) {
@@ -438,14 +538,25 @@ fn encode(entry: &Entry, out: &mut Vec<u64>) {
             exec_bits,
             test,
         }) => {
-            let flag = if test.is_some() { HAS_TEST } else { 0 };
-            out.extend([
-                TAG_FEASIBLE | flag | u64::from(*spills) << 32,
-                workload_cycles.len() as u64,
-                *cycles,
-                *area_bits,
-                *exec_bits,
-            ]);
+            assert!(
+                workload_cycles.len() < MAX_ROW_WORKLOADS,
+                "a cache row holds fewer than 2^28 workloads"
+            );
+            let summed = workload_cycles
+                .iter()
+                .try_fold(0u64, |sum, &c| sum.checked_add(c))
+                == Some(*cycles);
+            let flags = if test.is_some() { HAS_TEST } else { 0 } | if summed { SUMMED } else { 0 };
+            out.push(
+                TAG_FEASIBLE
+                    | flags
+                    | (workload_cycles.len() as u64) << 4
+                    | u64::from(*spills) << 32,
+            );
+            if !summed {
+                out.push(*cycles);
+            }
+            out.extend([*area_bits, *exec_bits]);
             if let Some((fp, bits)) = test {
                 out.extend([*fp, *bits]);
             }
@@ -459,9 +570,18 @@ fn encode(entry: &Entry, out: &mut Vec<u64>) {
 fn row_len(row: &[u64]) -> usize {
     match row[0] & 3 {
         TAG_INFEASIBLE | TAG_BLOCKED => 1,
-        TAG_FEASIBLE => 5 + 2 * usize::from(row[0] & HAS_TEST != 0) + row[1] as usize,
+        TAG_FEASIBLE => {
+            3 + usize::from(row[0] & SUMMED == 0)
+                + 2 * usize::from(row[0] & HAS_TEST != 0)
+                + workload_count(row[0])
+        }
         _ => 2,
     }
+}
+
+/// The workload count of a feasible row's header.
+fn workload_count(header: u64) -> usize {
+    ((header >> 4) & (MAX_ROW_WORKLOADS as u64 - 1)) as usize
 }
 
 /// Unpacks a row written by [`encode`].
@@ -473,17 +593,23 @@ fn decode(row: &[u64]) -> Entry {
             blocked: Some(payload),
         }),
         TAG_FEASIBLE => {
-            let (test, cycles_at) = if row[0] & HAS_TEST != 0 {
-                (Some((row[5], row[6])), 7)
+            let summed = row[0] & SUMMED != 0;
+            let rest = &row[1 + usize::from(!summed)..];
+            let (test, workload_cycles) = if row[0] & HAS_TEST != 0 {
+                (Some((rest[2], rest[3])), &rest[4..])
             } else {
-                (None, 5)
+                (None, &rest[2..])
             };
             Entry::Eval(EvalEntry::Feasible {
-                cycles: row[2],
-                workload_cycles: row[cycles_at..].to_vec(),
+                cycles: if summed {
+                    workload_cycles.iter().sum()
+                } else {
+                    row[1]
+                },
+                workload_cycles: workload_cycles.to_vec(),
                 spills: payload,
-                area_bits: row[3],
-                exec_bits: row[4],
+                area_bits: rest[0],
+                exec_bits: rest[1],
                 test,
             })
         }
@@ -698,7 +824,7 @@ impl SweepCache {
     /// Whether a test-cost lift for `key` is present, *without* touching
     /// the hit/miss counters (unlike [`SweepCache::lookup_test`]).
     pub fn contains_test(&self, key: u64) -> bool {
-        self.shard_for(key).index.contains_key(&(Kind::Test, key))
+        self.shard_for(key).offset(&(Kind::Test, key)).is_some()
     }
 
     /// Stores an entry in memory and, for a persistent cache, queues
@@ -802,7 +928,7 @@ impl SweepCache {
     /// Shards are counted one at a time, so the total is a consistent
     /// snapshot only when no writer is concurrently storing.
     pub fn len(&self) -> usize {
-        (0..SHARDS).map(|i| self.shard(i).index.len()).sum()
+        (0..SHARDS).map(|i| self.shard(i).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -898,14 +1024,11 @@ impl SweepCache {
         };
         for (k, v) in journal.into_iter().rev().chain(file.into_iter().flatten()) {
             let shard = &mut shards[shard_of(k.1)];
-            if !shard.index.contains_key(&k) {
+            if shard.offset(&k).is_none() {
                 shard.insert(k, &v);
             }
         }
-        let mut keys: Vec<(Kind, u64)> = shards
-            .iter()
-            .flat_map(|shard| shard.index.keys().copied())
-            .collect();
+        let mut keys: Vec<(Kind, u64)> = shards.iter().flat_map(|shard| shard.keys()).collect();
         // Deterministic file contents: sorted by (kind, key), which is
         // the rendered lines' byte order — not hash order.
         keys.sort_unstable();
@@ -1083,6 +1206,9 @@ fn parse_line(line: &str) -> Option<((Kind, u64), Entry)> {
                         break;
                     }
                     workload_cycles.push(p.parse().ok()?);
+                }
+                if workload_cycles.len() >= MAX_ROW_WORKLOADS {
+                    return None;
                 }
                 Some((
                     (Kind::Eval, key),
@@ -1307,6 +1433,82 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "leaked temp files: {leftovers:?}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_row_layout_round_trips() {
+        let feasible = |cycles: u64, workload_cycles: Vec<u64>, test| EvalEntry::Feasible {
+            cycles,
+            workload_cycles,
+            spills: u32::MAX,
+            area_bits: 4000.5f64.to_bits(),
+            exec_bits: 77.25f64.to_bits(),
+            test,
+        };
+        let test = Some((0xdead_beef, 512.25f64.to_bits()));
+        let entries = [
+            Entry::Eval(EvalEntry::Infeasible { blocked: None }),
+            Entry::Eval(EvalEntry::Infeasible {
+                blocked: Some(u32::MAX),
+            }),
+            Entry::Test(u64::MAX),
+            // Summed cycles are left out of the row; any other value,
+            // an overflowing sum included, is kept.
+            Entry::Eval(feasible(1234, vec![1000, 234], None)),
+            Entry::Eval(feasible(1234, vec![1000, 234], test)),
+            Entry::Eval(feasible(1235, vec![1000, 234], None)),
+            Entry::Eval(feasible(7, vec![u64::MAX, 8], test)),
+            Entry::Eval(feasible(0, Vec::new(), None)),
+            Entry::Eval(feasible(9, Vec::new(), test)),
+        ];
+        let mut rows = Vec::new();
+        let starts: Vec<usize> = entries
+            .iter()
+            .map(|entry| {
+                let start = rows.len();
+                encode(entry, &mut rows);
+                start
+            })
+            .collect();
+        for (entry, &start) in entries.iter().zip(&starts) {
+            let row = &rows[start..start + row_len(&rows[start..])];
+            assert_eq!(&decode(row), entry);
+        }
+        let lens: Vec<usize> = starts.iter().map(|&s| row_len(&rows[s..])).collect();
+        assert_eq!(lens, [1, 1, 2, 5, 7, 6, 8, 3, 6]);
+    }
+
+    #[test]
+    fn key_index_answers_across_merges() {
+        let mut index = KeyIndex::default();
+        let mut expected = std::collections::BTreeMap::new();
+        let mut key = 0x9e37_79b9_7f4a_7c15_u64;
+        for n in 0..5_000u32 {
+            key = key.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            // Every seventh insert re-points a key held since earlier.
+            let k = if n % 7 == 6 {
+                *expected.keys().nth(n as usize / 2).unwrap()
+            } else {
+                key
+            };
+            index.insert(k, n);
+            expected.insert(k, n);
+            if n % 499 == 0 || n == 4_999 {
+                assert_eq!(index.len(), expected.len());
+                assert!(expected.iter().all(|(&k, &o)| index.get(k) == Some(o)));
+                assert_eq!(index.get(!k), None);
+            }
+        }
+        assert!(
+            index.sorted.windows(2).all(|w| w[0] < w[1]),
+            "the run is sorted"
+        );
+        assert!(index.recent.len() < index.sorted.len() / 8 + MERGE_MIN);
+        let mut keys: Vec<u64> = index.keys().collect();
+        keys.sort_unstable();
+        assert!(keys.iter().eq(expected.keys()));
+        index.offsets_mut().for_each(|o| *o += 1);
+        assert!(expected.iter().all(|(&k, &o)| index.get(k) == Some(o + 1)));
     }
 
     #[test]

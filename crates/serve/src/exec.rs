@@ -357,16 +357,19 @@ impl PreparedJob {
         e.run()
     }
 
-    /// Runs the sweep over a fresh annotation database
-    /// ([`PreparedJob::explore`]) and renders the result in the spec's
-    /// format.
+    /// Runs the sweep over `db` ([`PreparedJob::explore`]) and renders
+    /// the result in the spec's format. Its records are a pure function
+    /// of the database's engines and the component key, so a database
+    /// warmed by earlier jobs changes no byte of the output, only how
+    /// much annotation the job still has to do.
     pub fn run(
         &self,
+        db: &ComponentDb,
         cache: Option<&SweepCache>,
         cancel: Option<CancelToken>,
         progress: Option<&mut dyn FnMut(&SweepProgress)>,
     ) -> JobOutput {
-        let result = self.explore(&ComponentDb::new(), cache, cancel, progress);
+        let result = self.explore(db, cache, cancel, progress);
         let mut output = Vec::new();
         render_explore(&result, self.spec.test_model, self.spec.format, &mut output)
             .expect("rendering into a Vec cannot fail");
@@ -591,6 +594,9 @@ pub fn render_explore(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use tta_arch::template::KNOBS;
+    use tta_core::ComponentKey;
 
     fn tiny_spec() -> JobSpec {
         JobSpec {
@@ -606,7 +612,7 @@ mod tests {
         let job = prepare(&tiny_spec()).unwrap();
         assert!(job.space_points() > 0);
         assert_eq!(job.workload_count(), 1);
-        let out = job.run(None, None, None);
+        let out = job.run(&ComponentDb::new(), None, None, None);
         assert!(!out.cancelled);
         assert!(out.output.starts_with('{'));
         assert!(out.output.contains("\"command\":\"explore\""));
@@ -654,11 +660,112 @@ mod tests {
         let spec = tiny_spec();
         let job = prepare(&spec).unwrap();
         let cache = SweepCache::in_memory();
-        let cold = job.run(Some(&cache), None, None);
-        let warm = job.run(Some(&cache), None, None);
+        let cold = job.run(&ComponentDb::new(), Some(&cache), None, None);
+        let warm = job.run(&ComponentDb::new(), Some(&cache), None, None);
         assert_eq!(cold.output, warm.output, "warm must be byte-identical");
         assert_eq!(cold.cache, "flushed");
         assert!(cache.hits() > 0);
+    }
+
+    #[test]
+    fn jobs_on_one_database_share_its_records() {
+        // Fast-space jobs that differ only in their interconnect
+        // constants: each misses the others' sweep-cache addresses but
+        // needs exactly the same components.
+        let spec = |k: u32| JobSpec {
+            space: Some("fast".into()),
+            workloads: vec!["crypt".into()],
+            format: Format::Json,
+            bus_area: Some(3.0 + f64::from(k) / 4.0),
+            bus_delay: Some(0.5 + f64::from(k) / 8.0),
+            control_area: Some(1.0 + f64::from(k)),
+            ..JobSpec::default()
+        };
+        let fresh = |k: u32| {
+            let db = ComponentDb::new();
+            let output = prepare(&spec(k)).unwrap().run(&db, None, None, None).output;
+            (output, db.len())
+        };
+        let (_, keys) = fresh(0);
+        assert!(keys > 0);
+        let db = ComponentDb::new();
+        let run = |k: u32| prepare(&spec(k)).unwrap().run(&db, None, None, None).output;
+        let mut outputs: Vec<(u32, String)> = std::thread::scope(|scope| {
+            let a = scope.spawn(|| (0, run(0)));
+            let b = scope.spawn(|| (1, run(1)));
+            vec![a.join().unwrap(), b.join().unwrap()]
+        });
+        outputs.extend((2..5).map(|k| (k, run(k))));
+        assert_eq!(db.len(), keys, "five jobs need one job's records");
+        for (k, output) in outputs {
+            assert_eq!(output, fresh(k).0, "job {k} drifted on a warm database");
+        }
+    }
+
+    /// Distinct component keys of `space`'s points, each point given by
+    /// its knob digits.
+    fn keys_over(
+        space: &TemplateSpace,
+        points: impl Iterator<Item = [usize; KNOBS]>,
+    ) -> BTreeSet<ComponentKey> {
+        points
+            .flat_map(|digits| {
+                tta_core::models::keys_of(&space.point(space.index_of(digits)))
+                    .expect("preset points are in the component model's domain")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_preset_spaces_bound_the_shared_database() {
+        // A job can only name the four preset spaces, so a daemon's
+        // database never holds more records than their points' keys.
+        let mut all = BTreeSet::new();
+        let mut counts = Vec::new();
+        for name in ["tiny", "fast", "paper"] {
+            let (space, _) = resolve_scale(false, Some(name)).unwrap();
+            let keys = keys_over(&space, (0..space.len()).map(|i| space.coords(i)));
+            counts.push(keys.len());
+            all.extend(keys);
+        }
+        // A point's keys depend only on whether it has a multiplier
+        // and on its register-file set and bank count (the other knobs
+        // only repeat units), so the huge space's keys are those of the
+        // points whose other digits are zero. A stride through the
+        // whole space checks that reduction.
+        let (huge, _) = resolve_scale(false, Some("huge")).unwrap();
+        const KEYED: [usize; 3] = [4, 7, 8]; // MULs, RF banks, RF sets
+        let reduced = |mut digits: [usize; KNOBS]| {
+            for (knob, d) in digits.iter_mut().enumerate() {
+                if !KEYED.contains(&knob) {
+                    *d = 0;
+                }
+            }
+            digits
+        };
+        for i in (0..huge.len()).step_by(997) {
+            let digits = huge.coords(i);
+            assert_eq!(
+                keys_over(&huge, std::iter::once(digits)),
+                keys_over(&huge, std::iter::once(reduced(digits))),
+                "huge point {i}"
+            );
+        }
+        let radices = huge.knob_radices();
+        let keyed_points = (0..KEYED.iter().map(|&k| radices[k]).product::<usize>()).map(|n| {
+            let mut digits = [0; KNOBS];
+            let mut rest = n;
+            for &knob in &KEYED {
+                digits[knob] = rest % radices[knob];
+                rest /= radices[knob];
+            }
+            digits
+        });
+        let keys = keys_over(&huge, keyed_points);
+        counts.push(keys.len());
+        all.extend(keys);
+        assert_eq!(counts, [8, 10, 11, 40], "tiny, fast, paper, huge");
+        assert_eq!(all.len(), 51, "all four");
     }
 
     #[test]
@@ -673,6 +780,6 @@ mod tests {
             space: TemplateSpace::tiny(),
             workloads: Vec::new(),
         };
-        let _ = job.run(None, None, None);
+        let _ = job.run(&ComponentDb::new(), None, None, None);
     }
 }

@@ -1,12 +1,19 @@
-//! The sweep daemon: one warm cache, one thread per request, streamed
-//! jobs.
+//! The sweep daemon: one warm cache and one annotation database, one
+//! thread per request, streamed jobs.
 //!
 //! A [`Server`] owns one process-wide [`SweepCache`] (sharded internally
-//! — see `tta_core::cache`) that every job warms for the next, and a
-//! [`Gate`] that lets at most `--workers` jobs run at once, starting
-//! waiting ones by priority/budget/FIFO. Every connection is served on
-//! its own thread, and a job runs on the thread of the connection that
-//! submitted it: its events go straight to that connection's stream.
+//! — see `tta_core::cache`) and one [`ComponentDb`] that every job warms
+//! for the next, and a [`Gate`] that lets at most `--workers` jobs run
+//! at once, starting waiting ones by priority/budget/FIFO. The cache
+//! answers points a finished job already evaluated; the database keeps
+//! each component's ATPG and march record, so a job that misses the
+//! cache (say, a new interconnect constant) annotates nothing another
+//! job already annotated. Both are deterministic in their keys, so a
+//! warm daemon renders exactly the bytes a cold local run does.
+//!
+//! Every connection is served on its own thread, and a job runs on the
+//! thread of the connection that submitted it: its events go straight
+//! to that connection's stream.
 //! Each job runs under `catch_unwind`, so a panicking job (or the fault
 //! suite's injected `"panic"`) fails alone: waiting jobs keep starting,
 //! the cache stays consistent, and later jobs succeed.
@@ -19,7 +26,7 @@
 //!
 //! | method & path            | behaviour                                   |
 //! |--------------------------|---------------------------------------------|
-//! | `GET /healthz`           | liveness + queue/cache counters             |
+//! | `GET /healthz`           | liveness + queue/cache/database counters    |
 //! | `POST /run`              | submit a job spec; streams NDJSON events    |
 //! | `GET /jobs`              | job table snapshot                          |
 //! | `POST /jobs/<id>/cancel` | cooperative cancel (stops within one chunk) |
@@ -36,7 +43,7 @@
 //! re-running its spec over the shared cache, where the chunks it
 //! merged answer as hits.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,6 +53,7 @@ use std::time::Duration;
 
 use tta_core::cache::SweepCache;
 use tta_core::explore::{CancelToken, SweepProgress};
+use tta_core::ComponentDb;
 
 use crate::exec::{self, JobOutput};
 use crate::http::{
@@ -66,6 +74,12 @@ pub const WRITE_DEADLINE: Duration = Duration::from_secs(30);
 /// How often the shutdown watcher looks at the stop flags. A signal
 /// handler can only set a flag, so the watcher has to poll.
 const STOP_POLL: Duration = Duration::from_millis(20);
+
+/// How many finished (done, cancelled or failed) job records the daemon
+/// keeps for `GET /jobs` and `POST /jobs/<id>/resume`. Past it, the
+/// record that finished first goes; queued and running records are
+/// never dropped.
+const RETAINED_FINISHED_JOBS: usize = 1024;
 
 /// Process-wide flag a `SIGTERM`/`SIGINT` handler flips; the shutdown
 /// watcher polls it alongside the `/shutdown` flag.
@@ -123,6 +137,34 @@ struct JobRecord {
     front: usize,
 }
 
+/// Every queued and running job, plus the last
+/// [`RETAINED_FINISHED_JOBS`] to finish.
+#[derive(Default)]
+struct JobTable {
+    records: HashMap<u64, JobRecord>,
+    // Ids of the finished records, first finished first.
+    finished: VecDeque<u64>,
+}
+
+impl JobTable {
+    /// Moves job `id` into the finished state `to` with its final
+    /// counts, then drops the earliest-finished records beyond the cap.
+    fn finish(&mut self, id: u64, to: JobState, evaluations: usize, front: usize) {
+        let Some(r) = self.records.get_mut(&id) else {
+            return;
+        };
+        r.state = to;
+        r.evaluations = evaluations;
+        r.front = front;
+        self.finished.push_back(id);
+        while self.finished.len() > RETAINED_FINISHED_JOBS {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.records.remove(&oldest);
+            }
+        }
+    }
+}
+
 /// One NDJSON line of a job stream.
 enum Event<'a> {
     Queued,
@@ -134,14 +176,15 @@ enum Event<'a> {
 
 struct ServerState {
     cache: SweepCache,
+    db: ComponentDb,
     gate: Gate,
-    jobs: Mutex<HashMap<u64, JobRecord>>,
+    jobs: Mutex<JobTable>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
 }
 
 impl ServerState {
-    fn jobs(&self) -> MutexGuard<'_, HashMap<u64, JobRecord>> {
+    fn jobs(&self) -> MutexGuard<'_, JobTable> {
         // Poison tolerance everywhere a panicking job's thread might
         // have held a guard: one wedged job must never wedge the daemon.
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
@@ -162,7 +205,8 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7878`, port 0 for ephemeral) and
-    /// admits at most `workers` jobs at once over `cache`.
+    /// admits at most `workers` jobs at once over `cache` and a fresh
+    /// annotation database that lives as long as the daemon.
     ///
     /// # Errors
     ///
@@ -172,8 +216,9 @@ impl Server {
             listener: TcpListener::bind(addr)?,
             state: ServerState {
                 cache,
+                db: ComponentDb::new(),
                 gate: Gate::new(workers),
-                jobs: Mutex::new(HashMap::new()),
+                jobs: Mutex::default(),
                 next_id: AtomicU64::new(1),
                 shutdown: AtomicBool::new(false),
             },
@@ -226,7 +271,7 @@ impl Server {
             // chunk). Waiting jobs still run; the scope joins every
             // connection thread.
             state.gate.close();
-            for record in state.jobs().values() {
+            for record in state.jobs().records.values() {
                 if record.state == JobState::Running {
                     record.cancel.cancel();
                 }
@@ -298,17 +343,18 @@ fn route(req: &Request, w: &mut TcpStream, state: &ServerState) -> std::io::Resu
             let body = json::object([
                 ("ok", json::boolean(true)),
                 ("queued", json::int(state.gate.waiting() as u64)),
-                ("jobs", json::int(state.jobs().len() as u64)),
+                ("jobs", json::int(state.jobs().records.len() as u64)),
                 ("cache_entries", json::int(state.cache.len() as u64)),
+                ("components", json::int(state.db.len() as u64)),
             ]);
             write_json(w, &body)
         }
         ("GET", "/jobs") => {
             let jobs = state.jobs();
-            let mut ids: Vec<_> = jobs.keys().copied().collect();
+            let mut ids: Vec<_> = jobs.records.keys().copied().collect();
             ids.sort_unstable();
             let body = json::array(ids.iter().map(|id| {
-                let r = &jobs[id];
+                let r = &jobs.records[id];
                 json::object([
                     ("job", json::int(*id)),
                     ("state", json::string(r.state.label())),
@@ -356,7 +402,7 @@ fn write_json(w: &mut TcpStream, body: &str) -> std::io::Result<()> {
 }
 
 fn cancel_job(id: u64, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
-    let was = state.jobs().get(&id).map(|r| {
+    let was = state.jobs().records.get(&id).map(|r| {
         r.cancel.cancel();
         r.state.label()
     });
@@ -374,9 +420,10 @@ fn cancel_job(id: u64, w: &mut TcpStream, state: &ServerState) -> std::io::Resul
 }
 
 /// Re-submits a cancelled job's stored spec as a new job; the shared
-/// cache makes it finish exactly as an uninterrupted run would.
+/// cache makes it finish exactly as an uninterrupted run would. A
+/// record past [`RETAINED_FINISHED_JOBS`] is gone and answers `404`.
 fn resume_job(id: u64, w: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
-    let found = state.jobs().get(&id).map(|r| {
+    let found = state.jobs().records.get(&id).map(|r| {
         let resumable = r.state == JobState::Cancelled;
         (r.state.label(), resumable.then(|| r.spec.clone()))
     });
@@ -404,7 +451,7 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
     };
     let id = state.next_id.fetch_add(1, Ordering::Relaxed);
     let cancel = CancelToken::new();
-    state.jobs().insert(
+    state.jobs().records.insert(
         id,
         JobRecord {
             spec: spec.clone(),
@@ -415,7 +462,7 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
         },
     );
     let Some(mut ticket) = state.gate.enter(spec.priority, spec.budget) else {
-        state.jobs().remove(&id);
+        state.jobs().records.remove(&id);
         return write_error(w, 503, "Service Unavailable", "daemon is shutting down");
     };
     // If the client hangs up — mid-stream, before the stream even
@@ -437,11 +484,14 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
     };
     send(Event::Queued);
     ticket.wait();
-    set_state(state, id, JobState::Running);
+    if let Some(r) = state.jobs().records.get_mut(&id) {
+        r.state = JobState::Running;
+    }
     send(Event::Started);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut observer = |p: &SweepProgress| send(Event::Progress(p));
         prepared.run(
+            &state.db,
             Some(&state.cache),
             Some(cancel.clone()),
             Some(&mut observer),
@@ -449,15 +499,12 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
     }));
     match outcome {
         Ok(done) => {
-            if let Some(r) = state.jobs().get_mut(&id) {
-                r.state = if done.cancelled {
-                    JobState::Cancelled
-                } else {
-                    JobState::Done
-                };
-                r.evaluations = done.evaluations;
-                r.front = done.front;
-            }
+            let to = if done.cancelled {
+                JobState::Cancelled
+            } else {
+                JobState::Done
+            };
+            state.jobs().finish(id, to, done.evaluations, done.front);
             // The slot is free before the (possibly large) document
             // goes out.
             drop(ticket);
@@ -468,7 +515,7 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
             // would coerce the Box into `dyn Any` and the downcasts
             // would never match.
             let msg = panic_message(&*panic);
-            set_state(state, id, JobState::Failed);
+            state.jobs().finish(id, JobState::Failed, 0, 0);
             drop(ticket);
             send(Event::Error(&msg));
         }
@@ -477,12 +524,6 @@ fn run_job(spec: JobSpec, w: &mut TcpStream, state: &ServerState) -> std::io::Re
         let _ = out.finish();
     }
     Ok(())
-}
-
-fn set_state(state: &ServerState, id: u64, to: JobState) {
-    if let Some(r) = state.jobs().get_mut(&id) {
-        r.state = to;
-    }
 }
 
 /// Renders one event as an NDJSON line.
@@ -538,6 +579,51 @@ mod tests {
             Json::Obj(map) => map.into_keys().collect(),
             other => panic!("event is not an object: {other:?}"),
         }
+    }
+
+    fn record(state: JobState) -> JobRecord {
+        JobRecord {
+            spec: JobSpec::default(),
+            state,
+            cancel: CancelToken::new(),
+            evaluations: 0,
+            front: 0,
+        }
+    }
+
+    #[test]
+    fn the_job_table_drops_the_earliest_finished_records_first() {
+        let mut table = JobTable::default();
+        table.records.insert(1, record(JobState::Queued));
+        table.records.insert(2, record(JobState::Running));
+        // Three more jobs than the cap finish, newest job first, so
+        // finishing order and admission order disagree.
+        let last = 2 + RETAINED_FINISHED_JOBS as u64 + 3;
+        for id in 3..=last {
+            table.records.insert(id, record(JobState::Running));
+        }
+        for id in (3..=last).rev() {
+            let to = [JobState::Done, JobState::Cancelled, JobState::Failed][id as usize % 3];
+            table.finish(id, to, 5, 2);
+        }
+        assert_eq!(table.records.len(), 2 + RETAINED_FINISHED_JOBS);
+        assert_eq!(table.finished.len(), RETAINED_FINISHED_JOBS);
+        for id in last - 2..=last {
+            assert!(!table.records.contains_key(&id), "job {id} finished first");
+        }
+        assert_eq!(table.records[&1].state, JobState::Queued, "never evicted");
+        assert_eq!(table.records[&2].state, JobState::Running, "never evicted");
+        let kept = &table.records[&3];
+        assert_eq!(kept.state, JobState::Done, "finished last, kept");
+        assert_eq!((kept.evaluations, kept.front), (5, 2));
+        // The queued and running jobs finish last and push out the next
+        // earliest-finished records, whatever their state.
+        table.finish(1, JobState::Cancelled, 0, 0);
+        table.finish(2, JobState::Done, 7, 3);
+        assert!(!table.records.contains_key(&(last - 3)));
+        assert!(!table.records.contains_key(&(last - 4)));
+        assert_eq!(table.records[&1].state, JobState::Cancelled, "resumable");
+        assert_eq!(table.records.len(), RETAINED_FINISHED_JOBS);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 #![allow(dead_code)]
 
 use tta_core::cache::SweepCache;
+use tta_core::ComponentDb;
 use tta_serve::client::control;
 use tta_serve::server::Server;
 use tta_serve::spec::JobSpec;
@@ -45,12 +46,13 @@ pub fn tiny_spec() -> JobSpec {
     }
 }
 
-/// What a local (in-process, cacheless) run of `spec` prints — the
-/// byte-identity oracle for every remote comparison.
+/// What a local (in-process, cacheless) run of `spec` on a fresh
+/// annotation database prints — the byte-identity oracle for every
+/// remote comparison.
 pub fn local_output(spec: &JobSpec) -> String {
     tta_serve::exec::prepare(spec)
         .expect("spec resolves")
-        .run(None, None, None)
+        .run(&ComponentDb::new(), None, None, None)
         .output
 }
 

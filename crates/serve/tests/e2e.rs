@@ -168,5 +168,90 @@ fn health_and_job_table_endpoints_answer_json() {
         health.get("cache_entries").and_then(Json::as_u64).unwrap() > 0,
         "the finished job warmed the cache: {health:?}"
     );
+
+    // Two paper jobs that differ only in the bus area: the second
+    // misses the sweep cache but finds every component annotated.
+    let components = |addr: &str| {
+        http_get(addr, "/healthz")
+            .get("components")
+            .and_then(Json::as_u64)
+            .expect("healthz counts the database's records")
+    };
+    let before = components(&daemon.addr);
+    remote(&daemon.addr, &paper_spec(3.5));
+    let after_one = components(&daemon.addr);
+    assert!(after_one > before, "the paper job annotated its components");
+    remote(&daemon.addr, &paper_spec(7.25));
+    assert_eq!(
+        components(&daemon.addr),
+        after_one,
+        "a second paper job annotated a component again"
+    );
+    daemon.stop().expect("clean shutdown");
+}
+
+/// A paper-space job with the default workload suite and its own bus
+/// area, so it shares no sweep-cache address with another bus area.
+fn paper_spec(bus_area: f64) -> JobSpec {
+    JobSpec {
+        space: Some("paper".into()),
+        bus_area: Some(bus_area),
+        threads: Some(1),
+        format: Format::Json,
+        ..JobSpec::default()
+    }
+}
+
+#[test]
+fn a_warm_shared_database_changes_no_byte_in_any_order() {
+    // Two clients interleave jobs of every kind on one daemon, so each
+    // job meets a database that other jobs have warmed to a different
+    // degree. Every document must equal a local run on a fresh
+    // database.
+    let random = |seed: u64| JobSpec {
+        space: Some("huge".into()),
+        strategy: Strategy::Random,
+        budget: Some(1024),
+        seed: Some(seed),
+        format: Format::Json,
+        ..JobSpec::default()
+    };
+    let netlist = JobSpec {
+        space: Some("huge".into()),
+        strategy: Strategy::Random,
+        budget: Some(32),
+        seed: Some(2000),
+        fidelity: tta_core::explore::FidelityMode::Netlist,
+        format: Format::Json,
+        ..JobSpec::default()
+    };
+    let lifted = JobSpec {
+        space: Some("fast".into()),
+        workloads: vec!["crypt".into()],
+        lift: tta_core::explore::LiftMode::Full,
+        test_model: TestModel::Scan,
+        format: Format::Table,
+        ..JobSpec::default()
+    };
+    let clients = [
+        vec![paper_spec(3.5), random(11), netlist, paper_spec(5.0)],
+        vec![random(12), lifted, paper_spec(7.25), random(13)],
+    ];
+    let wants: Vec<Vec<String>> = clients
+        .iter()
+        .map(|jobs| jobs.iter().map(local_output).collect())
+        .collect();
+    let daemon = start(2, SweepCache::in_memory());
+    std::thread::scope(|scope| {
+        for (jobs, wants) in clients.iter().zip(&wants) {
+            let addr = &daemon.addr;
+            scope.spawn(move || {
+                for (spec, want) in jobs.iter().zip(wants) {
+                    let (got, _, _) = remote(addr, spec);
+                    assert_eq!(&got, want, "remote bytes drifted for {spec:?}");
+                }
+            });
+        }
+    });
     daemon.stop().expect("clean shutdown");
 }
