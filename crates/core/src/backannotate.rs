@@ -13,7 +13,8 @@
 //! key is annotated exactly once however many threads ask for it at the
 //! same time (see [`ComponentDb::warm`]).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -204,6 +205,50 @@ impl<'a> Records<'a> {
     }
 }
 
+/// The order in which [`ComponentDb::warm`] claims cold keys: the
+/// costliest annotation first — multipliers, then ALUs, then
+/// comparators, then the rest (register files are march-tested, and the
+/// other units' ATPG is small) — and wider first within a class. A cold
+/// sweep's critical path is its multiplier's ATPG, so starting it first
+/// lets the other workers cover the cheaper keys meanwhile. A scheduling
+/// hint only: no record depends on it.
+fn claim_rank(key: ComponentKey) -> (u8, u16) {
+    match key {
+        ComponentKey::Mul(w) => (3, w),
+        ComponentKey::Alu(w) => (2, w),
+        ComponentKey::Cmp(w) => (1, w),
+        ComponentKey::Rf(w, ..)
+        | ComponentKey::LdSt(w)
+        | ComponentKey::Pc(w)
+        | ComponentKey::Imm(w)
+        | ComponentKey::SocketGroup(w, _) => (0, w),
+    }
+}
+
+thread_local! {
+    /// `Some(deferred)` while this thread runs under [`deferring`].
+    static DEFERRAL: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with this thread's folds deferring: a fold that reads a key
+/// another thread is still annotating returns at once, with a value
+/// built from the placeholder, instead of waiting for that record (the
+/// keys nobody holds it still annotates itself). `None` when a fold in
+/// `f` deferred: `f`'s value then means nothing, and the caller folds
+/// again later, outside this mode. A sweep worker evaluates its points
+/// this way, so it never sleeps on another worker's annotation.
+pub(crate) fn deferring<T>(f: impl FnOnce() -> T) -> Option<T> {
+    struct Restore(Option<bool>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            DEFERRAL.set(self.0);
+        }
+    }
+    let _restore = Restore(DEFERRAL.replace(Some(false)));
+    let value = f();
+    (DEFERRAL.get() == Some(false)).then_some(value)
+}
+
 /// The lazy component database.
 ///
 /// March-tested register files use [`MarchAlgorithm::march_cminus`] by
@@ -222,6 +267,10 @@ pub struct ComponentDb {
     records: OnceMap<ComponentKey, Arc<ComponentRecord>>,
     // Annotations started so far (one per key, barring a panic).
     annotations: AtomicUsize,
+    // Annotations running right now.
+    in_flight: AtomicUsize,
+    // Folds that returned without a record another thread was annotating.
+    deferrals: AtomicUsize,
 }
 
 impl Default for ComponentDb {
@@ -248,6 +297,8 @@ impl ComponentDb {
             march,
             records: OnceMap::default(),
             annotations: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
+            deferrals: AtomicUsize::new(0),
         }
     }
 
@@ -280,25 +331,33 @@ impl ComponentDb {
     /// fold read keys that are not annotated yet (a serial sweep
     /// annotates lazily), those keys are annotated outside the lock and
     /// the same fold runs again, so the value returned always comes from
-    /// real records.
+    /// real records — except under [`deferring`], where a fold that read
+    /// a key another thread is annotating returns its placeholder value
+    /// at once and marks the thread's run as deferred.
     pub(crate) fn fold<T>(&self, fold: impl Fn(&Records<'_>) -> T) -> T {
         loop {
-            let pass = self.records.read(|ready| {
+            let (value, cold) = self.records.read(|ready| {
                 let records = Records {
                     ready,
                     cold: RefCell::new(Vec::new()),
                 };
                 let value = fold(&records);
-                let cold = records.cold.into_inner();
-                if cold.is_empty() {
-                    Ok(value)
-                } else {
-                    Err(cold)
-                }
+                (value, records.cold.into_inner())
             });
-            match pass {
-                Ok(value) => return value,
-                Err(cold) => self.warm(cold),
+            if cold.is_empty() {
+                return value;
+            }
+            let held = self.claim(cold);
+            if held.is_empty() {
+                continue;
+            }
+            if DEFERRAL.get().is_some() {
+                DEFERRAL.set(Some(true));
+                self.deferrals.fetch_add(1, Ordering::Relaxed);
+                return value;
+            }
+            for key in held {
+                self.get(key);
             }
         }
     }
@@ -313,26 +372,62 @@ impl ComponentDb {
     /// threads: a key whose cell another thread inserted is skipped, so
     /// this thread moves on to keys nobody has taken, and only at the end
     /// waits for the skipped ones (annotating one itself if its first
-    /// annotation panicked).
+    /// annotation panicked). Keys are claimed costliest first.
     pub fn warm(&self, keys: impl IntoIterator<Item = ComponentKey>) {
-        let mut skipped = Vec::new();
+        for key in self.claim(keys) {
+            self.get(key);
+        }
+    }
+
+    /// The claiming half of [`ComponentDb::warm`]: annotates every key of
+    /// `keys` no thread has claimed, costliest first (see `claim_rank`),
+    /// and returns the keys whose cells another thread inserted and has
+    /// not filled.
+    fn claim(&self, keys: impl IntoIterator<Item = ComponentKey>) -> Vec<ComponentKey> {
+        let mut keys: Vec<ComponentKey> = keys.into_iter().collect();
+        keys.sort_unstable_by_key(|&key| Reverse((claim_rank(key), key)));
+        keys.dedup();
+        let mut held = Vec::new();
         for key in keys {
             match self.records.cell(key) {
                 (cell, true) => {
                     cell.get_or_init(|| self.annotate(key));
                 }
-                (_, false) => skipped.push(key),
+                (cell, false) if cell.get().is_none() => held.push(key),
+                _ => {}
             }
         }
-        for key in skipped {
-            self.get(key);
-        }
+        held
+    }
+
+    /// Whether an annotation is running on some thread right now.
+    pub(crate) fn annotating(&self) -> bool {
+        self.in_flight.load(Ordering::Relaxed) > 0
+    }
+
+    /// Folds that returned under [`deferring`] without a record another
+    /// thread was annotating.
+    #[cfg(test)]
+    pub(crate) fn deferrals(&self) -> usize {
+        self.deferrals.load(Ordering::Relaxed)
     }
 
     /// Annotations computed so far.
     #[cfg(test)]
     pub(crate) fn annotations(&self) -> usize {
         self.annotations.load(Ordering::Relaxed)
+    }
+
+    /// Claims `key`'s cell as an annotating thread does, leaving it
+    /// empty, and returns the call that annotates it: a test holds the
+    /// key until then.
+    #[cfg(test)]
+    pub(crate) fn hold(&self, key: ComponentKey) -> impl FnOnce() + '_ {
+        let (cell, inserted_by_me) = self.records.cell(key);
+        assert!(inserted_by_me, "{key:?} was claimed already");
+        move || {
+            cell.get_or_init(|| self.annotate(key));
+        }
     }
 
     /// Number of distinct components annotated so far.
@@ -348,7 +443,15 @@ impl ComponentDb {
     /// Annotates `key`; the memo runs this outside its lock (annotation
     /// can take seconds, and other keys must stay readable meanwhile).
     fn annotate(&self, key: ComponentKey) -> Arc<ComponentRecord> {
+        struct InFlight<'a>(&'a AtomicUsize);
+        impl Drop for InFlight<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
         self.annotations.fetch_add(1, Ordering::Relaxed);
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        let _in_flight = InFlight(&self.in_flight);
         let component = key.generate();
         let stats = timing::analyze(&component.netlist);
         // Register files: storage is march-tested (eq. 12); the port/pipe

@@ -76,6 +76,10 @@
 //!   before it is kept.
 //! * Any other malformed journal line discards the whole journal but
 //!   keeps the v3 file — again time, never correctness.
+//! * Either way `open` cuts the journal back to the lines it kept, so
+//!   the handle's first append starts a line of its own: appended onto
+//!   a torn fragment, it would make one malformed line, and the next
+//!   crash would lose the whole journal.
 //!
 //! [`SweepCache::flush`] merges with whatever is on disk before an
 //! atomic rename, so concurrent sweeps sharing one directory union
@@ -302,6 +306,9 @@ enum Kind {
     Test,
 }
 
+/// One parsed line of the v3 file or the journal: its key and entry.
+type Line = ((Kind, u64), Entry);
+
 // ---------------------------------------------------------------------
 // The cache
 // ---------------------------------------------------------------------
@@ -450,8 +457,15 @@ impl KeyIndex {
         }
     }
 
-    /// Points `key` at `offset`.
+    /// Points `key` at `offset`. A key above the sorted run's last one
+    /// extends the run in O(1) while no recent keys are pending, so a
+    /// sorted v3 file loads without a merge.
     fn insert(&mut self, key: u64, offset: u32) {
+        if self.recent.is_empty() && self.sorted.last().is_none_or(|&last| last < key) {
+            self.sorted.push(key);
+            self.offsets.push(offset);
+            return;
+        }
         if let Ok(i) = self.sorted.binary_search(&key) {
             self.offsets[i] = offset;
             return;
@@ -620,6 +634,18 @@ fn decode(row: &[u64]) -> Entry {
 /// `(len, mtime)` quick-check signature of a file.
 type DiskSig = Option<(u64, std::time::SystemTime)>;
 
+/// What one handle knows of the files on disk, so a flush re-reads only
+/// what another writer may have changed.
+#[derive(Debug, Default)]
+struct DiskState {
+    /// The v3 file's signature as of the last load or flush.
+    file: DiskSig,
+    /// The journal's length as this handle left it: its length at open
+    /// plus this handle's appends, 0 once a flush removed it. Every line
+    /// in that length is in memory already.
+    journal_len: u64,
+}
+
 /// A persistent, thread-safe evaluation cache (see the [module
 /// docs](self) for the design and the on-disk format).
 ///
@@ -637,12 +663,11 @@ pub struct SweepCache {
     journal: PathBuf,
     shards: [Mutex<Shard>; SHARDS],
     dirty: std::sync::atomic::AtomicBool,
-    /// `(len, mtime)` of the v3 file as of the last load or flush — an
-    /// rsync-style quick check so a flush skips re-parsing a file
+    /// Rsync-style quick checks, so a flush skips re-parsing a file
     /// nobody else has touched. The lock is also held across every
     /// checkpoint and flush (always before any shard lock), so one
     /// handle's journal appends and compactions never interleave.
-    disk_state: Mutex<DiskSig>,
+    disk_state: Mutex<DiskState>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Counted *lookup operations* (lock acquisitions for reading), as
@@ -687,20 +712,27 @@ impl SweepCache {
         fs::create_dir_all(dir)?;
         let path = dir.join(CACHE_FILE_NAME);
         let journal = dir.join(JOURNAL_FILE_NAME);
-        let (mut entries, disk_state) = match load_entries(&path) {
-            Some(entries) => (entries, stat_sig(&path)),
-            None => (HashMap::new(), None),
-        };
+        let mut shards: [Shard; SHARDS] = std::array::from_fn(|_| Shard::default());
+        let mut disk = DiskState::default();
+        if read_entries(&path, |k, v| {
+            shards[shard_of(k.1)].insert(k, &v);
+        }) {
+            disk.file = stat_sig(&path);
+        } else {
+            shards.iter_mut().for_each(Shard::clear);
+        }
         // Journal lines win over file lines; a journal on disk also
         // leaves the cache dirty, so the next flush compacts it away.
         let replayed = load_journal(&journal);
         let dirty = replayed.is_some();
-        entries.extend(replayed.into_iter().flatten());
-        let mut shards: [Shard; SHARDS] = std::array::from_fn(|_| Shard::default());
-        for (k, v) in entries {
-            shards[shard_of(k.1)].insert(k, &v);
+        if let Some(replayed) = replayed {
+            cut_journal(&journal, &replayed);
+            disk.journal_len = replayed.trusted;
+            for (k, v) in replayed.entries {
+                shards[shard_of(k.1)].insert(k, &v);
+            }
         }
-        let mut cache = SweepCache::with_shards(path, journal, shards, disk_state);
+        let mut cache = SweepCache::with_shards(path, journal, shards, disk);
         *cache.dirty.get_mut() = dirty;
         Ok(cache)
     }
@@ -713,7 +745,7 @@ impl SweepCache {
             PathBuf::new(),
             PathBuf::new(),
             std::array::from_fn(|_| Shard::default()),
-            None,
+            DiskState::default(),
         )
     }
 
@@ -721,7 +753,7 @@ impl SweepCache {
         path: PathBuf,
         journal: PathBuf,
         shards: [Shard; SHARDS],
-        disk_state: DiskSig,
+        disk_state: DiskState,
     ) -> SweepCache {
         SweepCache {
             path,
@@ -756,7 +788,7 @@ impl SweepCache {
     }
 
     /// Locks the disk state (poison-tolerant, like the shards).
-    fn disk(&self) -> MutexGuard<'_, DiskSig> {
+    fn disk(&self) -> MutexGuard<'_, DiskState> {
         self.disk_state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -953,8 +985,8 @@ impl SweepCache {
         if !self.persistent() {
             return Ok(());
         }
-        let _disk = self.disk();
-        let mut fresh: Vec<((Kind, u64), Entry)> = Vec::new();
+        let mut disk = self.disk();
+        let mut fresh: Vec<Line> = Vec::new();
         for i in 0..SHARDS {
             let mut shard = self.shard(i);
             let mut pending = std::mem::take(&mut shard.pending);
@@ -982,6 +1014,7 @@ impl SweepCache {
             .append(true)
             .open(&self.journal)?
             .write_all(body.as_bytes())?;
+        disk.journal_len += body.len() as u64;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.journal_bytes
             .fetch_add(body.len() as u64, Ordering::Relaxed);
@@ -1005,24 +1038,30 @@ impl SweepCache {
         if !self.persistent() || (!self.dirty.load(Ordering::Acquire) && !self.journal.exists()) {
             return Ok(());
         }
-        let mut disk_state = self.disk();
+        let mut disk = self.disk();
         // All shard locks are taken in index order (every whole-cache
         // operation uses this order, so two concurrent flushes cannot
         // deadlock) and held for the duration: the flushed file is a
         // consistent snapshot even while other jobs keep storing.
         let mut shards: Vec<MutexGuard<'_, Shard>> = (0..SHARDS).map(|i| self.shard(i)).collect();
-        // Merge the v3 file only when another writer has plausibly
-        // touched it since we last read or wrote it — but the journal
-        // always: another handle's appends leave the v3 quick check
-        // unchanged. First insert wins, so memory beats the journal
-        // (newest line first) and the journal beats the file.
-        let journal = load_journal(&self.journal).unwrap_or_default();
-        let file = if stat_sig(&self.path) == *disk_state {
-            None
-        } else {
-            load_entries(&self.path)
+        // Merge a file only when another writer has plausibly touched it
+        // since this handle last read or wrote it: the v3 file by its
+        // quick check, the journal by the length this handle left it at
+        // (another handle's appends leave the v3 quick check unchanged).
+        // First insert wins, so memory beats the journal (newest line
+        // first) and the journal beats the file (last line first, as a
+        // load replays it).
+        let journal = match fs::metadata(&self.journal) {
+            Ok(meta) if meta.len() != disk.journal_len => load_journal(&self.journal),
+            _ => None,
         };
-        for (k, v) in journal.into_iter().rev().chain(file.into_iter().flatten()) {
+        let mut file = Vec::new();
+        if stat_sig(&self.path) != disk.file && !read_entries(&self.path, |k, v| file.push((k, v)))
+        {
+            file.clear();
+        }
+        let journal = journal.map(|read| read.entries).unwrap_or_default();
+        for (k, v) in journal.into_iter().rev().chain(file.into_iter().rev()) {
             let shard = &mut shards[shard_of(k.1)];
             if shard.offset(&k).is_none() {
                 shard.insert(k, &v);
@@ -1059,9 +1098,11 @@ impl SweepCache {
             shard.pending.clear();
         }
         self.dirty.store(false, Ordering::Release);
-        *disk_state = stat_sig(&self.path);
+        disk.file = stat_sig(&self.path);
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        remove_if_present(&self.journal)
+        remove_if_present(&self.journal)?;
+        disk.journal_len = 0;
+        Ok(())
     }
 
     /// Drops every entry, in memory and on disk (the v3 file and the
@@ -1072,12 +1113,12 @@ impl SweepCache {
     /// Returns the underlying [`io::Error`] when a cache file exists
     /// but cannot be removed.
     pub fn invalidate(&self) -> io::Result<()> {
-        let mut disk_state = self.disk();
+        let mut disk = self.disk();
         for i in 0..SHARDS {
             self.shard(i).clear();
         }
         self.dirty.store(false, Ordering::Release);
-        *disk_state = None;
+        *disk = DiskState::default();
         if self.persistent() {
             remove_if_present(&self.path)?;
             remove_if_present(&self.journal)?;
@@ -1128,46 +1169,82 @@ fn render_line(s: &mut String, key: &(Kind, u64), entry: &Entry) {
     s.push('\n');
 }
 
-/// Parses the v3 cache file at `path`. Returns `None` (≙ empty cache)
+/// Hands every entry of the v3 cache file at `path` to `each`, in file
+/// order (a later line replaces an earlier one with the same key).
+/// Returns `false` (≙ empty cache: the caller drops what it was handed)
 /// for a missing file, a bad header, or *any* malformed line — a cache
 /// that cannot be trusted in full is not trusted at all.
-fn load_entries(path: &Path) -> Option<HashMap<(Kind, u64), Entry>> {
-    let text = fs::read_to_string(path).ok()?;
+fn read_entries(path: &Path, mut each: impl FnMut((Kind, u64), Entry)) -> bool {
+    let Ok(text) = fs::read_to_string(path) else {
+        return false;
+    };
     let mut lines = text.lines();
     if lines.next() != Some(HEADER) {
-        return None;
+        return false;
     }
-    let mut map = HashMap::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (key, entry) = parse_line(line)?;
-        map.insert(key, entry);
+    for line in lines.filter(|line| !line.is_empty()) {
+        let Some((key, entry)) = parse_line(line) else {
+            return false;
+        };
+        each(key, entry);
     }
-    Some(map)
+    true
 }
 
-/// Reads the journal at `path` in file order (later lines win when
-/// replayed). `None` when there is no journal; otherwise the entries of
-/// every complete line, with a torn last line (no trailing `\n`)
-/// dropped — or no entries at all when any complete line is malformed.
-fn load_journal(path: &Path) -> Option<Vec<((Kind, u64), Entry)>> {
+/// A journal as one read found it.
+struct Journal {
+    /// The entries of every complete line, in file order (later lines
+    /// win when replayed), with a torn last line (no trailing `\n`)
+    /// dropped — or no entries at all when any complete line is
+    /// malformed.
+    entries: Vec<Line>,
+    /// The length of the prefix the entries came from: the complete
+    /// lines, or 0 when they were distrusted.
+    trusted: u64,
+    /// The length read.
+    len: u64,
+}
+
+/// Reads the journal at `path`; `None` when there is none.
+fn load_journal(path: &Path) -> Option<Journal> {
     let bytes = fs::read(path).ok()?;
     let complete = match bytes.iter().rposition(|&b| b == b'\n') {
         Some(end) => &bytes[..=end],
         None => &[],
     };
-    let entries = std::str::from_utf8(complete).ok().and_then(|text| {
+    let entries: Option<Vec<_>> = std::str::from_utf8(complete).ok().and_then(|text| {
         text.lines()
             .filter(|line| !line.is_empty())
             .map(parse_line)
             .collect()
     });
-    Some(entries.unwrap_or_default())
+    let (entries, trusted) = match entries {
+        Some(entries) => (entries, complete.len() as u64),
+        None => (Vec::new(), 0),
+    };
+    Some(Journal {
+        entries,
+        trusted,
+        len: bytes.len() as u64,
+    })
 }
 
-fn parse_line(line: &str) -> Option<((Kind, u64), Entry)> {
+/// Cuts the journal at `path` back to the bytes `read` trusted, so this
+/// handle's first append starts a line of its own instead of extending
+/// a torn one (or following lines a replay distrusts). A journal that
+/// changed length since it was read is left alone: another handle has
+/// appended, and the tail read as torn was its append in flight. Best
+/// effort: a journal left longer than this handle expects is re-read by
+/// its flush.
+fn cut_journal(path: &Path, read: &Journal) {
+    if read.len > read.trusted && fs::metadata(path).is_ok_and(|meta| meta.len() == read.len) {
+        if let Ok(file) = fs::OpenOptions::new().write(true).open(path) {
+            let _ = file.set_len(read.trusted);
+        }
+    }
+}
+
+fn parse_line(line: &str) -> Option<Line> {
     let mut parts = line.split(' ');
     let tag = parts.next()?;
     let key = u64::from_str_radix(parts.next()?, 16).ok()?;
@@ -1726,6 +1803,91 @@ mod tests {
             fs::read_to_string(cache.path()).unwrap(),
             format!("{HEADER}\nE 0000000000000001 I\n")
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_before_the_next_append() {
+        let dir = tmpdir("journal-cut");
+        fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join(JOURNAL_FILE_NAME);
+        // A killed run left one complete line and a torn one.
+        fs::write(&journal, "E 0000000000000002 I\nE 00000000000000").unwrap();
+        let cache = SweepCache::open(&dir).unwrap();
+        cache.store_eval(5, sample_feasible());
+        cache.store_eval(7, EvalEntry::Infeasible { blocked: Some(0) });
+        cache.checkpoint().unwrap();
+        // The appended lines start on a line of their own, so a reopen
+        // (after another crash: no flush) keeps them.
+        let reopened = SweepCache::open(&dir).unwrap();
+        assert_eq!(reopened.len(), 3);
+        assert_eq!(eval_at(&reopened, 5), Some(sample_feasible()));
+        assert!(eval_at(&reopened, 2).is_some());
+        // So does a journal a replay distrusted: it is cut to nothing.
+        fs::write(&journal, "E zzzz I\n").unwrap();
+        let cache = SweepCache::open(&dir).unwrap();
+        assert!(cache.is_empty());
+        cache.store_eval(9, sample_feasible());
+        cache.checkpoint().unwrap();
+        assert_eq!(SweepCache::open(&dir).unwrap().len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flush_merges_another_handles_append_after_its_own_checkpoint() {
+        let dir = tmpdir("journal-other");
+        let a = SweepCache::open(&dir).unwrap();
+        a.store_eval(1, sample_feasible());
+        a.checkpoint().unwrap();
+        // `b` opens after `a`'s checkpoint and appends behind it.
+        let b = SweepCache::open(&dir).unwrap();
+        assert_eq!(b.len(), 1);
+        b.store_eval(2, EvalEntry::Infeasible { blocked: None });
+        b.checkpoint().unwrap();
+        a.store_eval(3, EvalEntry::Infeasible { blocked: Some(0) });
+        a.checkpoint().unwrap();
+        // `a`'s flush sees a journal longer than its own appends and
+        // merges `b`'s line.
+        a.flush().unwrap();
+        assert!(!dir.join(JOURNAL_FILE_NAME).exists());
+        let merged = SweepCache::open(&dir).unwrap();
+        assert_eq!(merged.len(), 3);
+        assert_eq!(
+            merged.lookup_eval(2),
+            Some(EvalEntry::Infeasible { blocked: None })
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sorted_file_loads_straight_into_the_sorted_runs() {
+        let dir = tmpdir("sorted-load");
+        let cache = SweepCache::open(&dir).unwrap();
+        for k in 0..4096u64 {
+            cache.store_eval(
+                k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                EvalEntry::Infeasible { blocked: None },
+            );
+            cache.store_test(k.wrapping_mul(0x2545_F491_4F6C_DD1D), k as f64);
+        }
+        cache.flush().unwrap();
+        let loaded = SweepCache::open(&dir).unwrap();
+        assert_eq!(loaded.len(), 8192);
+        for i in 0..SHARDS {
+            let shard = loaded.shard(i);
+            for index in &shard.index {
+                assert!(index.recent.is_empty(), "a loaded key waits for a merge");
+                assert!(index.sorted.is_sorted());
+            }
+        }
+        assert_eq!(
+            loaded.lookup_test(3u64.wrapping_mul(0x2545_F491_4F6C_DD1D)),
+            Some(3.0)
+        );
+        // A malformed line still empties the whole cache.
+        let text = fs::read_to_string(loaded.path()).unwrap();
+        fs::write(loaded.path(), format!("{text}E zzzz I\n")).unwrap();
+        assert!(SweepCache::open(&dir).unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

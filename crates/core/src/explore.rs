@@ -99,13 +99,13 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
 use tta_arch::template::TemplateSpace;
 use tta_arch::Architecture;
 use tta_workloads::{WeightedWorkload, Workload};
 
-use crate::backannotate::ComponentDb;
+use crate::backannotate::{deferring, ComponentDb};
 use crate::cache::{
     arch_fingerprint, workload_fingerprint, EvalEntry, Fingerprint, SweepCache,
     CACHE_ADDRESS_VERSION,
@@ -1143,12 +1143,34 @@ struct SweepPlan<'a> {
     seed: u64,
 }
 
-/// One evaluated chunk waiting for its merge: an outcome per point and
-/// the cache entries the chunk computed, both in point order.
-struct EvaluatedChunk {
-    outcomes: Vec<PointOutcome>,
-    stores: Vec<(u64, EvalEntry)>,
+/// A point's outcome, and the cache entry under its content address
+/// when it computed one.
+type Finished = (PointOutcome, Option<(u64, EvalEntry)>);
+
+/// One point of an evaluated chunk waiting for its merge.
+enum ChunkPoint {
+    Done(Finished),
+    /// A scheduled point whose cost folds read a component another thread
+    /// was annotating: the merge folds it (see [`deferring`]).
+    Deferred {
+        arch: Architecture,
+        scheduled: Scheduled,
+        key: Option<u64>,
+    },
 }
+
+/// A point's schedule half: each workload's application cycles, and the
+/// spills summed over the suite.
+struct Scheduled {
+    workload_cycles: Vec<u64>,
+    spills: u32,
+}
+
+/// What a sweep pool's idle workers may schedule ahead: per chunk rank,
+/// the space indices of the points its worker evaluates fresh (the cache
+/// misses), from when the worker has looked the chunk up until it has
+/// evaluated it.
+struct Ahead(Vec<Mutex<Vec<usize>>>);
 
 impl<'a> SweepPlan<'a> {
     /// Resolves the plan of a builder whose model slots are filled
@@ -1248,11 +1270,27 @@ impl<'a> SweepPlan<'a> {
 
     /// The per-chunk pipeline a sweep worker runs:
     /// [`materialise`](Self::materialise) →
-    /// [`lookup`](Self::lookup) → [`evaluate`](Self::evaluate).
-    fn evaluate_chunk(&self, indices: &[usize]) -> EvaluatedChunk {
+    /// [`lookup`](Self::lookup) → [`evaluate`](Self::evaluate). A pool
+    /// worker passes its chunk's slot of the pool's [`Ahead`]: its cost
+    /// folds then defer rather than wait, and its fresh points are
+    /// published there while it evaluates them.
+    fn evaluate_chunk(
+        &self,
+        indices: &[usize],
+        ahead: Option<&Mutex<Vec<usize>>>,
+    ) -> Vec<ChunkPoint> {
         let archs = self.materialise(indices);
         let (keys, prefetched) = self.lookup(&archs);
-        self.evaluate(archs, &keys, prefetched)
+        let Some(slot) = ahead else {
+            return self.evaluate(archs, &keys, prefetched, false);
+        };
+        let fresh = (indices.iter().enumerate())
+            .filter(|&(k, _)| prefetched.get(k).is_none_or(Option::is_none))
+            .map(|(_, &i)| i);
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = fresh.collect();
+        let points = self.evaluate(archs, &keys, prefetched, true);
+        slot.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        points
     }
 
     /// Stage: builds the chunk's architectures from their space indices,
@@ -1277,101 +1315,182 @@ impl<'a> SweepPlan<'a> {
     /// Stage: one pipeline per point — rehydrate the prefetched entry or
     /// evaluate, add the test total under a full lift, and note what had
     /// to be computed. Each feasible outcome takes ownership of its
-    /// architecture; an infeasible one drops it. The cache is never
-    /// written here: the merge stores the chunk's entries in sweep
+    /// architecture; an infeasible one drops it. With `defer`, a point
+    /// whose cost folds would wait on another thread's annotation keeps
+    /// its schedule and is finished at the merge instead. The cache is
+    /// never written here: the merge stores the chunk's entries in sweep
     /// order.
     fn evaluate(
         &self,
         archs: Vec<Architecture>,
         keys: &[u64],
         mut prefetched: Vec<Option<EvalEntry>>,
-    ) -> EvaluatedChunk {
-        let mut stores = Vec::new();
+        defer: bool,
+    ) -> Vec<ChunkPoint> {
         let mut rejected = 0;
-        let outcomes = archs
+        let points = archs
             .into_iter()
             .enumerate()
             .map(|(k, arch)| {
-                let entry = prefetched.get_mut(k).and_then(Option::take);
-                let inline_test = match &entry {
-                    Some(EvalEntry::Feasible { test, .. }) => *test,
-                    _ => None,
-                };
-                // 1. Rehydrate or evaluate. A cache entry inconsistent
-                // with this suite (corrupt or hash-colliding) hands the
-                // point back and it is re-evaluated — a bad cache may
-                // cost time, never correctness or a panic.
-                let (outcome, mut dirty) = match entry {
-                    None => (self.evaluate_point(arch), true),
+                let key = keys.get(k).copied();
+                // Rehydrate or evaluate. A cache entry inconsistent with
+                // this suite (corrupt or hash-colliding) hands the point
+                // back and it is re-evaluated — a bad cache may cost
+                // time, never correctness or a panic.
+                let arch = match prefetched.get_mut(k).and_then(Option::take) {
+                    None => arch,
                     Some(entry) => {
+                        let inline_test = match &entry {
+                            EvalEntry::Feasible { test, .. } => *test,
+                            EvalEntry::Infeasible { .. } => None,
+                        };
                         match rehydrate(arch, self.workloads.len(), self.weights, entry) {
-                            Ok(outcome) => (outcome, false),
+                            Ok(outcome) => {
+                                return ChunkPoint::Done(self.finish(
+                                    key,
+                                    outcome,
+                                    Some(inline_test),
+                                ));
+                            }
                             Err(arch) => {
                                 rejected += 1;
-                                (self.evaluate_point(arch), true)
+                                arch
                             }
                         }
                     }
                 };
-                // 2. Under a full lift every feasible point carries the
-                // test axis: the entry's inline total when it came from
-                // this test model, a fresh fold otherwise (a Pareto-only
-                // entry reuses its scheduling work and is stored back
-                // upgraded).
-                let total = match (self.lift, &outcome) {
-                    (LiftMode::Full, Ok(e)) => Some(match inline_test {
-                        Some((fp, bits)) if fp == self.full_test_fp && !dirty => {
-                            f64::from_bits(bits)
-                        }
-                        _ => {
-                            dirty = true;
-                            self.test.test_cost(&e.architecture, self.db).total
-                        }
-                    }),
-                    _ => None,
+                let scheduled = match self.schedule_point(&arch) {
+                    Ok(scheduled) => scheduled,
+                    Err(why) => return ChunkPoint::Done(self.finish(key, Err(why), None)),
                 };
-                // 3. With a cache, note what this point computed.
-                if dirty && self.eval_cache.is_some() {
-                    let test = total.map(|t| (self.full_test_fp, t.to_bits()));
-                    stores.push((keys[k], dehydrate(&outcome, test)));
-                }
-                match total {
-                    Some(total) => finish_full(outcome?, total),
-                    None => outcome,
+                let costs = if defer {
+                    deferring(|| self.costs(&arch))
+                } else {
+                    Some(self.costs(&arch))
+                };
+                match costs {
+                    Some(costs) => ChunkPoint::Done(self.finish(
+                        key,
+                        self.cost_point(arch, scheduled, costs),
+                        None,
+                    )),
+                    None => ChunkPoint::Deferred {
+                        arch,
+                        scheduled,
+                        key,
+                    },
                 }
             })
             .collect();
         if let Some((cache, _)) = self.eval_cache {
             cache.count_rejected(rejected);
         }
-        EvaluatedChunk { outcomes, stores }
+        points
     }
 
-    /// Evaluates one architecture on a workload suite (area + throughput
-    /// only; the test axis is lifted later, on front points). Infeasibility
-    /// is entirely the models’ verdict: a non-finite area or clock period
-    /// (the default annotated models return infinity for out-of-
-    /// [`crate::backannotate::ComponentKey`]-domain geometries) or an
-    /// unschedulable workload drops the point — the error records which.
-    /// Cycle counts come from the run's [`ScheduleMemo`]: the modelled
-    /// count of a `(workload, scheduler view)` pair is computed once per
-    /// run, and a simulated count executes the point's own schedule (a
-    /// program that cannot lower or run is as infeasible as one that cannot
-    /// schedule).
-    fn evaluate_point(&self, arch: Architecture) -> PointOutcome {
+    /// The rest of a point's pipeline once its 2-D outcome is known.
+    /// `rehydrated` carries a cache hit's inline test pair; `None` means
+    /// the outcome was computed just now.
+    ///
+    /// 1. Under a full lift every feasible point carries the test axis:
+    ///    the entry's inline total when it came from this test model, a
+    ///    fresh fold otherwise (a Pareto-only entry reuses its scheduling
+    ///    work and is stored back upgraded).
+    /// 2. With a cache, the entry of a point that computed anything is
+    ///    returned for the merge to store under `key`.
+    fn finish(
+        &self,
+        key: Option<u64>,
+        outcome: PointOutcome,
+        rehydrated: Option<Option<(u64, u64)>>,
+    ) -> Finished {
+        let mut dirty = rehydrated.is_none();
+        let total = match (self.lift, &outcome) {
+            (LiftMode::Full, Ok(e)) => Some(match rehydrated.flatten() {
+                Some((fp, bits)) if fp == self.full_test_fp => f64::from_bits(bits),
+                _ => {
+                    dirty = true;
+                    self.test.test_cost(&e.architecture, self.db).total
+                }
+            }),
+            _ => None,
+        };
+        let store = key.filter(|_| dirty).map(|key| {
+            let test = total.map(|t| (self.full_test_fp, t.to_bits()));
+            (key, dehydrate(&outcome, test))
+        });
+        let outcome = match total {
+            Some(total) => outcome.and_then(|e| finish_full(e, total)),
+            None => outcome,
+        };
+        (outcome, store)
+    }
+
+    /// A chunk point's outcome and cache entry: a deferred point is
+    /// folded now, waiting for any record still being annotated.
+    fn complete(&self, point: ChunkPoint) -> Finished {
+        match point {
+            ChunkPoint::Done(finished) => finished,
+            ChunkPoint::Deferred {
+                arch,
+                scheduled,
+                key,
+            } => {
+                let costs = self.costs(&arch);
+                self.finish(key, self.cost_point(arch, scheduled, costs), None)
+            }
+        }
+    }
+
+    /// The schedule half of evaluating one architecture on the workload
+    /// suite: each member's cycle count from the run's [`ScheduleMemo`]
+    /// (the modelled count of a `(workload, scheduler view)` pair is
+    /// computed once per run; a simulated count executes the point's own
+    /// schedule, and a program that cannot lower or run is as infeasible
+    /// as one that cannot schedule). `Err(Some(i))` names the first
+    /// member that failed.
+    fn schedule_point(&self, arch: &Architecture) -> Result<Scheduled, Option<usize>> {
         let mut workload_cycles = Vec::with_capacity(self.workloads.len());
         let mut spills = 0u32;
-        let admitted = self.schedules.admits(&arch);
+        let admitted = self.schedules.admits(arch);
         for (i, w) in self.workloads.iter().enumerate() {
             let (trace_cycles, workload_spills) =
-                self.schedules.lookup(&arch, i, admitted).ok_or(Some(i))?;
+                self.schedules.lookup(arch, i, admitted).ok_or(Some(i))?;
             workload_cycles.push(w.application_cycles(trace_cycles));
             spills += workload_spills;
         }
+        Ok(Scheduled {
+            workload_cycles,
+            spills,
+        })
+    }
+
+    /// The cost folds of a point: its area and clock period.
+    fn costs(&self, arch: &Architecture) -> (f64, f64) {
+        (
+            self.area.area(arch, self.db),
+            self.timing.clock_period(arch, self.db),
+        )
+    }
+
+    /// The evaluation of a scheduled point at `(area, clock)` (area +
+    /// throughput only; the test axis is lifted later, on front points).
+    /// Infeasibility is entirely the models’ verdict: a non-finite area
+    /// or clock period (the default annotated models return infinity for
+    /// out-of-[`crate::backannotate::ComponentKey`]-domain geometries)
+    /// drops the point.
+    fn cost_point(
+        &self,
+        arch: Architecture,
+        scheduled: Scheduled,
+        (area, clock): (f64, f64),
+    ) -> PointOutcome {
+        let Scheduled {
+            workload_cycles,
+            spills,
+        } = scheduled;
         let cycles: u64 = workload_cycles.iter().sum();
         let weighted_cycles = weighted_sum(&workload_cycles, self.weights);
-        let area = self.area.area(&arch, self.db);
-        let clock = self.timing.clock_period(&arch, self.db);
         // Exec time must be finite too: a finite-but-extreme weight can
         // overflow the weighted aggregate, and an infinite axis would turn
         // the norm selection into NaN comparisons downstream.
@@ -1390,6 +1509,25 @@ impl<'a> SweepPlan<'a> {
                 (Objective::ExecTime, exec_time),
             ]),
         })
+    }
+
+    /// An idle pool worker's last job: while an annotation is in flight,
+    /// it schedules the points other workers are still to evaluate, each
+    /// chunk from its end backwards (its worker goes from the front), so
+    /// their lookups answer from the memo. The worker behind the
+    /// annotation is usually the one these points belong to. No result
+    /// and no count changes: the fills are uncounted, and they run the
+    /// scheduler only for views those workers would look up.
+    fn schedule_ahead(&self, ahead: &Ahead) {
+        for slot in &ahead.0 {
+            let fresh = slot.lock().unwrap_or_else(PoisonError::into_inner).clone();
+            for &i in fresh.iter().rev() {
+                if !self.db.annotating() {
+                    return;
+                }
+                self.schedules.fill(&self.space.point(i));
+            }
+        }
     }
 
     /// Stage: stores a merged chunk's fresh entries in the eval cache and
@@ -1551,6 +1689,11 @@ impl<'p> SweepRun<'p> {
     /// chunks strictly in rank order. The front, the cache journal, the
     /// progress events and the cancellation boundary therefore match
     /// the serial sweep's exactly; only the evaluation runs ahead.
+    ///
+    /// A worker waits on another's annotation only as a last resort: its
+    /// cost folds defer instead (the merge folds those points), and a
+    /// worker that finds no chunk left schedules ahead for the others
+    /// while an annotation is in flight.
     fn sweep_batch(&mut self, fresh: &[usize], cancel: Option<&CancelToken>) -> bool {
         let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
         let plan = self.plan;
@@ -1565,26 +1708,29 @@ impl<'p> SweepRun<'p> {
                 if cancelled() {
                     return false;
                 }
-                self.merge(indices, plan.evaluate_chunk(indices));
+                self.merge(indices, plan.evaluate_chunk(indices, None));
             }
             return true;
         }
         let next = AtomicUsize::new(0);
+        let ahead = Ahead(chunks.iter().map(|_| Mutex::default()).collect());
         std::thread::scope(|scope| {
-            let (done, finished) = mpsc::channel::<(usize, EvaluatedChunk)>();
+            let (done, finished) = mpsc::channel::<(usize, Vec<ChunkPoint>)>();
             for _ in 0..threads {
                 let done = done.clone();
-                let (next, chunks) = (&next, &chunks);
+                let (next, chunks, ahead) = (&next, &chunks, &ahead);
                 scope.spawn(move || loop {
                     if cancelled() {
                         break;
                     }
                     let rank = next.fetch_add(1, Ordering::Relaxed);
                     let Some(indices) = chunks.get(rank) else {
+                        plan.schedule_ahead(ahead);
                         break;
                     };
+                    let chunk = plan.evaluate_chunk(indices, Some(&ahead.0[rank]));
                     // A closed channel means the merge stopped.
-                    if done.send((rank, plan.evaluate_chunk(indices))).is_err() {
+                    if done.send((rank, chunk)).is_err() {
                         break;
                     }
                 });
@@ -1592,7 +1738,7 @@ impl<'p> SweepRun<'p> {
             drop(done);
             // Chunks finish out of order; each waits here until every
             // lower rank is merged.
-            let mut waiting: Vec<Option<EvaluatedChunk>> = chunks.iter().map(|_| None).collect();
+            let mut waiting: Vec<Option<Vec<ChunkPoint>>> = chunks.iter().map(|_| None).collect();
             let mut merged = 0;
             for (rank, chunk) in finished {
                 waiting[rank] = Some(chunk);
@@ -1612,11 +1758,19 @@ impl<'p> SweepRun<'p> {
     }
 
     /// Merges one evaluated chunk of the points `indices` into the run:
-    /// [`store`](SweepPlan::store) → [`insert`](Self::insert) →
-    /// [`report`](Self::report).
-    fn merge(&mut self, indices: &[usize], chunk: EvaluatedChunk) {
-        self.plan.store(chunk.stores);
-        self.insert(indices, chunk.outcomes);
+    /// [`complete`](SweepPlan::complete) → [`store`](SweepPlan::store) →
+    /// [`insert`](Self::insert) → [`report`](Self::report).
+    fn merge(&mut self, indices: &[usize], chunk: Vec<ChunkPoint>) {
+        let mut stores = Vec::new();
+        let outcomes = (chunk.into_iter())
+            .map(|point| {
+                let (outcome, store) = self.plan.complete(point);
+                stores.extend(store);
+                outcome
+            })
+            .collect();
+        self.plan.store(stores);
+        self.insert(indices, outcomes);
         self.report();
     }
 
@@ -1683,7 +1837,7 @@ fn weighted_sum(workload_cycles: &[u64], weights: &[f64]) -> f64 {
 /// patterns the original evaluation produced (the weighted aggregate is
 /// deterministically recomputed from the cached per-workload cycles),
 /// so a warm sweep is bit-identical to a cold one. Entries
-/// `evaluate_point` could not have produced for a suite of
+/// a sweep could not have produced for a suite of
 /// `n_workloads` members (a corrupt or hand-edited cache line, or a
 /// content-address collision) hand `arch` back as `Err`, for a fresh
 /// evaluation: a wrong workload count or `blocked` index, `cycles`
@@ -1780,7 +1934,7 @@ mod tests {
     use tta_workloads::suite;
 
     /// A feasible cache row for a two-workload suite, consistent with
-    /// what `evaluate_point` writes.
+    /// what a sweep writes.
     fn feasible_row(workload_cycles: Vec<u64>, cycles: u64, area: f64, exec: f64) -> EvalEntry {
         EvalEntry::Feasible {
             cycles,
@@ -1936,6 +2090,87 @@ mod tests {
         }
         assert_eq!(db.annotations(), db.len(), "a key was annotated twice");
         assert_eq!(db.len(), fresh.len());
+    }
+
+    #[test]
+    fn a_worker_defers_a_fold_on_a_held_key_to_the_merge() {
+        // Another thread holds the multiplier's cell, empty, until the
+        // sweep has deferred a fold on it; only the merge may wait for it.
+        let w = suite::crypt(1);
+        let held = crate::ComponentKey::Mul(16);
+        let db = ComponentDb::new();
+        let (taken, taken_rx) = mpsc::channel();
+        let parallel = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let annotate = db.hold(held);
+                taken.send(()).unwrap();
+                let start = std::time::Instant::now();
+                while db.deferrals() == 0 && start.elapsed().as_secs() < 120 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                annotate();
+            });
+            taken_rx.recv().unwrap();
+            let result = Exploration::over(TemplateSpace::paper_default())
+                .workload(&w)
+                .with_db(&db)
+                .threads(2)
+                .run();
+            holder.join().expect("holder thread");
+            result
+        });
+        assert!(db.deferrals() > 0, "no fold was deferred");
+        let serial_db = ComponentDb::new();
+        let serial = Exploration::over(TemplateSpace::paper_default())
+            .workload(&w)
+            .with_db(&serial_db)
+            .threads(1)
+            .run();
+        assert_eq!(serial_db.deferrals(), 0, "a serial sweep never defers");
+        assert!(
+            format!("{parallel:?}") == format!("{serial:?}"),
+            "a deferring sweep renders other bytes"
+        );
+        assert_eq!(db.annotations(), db.len(), "a key was annotated twice");
+        assert_eq!(db.len(), serial_db.len());
+    }
+
+    #[test]
+    fn schedule_counts_and_annotations_match_at_every_thread_count() {
+        let w = suite::crypt(1);
+        let sweep = |name| match name {
+            "paper" => Exploration::over(TemplateSpace::paper_default()),
+            "fast" => Exploration::over(TemplateSpace::fast_default()),
+            _ => Exploration::over(TemplateSpace::huge())
+                .strategy(crate::search::Exhaustive::neighbour())
+                .budget(4096),
+        };
+        for name in ["paper", "fast", "huge walk"] {
+            let runs: Vec<_> = [1, 2, 4]
+                .into_iter()
+                .map(|threads| {
+                    let db = ComponentDb::new();
+                    let result = sweep(name).workload(&w).with_db(&db).threads(threads).run();
+                    assert_eq!(
+                        db.annotations(),
+                        db.len(),
+                        "{name}: a key was annotated twice"
+                    );
+                    (format!("{result:?}"), result.schedule, db.len())
+                })
+                .collect();
+            for (threads, run) in [2, 4].into_iter().zip(&runs[1..]) {
+                assert_eq!(
+                    (run.1, run.2),
+                    (runs[0].1, runs[0].2),
+                    "{name} at {threads} threads: (schedule, components)"
+                );
+                assert!(
+                    run.0 == runs[0].0,
+                    "{name} at {threads} threads: other bytes"
+                );
+            }
+        }
     }
 
     #[test]

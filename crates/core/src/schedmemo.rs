@@ -115,13 +115,35 @@ impl<'a> ScheduleMemo<'a> {
                 let schedule = self.run(arch, w)?;
                 Some((executed_cycles(arch, w, &schedule)?, schedule.spills))
             }
-            CycleSource::Model => {
-                let view = SchedulerView::with_classes(arch, self.classes[index]);
-                self.outcomes.get_or_init((index, view), || {
-                    self.run(arch, w).map(|s| (s.cycles, s.spills))
-                })
+            CycleSource::Model => self.memoised(arch, index),
+        }
+    }
+
+    /// Schedules `arch` for every workload a lookup of the point would
+    /// reach, up to the first one that cannot be scheduled, without
+    /// counting a lookup. A sweep worker that has no chunk left fills the
+    /// memo this way ahead of the workers still evaluating, so their
+    /// lookups of the same points answer from the memo; the runs are the
+    /// ones those lookups would have made. Nothing is memoised under
+    /// [`CycleSource::Simulate`], so nothing is filled.
+    pub(crate) fn fill(&self, arch: &Architecture) {
+        if self.source == CycleSource::Model && self.admits(arch) {
+            for index in 0..self.workloads.len() {
+                if self.memoised(arch, index).is_none() {
+                    return;
+                }
             }
         }
+    }
+
+    /// The memoised `(trace cycles, spills)` of workload `index` on
+    /// `arch`, scheduling its view on the first ask.
+    fn memoised(&self, arch: &Architecture, index: usize) -> Option<(u32, u32)> {
+        let view = SchedulerView::with_classes(arch, self.classes[index]);
+        self.outcomes.get_or_init((index, view), || {
+            self.run(arch, &self.workloads[index])
+                .map(|s| (s.cycles, s.spills))
+        })
     }
 
     /// Lookups and scheduler runs so far.
