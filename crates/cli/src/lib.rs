@@ -117,7 +117,7 @@ EXPLORE FLAGS:
     --space NAME           paper | fast | tiny | huge (hierarchical
                            clusters/pipelining/RF banking; 2^20 points —
                            pair with --budget)
-    --rounds N             Crypt Feistel rounds per trace
+    --rounds N             Crypt Feistel rounds per trace (1 to 16)
     --strategy NAME        exhaustive (default) | neighbour (exhaustive in
                            Gray-code order) | random | hillclimb
     --budget N             Evaluate at most N template points
@@ -132,8 +132,8 @@ EXPLORE FLAGS:
                            the simulator (identical results, slower)
     --parallel             Sweep on every available core (default)
     --serial               Sweep on one thread (same as --threads 1)
-    --threads N            Pin the worker count (the last of --parallel,
-                           --serial and --threads wins)
+    --threads N            Pin the worker count, at most 256 (the last of
+                           --parallel, --serial and --threads wins)
     --bus-area X           Interconnect model: bus area per bit [GE]
     --bus-delay X          Interconnect model: clock penalty per bus
     --control-area X       Interconnect model: area per instruction bit [GE]

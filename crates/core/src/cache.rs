@@ -313,23 +313,11 @@ type Line = ((Kind, u64), Entry);
 // The cache
 // ---------------------------------------------------------------------
 
-/// Number of independent lock shards the in-memory map is split over.
-/// Entries are assigned by the low bits of their content address —
-/// FNV-1a output, so the low nibble is uniformly distributed — which
-/// lets concurrent sweeps (the serve daemon runs many jobs against one
-/// process-wide cache) proceed without serialising on a single mutex.
-const SHARDS: usize = 16;
-
-/// Shard index of a content address (kind-independent: `E` and `T`
-/// entries for the same point land in the same shard, which keeps a
-/// point's full record under one lock).
-fn shard_of(key: u64) -> usize {
-    (key & (SHARDS as u64 - 1)) as usize
-}
-
-/// One lock shard: its slice of the entries, plus — for a persistent
-/// cache — the keys stored since the last checkpoint, so a checkpoint
-/// appends only what is new instead of re-rendering the whole shard.
+/// Everything the cache holds in memory, behind its one lock: the
+/// entries, plus — for a persistent cache — the keys stored since the
+/// last checkpoint, so a checkpoint appends only what is new instead of
+/// re-rendering every entry, and whether anything was stored since the
+/// last flush.
 ///
 /// Entries are packed: `index` maps each key to the offset of its row in
 /// one `rows` arena of `u64` words (see [`encode`] for the row layout).
@@ -338,7 +326,7 @@ fn shard_of(key: u64) -> usize {
 /// `Vec` per feasible entry; an indexed key costs ~13 bytes (see
 /// [`KeyIndex`]) and a single-workload feasible row 4 words.
 #[derive(Debug, Default)]
-struct Shard {
+struct Entries {
     /// One index per [`Kind`].
     index: [KeyIndex; 2],
     rows: Vec<u64>,
@@ -346,9 +334,12 @@ struct Shard {
     /// another length. Compacted away once they outweigh the live rows.
     dead: usize,
     pending: Vec<(Kind, u64)>,
+    /// Whether an entry changed since the last flush (or a journal was
+    /// replayed at open), so the next flush has something to write.
+    dirty: bool,
 }
 
-impl Shard {
+impl Entries {
     /// The arena offset of `key`'s row.
     fn offset(&self, &(kind, key): &(Kind, u64)) -> Option<u32> {
         self.index[kind as usize].get(key)
@@ -424,10 +415,6 @@ impl Shard {
         }
         self.rows = rows;
         self.dead = 0;
-    }
-
-    fn clear(&mut self) {
-        *self = Shard::default();
     }
 }
 
@@ -514,9 +501,9 @@ impl KeyIndex {
     }
 }
 
-/// An arena offset as stored in a shard index.
+/// An arena offset as stored in a [`KeyIndex`].
 fn row_offset(start: usize) -> u32 {
-    u32::try_from(start).expect("a cache shard holds at most 2^32 words")
+    u32::try_from(start).expect("the cache's row arena holds at most 2^32 words")
 }
 
 // Row layout. The first word of a row is its header: the tag in bits
@@ -649,24 +636,26 @@ struct DiskState {
 /// A persistent, thread-safe evaluation cache (see the [module
 /// docs](self) for the design and the on-disk format).
 ///
-/// The in-memory map is split over 16 lock shards keyed by
-/// the low bits of the content address, so concurrent jobs sharing one
-/// warm cache contend only when their chunks touch the same shard. All
-/// shard locks are *poison-tolerant*: a panicking evaluation thread
-/// (the serve daemon isolates worker panics with `catch_unwind`) never
-/// renders the shared cache unusable — the map data is always in a
-/// consistent state when a lock is released, because no cache method
-/// leaves an entry half-written.
+/// Everything held in memory sits behind one lock. A sweep touches it a
+/// few times per 64-point chunk (one batched read, then the chunk's
+/// stores and one checkpoint at its merge): tens of microseconds
+/// against the ~0.5 ms the chunk takes to evaluate, so concurrent jobs
+/// sharing one warm cache seldom meet on it (docs/PERF.md, "One
+/// lock"). Both locks are
+/// *poison-tolerant*: a panicking evaluation thread (the serve daemon
+/// isolates worker panics with `catch_unwind`) never renders the shared
+/// cache unusable — the entries are always in a consistent state when
+/// the lock is released, because no cache method leaves an entry
+/// half-written.
 #[derive(Debug)]
 pub struct SweepCache {
     path: PathBuf,
     journal: PathBuf,
-    shards: [Mutex<Shard>; SHARDS],
-    dirty: std::sync::atomic::AtomicBool,
+    entries: Mutex<Entries>,
     /// Rsync-style quick checks, so a flush skips re-parsing a file
     /// nobody else has touched. The lock is also held across every
-    /// checkpoint and flush (always before any shard lock), so one
-    /// handle's journal appends and compactions never interleave.
+    /// checkpoint and flush (always taken before the entries lock), so
+    /// one handle's journal appends and compactions never interleave.
     disk_state: Mutex<DiskState>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -712,54 +701,45 @@ impl SweepCache {
         fs::create_dir_all(dir)?;
         let path = dir.join(CACHE_FILE_NAME);
         let journal = dir.join(JOURNAL_FILE_NAME);
-        let mut shards: [Shard; SHARDS] = std::array::from_fn(|_| Shard::default());
+        let mut entries = Entries::default();
         let mut disk = DiskState::default();
         if read_entries(&path, |k, v| {
-            shards[shard_of(k.1)].insert(k, &v);
+            entries.insert(k, &v);
         }) {
             disk.file = stat_sig(&path);
         } else {
-            shards.iter_mut().for_each(Shard::clear);
+            entries = Entries::default();
         }
         // Journal lines win over file lines; a journal on disk also
         // leaves the cache dirty, so the next flush compacts it away.
-        let replayed = load_journal(&journal);
-        let dirty = replayed.is_some();
-        if let Some(replayed) = replayed {
+        if let Some(replayed) = load_journal(&journal) {
             cut_journal(&journal, &replayed);
             disk.journal_len = replayed.trusted;
             for (k, v) in replayed.entries {
-                shards[shard_of(k.1)].insert(k, &v);
+                entries.insert(k, &v);
             }
+            entries.dirty = true;
         }
-        let mut cache = SweepCache::with_shards(path, journal, shards, disk);
-        *cache.dirty.get_mut() = dirty;
-        Ok(cache)
+        Ok(SweepCache::new(path, journal, entries, disk))
     }
 
     /// An in-memory cache that never touches disk ([`SweepCache::flush`]
     /// and [`SweepCache::checkpoint`] are no-ops). Useful for tests and
     /// for sharing work between repeated in-process runs.
     pub fn in_memory() -> SweepCache {
-        SweepCache::with_shards(
+        SweepCache::new(
             PathBuf::new(),
             PathBuf::new(),
-            std::array::from_fn(|_| Shard::default()),
+            Entries::default(),
             DiskState::default(),
         )
     }
 
-    fn with_shards(
-        path: PathBuf,
-        journal: PathBuf,
-        shards: [Shard; SHARDS],
-        disk_state: DiskState,
-    ) -> SweepCache {
+    fn new(path: PathBuf, journal: PathBuf, entries: Entries, disk_state: DiskState) -> SweepCache {
         SweepCache {
             path,
             journal,
-            shards: shards.map(Mutex::new),
-            dirty: std::sync::atomic::AtomicBool::new(false),
+            entries: Mutex::new(entries),
             disk_state: Mutex::new(disk_state),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -770,24 +750,17 @@ impl SweepCache {
         }
     }
 
-    /// Locks shard `i`, shrugging off poison: the map data protected by
-    /// a shard lock is never left half-written (every cache method
-    /// completes its single map operation before anything that can
-    /// panic), so a poisoned guard's contents are safe to keep serving.
-    /// Without this, one panicking job in a long-lived daemon would
-    /// permanently wedge every later job on `PoisonError`.
-    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
-        self.shards[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Locks the entries, shrugging off poison: they are never left
+    /// half-written (every cache method completes its single map
+    /// operation before anything that can panic), so a poisoned guard's
+    /// contents are safe to keep serving. Without this, one panicking
+    /// job in a long-lived daemon would permanently wedge every later
+    /// job on `PoisonError`.
+    fn entries(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Locks the shard owning `key`.
-    fn shard_for(&self, key: u64) -> MutexGuard<'_, Shard> {
-        self.shard(shard_of(key))
-    }
-
-    /// Locks the disk state (poison-tolerant, like the shards).
+    /// Locks the disk state (poison-tolerant, like the entries).
     fn disk(&self) -> MutexGuard<'_, DiskState> {
         self.disk_state
             .lock()
@@ -815,38 +788,25 @@ impl SweepCache {
     /// the operation counts as one read.
     pub fn lookup_eval(&self, key: u64) -> Option<EvalEntry> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = self.shard_for(key).get_eval(key);
+        let found = self.entries().get_eval(key);
         self.count(found.is_some());
         found
     }
 
-    /// Looks up a whole batch of sweep evaluations, acquiring each
-    /// *touched shard's* lock exactly once — the sweep engine
-    /// prefetches each planned chunk this way instead of probing the
-    /// cache once per point inside the hot loop. Per-key hit/miss
-    /// counters are updated exactly as `n` individual
-    /// [`SweepCache::lookup_eval`] calls would, but the whole batch
-    /// counts as a single read ([`SweepCache::reads`]).
+    /// Looks up a whole batch of sweep evaluations under one lock
+    /// acquisition — the sweep engine prefetches each planned chunk
+    /// this way instead of probing the cache once per point inside the
+    /// hot loop. Answers come in input order. Per-key hit/miss counters
+    /// are updated exactly as `n` individual [`SweepCache::lookup_eval`]
+    /// calls would, but the whole batch counts as a single read
+    /// ([`SweepCache::reads`]).
     pub fn lookup_eval_batch(&self, keys: &[u64]) -> Vec<Option<EvalEntry>> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        // Group key positions per shard so each shard lock is taken at
-        // most once per batch, then answered in input order.
-        let mut by_shard: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
-        for (pos, &key) in keys.iter().enumerate() {
-            by_shard[shard_of(key)].push(pos);
-        }
-        let mut out: Vec<Option<EvalEntry>> = vec![None; keys.len()];
-        let mut hits = 0u64;
-        for (i, positions) in by_shard.iter().enumerate() {
-            if positions.is_empty() {
-                continue;
-            }
-            let shard = self.shard(i);
-            for &pos in positions {
-                out[pos] = shard.get_eval(keys[pos]);
-                hits += u64::from(out[pos].is_some());
-            }
-        }
+        let out: Vec<Option<EvalEntry>> = {
+            let entries = self.entries();
+            keys.iter().map(|&key| entries.get_eval(key)).collect()
+        };
+        let hits = out.iter().filter(|found| found.is_some()).count() as u64;
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses
             .fetch_add(keys.len() as u64 - hits, Ordering::Relaxed);
@@ -856,7 +816,7 @@ impl SweepCache {
     /// Whether a test-cost lift for `key` is present, *without* touching
     /// the hit/miss counters (unlike [`SweepCache::lookup_test`]).
     pub fn contains_test(&self, key: u64) -> bool {
-        self.shard_for(key).offset(&(Kind::Test, key)).is_some()
+        self.entries().offset(&(Kind::Test, key)).is_some()
     }
 
     /// Stores an entry in memory and, for a persistent cache, queues
@@ -865,15 +825,13 @@ impl SweepCache {
     /// stores a point a worker evaluated before an earlier chunk's merge
     /// stored the same content address).
     fn store(&self, key: (Kind, u64), entry: Entry) {
-        let mut shard = self.shard_for(key.1);
-        if !shard.insert(key, &entry) {
-            return;
+        let mut entries = self.entries();
+        if entries.insert(key, &entry) {
+            entries.dirty = true;
+            if self.persistent() {
+                entries.pending.push(key);
+            }
         }
-        if self.persistent() {
-            shard.pending.push(key);
-        }
-        drop(shard);
-        self.dirty.store(true, Ordering::Release);
     }
 
     /// Stores a sweep evaluation (in memory; [`SweepCache::checkpoint`]
@@ -885,7 +843,7 @@ impl SweepCache {
     /// Looks up a lifted test-cost total (exact bit pattern). One read.
     pub fn lookup_test(&self, key: u64) -> Option<f64> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let found = match self.shard_for(key).get(&(Kind::Test, key)) {
+        let found = match self.entries().get(&(Kind::Test, key)) {
             Some(Entry::Test(bits)) => Some(f64::from_bits(bits)),
             _ => None,
         };
@@ -956,11 +914,10 @@ impl SweepCache {
         self.compactions.load(Ordering::Relaxed)
     }
 
-    /// Number of entries currently held (evaluations + test lifts).
-    /// Shards are counted one at a time, so the total is a consistent
-    /// snapshot only when no writer is concurrently storing.
+    /// Number of entries currently held (evaluations + test lifts): a
+    /// consistent snapshot, counted under the one lock.
     pub fn len(&self) -> usize {
-        (0..SHARDS).map(|i| self.shard(i).len()).sum()
+        self.entries().len()
     }
 
     /// Whether the cache holds no entries.
@@ -986,29 +943,25 @@ impl SweepCache {
             return Ok(());
         }
         let mut disk = self.disk();
-        let mut fresh: Vec<Line> = Vec::new();
-        for i in 0..SHARDS {
-            let mut shard = self.shard(i);
-            let mut pending = std::mem::take(&mut shard.pending);
-            // A key stored twice since the last checkpoint is journaled
-            // once, with its current value.
+        let body = {
+            let mut entries = self.entries();
+            let mut pending = std::mem::take(&mut entries.pending);
+            if pending.is_empty() {
+                return Ok(());
+            }
+            // Ordering by (kind, key) is ordering by rendered line
+            // (fixed-width lowercase hex), and a key stored twice since
+            // the last checkpoint is journaled once, with its current
+            // value.
             pending.sort_unstable();
             pending.dedup();
-            fresh.extend(pending.into_iter().map(|k| {
-                let entry = shard.get(&k).expect("a pending key is held");
-                (k, entry)
-            }));
-        }
-        if fresh.is_empty() {
-            return Ok(());
-        }
-        // Keys are distinct across shards, and ordering by (kind, key)
-        // is ordering by rendered line (fixed-width lowercase hex).
-        fresh.sort_unstable_by_key(|(k, _)| *k);
-        let mut body = String::with_capacity(fresh.len() * 64);
-        for (k, v) in &fresh {
-            render_line(&mut body, k, v);
-        }
+            let mut body = String::with_capacity(pending.len() * 64);
+            for k in &pending {
+                let entry = entries.get(k).expect("a pending key is held");
+                render_line(&mut body, k, &entry);
+            }
+            body
+        };
         fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -1035,15 +988,16 @@ impl SweepCache {
     /// Returns the underlying [`io::Error`] on write failure. In-memory
     /// caches return `Ok(())` without touching disk.
     pub fn flush(&self) -> io::Result<()> {
-        if !self.persistent() || (!self.dirty.load(Ordering::Acquire) && !self.journal.exists()) {
+        if !self.persistent() {
             return Ok(());
         }
         let mut disk = self.disk();
-        // All shard locks are taken in index order (every whole-cache
-        // operation uses this order, so two concurrent flushes cannot
-        // deadlock) and held for the duration: the flushed file is a
-        // consistent snapshot even while other jobs keep storing.
-        let mut shards: Vec<MutexGuard<'_, Shard>> = (0..SHARDS).map(|i| self.shard(i)).collect();
+        // The entries lock is held for the duration: the flushed file is
+        // a consistent snapshot even while other jobs keep storing.
+        let mut entries = self.entries();
+        if !entries.dirty && !self.journal.exists() {
+            return Ok(());
+        }
         // Merge a file only when another writer has plausibly touched it
         // since this handle last read or wrote it: the v3 file by its
         // quick check, the journal by the length this handle left it at
@@ -1062,12 +1016,11 @@ impl SweepCache {
         }
         let journal = journal.map(|read| read.entries).unwrap_or_default();
         for (k, v) in journal.into_iter().rev().chain(file.into_iter().rev()) {
-            let shard = &mut shards[shard_of(k.1)];
-            if shard.offset(&k).is_none() {
-                shard.insert(k, &v);
+            if entries.offset(&k).is_none() {
+                entries.insert(k, &v);
             }
         }
-        let mut keys: Vec<(Kind, u64)> = shards.iter().flat_map(|shard| shard.keys()).collect();
+        let mut keys: Vec<(Kind, u64)> = entries.keys().collect();
         // Deterministic file contents: sorted by (kind, key), which is
         // the rendered lines' byte order — not hash order.
         keys.sort_unstable();
@@ -1075,7 +1028,7 @@ impl SweepCache {
         body.push_str(HEADER);
         body.push('\n');
         for k in &keys {
-            let entry = shards[shard_of(k.1)].get(k).expect("a listed key is held");
+            let entry = entries.get(k).expect("a listed key is held");
             render_line(&mut body, k, &entry);
         }
         // Unique temp name per flush: concurrent flushers (other
@@ -1094,10 +1047,8 @@ impl SweepCache {
             let _ = fs::remove_file(&tmp);
             return Err(e);
         }
-        for shard in &mut shards {
-            shard.pending.clear();
-        }
-        self.dirty.store(false, Ordering::Release);
+        entries.pending.clear();
+        entries.dirty = false;
         disk.file = stat_sig(&self.path);
         self.compactions.fetch_add(1, Ordering::Relaxed);
         remove_if_present(&self.journal)?;
@@ -1114,10 +1065,7 @@ impl SweepCache {
     /// but cannot be removed.
     pub fn invalidate(&self) -> io::Result<()> {
         let mut disk = self.disk();
-        for i in 0..SHARDS {
-            self.shard(i).clear();
-        }
-        self.dirty.store(false, Ordering::Release);
+        *self.entries() = Entries::default();
         *disk = DiskState::default();
         if self.persistent() {
             remove_if_present(&self.path)?;
@@ -1705,7 +1653,7 @@ mod tests {
         let journal = fs::read_to_string(cache.journal_path()).unwrap();
         // The same entry again is no change: nothing pending, no append.
         cache.store_eval(7, sample_feasible());
-        assert!(cache.shard_for(7).pending.is_empty());
+        assert!(cache.entries().pending.is_empty());
         cache.checkpoint().unwrap();
         assert_eq!(cache.checkpoints(), 1);
         assert_eq!(fs::read_to_string(cache.journal_path()).unwrap(), journal);
@@ -1721,7 +1669,7 @@ mod tests {
     fn in_memory_checkpoints_track_and_write_nothing() {
         let cache = SweepCache::in_memory();
         cache.store_eval(1, EvalEntry::Infeasible { blocked: None });
-        assert!(cache.shard_for(1).pending.is_empty());
+        assert!(cache.entries().pending.is_empty());
         cache.checkpoint().unwrap();
         cache.flush().unwrap();
         assert_eq!(cache.checkpoints(), 0);
@@ -1873,12 +1821,9 @@ mod tests {
         cache.flush().unwrap();
         let loaded = SweepCache::open(&dir).unwrap();
         assert_eq!(loaded.len(), 8192);
-        for i in 0..SHARDS {
-            let shard = loaded.shard(i);
-            for index in &shard.index {
-                assert!(index.recent.is_empty(), "a loaded key waits for a merge");
-                assert!(index.sorted.is_sorted());
-            }
+        for index in &loaded.entries().index {
+            assert!(index.recent.is_empty(), "a loaded key waits for a merge");
+            assert!(index.sorted.is_sorted());
         }
         assert_eq!(
             loaded.lookup_test(3u64.wrapping_mul(0x2545_F491_4F6C_DD1D)),
@@ -1939,19 +1884,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_lookup_spans_shards_in_one_read() {
+    fn batch_lookup_is_one_read_in_input_order() {
         let cache = SweepCache::in_memory();
-        // Keys 0..64 cover every shard four times over.
         for k in 0..64u64 {
             cache.store_eval(k, EvalEntry::Infeasible { blocked: None });
         }
         let keys: Vec<u64> = (0..128u64).rev().collect();
         let out = cache.lookup_eval_batch(&keys);
-        assert_eq!(
-            cache.reads(),
-            1,
-            "one batch is one read, however many shards"
-        );
+        assert_eq!(cache.reads(), 1, "one batch is one read, however many keys");
         for (pos, &key) in keys.iter().enumerate() {
             assert_eq!(out[pos].is_some(), key < 64, "answers stay in input order");
         }
@@ -1960,7 +1900,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_over_shared_shards_lose_nothing() {
+    fn concurrent_writers_of_overlapping_keys_lose_nothing() {
         let cache = SweepCache::in_memory();
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -1968,7 +1908,7 @@ mod tests {
                 scope.spawn(move || {
                     for k in 0..256u64 {
                         // Overlapping key ranges: every thread stores the
-                        // same 256 keys (same values), racing per shard.
+                        // same 256 keys (same values), racing on the lock.
                         cache.store_eval(k, EvalEntry::Infeasible { blocked: None });
                         cache.store_test(k.wrapping_mul(0x9E37_79B9), 1.5);
                     }

@@ -511,8 +511,8 @@ fn packed_rows_round_trip_every_entry_shape() {
     let dir = tmpdir("packed-rows");
     let cache = SweepCache::open(&dir).unwrap();
     let shapes = every_eval_shape();
-    // Keys 16 apart share a shard, so each shard's arena holds rows of
-    // every length back to back.
+    // Every row lands in the one arena, so rows of every length sit
+    // back to back.
     for (i, entry) in shapes.iter().enumerate() {
         cache.store_eval(i as u64 * 16, entry.clone());
         cache.store_test(i as u64 * 16, i as f64 - 0.25);
@@ -544,4 +544,60 @@ fn packed_rows_round_trip_every_entry_shape() {
     cache.flush().unwrap();
     check(&SweepCache::open(&dir).unwrap(), &rotated);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_stores_and_checkpoints_journal_every_current_value() {
+    let dir = tmpdir("concurrent-checkpoints");
+    let cache = SweepCache::open(&dir).unwrap();
+    let shapes = every_eval_shape();
+    let writing = std::sync::atomic::AtomicUsize::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4u32 {
+            let (cache, shapes, writing) = (&cache, &shapes, &writing);
+            scope.spawn(move || {
+                // Every thread stores the same 48 keys with values of its
+                // own, rows of every length among them.
+                for round in 0..50u32 {
+                    for k in 0..48u64 {
+                        let shape = (k as usize + round as usize + t as usize) % shapes.len();
+                        cache.store_eval(k, shapes[shape].clone());
+                        cache.store_test(k, f64::from(t * 1000 + round));
+                    }
+                }
+                writing.fetch_sub(1, std::sync::atomic::Ordering::Release);
+            });
+        }
+        scope.spawn(|| {
+            while writing.load(std::sync::atomic::Ordering::Acquire) > 0 {
+                cache.checkpoint().unwrap();
+            }
+        });
+    });
+    cache.checkpoint().unwrap();
+    let journal = fs::read(cache.journal_path()).unwrap();
+    assert_eq!(journal.len() as u64, cache.journal_bytes());
+    assert_eq!(journal.last(), Some(&b'\n'), "no torn append");
+    // Replayed alone, the journal holds every key with its current
+    // value, and so does the reopened directory.
+    let alone = tmpdir("concurrent-checkpoints-journal");
+    fs::create_dir_all(&alone).unwrap();
+    fs::write(alone.join(JOURNAL_FILE_NAME), &journal).unwrap();
+    for replayed in [
+        SweepCache::open(&alone).unwrap(),
+        SweepCache::open(&dir).unwrap(),
+    ] {
+        assert_eq!(replayed.len(), cache.len());
+        let keys: Vec<u64> = (0..48).collect();
+        assert_eq!(
+            replayed.lookup_eval_batch(&keys),
+            cache.lookup_eval_batch(&keys)
+        );
+        for k in keys {
+            assert_eq!(replayed.lookup_test(k), cache.lookup_test(k), "key {k}");
+        }
+    }
+    assert_eq!(cache.len(), 96);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&alone);
 }

@@ -17,11 +17,11 @@
 //!   plain and chunked responses, nothing a hand audit can't cover.
 //! - [`queue`] — the admission gate: at most `--workers` jobs run at
 //!   once, waiting ones start by priority, then budget, then FIFO.
-//! - [`server`] — the daemon: shared warm [`tta_core::cache::SweepCache`]
-//!   behind sharded locks, one thread per connection (a job runs on
-//!   the connection that submitted it) with per-job panic isolation,
-//!   NDJSON progress streaming, cancel/resume, read and write
-//!   deadlines, graceful SIGTERM.
+//! - [`server`] — the daemon: one shared warm
+//!   [`tta_core::cache::SweepCache`], one thread per connection (a job
+//!   runs on the connection that submitted it) with per-job panic
+//!   isolation, NDJSON progress streaming, cancel/resume, read and
+//!   write deadlines, graceful SIGTERM.
 //! - [`client`] — the thin `ttadse explore --remote URL` client.
 //!
 //! The protocol is documented in `docs/SERVE.md`, which is doc-tested

@@ -1,10 +1,11 @@
 //! The sweep daemon: one warm cache and one annotation database, one
 //! thread per request, streamed jobs.
 //!
-//! A [`Server`] owns one process-wide [`SweepCache`] (sharded internally
-//! — see `tta_core::cache`) and one [`ComponentDb`] that every job warms
-//! for the next, and a [`Gate`] that lets at most `--workers` jobs run
-//! at once, starting waiting ones by priority/budget/FIFO. The cache
+//! A [`Server`] owns one process-wide [`SweepCache`] (its entries
+//! behind one lock — see `tta_core::cache`) and one [`ComponentDb`]
+//! that every job warms for the next, and a [`Gate`] that lets at most
+//! `--workers` jobs run at once, starting waiting ones by
+//! priority/budget/FIFO. The cache
 //! answers points a finished job already evaluated; the database keeps
 //! each component's ATPG and march record, so a job that misses the
 //! cache (say, a new interconnect constant) annotates nothing another

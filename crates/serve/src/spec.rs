@@ -168,6 +168,10 @@ fn parse_label<T: Copy>(
     ))
 }
 
+/// Most sweep workers one job may ask for ([`JobSpec::threads`]): a
+/// sweep starts one OS thread per worker, and a spec is untrusted input.
+pub const MAX_THREADS: usize = 256;
+
 /// One sweep job, fully specified. [`Default`] is exactly the CLI's
 /// default `ttadse explore` invocation.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -207,7 +211,8 @@ pub struct JobSpec {
     pub format: Format,
     /// Sweep worker count: `None` uses every available core
     /// (`--parallel`, the default), `Some(1)` sweeps serially
-    /// (`--serial`), `Some(n)` pins `n` workers (`--threads`).
+    /// (`--serial`), `Some(n)` pins `n` workers (`--threads`), at most
+    /// [`MAX_THREADS`].
     pub threads: Option<usize>,
     /// Interconnect override: bus area per bit \[GE\] (`--bus-area`).
     pub bus_area: Option<f64>,
@@ -364,14 +369,27 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Cross-field checks shared by the CLI and the daemon.
+    /// Cross-field checks shared by the CLI and the daemon. They run
+    /// before anything is built or started, so an untrusted spec is
+    /// refused instead of panicking or spawning without bound.
     ///
     /// # Errors
     ///
-    /// A usage-class message for a zero budget or an unknown fault tag.
+    /// A usage-class message for a zero budget, crypt rounds outside
+    /// 1..=16, more than [`MAX_THREADS`] workers or an unknown fault tag.
     pub fn validate(&self) -> Result<(), String> {
         if self.budget == Some(0) {
             return Err("budget must be at least 1 (0 would evaluate nothing)".into());
+        }
+        if let Some(rounds) = self.rounds.filter(|r| !(1..=16).contains(r)) {
+            return Err(format!(
+                "rounds must be 1 to 16 (crypt has 16 Feistel rounds), not {rounds}"
+            ));
+        }
+        if let Some(threads) = self.threads.filter(|&t| t > MAX_THREADS) {
+            return Err(format!(
+                "threads must be at most {MAX_THREADS}, not {threads}"
+            ));
         }
         if let Some(fault) = &self.fault {
             if fault != "panic" {
@@ -482,6 +500,15 @@ mod tests {
         assert!(JobSpec::from_json("{\"strategy\":\"dfs\"}").is_err());
         assert!(JobSpec::from_json("{\"fidelity\":\"rtl\"}").is_err());
         assert!(JobSpec::from_json("{\"fault\":\"segfault\"}").is_err());
+        // Out of range, crypt's lowering would panic and a sweep would
+        // start a thread per chunk; the bounds themselves are accepted.
+        for bad in ["{\"rounds\":0}", "{\"rounds\":17}", "{\"threads\":257}"] {
+            assert!(
+                JobSpec::from_json(bad).unwrap_err().contains("must be"),
+                "{bad}"
+            );
+        }
+        assert!(JobSpec::from_json("{\"rounds\":16,\"threads\":256}").is_ok());
         // There is one evaluation engine: a spec naming one is refused
         // like any other unknown field.
         assert!(JobSpec::from_json("{\"eval\":\"scratch\"}")

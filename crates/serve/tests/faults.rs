@@ -154,6 +154,12 @@ fn malformed_specs_answer_400_and_never_reach_the_queue() {
         "{\"budget\": 0}",        // invalid value
         "{\"fault\": \"quake\"}", // unknown fault kind
         "{\"parallel\": true}",   // `threads` is the one worker count
+        // Out of range: preparing the job would panic outside its
+        // `catch_unwind` (and `Server::run` would re-raise it at
+        // shutdown), or the sweep would start 16,384 threads.
+        r#"{"space":"tiny","workloads":["crypt"],"rounds":17}"#,
+        r#"{"space":"tiny","workloads":["crypt"],"rounds":0}"#,
+        r#"{"space":"huge","strategy":"neighbour","budget":1048576,"threads":1000000}"#,
     ];
     for body in bad_bodies {
         let answer = raw_post(&daemon.addr, "/run", body);
